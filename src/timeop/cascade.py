@@ -117,9 +117,12 @@ class CascadeSystem:
 
     Instances are immutable after construction.  Labels are ages (ints)
     for the shift model and frozensets of coordinates for the baker
-    model, ordered age-major.  Dense matrices are materialized lazily;
-    the structural step map is the primary representation, so the
-    permutation action stays exact.
+    model, ordered age-major.  The step index map and the label ages are
+    the representation: every operator built here is a truncated
+    weighted shift, so ``U^t`` is ``step_indices(t)`` and ``T`` and
+    ``E(delta)`` are per-label weights, and every identity is checked on
+    those arrays in O(dim).  The dense ``U``, ``T`` and ``projector``
+    matrices are built only on request, for serialization and tests.
     """
 
     def __init__(self, kind, window, labels, ages, step, basis_id, m=None, masks=None):
@@ -179,6 +182,39 @@ class CascadeSystem:
             idx[alive] = self._step[idx[alive]]
         return idx
 
+    def age_mask(self, delta) -> np.ndarray:
+        """Boolean mask of the labels whose age lies in ``delta``."""
+        if isinstance(delta, (int, np.integer)):
+            delta = (int(delta),)
+        delta = set(int(n) for n in delta)
+        for n in delta:
+            if n not in self.window:
+                raise ValueError(f"age {n} is outside the window [{self.window.lo}, {self.window.hi}]")
+        return np.isin(self.ages, sorted(delta))
+
+    def pullback_deviation(self, t: int, weights, target, cols=None) -> float:
+        """Largest entry of ``|(U^t)' D U^t - diag(target)|`` over columns ``cols``.
+
+        ``D`` is the diagonal of per-label ``weights`` and ``cols`` a
+        boolean column mask (all columns when None).  Only the step map
+        is read: ``(U^t)' D U^t`` holds ``weights[k]`` at every (i, j)
+        whose labels both step onto k, so column j differs from the
+        target by ``weights[k] - target[j]`` on the diagonal, by
+        ``weights[k]`` at any other label sharing the image k, and by
+        ``-target[j]`` when the image of j is truncated.  The result is
+        the float the dense product gives, defective maps included.
+        """
+        idx = self.step_indices(t)
+        alive = idx >= 0
+        image = np.where(alive, idx, 0)
+        pulled = np.where(alive, np.asarray(weights, dtype=float)[image], 0.0)
+        dev = np.abs(pulled - target)
+        shared = alive & (np.bincount(idx[alive], minlength=self.dim)[image] > 1)
+        dev = np.where(shared, np.maximum(dev, np.abs(pulled)), dev)
+        if cols is not None:
+            dev = dev[cols]
+        return float(dev.max(initial=0.0))
+
     # -- dense operators ------------------------------------------------
 
     @cached_property
@@ -197,14 +233,7 @@ class CascadeSystem:
 
     def projector(self, delta) -> HOperator:
         """Orthogonal projector onto the labels whose age lies in ``delta``."""
-        if isinstance(delta, (int, np.integer)):
-            delta = (int(delta),)
-        delta = set(int(n) for n in delta)
-        for n in delta:
-            if n not in self.window:
-                raise ValueError(f"age {n} is outside the window [{self.window.lo}, {self.window.hi}]")
-        mask = np.isin(self.ages, sorted(delta)).astype(float)
-        return HOperator.diagonal(mask, self.basis_id)
+        return HOperator.diagonal(self.age_mask(delta).astype(float), self.basis_id)
 
     def label_text(self, label) -> str:
         if isinstance(label, frozenset):
@@ -297,20 +326,15 @@ def verify_covariance(system: CascadeSystem, t: int) -> float:
     """Deviation of the internal-time covariance at time t.
 
     Returns the maximum, over basis vectors inside the t-margin, of
-    ``|| (U^t)' T U^t e - (T + t) e ||``.  Both sides are permutation
-    and small-integer arithmetic, so a correct construction returns
-    exactly 0.0.
+    ``|| (U^t)' T U^t e - (T + t) e ||``, read off the step index map:
+    the image of a label must carry its age plus t, and no other label
+    may share that image.  Ages and t are small integers, so a correct
+    construction returns exactly 0.0.
     """
     if t < 0:
         raise ValueError("covariance is checked for t >= 0")
-    ut = np.linalg.matrix_power(system.U.matrix, t)
-    lhs = ut.T @ system.T.matrix @ ut
-    rhs = system.T.matrix + t * np.eye(system.dim)
-    diff = lhs - rhs
-    cols = system.interior_mask(t)
-    if not np.any(cols):
-        return 0.0
-    return float(np.abs(diff[:, cols]).max())
+    ages = system.ages.astype(float)
+    return system.pullback_deviation(t, ages, ages + t, system.interior_mask(t))
 
 
 def verify_imprimitivity(system: CascadeSystem, delta, t: int) -> float:
@@ -320,19 +344,16 @@ def verify_imprimitivity(system: CascadeSystem, delta, t: int) -> float:
     ``delta + t`` onto the projector for ``delta``; this orientation is
     the one compatible with the internal-time covariance ``T -> T + t``.
     Requires ``delta`` and ``delta + t`` inside the window, and then
-    holds exactly as a matrix identity, with no margin caveat.
+    holds exactly as an operator identity, with no margin caveat: the
+    check runs over every label of the step index map.
     """
     if t < 0:
         raise ValueError("imprimitivity is checked for t >= 0")
     if isinstance(delta, (int, np.integer)):
         delta = (int(delta),)
-    delta = sorted(int(n) for n in delta)
-    shifted = [n + t for n in delta]
-    lhs_proj = system.projector(shifted)
-    rhs_proj = system.projector(delta)
-    ut = np.linalg.matrix_power(system.U.matrix, t)
-    lhs = ut.T @ lhs_proj.matrix @ ut
-    return float(np.abs(lhs - rhs_proj.matrix).max())
+    delta = [int(n) for n in delta]
+    shifted = system.age_mask([n + t for n in delta]).astype(float)
+    return system.pullback_deviation(t, shifted, system.age_mask(delta).astype(float))
 
 
 # -- Walsh / grid realization --------------------------------------------

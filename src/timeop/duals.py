@@ -134,9 +134,10 @@ def antidual_inner(u: HVector, v: HVector, decay: DecayOperator) -> float:
 class OperatorWeb:
     """Six conjugated evolutions at one time, on the margin-safe labels.
 
-    Matrices are full-dimensional with columns zeroed outside the safe
-    labels; per-label log weights are kept alongside for exact checks.
-    Weight conventions (a = label age, L = log lambda):
+    Each evolution is a truncated weighted shift: the safe label at
+    index i moves to ``targets[i]`` (the t-step index map) carrying
+    weight ``exp(log_weights[name][i])``; labels outside the margin
+    carry NaN.  Weight conventions (a = label age, L = log lambda):
 
       u_ext : 0
       w     : L(a+t) - L(a)
@@ -148,7 +149,7 @@ class OperatorWeb:
 
     NAMES = ("u_ext", "w", "v", "x", "y", "z")
 
-    def __init__(self, decay: DecayOperator, t: int, safe_mask, log_weights, matrices):
+    def __init__(self, decay: DecayOperator, t: int, safe_mask, log_weights, targets):
         self.decay = decay
         self.system: CascadeSystem = decay.system
         self.t = int(t)
@@ -157,7 +158,7 @@ class OperatorWeb:
             label for label, ok in zip(self.system.labels, safe_mask) if ok
         )
         self.log_weights = log_weights
-        self.matrices = matrices
+        self.targets = targets
 
     def weight(self, name: str, label) -> float:
         """Weight carried by a safe label under the named evolution."""
@@ -167,21 +168,41 @@ class OperatorWeb:
         return float(np.exp(self.log_weights[name][i]))
 
     def matrix(self, name: str) -> np.ndarray:
-        return self.matrices[name]
+        """Dense dim x dim array of the named evolution, built on request.
+
+        Columns outside the safe labels are zero.  Meant for small-dim
+        cross-checks; no verification route uses it.
+        """
+        cols = np.nonzero(self.safe_mask)[0]
+        mat = np.zeros((self.system.dim, self.system.dim))
+        with np.errstate(under="ignore"):
+            mat[self.targets[cols], cols] = np.exp(self.log_weights[name][cols])
+        return mat
 
     def restricted(self, name: str) -> np.ndarray:
-        """Compression of the named evolution to the safe labels."""
+        """Compression of the named evolution to the safe labels.
+
+        Equal to ``matrix(name)`` restricted to the safe rows and
+        columns, built from the index map without the dim x dim array.
+        """
         safe = np.nonzero(self.safe_mask)[0]
-        return self.matrices[name][np.ix_(safe, safe)]
+        position = np.full(self.system.dim, -1)
+        position[safe] = np.arange(safe.size)
+        rows = position[self.targets[safe]]
+        kept = np.nonzero(rows >= 0)[0]
+        out = np.zeros((safe.size, safe.size))
+        with np.errstate(under="ignore"):
+            out[rows[kept], kept] = np.exp(self.log_weights[name][safe[kept]])
+        return out
 
 
 def build_operator_web(decay: DecayOperator, t: int,
                        overflow_cap: float = LOG_WEIGHT_CAP) -> OperatorWeb:
-    """Materialize the six evolutions at time t.
+    """Build the six evolutions at time t as index map plus log weights.
 
     Conjugations by the decay map and its square are composed in the
     log domain; a conjugation whose weights exceed ``overflow_cap`` in
-    log magnitude is rejected by name rather than materialized as
+    log magnitude is rejected by name rather than carried as
     infinities.
     """
     if t < 0:
@@ -214,16 +235,7 @@ def build_operator_web(decay: DecayOperator, t: int,
             raise MarginError(
                 f"{label} is not materializable on this window: weights reach exp({peak:.1f})"
             )
-
-    targets = system.step_indices(t)
-    matrices = {}
-    for name, lw in log_weights.items():
-        mat = np.zeros((system.dim, system.dim))
-        cols = np.nonzero(safe)[0]
-        with np.errstate(under="ignore"):
-            mat[targets[cols], cols] = np.exp(lw[cols])
-        matrices[name] = mat
-    return OperatorWeb(decay, t, safe, log_weights, matrices)
+    return OperatorWeb(decay, t, safe, log_weights, system.step_indices(t))
 
 
 @dataclass(frozen=True)

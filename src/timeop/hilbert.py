@@ -29,7 +29,12 @@ __all__ = [
     "adjoint",
     "apply_spectral_function",
     "fractional_power",
+    "NORM_RESCALE_BELOW",
 ]
+
+# Squaring coefficients below about 1e-154 enters the subnormal range;
+# norms under this cutoff are recomputed on the rescaled coefficients.
+NORM_RESCALE_BELOW = 1e-140
 
 
 class BasisMismatchError(ValueError):
@@ -74,7 +79,18 @@ class HVector:
         return self.coeffs.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm, accurate down to the smallest coefficients.
+
+        A plain norm below ``NORM_RESCALE_BELOW`` has lost precision to
+        the squared coefficients underflowing, so it is recomputed with
+        the coefficients scaled by the largest magnitude.
+        """
+        n = float(np.linalg.norm(self.coeffs))
+        if n < NORM_RESCALE_BELOW:
+            scale = float(np.abs(self.coeffs).max(initial=0.0))
+            if scale > 0.0:
+                n = scale * float(np.linalg.norm(self.coeffs / scale))
+        return n
 
     def __add__(self, other: "HVector") -> "HVector":
         _check_vectors(self, other)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import GridDensity, MarginError, StateVector, grid_to_walsh, walsh_to_grid
-from .hilbert import BasisMismatchError, HVector
+from .hilbert import NORM_RESCALE_BELOW, BasisMismatchError, HVector
 from .profiles import DecayOperator
 
 __all__ = [
@@ -128,7 +128,10 @@ def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None,
     For each t the direct route squares the per-coefficient products
     while the quadratic-form route sums exp(2 log ratio) times the
     squared coefficients; both must agree within ``agreement_tol``
-    relative.  Monotone decrease of the norms is reported, not assumed.
+    relative.  Where either route falls below ``NORM_RESCALE_BELOW``
+    the plain form has underflowed, so the routes are compared in the
+    log domain instead.  Monotone decrease of the norms is reported,
+    not assumed.
     """
     horizon = ev.max_t if max_t is None else int(max_t)
     if horizon > ev.max_t:
@@ -142,10 +145,20 @@ def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None,
         alive = (rho.coeffs != 0.0) & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
             form = float(np.sum(np.exp(2.0 * log_ratio[alive]) * rho.coeffs[alive] ** 2))
-        if norm_direct > 0.0 and abs(np.sqrt(form) - norm_direct) > agreement_tol * norm_direct:
-            raise AssertionError(
-                f"norm routes disagree at t={t}: direct {norm_direct!r} vs form {np.sqrt(form)!r}"
-            )
+        if norm_direct > 0.0:
+            root = float(np.sqrt(form))
+            if min(norm_direct, root) >= NORM_RESCALE_BELOW:
+                rel_gap = abs(root - norm_direct) / norm_direct
+            else:
+                logs = 2.0 * log_ratio[alive] + 2.0 * np.log(np.abs(rho.coeffs[alive]))
+                peak = logs.max()
+                log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
+                rel_gap = abs(log_form - np.log(norm_direct))
+            if rel_gap > agreement_tol:
+                raise AssertionError(
+                    f"norm routes disagree at t={t}: direct {norm_direct!r} vs form {root!r} "
+                    f"(relative gap {rel_gap:.3g})"
+                )
         norms.append(norm_direct)
         forms.append(form)
     monotone = all(b <= a for a, b in zip(norms, norms[1:]))

@@ -144,6 +144,22 @@ class TestFractionalPower:
         assert np.allclose(lhs.diag, rhs.diag, rtol=1e-12, atol=0.0)
 
 
+class TestNorm:
+    def test_norm_below_the_squaring_underflow(self):
+        # the squares of 3e-200 and 4e-200 underflow to zero
+        assert vec(3e-200, 4e-200).norm() == pytest.approx(5e-200, rel=1e-15)
+        assert vec(0.0, -1e-172).norm() == 1e-172
+
+    def test_norms_above_the_cutoff_are_the_plain_norm(self):
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 1e-100, 1e-139):
+            c = scale * rng.standard_normal(9)
+            assert vec(*c).norm() == float(np.linalg.norm(c))
+
+    def test_zero_vector(self):
+        assert vec(0.0, 0.0).norm() == 0.0
+
+
 class TestOperatorAlgebra:
     def test_adjoint_involution_exact(self):
         rng = np.random.default_rng(3)

@@ -1,0 +1,187 @@
+"""The O(dim) verification routines against the dense matrix formulas.
+
+``verify_covariance``, ``verify_imprimitivity``,
+``verify_covariant_transform`` and the operator web read the step
+index map instead of forming (U^t)' D U^t.  The dense formulas live here
+only, as the reference: the index-map routines must return the very
+same float, on correct systems and on systems with an injected defect,
+and every defect must show as a nonzero deviation.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from timeop.cascade import (
+    AgeWindow,
+    CascadeSystem,
+    build_baker_cascade,
+    build_shift_cascade,
+    verify_covariance,
+    verify_imprimitivity,
+)
+from timeop.duals import build_operator_web
+from timeop.profiles import build_decay_operator, gumbel, verify_covariant_transform
+
+T_VALUES = (0, 1, 2, 3)
+
+
+def dense_covariance(system, t):
+    ut = np.linalg.matrix_power(system.U.matrix, t)
+    diff = ut.T @ system.T.matrix @ ut - (system.T.matrix + t * np.eye(system.dim))
+    cols = system.interior_mask(t)
+    return float(np.abs(diff[:, cols]).max()) if np.any(cols) else 0.0
+
+
+def dense_imprimitivity(system, delta, t):
+    ut = np.linalg.matrix_power(system.U.matrix, t)
+    lhs = ut.T @ system.projector([n + t for n in delta]).matrix @ ut
+    return float(np.abs(lhs - system.projector(delta).matrix).max())
+
+
+def dense_covariant_transform(op, t):
+    system = op.system
+    ut = np.linalg.matrix_power(system.U.matrix, t)
+    lam = op.diag
+    lam_shift = np.exp(op.log_weight(system.ages + t))
+    cols = system.interior_mask(t)
+    if not np.any(cols):
+        return 0.0
+    dev = 0.0
+    for d, target in ((lam, lam_shift), (lam * lam, lam_shift * lam_shift)):
+        diff = ut.T @ np.diag(d) @ ut - np.diag(target)
+        dev = max(dev, float(np.abs(diff[:, cols]).max()))
+    return dev
+
+
+def systems():
+    return [build_shift_cascade(AgeWindow(-4, 4)), build_baker_cascade(2)]
+
+
+def with_step(system, step):
+    """The same labels and ages over a different (defective) step map."""
+    return CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
+                         system.basis_id, m=system.m, masks=system._masks)
+
+
+def deltas(system, t):
+    """Every single age, and one two-age set, that the transport admits."""
+    singles = [(n,) for n in range(system.window.lo, system.window.hi - t + 1)]
+    return singles + [(system.window.lo, system.window.hi - t)]
+
+
+def assert_matches_dense(system, t_values=T_VALUES):
+    """Every routine returns the dense float; returns the covariance deviations."""
+    op = build_decay_operator(gumbel(1.0), system)
+    out = {}
+    for t in t_values:
+        out[t] = verify_covariance(system, t)
+        assert out[t] == dense_covariance(system, t)
+        for delta in deltas(system, t):
+            assert verify_imprimitivity(system, delta, t) == dense_imprimitivity(system, delta, t)
+        assert verify_covariant_transform(op, t) == dense_covariant_transform(op, t)
+        if np.any(system.interior_mask(t)):
+            web = build_operator_web(op, t)
+            safe = np.nonzero(web.safe_mask)[0]
+            for name in web.NAMES:
+                assert np.array_equal(web.restricted(name), web.matrix(name)[np.ix_(safe, safe)])
+    return out
+
+
+@pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)
+def test_correct_systems_match_dense_and_are_exact(system):
+    covariance = assert_matches_dense(system)
+    assert all(dev == 0.0 for dev in covariance.values())
+    op = build_decay_operator(gumbel(1.0), system)
+    for t in T_VALUES:
+        assert verify_covariant_transform(op, t) == 0.0
+        for delta in deltas(system, t):
+            assert verify_imprimitivity(system, delta, t) == 0.0
+
+
+@pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)
+def test_off_by_one_step_map(system):
+    # every image one position lower; (one higher would stay inside the
+    # next age block of the baker order, a legitimate age-raising map)
+    step = system._step
+    bad = with_step(system, np.where(step > 0, step - 1, -1))
+    covariance = assert_matches_dense(bad)
+    assert covariance[1] > 0.0
+    assert max(verify_imprimitivity(bad, delta, 1) for delta in deltas(bad, 1)) > 0.0
+    assert verify_covariant_transform(build_decay_operator(gumbel(1.0), bad), 1) > 0.0
+
+
+@pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)
+def test_step_collision(system):
+    # a label of age 0 steps onto the image of a label of age -1
+    i = int(np.nonzero(system.ages == -1)[0][0])
+    j = int(np.nonzero(system.ages == 0)[0][0])
+    step = np.array(system._step)
+    step[j] = step[i]
+    bad = with_step(system, step)
+    covariance = assert_matches_dense(bad)
+    assert covariance[1] == 1.0
+    assert verify_imprimitivity(bad, (0,), 1) == 1.0
+    assert verify_covariant_transform(build_decay_operator(gumbel(1.0), bad), 1) > 0.0
+
+
+def test_collision_alone_is_seen_through_the_off_diagonal_entry():
+    # two labels of age 0 step onto one age-1 label: every diagonal entry
+    # stays right, and only the shared image puts age 1 (or the
+    # projector's 1.0, or lambda(1)) off the diagonal
+    system = build_baker_cascade(2)
+    i, j = np.nonzero(system.ages == 0)[0][:2]
+    step = np.array(system._step)
+    step[j] = step[i]
+    bad = with_step(system, step)
+    assert verify_covariance(bad, 1) == 1.0 == dense_covariance(bad, 1)
+    assert verify_imprimitivity(bad, (0,), 1) == 1.0 == dense_imprimitivity(bad, (0,), 1)
+    op = build_decay_operator(gumbel(1.0), bad)
+    expected = float(op.diag[step[i]])
+    assert verify_covariant_transform(op, 1) == expected == dense_covariant_transform(op, 1)
+
+
+@pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)
+def test_truncated_image_inside_the_margin(system):
+    j = int(np.nonzero(system.ages == 1)[0][0])
+    step = np.array(system._step)
+    step[j] = -1
+    bad = with_step(system, step)
+    covariance = assert_matches_dense(bad)
+    assert covariance[1] == 2.0  # the dense column value |age + t|
+    assert verify_imprimitivity(bad, (1,), 1) == 1.0
+    op = build_decay_operator(gumbel(1.0), bad)
+    assert verify_covariant_transform(op, 1) == float(np.exp(op.log_weight(system.ages + 1)[j]))
+
+
+@pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)
+def test_perturbed_decay_entry(system):
+    op = build_decay_operator(gumbel(1.0), system)
+    log_diag = np.array(op.log_diag)
+    log_diag[int(np.nonzero(system.ages == 1)[0][0])] *= 1.0 + 1e-9
+    op.log_diag = log_diag  # before op.diag is first read, so it picks this up
+    for t in T_VALUES:
+        assert verify_covariant_transform(op, t) == dense_covariant_transform(op, t)
+    assert verify_covariant_transform(op, 1) > 0.0
+
+
+def test_routines_allocate_no_dense_matrix():
+    system = build_baker_cascade(5)
+    op = build_decay_operator(gumbel(1.0), system)
+    op.diag  # noqa: B018 - cached before measuring
+    dense_bytes = system.dim**2 * 8
+    calls = [
+        lambda: verify_covariance(system, 1),
+        lambda: verify_imprimitivity(system, (0,), 1),
+        lambda: verify_covariant_transform(op, 1),
+        lambda: build_operator_web(op, 1),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 20

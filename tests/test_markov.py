@@ -121,6 +121,25 @@ class TestLyapunovTrace:
         for norm, form in zip(trace.norms, trace.forms):
             assert math.sqrt(form) == pytest.approx(norm, rel=1e-10)
 
+    def test_trace_below_the_underflow_point(self):
+        # the demo window: the canonical label 2 reaches age 6 at t = 4
+        s, ev = evolution(-6, 6, 4)
+        trace = lyapunov_trace(ev, s.basis_vector(2))
+        assert trace.forms[4] == 0.0  # the plain quadratic form underflows
+        expected = math.exp(math.e**2 - math.e**6)
+        assert trace.norms[4] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_route_guard_fails_below_the_underflow_point(self, monkeypatch):
+        import timeop.markov as markov
+
+        s, ev = evolution(-6, 6, 4)
+        honest = markov.markov_step
+        # only the underflowed step is off, so only the log-domain route can see it
+        monkeypatch.setattr(markov, "markov_step",
+                            lambda ev, rho, t: honest(ev, rho, t) * (1.0 + 1e-6 * (t == 4)))
+        with pytest.raises(AssertionError, match="t=4"):
+            lyapunov_trace(ev, s.basis_vector(2))
+
     def test_randomized_monotone_decay(self):
         s, ev = evolution(-10, 10, 6)
         rng = np.random.default_rng(77)

@@ -95,6 +95,12 @@ class TestDecayOperator:
         assert op.diag[1] == pytest.approx(0.36787944117144233, rel=1e-12)
         assert op.diag[2] == pytest.approx(0.06598803584531254, rel=1e-12)
 
+    def test_shallow_profile_is_certified_on_a_wider_grid(self):
+        # lambda(-20) < 1 - 1e-6 for gumbel(0.5); the tails register at reach 40
+        s = build_shift_cascade(AgeWindow(-6, 6))
+        assert build_decay_operator(gumbel(0.5), s).certificate.grid == (-40, 40)
+        assert build_decay_operator(gumbel(1.0), s).certificate.grid == (-20, 20)
+
     def test_inadmissible_profile_rejected(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
         with pytest.raises(ProfileError, match="not admissible"):

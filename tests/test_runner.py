@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -18,6 +19,17 @@ hi = 4
 family = logistic
 
 [experiment admissibility]
+"""
+
+SHIFT_CONFIG = """
+[system]
+kind = shift
+lo = -6
+hi = 6
+
+[profile]
+family = gumbel
+a = {a}
 """
 
 EMPTY_CONFIG = """
@@ -81,6 +93,38 @@ class TestBundle:
         sweep = record["details"]["sweep"]
         assert {entry["a"] for entry in sweep} == {0.5, 1.0, 2.0}
         assert record["details"]["worst_min_cell"] == min(e["min_cell"] for e in sweep)
+
+    def test_shallow_profile_runs_decay_experiments(self):
+        text = SHIFT_CONFIG.format(a=0.5) + (
+            "\n[experiment lyapunov]\nmax_t = 4\nn_random = 5\n"
+            "\n[experiment tower]\ntower_type = B\ncutoff = 5\n"
+        )
+        bundle = run_experiments(parse_config(text))
+        assert [r["status"] for r in bundle.records] == ["pass", "pass"]
+
+    def test_kothe_power_spectrum_with_a_convergent_series_passes(self):
+        text = SHIFT_CONFIG.format(a=1.0) + (
+            "\n[experiment kothe]\nspectrum = power 1.79\nn1 = 1/4\nn2 = 3/4\n"
+        )
+        record = run_experiments(parse_config(text)).records[0]
+        assert record["details"]["sum_converges"]
+        assert not record["details"]["criterion_met"]
+        assert record["status"] == "pass"
+
+    def test_kothe_criterion_without_convergence_fails(self, monkeypatch):
+        import timeop.runner as runner
+
+        honest = runner.kothe_nuclearity
+        monkeypatch.setattr(
+            runner, "kothe_nuclearity",
+            lambda *a: dataclasses.replace(honest(*a), sum_converges=False),
+        )
+        text = SHIFT_CONFIG.format(a=1.0) + (
+            "\n[experiment kothe]\nspectrum = geometric 0.5\nn1 = 0\nn2 = 1/2\n"
+        )
+        record = run_experiments(parse_config(text)).records[0]
+        assert record["details"]["criterion_met"]
+        assert record["status"] == "fail"
 
 
 class TestEmission:
