@@ -25,11 +25,12 @@ from timeop import (
 print("=== the truncated shift ===")
 shift = build_shift_cascade(AgeWindow(-4, 4))
 print(f"window [-4, 4], dimension {shift.dim}")
-print("time operator diagonal:", shift.T.diag)
+print("time operator diagonal (the label ages):", shift.ages)
 
-print("\nstep action on e_0 and on the top label e_4 (open boundary):")
-print("U e_0 =", shift.U.apply(shift.basis_vector(0)).coeffs)
-print("U e_4 =", shift.U.apply(shift.basis_vector(4)).coeffs)
+print("\nstep index map of U: label i moves to entry i, -1 past the top (open boundary):")
+print(" ", shift.step_indices(1))
+print("U e_0 =", shift.U @ shift.basis_vector(0).coeffs)
+print("U e_4 =", shift.U @ shift.basis_vector(4).coeffs)
 
 print("\ncovariance deviation max_e ||(U^t)' T U^t e - (T + t) e|| on margin labels:")
 for t in range(4):

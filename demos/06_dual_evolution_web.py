@@ -1,15 +1,19 @@
 """The six conjugated evolutions and their verified relations.
 
-One forward step, conjugated through the decay map, its antitranspose,
-and the Riesz map, yields six evolutions.  Two pairs coincide in this
-real-pairing realization (v with x, y with w); the others separate with
-explicit basis-vector witnesses; and the Riesz twist of the extended
-step is spectrally equivalent to the step itself.
+One forward step, conjugated through the decay map, the antitransposed
+decay map, and the Riesz map, yields six evolutions.  Over real scalars
+the antitransposed decay map is the decay diagonal itself, so every map
+here is a log weight per label and every evolution a truncated weighted
+shift.  Two pairs coincide in this real-pairing realization (v with x,
+y with w); the others separate with explicit basis-vector witnesses;
+and the Riesz twist of the extended step is spectrally equivalent to
+the step itself.
 """
+
+import numpy as np
 
 from timeop import (
     AgeWindow,
-    antitranspose,
     build_decay_operator,
     build_operator_web,
     build_shift_cascade,
@@ -22,13 +26,10 @@ shift = build_shift_cascade(AgeWindow(-5, 5))
 decay = build_decay_operator(gumbel(1.0), shift)
 
 print("=== the maps the rigging defines ===")
-anti = antitranspose(decay.operator)
-print("antitransposed decay map equals the decay map (real symmetric diagonal):",
-      (anti.matrix == decay.operator.matrix).all())
-maps = riesz_map(decay)
-print("Riesz diagonal = squared decay diagonal; entries at ages -1, 0, 1:")
+log_riesz = riesz_map(decay)
+print("Riesz diagonal = squared decay diagonal, kept as 2 log lambda; entries at ages -1, 0, 1:")
 for age in (-1, 0, 1):
-    print(f"  age {age:+d}: {maps.riesz.diag[shift.index_of(age)]:.9f}")
+    print(f"  age {age:+d}: {np.exp(log_riesz[shift.index_of(age)]):.9f}")
 
 print("\n=== the web at t = 1 ===")
 web = build_operator_web(decay, 1)

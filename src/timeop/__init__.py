@@ -12,16 +12,7 @@ diagonal arithmetic allow, and log-domain elsewhere.
 
 __version__ = "0.1.0"
 
-from .hilbert import (
-    BasisMismatchError,
-    HOperator,
-    HVector,
-    SpectralDomainError,
-    adjoint,
-    apply_spectral_function,
-    fractional_power,
-    inner,
-)
+from .hilbert import BasisMismatchError, HVector, inner
 from .cascade import (
     AgeWindow,
     CascadeSystem,
@@ -79,16 +70,6 @@ from .markov import (
     markov_step,
     positivity_probe,
 )
-from .duals import (
-    DualVector,
-    OperatorWeb,
-    RieszMaps,
-    WebReport,
-    antidual_inner,
-    antitranspose,
-    build_operator_web,
-    riesz_map,
-    verify_web,
-)
+from .duals import OperatorWeb, WebReport, build_operator_web, riesz_map, verify_web
 from .config import ConfigError, DEMO_CONFIG, ExperimentConfig, parse_config
 from .runner import ReportBundle, emit_report, run_experiments

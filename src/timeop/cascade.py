@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import BasisMismatchError, HOperator, HVector
+from .hilbert import BasisMismatchError, HVector
 
 __all__ = [
     "MarginError",
@@ -121,8 +121,8 @@ class CascadeSystem:
     the representation: every operator built here is a truncated
     weighted shift, so ``U^t`` is ``step_indices(t)`` and ``T`` and
     ``E(delta)`` are per-label weights, and every identity is checked on
-    those arrays in O(dim).  The dense ``U``, ``T`` and ``projector``
-    matrices are built only on request, for serialization and tests.
+    those arrays in O(dim).  The dense ``U`` matrix is built only on
+    request, for small-dim cross-checks.
     """
 
     def __init__(self, kind, window, labels, ages, step, basis_id, m=None, masks=None):
@@ -215,25 +215,17 @@ class CascadeSystem:
             dev = dev[cols]
         return float(dev.max(initial=0.0))
 
-    # -- dense operators ------------------------------------------------
+    @property
+    def U(self) -> np.ndarray:
+        """Dense read-only one-step matrix, built on request from the step map.
 
-    @cached_property
-    def U(self) -> HOperator:
-        """One-step operator; an exact permutation on interior labels."""
+        Meant for small-dim cross-checks; no verification route uses it.
+        """
+        cols = np.nonzero(self._step >= 0)[0]
         mat = np.zeros((self.dim, self.dim))
-        for col, row in enumerate(self._step):
-            if row >= 0:
-                mat[row, col] = 1.0
-        return HOperator(mat, self.basis_id)
-
-    @cached_property
-    def T(self) -> HOperator:
-        """Internal-time operator, diagonal with the label ages."""
-        return HOperator.diagonal(self.ages.astype(float), self.basis_id)
-
-    def projector(self, delta) -> HOperator:
-        """Orthogonal projector onto the labels whose age lies in ``delta``."""
-        return HOperator.diagonal(self.age_mask(delta).astype(float), self.basis_id)
+        mat[self._step[cols], cols] = 1.0
+        mat.setflags(write=False)
+        return mat
 
     def label_text(self, label) -> str:
         if isinstance(label, frozenset):
@@ -391,20 +383,23 @@ def _grid_shape(system: CascadeSystem):
     return 1 << (system.m + 1), 1 << system.m
 
 
-def _cell_coordinates(system: CascadeSystem):
-    """Row/column of each cell bitmask on the dyadic grid.
+@lru_cache(maxsize=BAKER_SIZE_CAP)
+def _cell_coordinates(m: int):
+    """Read-only row/column of each cell bitmask on the dyadic grid.
 
     Bit j of a cell mask is the binary digit for coordinate i = j - m.
     Digits i <= 0 spell y (digit i contributing 2**(m+i)) and digits
     i >= 1 spell x most-significant-first (contributing 2**(m-i)).
+    Depends on m only, so it is computed once per m.
     """
-    m = system.m
     cells = np.arange(1 << (2 * m + 1))
     iy = cells & ((1 << (m + 1)) - 1)
     ix = np.zeros_like(cells)
     for i in range(1, m + 1):
         bit = cells >> (i + m) & 1
         ix |= bit << (m - i)
+    iy.setflags(write=False)
+    ix.setflags(write=False)
     return iy, ix
 
 
@@ -423,7 +418,7 @@ def walsh_to_grid(system: CascadeSystem, state: StateVector) -> GridDensity:
     full[system._masks] = state.fluct.coeffs
     pointwise = _fwht(full)
     ny, nx = _grid_shape(system)
-    iy, ix = _cell_coordinates(system)
+    iy, ix = _cell_coordinates(system.m)
     grid = np.zeros((ny, nx))
     grid[iy, ix] = pointwise
     return GridDensity(grid)
@@ -435,7 +430,7 @@ def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> StateVector:
     ny, nx = _grid_shape(system)
     if grid.values.shape != (ny, nx):
         raise ValueError(f"grid shape {grid.values.shape} does not match {(ny, nx)}")
-    iy, ix = _cell_coordinates(system)
+    iy, ix = _cell_coordinates(system.m)
     flat = grid.values[iy, ix]
     coeffs = _fwht(flat) / (ny * nx)
     return StateVector(float(coeffs[0]), HVector(coeffs[system._masks], system.basis_id))
@@ -444,22 +439,32 @@ def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> StateVector:
 # -- serialization --------------------------------------------------------
 
 
+def _stored_fields(system: CascadeSystem) -> dict:
+    """The fields a fixture stores and loading verifies: O(dim) each."""
+    return {
+        "basis_labels": [sorted(l) if isinstance(l, frozenset) else l for l in system.labels],
+        "step": system._step.tolist(),
+        "ages": system.ages.tolist(),
+    }
+
+
 def system_to_json(system: CascadeSystem) -> str:
-    """Serialize for fixture reuse: kind, window, labels, U and T matrices."""
-    labels = [sorted(l) if isinstance(l, frozenset) else l for l in system.labels]
+    """Serialize for fixture reuse: kind, window, labels, step map and ages."""
     doc = {
         "kind": system.kind,
         "window": {"lo": system.window.lo, "hi": system.window.hi},
         "m": system.m,
-        "basis_labels": labels,
-        "U": system.U.matrix.tolist(),
-        "T": system.T.matrix.tolist(),
+        **_stored_fields(system),
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def system_from_json(text: str) -> CascadeSystem:
-    """Rebuild a serialized system and verify it against the document."""
+    """Rebuild a serialized system and verify it against the document.
+
+    A stored field that differs from the reconstruction, or is missing,
+    is rejected with a ``ValueError`` naming the field.
+    """
     doc = json.loads(text)
     if doc["kind"] == "shift":
         system = build_shift_cascade(AgeWindow(doc["window"]["lo"], doc["window"]["hi"]))
@@ -467,11 +472,7 @@ def system_from_json(text: str) -> CascadeSystem:
         system = build_baker_cascade(doc["m"])
     else:
         raise ValueError(f"unknown system kind {doc['kind']!r}")
-    labels = [sorted(l) if isinstance(l, frozenset) else l for l in system.labels]
-    if labels != doc["basis_labels"]:
-        raise ValueError("stored basis labels do not match the reconstruction")
-    if not np.array_equal(system.U.matrix, np.array(doc["U"])):
-        raise ValueError("stored step matrix does not match the reconstruction")
-    if not np.array_equal(system.T.matrix, np.array(doc["T"])):
-        raise ValueError("stored time operator does not match the reconstruction")
+    for field, value in _stored_fields(system).items():
+        if doc.get(field) != value:
+            raise ValueError(f"stored {field} does not match the reconstruction")
     return system

@@ -6,7 +6,8 @@ Subcommands:
   demo      execute the built-in demonstration config
 
 For run and demo the exit status is 0 exactly when every gated
-experiment passed; config errors exit 2, gated failures exit 1.
+experiment passed; config errors, an unreadable config file included,
+exit 2, and gated failures exit 1.
 """
 
 from __future__ import annotations
@@ -49,23 +50,23 @@ def _load(text: str, seed_override):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
+    if args.command == "demo":
+        text = DEMO_CONFIG
+    else:
         try:
-            parse_config(Path(args.config).read_text())
-        except ConfigError as exc:
-            for line, msg in exc.errors:
-                print(f"line {line}: {msg}", file=sys.stderr)
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            print(f"cannot read config {args.config}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-        print("config OK")
-        return 0
-
-    text = DEMO_CONFIG if args.command == "demo" else Path(args.config).read_text()
     try:
-        config = _load(text, args.seed)
+        config = _load(text, getattr(args, "seed", None))
     except ConfigError as exc:
         for line, msg in exc.errors:
             print(f"line {line}: {msg}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        print("config OK")
+        return 0
 
     bundle = run_experiments(config)
     out_dir = args.out if args.out is not None else config.output_dir

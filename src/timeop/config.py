@@ -25,6 +25,7 @@ and raised together as a :class:`ConfigError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -193,10 +194,14 @@ class _Collector:
 
     def parse_float(self, line, key, value):
         try:
-            return float(value)
+            parsed = float(value)
         except ValueError:
             self.error(line, f"{key} must be a number, got {value!r}")
             return None
+        if not math.isfinite(parsed):
+            self.error(line, f"{key} must be finite, got {value!r}")
+            return None
+        return parsed
 
     def parse_fraction(self, line, key, value):
         try:
@@ -224,6 +229,9 @@ class _Collector:
             if parsed is None:
                 return None
             out.append(parsed)
+        if not out:
+            self.error(line, f"{key} must list at least one value")
+            return None
         return tuple(out)
 
     def parse_bool(self, line, key, value):
@@ -425,6 +433,9 @@ def _parse_profile(col, section, profile):
                 s_text, v_text = tok.split(":", 1)
                 s = col.parse_int(line, "points", s_text)
                 v = col.parse_float(line, "points", v_text)
+                if v is not None and not 0.0 <= v <= 1.0:
+                    col.error(line, f"points values must lie in [0, 1], got {v_text!r}")
+                    v = None
                 if s is None or v is None:
                     ok = False
                     break

@@ -32,103 +32,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeSystem, MarginError
-from .hilbert import HOperator, HVector, inner
 from .profiles import DecayOperator
-from .rigging import LOG_WEIGHT_CAP, weighted_inner
+from .rigging import LOG_WEIGHT_CAP
 
 __all__ = [
-    "DualVector",
-    "antitranspose",
-    "RieszMaps",
     "riesz_map",
     "OperatorWeb",
     "build_operator_web",
     "WitnessRecord",
     "WebReport",
     "verify_web",
-    "antidual_inner",
 ]
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """A continuous functional represented through the ambient pairing."""
+def riesz_map(decay: DecayOperator) -> np.ndarray:
+    """Read-only log diagonal ``2 log lambda`` of the Riesz map.
 
-    coeffs: np.ndarray
-    basis_id: str
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def evaluate(self, v: HVector) -> float:
-        return inner(v, HVector(self.coeffs, self.basis_id))
-
-
-def antitranspose(lam: HOperator, samples: int = 100, seed: int = 0,
-                  tolerance: float = 1e-12) -> HOperator:
-    """The antitransposed decay map under the ambient pairing.
-
-    Returns the matrix M with ``inner(rho, M f) = inner(L rho, f)`` for
-    all rho, f; over real scalars this is the transpose, hence the
-    symmetric diagonal itself.  The pairing identity is verified on a
-    seeded sample of (rho, f) pairs before returning.
+    Over real scalars the antitransposed decay map is the decay diagonal
+    itself, so the Riesz map (the decay map composed with the
+    antitransposed map) is the squared diagonal; its inverse is the
+    negated log diagonal.  Kept in log form, since the squared weights
+    underflow on wide windows.
     """
-    if lam.diag is None or np.any(lam.diag <= 0):
-        raise ValueError("need a symmetric positive diagonal map")
-    transposed = HOperator(lam.matrix.T.copy(), lam.basis_id, diag=lam.diag)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        rho = HVector(rng.standard_normal(lam.dim), lam.basis_id)
-        f = HVector(rng.standard_normal(lam.dim), lam.basis_id)
-        lhs = inner(rho, transposed.apply(f))
-        rhs = inner(lam.apply(rho), f)
-        scale = max(rho.norm() * f.norm(), 1e-300)
-        if abs(lhs - rhs) > tolerance * scale:
-            raise AssertionError("pairing identity failed for the antitransposed map")
-    return transposed
-
-
-@dataclass(frozen=True)
-class RieszMaps:
-    """Riesz map of the strengthened pairing and its ambient restriction.
-
-    ``riesz`` is the decay map composed with its antitranspose (the
-    squared diagonal); ``restriction`` is the same operator viewed on
-    the ambient space; the inverse is kept in log-diagonal form only.
-    """
-
-    riesz: HOperator
-    riesz_inv_log_diag: np.ndarray
-    restriction: HOperator
-
-
-def riesz_map(decay: DecayOperator, tolerance: float = 1e-12) -> RieszMaps:
-    """Build the Riesz map of the decay rigging and confirm its square root.
-
-    The construction multiplies the decay map by its antitranspose,
-    checks that the entrywise square root recovers the decay diagonal
-    within ``tolerance`` relative, and confirms nonnegativity of the
-    restriction.
-    """
-    lam = decay.operator
-    lam_anti = antitranspose(lam)
-    riesz = lam @ lam_anti
-    sqrt_back = np.sqrt(riesz.diag)
-    mismatch = np.abs(sqrt_back - lam.diag)
-    if np.any(mismatch > tolerance * np.maximum(lam.diag, 1e-300)):
-        raise AssertionError("square root of the Riesz diagonal does not recover the decay map")
-    if np.any(riesz.diag < 0):
-        raise AssertionError("Riesz restriction must be nonnegative")
-    inv_log = -2.0 * decay.log_diag
-    inv_log.setflags(write=False)
-    return RieszMaps(riesz=riesz, riesz_inv_log_diag=inv_log, restriction=riesz)
-
-
-def antidual_inner(u: HVector, v: HVector, decay: DecayOperator) -> float:
-    """Pairing of functionals in the weakened (antidual) Gram weighting."""
-    return weighted_inner(u, v, 2.0 * decay.log_diag)
+    log_riesz = 2.0 * decay.log_diag
+    log_riesz.setflags(write=False)
+    return log_riesz
 
 
 class OperatorWeb:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .cascade import CascadeSystem, GridDensity, StateVector, grid_to_walsh, walsh_to_grid
-from .hilbert import HOperator, HVector
+from .hilbert import HVector
 
 __all__ = [
     "ProfileError",
@@ -266,16 +266,9 @@ class DecayOperator:
         d.setflags(write=False)
         return d
 
-    @cached_property
-    def operator(self) -> HOperator:
-        return HOperator.diagonal(self.diag, self.basis_id)
-
     def log_weight(self, ages) -> np.ndarray:
         """log lambda evaluated at arbitrary integer ages."""
         return self.profile.log_value(np.asarray(ages))
-
-    def apply(self, v: HVector) -> HVector:
-        return self.operator.apply(v)
 
 
 def build_decay_operator(profile: DecayProfile, system: CascadeSystem,

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import HOperator, HVector
+from .hilbert import HVector
 
 __all__ = [
     "NormDomainError",
@@ -61,23 +61,16 @@ class NormDomainError(ValueError):
 
 
 def _log_diag_of(j) -> np.ndarray:
-    """Log diagonal of a positive diagonal operator.
+    """Log diagonal of a positive diagonal operator J.
 
-    Accepts an HOperator with strictly positive diagonal, or any object
-    carrying a precomputed ``log_diag`` (a decay operator does).
+    J is any object carrying ``log_diag`` and ``basis_id`` (a decay
+    operator does); the log form keeps entries that underflow as plain
+    floats strictly positive.
     """
     log_diag = getattr(j, "log_diag", None)
-    if log_diag is not None:
-        return np.asarray(log_diag, dtype=float)
-    if not isinstance(j, HOperator) or j.diag is None:
-        raise ValueError("need a diagonal operator or an object with log_diag")
-    if np.any(j.diag <= 0):
-        raise ValueError("diagonal entries must be strictly positive")
-    return np.log(j.diag)
-
-
-def _basis_of(j) -> str:
-    return j.basis_id
+    if log_diag is None:
+        raise ValueError("need an object carrying log_diag")
+    return np.asarray(log_diag, dtype=float)
 
 
 def weighted_inner(u: HVector, v: HVector, log_weights) -> float:
@@ -117,7 +110,7 @@ def graded_norm(v: HVector, n, j, cap: float = LOG_WEIGHT_CAP) -> float:
     if grade == 0:
         return v.norm()
     log_diag = _log_diag_of(j)
-    if v.dim != log_diag.shape[0] or v.basis_id != _basis_of(j):
+    if v.dim != log_diag.shape[0] or v.basis_id != j.basis_id:
         raise ValueError("vector and operator live over different bases")
     active = v.coeffs != 0
     if not np.any(active):
@@ -174,9 +167,8 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
         raise ValueError("tower monotonicity needs diagonal entries <= 1")
     grades = _tower_grades(tower_type, cutoff)
     rng = np.random.default_rng(seed)
-    basis_id = _basis_of(j)
     for _ in range(samples):
-        v = HVector(rng.standard_normal(log_diag.shape[0]), basis_id)
+        v = HVector(rng.standard_normal(log_diag.shape[0]), j.basis_id)
         previous = None
         for grade in grades:
             current = graded_norm(v, grade, j)
@@ -200,7 +192,7 @@ def isometry_check(j, samples: int = 100, seed: int = 0) -> float:
     so the return value measures pure round-off.
     """
     log_diag = _log_diag_of(j)
-    basis_id = _basis_of(j)
+    basis_id = j.basis_id
     dim = log_diag.shape[0]
     diag = np.exp(log_diag)
     rng = np.random.default_rng(seed)
@@ -288,15 +280,6 @@ def raw_spectrum(values) -> SingularSpectrum:
     return SingularSpectrum("raw", raw_values=tuple(values))
 
 
-def _series_converges(spectrum: SingularSpectrum, exponent: float):
-    """Analytic convergence verdict of sum lambda_k**exponent, or None."""
-    if spectrum.family == "power":
-        return spectrum.alpha * exponent > 1.0
-    if spectrum.family == "geometric":
-        return True
-    return None
-
-
 def _partial_sum(spectrum: SingularSpectrum, exponent: float) -> float:
     vals = spectrum.values()
     with np.errstate(under="ignore"):
@@ -327,12 +310,20 @@ def _closed_form_sum(spectrum: SingularSpectrum, exponent: float):
     return None
 
 
-def _heuristic_converges(spectrum: SingularSpectrum, exponent: float) -> bool:
-    # partial-sum doubling: a visibly flattening tail counts as converging
+def _converges(spectrum: SingularSpectrum, exponent: float) -> bool:
+    """Convergence verdict of sum lambda_k**exponent.
+
+    Analytic for the closed-form families; for a raw list, partial-sum
+    doubling: a visibly flattening tail counts as converging.
+    """
+    if spectrum.family == "power":
+        return bool(spectrum.alpha * exponent > 1.0)
+    if spectrum.family == "geometric":
+        return True
     vals = np.asarray(spectrum.raw_values, dtype=float) ** exponent
     half = vals[: max(1, vals.size // 2)].sum()
     full = vals.sum()
-    return full - half <= 1e-6 * max(full, 1.0)
+    return bool(full - half <= 1e-6 * max(full, 1.0))
 
 
 @dataclass(frozen=True)
@@ -384,26 +375,21 @@ def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> Operato
     (values**n) is classified the same way, and the smallest nuclear
     power is reported when one exists.
     """
-    if spectrum.family == "power":
-        compact = True
-        method = "analytic-tail-bound"
-        converges = lambda p: spectrum.alpha * p > 1.0
-    elif spectrum.family == "geometric":
-        compact = True
-        method = "analytic-tail-bound"
-        converges = lambda p: True
-    else:
+    if spectrum.family == "raw":
         compact = spectrum.raw_values[-1] <= 1e-9 * spectrum.raw_values[0]
         method = "heuristic-inconclusive"
-        converges = lambda p: _heuristic_converges(spectrum, p)
+    else:
+        compact = True
+        method = "analytic-tail-bound"
 
-    nuclear = bool(converges(1.0))
-    hilbert_schmidt = bool(converges(2.0))
+    nuclear = _converges(spectrum, 1.0)
+    hilbert_schmidt = _converges(spectrum, 2.0)
 
     thresholds = []
     min_nuclear = None
     for n in range(1, max_power + 1):
-        verdict = PowerVerdict(nuclear=bool(converges(n)), hilbert_schmidt=bool(converges(2 * n)))
+        verdict = PowerVerdict(nuclear=_converges(spectrum, n),
+                               hilbert_schmidt=_converges(spectrum, 2 * n))
         thresholds.append((n, verdict))
         if verdict.nuclear and min_nuclear is None:
             min_nuclear = n
@@ -412,7 +398,6 @@ def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> Operato
 
     evidence = []
     for exponent in (1.0, 2.0, 4.0):
-        conv = converges(exponent)
         bounds = _tail_bounds(spectrum, exponent)
         evidence.append(
             PartialSumEvidence(
@@ -420,7 +405,7 @@ def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> Operato
                 partial=_partial_sum(spectrum, exponent),
                 tail_lo=None if bounds is None else bounds[0],
                 tail_hi=None if bounds is None else bounds[1],
-                converges=bool(conv),
+                converges=_converges(spectrum, exponent),
             )
         )
 
@@ -482,10 +467,6 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
         criterion = ratio_limsup < 1.0
         method = "heuristic-inconclusive"
 
-    converges = _series_converges(spectrum, exponent)
-    if converges is None:
-        converges = _heuristic_converges(spectrum, exponent)
-
     return KotheReport(
         spectrum=spectrum.describe(),
         n1=n1,
@@ -494,7 +475,7 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
         ratio_limsup=ratio_limsup,
         criterion_met=bool(criterion),
         partial_sum=_partial_sum(spectrum, exponent),
-        sum_converges=bool(converges),
+        sum_converges=_converges(spectrum, exponent),
         closed_form_sum=_closed_form_sum(spectrum, exponent),
         method=method,
     )

@@ -64,17 +64,17 @@ class TestShiftCascade:
     def test_five_dimensional_window(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
         assert s.dim == 5
-        assert np.array_equal(s.T.diag, np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+        assert np.array_equal(s.ages, np.array([-2, -1, 0, 1, 2]))
 
     def test_step_raises_age(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
-        out = s.U.apply(s.basis_vector(0))
-        assert np.array_equal(out.coeffs, s.basis_vector(1).coeffs)
+        out = s.U @ s.basis_vector(0).coeffs
+        assert np.array_equal(out, s.basis_vector(1).coeffs)
 
     def test_open_boundary(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
-        out = s.U.apply(s.basis_vector(2))
-        assert np.array_equal(out.coeffs, np.zeros(5))
+        out = s.U @ s.basis_vector(2).coeffs
+        assert np.array_equal(out, np.zeros(5))
 
     def test_covariance_exact(self):
         s = build_shift_cascade(AgeWindow(-4, 4))
@@ -90,9 +90,9 @@ class TestShiftCascade:
         # conjugating the age-(n+1) projector by one forward step gives
         # exactly the age-n projector
         s = build_shift_cascade(AgeWindow(-3, 3))
-        u = s.U.matrix
-        lhs = u.T @ s.projector(1).matrix @ u
-        assert np.array_equal(lhs, s.projector(0).matrix)
+        u = s.U
+        lhs = u.T @ np.diag(s.age_mask(1).astype(float)) @ u
+        assert np.array_equal(lhs, np.diag(s.age_mask(0).astype(float)))
 
 
 class TestBakerCascade:
@@ -148,12 +148,13 @@ class TestBakerCascade:
         b = build_baker_cascade(2)
         total = np.zeros((b.dim, b.dim))
         for n in range(-2, 3):
-            p = b.projector(n).matrix
+            p = np.diag(b.age_mask(n).astype(float))
             assert np.array_equal(p @ p, p)
             total += p
         assert np.array_equal(total, np.eye(b.dim))
         assert np.array_equal(
-            b.projector(0).matrix @ b.projector(1).matrix, np.zeros((b.dim, b.dim))
+            np.diag(b.age_mask(0).astype(float)) @ np.diag(b.age_mask(1).astype(float)),
+            np.zeros((b.dim, b.dim)),
         )
 
 
@@ -288,12 +289,27 @@ class TestSerialization:
         system = factory()
         loaded = system_from_json(system_to_json(system))
         assert loaded.labels == system.labels
-        assert np.array_equal(loaded.U.matrix, system.U.matrix)
-        assert np.array_equal(loaded.T.matrix, system.T.matrix)
+        assert np.array_equal(loaded.U, system.U)
+        assert np.array_equal(loaded.ages, system.ages)
 
     def test_tampered_document_rejected(self):
         system = build_shift_cascade(AgeWindow(-2, 2))
         doc = json.loads(system_to_json(system))
-        doc["U"][0][0] = 0.5
-        with pytest.raises(ValueError, match="step matrix"):
+        doc["step"][0] = 3
+        with pytest.raises(ValueError, match="stored step"):
             system_from_json(json.dumps(doc))
+
+    def test_largest_baker_fixture_stays_linear_in_dim(self):
+        # the step map and ages, not two dim x dim matrices (8191^2 each at m = 6)
+        system = build_baker_cascade(6)
+        text = system_to_json(system)
+        assert len(text) < 1_000_000
+        loaded = system_from_json(text)
+        assert loaded.labels == system.labels
+        assert np.array_equal(loaded.step_indices(1), system.step_indices(1))
+        assert np.array_equal(loaded.ages, system.ages)
+        for field in ("step", "ages"):
+            doc = json.loads(text)
+            doc[field][-1] += 1
+            with pytest.raises(ValueError, match=f"stored {field}"):
+                system_from_json(json.dumps(doc))

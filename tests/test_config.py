@@ -107,3 +107,23 @@ class TestSchemaErrors:
     def test_theorem_time_zero_rejected(self):
         errors = errors_of(MINIMAL + "\n[experiment theorem]\nt_values = 0\n")
         assert any("degenerate" in msg for _, msg in errors)
+
+    def test_non_finite_steepness_rejected(self):
+        text = MINIMAL.replace("a = 1.0", "a = nan")
+        errors = errors_of(text)
+        assert (text.splitlines().index("a = nan") + 1, "a must be finite, got 'nan'") in errors
+
+    def test_custom_point_outside_unit_interval_rejected(self):
+        text = MINIMAL.replace("family = gumbel\na = 1.0",
+                               "family = custom\npoints = -1:0.9 0:1.5 1:0.1")
+        errors = errors_of(text)
+        line, msg = next((l, m) for l, m in errors if "points values" in m)
+        assert line == text.splitlines().index("points = -1:0.9 0:1.5 1:0.1") + 1
+        assert "'1.5'" in msg
+
+    def test_empty_sweep_rejected(self):
+        text = MINIMAL + "\n[experiment positivity]\nsweep_a =\n"
+        errors = errors_of(text)
+        line, msg = next((l, m) for l, m in errors if "sweep_a" in m)
+        assert line == text.splitlines().index("sweep_a =") + 1
+        assert "at least one value" in msg

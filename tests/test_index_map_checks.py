@@ -27,22 +27,27 @@ from timeop.profiles import build_decay_operator, gumbel, verify_covariant_trans
 T_VALUES = (0, 1, 2, 3)
 
 
+def dense_projector(system, delta):
+    return np.diag(system.age_mask(delta).astype(float))
+
+
 def dense_covariance(system, t):
-    ut = np.linalg.matrix_power(system.U.matrix, t)
-    diff = ut.T @ system.T.matrix @ ut - (system.T.matrix + t * np.eye(system.dim))
+    ut = np.linalg.matrix_power(system.U, t)
+    time_op = np.diag(system.ages.astype(float))
+    diff = ut.T @ time_op @ ut - (time_op + t * np.eye(system.dim))
     cols = system.interior_mask(t)
     return float(np.abs(diff[:, cols]).max()) if np.any(cols) else 0.0
 
 
 def dense_imprimitivity(system, delta, t):
-    ut = np.linalg.matrix_power(system.U.matrix, t)
-    lhs = ut.T @ system.projector([n + t for n in delta]).matrix @ ut
-    return float(np.abs(lhs - system.projector(delta).matrix).max())
+    ut = np.linalg.matrix_power(system.U, t)
+    lhs = ut.T @ dense_projector(system, [n + t for n in delta]) @ ut
+    return float(np.abs(lhs - dense_projector(system, delta)).max())
 
 
 def dense_covariant_transform(op, t):
     system = op.system
-    ut = np.linalg.matrix_power(system.U.matrix, t)
+    ut = np.linalg.matrix_power(system.U, t)
     lam = op.diag
     lam_shift = np.exp(op.log_weight(system.ages + t))
     cols = system.interior_mask(t)

@@ -71,7 +71,7 @@ class TestStep:
         lam = np.exp(ev.decay.log_diag)
         rng = np.random.default_rng(8)
         for t in (1, 2):
-            dense = np.diag(lam) @ np.linalg.matrix_power(s.U.matrix, t) @ np.diag(1.0 / lam)
+            dense = np.diag(lam) @ np.linalg.matrix_power(s.U, t) @ np.diag(1.0 / lam)
             v = np.where(s.ages <= 3 - t, rng.standard_normal(s.dim), 0.0)
             direct = markov_step(ev, HVector(v, s.basis_id), t).coeffs
             assert np.allclose(direct, dense @ v, rtol=1e-12, atol=1e-300)

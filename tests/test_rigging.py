@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from timeop.cascade import AgeWindow, build_shift_cascade
-from timeop.hilbert import HOperator, HVector, fractional_power
+from timeop.hilbert import HVector
 from timeop.profiles import build_decay_operator, gumbel
 from timeop.rigging import (
     NormDomainError,
@@ -23,6 +24,11 @@ from timeop.rigging import (
 def shift_decay(lo=-3, hi=3):
     s = build_shift_cascade(AgeWindow(lo, hi))
     return s, build_decay_operator(gumbel(1.0), s)
+
+
+def diagonal(entries, basis_id="b"):
+    """A stand-in diagonal J: anything carrying log_diag and basis_id."""
+    return SimpleNamespace(log_diag=np.log(np.asarray(entries, dtype=float)), basis_id=basis_id)
 
 
 class TestGradedNorm:
@@ -55,9 +61,8 @@ class TestGradedNorm:
         s, op = shift_decay(-2, 2)
         rng = np.random.default_rng(4)
         v = HVector(rng.standard_normal(s.dim), s.basis_id)
-        inv = HOperator.diagonal(np.exp(-op.log_diag), s.basis_id)
         for m in (1, 2):
-            shifted = HVector(fractional_power(inv, m).diag * v.coeffs, s.basis_id)
+            shifted = HVector(np.exp(-m * op.log_diag) * v.coeffs, s.basis_id)
             for n in (Fraction(1, 2), 1):
                 assert graded_norm(v, m + n, op) == pytest.approx(
                     graded_norm(shifted, n, op), rel=1e-10
@@ -104,7 +109,7 @@ class TestTower:
             assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_expanding_diagonal_rejected(self):
-        j = HOperator.diagonal([0.5, 2.0], "b")
+        j = diagonal([0.5, 2.0])
         with pytest.raises(ValueError):
             build_tower(j, "B", 2)
 
@@ -132,7 +137,7 @@ class TestTower:
 
 class TestIsometry:
     def test_identity_rigging(self):
-        j = HOperator.diagonal(np.ones(5), "b")
+        j = diagonal(np.ones(5))
         assert isometry_check(j, samples=20, seed=0) == 0.0
 
     def test_decay_rigging_round_off_only(self):

@@ -182,6 +182,13 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 2
         assert "desk-scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_missing_config_file_exits_two(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.cfg"
+        assert main([command, "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
+
     def test_gated_failure_exits_one(self, tmp_path):
         path = tmp_path / "logistic.cfg"
         path.write_text(LOGISTIC_CONFIG)
