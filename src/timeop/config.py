@@ -19,8 +19,13 @@ The format is a flat key-value file with bracketed section headers:
 
 ``#`` starts a comment.  Sections are ``system``, ``profile``, and one
 ``experiment <name>`` per experiment; each experiment name may appear
-at most once.  Schema violations are collected with their line numbers
-and raised together as a :class:`ConfigError`.
+at most once, and each key at most once per section.  One table,
+:data:`_SCHEMA`, gives every section's keys with their parsers and
+defaults.  Rules that tie keys together are checked by the domain
+constructors that ``run`` calls (``AgeWindow``, ``DecayProfile``), so
+``validate`` and ``run`` accept the same systems and profiles.  Schema
+violations are collected with their line numbers and raised together
+as a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .cascade import BAKER_SIZE_CAP, AgeWindow
+from .profiles import DecayProfile, gumbel
+from .rigging import geometric_spectrum, power_spectrum
 
 __all__ = [
     "ConfigError",
@@ -37,17 +46,6 @@ __all__ = [
     "DEMO_CONFIG",
     "EXPERIMENT_NAMES",
 ]
-
-EXPERIMENT_NAMES = (
-    "covariance",
-    "admissibility",
-    "lyapunov",
-    "positivity",
-    "tower",
-    "classify",
-    "kothe",
-    "theorem",
-)
 
 DEMO_CONFIG = """\
 # built-in demonstration configuration
@@ -178,113 +176,236 @@ def _tokenize(text: str):
             yield line_no, "junk", line
 
 
-class _Collector:
-    def __init__(self):
-        self.errors = []
+# Value parsers: (key, text) -> value, raising ValueError(message).
 
-    def error(self, line, msg):
-        self.errors.append((line, msg))
-
-    def parse_int(self, line, key, value):
-        try:
-            return int(value)
-        except ValueError:
-            self.error(line, f"{key} must be an integer, got {value!r}")
-            return None
-
-    def parse_float(self, line, key, value):
-        try:
-            parsed = float(value)
-        except ValueError:
-            self.error(line, f"{key} must be a number, got {value!r}")
-            return None
-        if not math.isfinite(parsed):
-            self.error(line, f"{key} must be finite, got {value!r}")
-            return None
-        return parsed
-
-    def parse_fraction(self, line, key, value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            self.error(line, f"{key} must be a rational like 1/2, got {value!r}")
-            return None
-
-    def parse_ints(self, line, key, value):
-        out = []
-        for tok in value.split():
-            parsed = self.parse_int(line, key, tok)
-            if parsed is None:
-                return None
-            out.append(parsed)
-        if not out:
-            self.error(line, f"{key} must list at least one integer")
-            return None
-        return tuple(out)
-
-    def parse_floats(self, line, key, value):
-        out = []
-        for tok in value.split():
-            parsed = self.parse_float(line, key, tok)
-            if parsed is None:
-                return None
-            out.append(parsed)
-        if not out:
-            self.error(line, f"{key} must list at least one value")
-            return None
-        return tuple(out)
-
-    def parse_bool(self, line, key, value):
-        low = value.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        self.error(line, f"{key} must be true or false, got {value!r}")
-        return None
+def _text(key, text):
+    return text
 
 
-def _parse_spectrum(col, line, value):
-    parts = value.split()
-    if len(parts) != 2 or parts[0] not in ("power", "geometric"):
-        col.error(line, f"spectrum must be 'power <alpha>' or 'geometric <q>', got {value!r}")
-        return None
-    param = col.parse_float(line, "spectrum parameter", parts[1])
-    if param is None:
-        return None
-    if parts[0] == "power" and param <= 0:
-        col.error(line, "power spectrum needs alpha > 0")
-        return None
-    if parts[0] == "geometric" and not (0 < param < 1):
-        col.error(line, "geometric spectrum needs 0 < q < 1")
-        return None
+def _int(key, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _number(key, text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text!r}")
+    return value
+
+
+def _bounded(lo=-math.inf, hi=math.inf):
+    def parse(key, text):
+        value = _int(key, text)
+        if value < lo:
+            raise ValueError(f"{key} must be at least {lo}")
+        if value > hi:
+            raise ValueError(f"{key} must be at most {hi}")
+        return value
+    return parse
+
+
+def _one_of(*options):
+    listed = ", ".join(options[:-1]) + ("," if len(options) > 2 else "") + " or " + options[-1]
+
+    def parse(key, text):
+        if text not in options:
+            raise ValueError(f"{key} must be {listed}, got {text!r}")
+        return text
+    return parse
+
+
+def _bool(key, text):
+    low = text.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(f"{key} must be true or false, got {text!r}")
+
+
+def _grade(key, text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key} must be a rational like 1/2, got {text!r}") from None
+    if not 0 <= value < 1:
+        raise ValueError(f"{key} must lie in [0, 1)")
+    return value
+
+
+def _times(key, text):
+    times = tuple(_int(key, tok) for tok in text.split())
+    if not times:
+        raise ValueError(f"{key} must list at least one integer")
+    if min(times) < 0:
+        raise ValueError(f"{key} must be non-negative")
+    return times
+
+
+def _web_times(key, text):
+    times = _times(key, text)
+    if min(times) < 1:
+        raise ValueError("theorem t_values must be positive (t = 0 is degenerate)")
+    return times
+
+
+def _steepness(key, text):
+    return gumbel(_number(key, text)).a
+
+
+def _steepnesses(key, text):
+    values = tuple(_steepness(key, tok) for tok in text.split())
+    if not values:
+        raise ValueError(f"{key} must list at least one value")
+    return values
+
+
+def _baker_m(key, text):
+    m = _bounded(lo=1)(key, text)
+    if m > BAKER_SIZE_CAP:
+        raise ValueError(f"m exceeds desk-scale cap {BAKER_SIZE_CAP}")
+    return m
+
+
+def _points(key, text):
+    points = []
+    for tok in text.split():
+        s_text, colon, v_text = tok.partition(":")
+        if not colon:
+            raise ValueError(f"points entries look like s:value, got {tok!r}")
+        s, v = _int(key, s_text), _number(key, v_text)
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"points values must lie in [0, 1], got {v_text!r}")
+        points.append((s, v))
+    return tuple(points)
+
+
+_SPECTRA = {"power": power_spectrum, "geometric": geometric_spectrum}
+
+
+def _spectrum(key, text):
+    parts = text.split()
+    if len(parts) != 2 or parts[0] not in _SPECTRA:
+        raise ValueError(f"spectrum must be 'power <alpha>' or 'geometric <q>', got {text!r}")
+    param = _number("spectrum parameter", parts[1])
+    _SPECTRA[parts[0]](param)
     return (parts[0], param)
 
 
-_EXPERIMENT_KEYS = {
-    "covariance": {"t_values"},
-    "admissibility": {"grid_lo", "grid_hi", "t_set"},
-    "lyapunov": {"max_t", "n_random"},
-    "positivity": {"t_values", "n_random", "sweep_a", "gate"},
-    "tower": {"tower_type", "cutoff"},
-    "classify": {"spectrum", "truncation"},
-    "kothe": {"spectrum", "n1", "n2", "truncation"},
-    "theorem": {"t_values"},
+# section -> key -> (parser, default); "" is the top level
+_SCHEMA = {
+    "": {"seed": (_int, 0), "output_dir": (_text, "out")},
+    "system": {"kind": (_one_of("shift", "baker"), None),
+               "lo": (_int, None), "hi": (_int, None), "m": (_baker_m, None)},
+    "profile": {"family": (_one_of("gumbel", "logistic", "custom"), None),
+                "a": (_steepness, 1.0), "points": (_points, ())},
+    "experiment covariance": {"t_values": (_times, (0, 1, 2, 3))},
+    "experiment admissibility": {"grid_lo": (_bounded(hi=-20), -20),
+                                 "grid_hi": (_bounded(lo=20), 20), "t_set": (_times, (1, 2))},
+    "experiment lyapunov": {"max_t": (_bounded(lo=1), 3), "n_random": (_bounded(lo=0), 10)},
+    "experiment positivity": {"t_values": (_times, (1,)), "n_random": (_bounded(lo=0), 5),
+                              "sweep_a": (_steepnesses, (0.5, 1.0, 2.0)), "gate": (_bool, False)},
+    "experiment tower": {"tower_type": (_one_of("A", "B", "C"), "B"),
+                         "cutoff": (_bounded(lo=1), 4)},
+    "experiment classify": {"spectrum": (_spectrum, ("power", 0.5)),
+                            "truncation": (_bounded(lo=1), 100_000)},
+    "experiment kothe": {"spectrum": (_spectrum, ("geometric", 0.5)),
+                         "n1": (_grade, Fraction(0)), "n2": (_grade, Fraction(1, 2)),
+                         "truncation": (_bounded(lo=1), 10_000)},
+    "experiment theorem": {"t_values": (_web_times, (1,))},
+}
+
+EXPERIMENT_NAMES = tuple(title.split()[1] for title in _SCHEMA if title.startswith("experiment "))
+
+# section -> (selector key, key -> the selector value it belongs to)
+_VARIANT_KEYS = {
+    "system": ("kind", {"lo": "shift", "hi": "shift", "m": "baker"}),
+    "profile": ("family", {"a": "gumbel", "points": "custom"}),
 }
 
 
-def _experiment_defaults(name: str) -> dict:
-    return {
-        "covariance": {"t_values": (0, 1, 2, 3)},
-        "admissibility": {"grid_lo": -20, "grid_hi": 20, "t_set": (1, 2)},
-        "lyapunov": {"max_t": 3, "n_random": 10},
-        "positivity": {"t_values": (1,), "n_random": 5, "sweep_a": (0.5, 1.0, 2.0), "gate": False},
-        "tower": {"tower_type": "B", "cutoff": 4},
-        "classify": {"spectrum": ("power", 0.5), "truncation": 100_000},
-        "kothe": {"spectrum": ("geometric", 0.5), "n1": Fraction(0), "n2": Fraction(1, 2),
-                  "truncation": 10_000},
-        "theorem": {"t_values": (1,)},
-    }[name]
+def _check_system(v):
+    if v["kind"] is None:
+        raise ValueError("system needs kind = shift or baker")
+    if v["kind"] == "baker":
+        if v["m"] is None:
+            raise ValueError("baker system needs m")
+    elif v["lo"] is None or v["hi"] is None:
+        raise ValueError("shift system needs lo and hi")
+    else:
+        AgeWindow(v["lo"], v["hi"])
+
+
+def _check_profile(v):
+    if v["family"] is None:
+        raise ValueError("profile needs family = gumbel, logistic, or custom")
+    DecayProfile(v["family"], v["a"], v["points"])
+
+
+def _check_grades(v):
+    if not v["n1"] < v["n2"]:
+        raise ValueError("kothe needs n1 < n2")
+
+
+# section -> cross-field check, run only when every key parsed cleanly
+_CHECKS = {
+    "system": _check_system,
+    "profile": _check_profile,
+    "experiment kothe": _check_grades,
+}
+
+
+def _parse_section(title, line0, pairs, errors):
+    """The section's values, defaults filled in; records (line, message) errors."""
+    schema = _SCHEMA[title]
+    before = len(errors)
+    values = {key: default for key, (_, default) in schema.items()}
+    given = {}
+    for line, key, text in pairs:
+        if key not in schema:
+            where = f"in [{title}]" if title else "at the top level"
+            errors.append((line, f"unknown key {key!r} {where}"))
+        elif key in given:
+            errors.append((line, f"duplicate key {key!r} (first set on line {given[key]})"))
+        else:
+            given[key] = line
+            try:
+                values[key] = schema[key][0](key, text)
+            except ValueError as exc:
+                errors.append((line, str(exc)))
+    selector, owners = _VARIANT_KEYS.get(title, (None, {}))
+    for key, owner in owners.items():
+        if key in given and values[selector] not in (None, owner):
+            errors.append((given[key], f"{key} applies only to {selector} = {owner}"))
+    if title in _CHECKS and len(errors) == before:
+        try:
+            _CHECKS[title](values)
+        except ValueError as exc:
+            errors.append((line0, str(exc)))
+    return values
+
+
+def _section_title(name, sections):
+    """The schema title of a section header, or raise ValueError."""
+    if not name.startswith("experiment"):
+        if name not in ("system", "profile"):
+            raise ValueError(f"unknown section {name!r}")
+        if name in sections:
+            raise ValueError(f"duplicate [{name}] section")
+        return name
+    exp_name = name[len("experiment"):].strip()
+    title = f"experiment {exp_name}"
+    if title not in _SCHEMA:
+        raise ValueError(f"unknown experiment {exp_name!r}")
+    if title in sections:
+        raise ValueError(f"experiment {exp_name!r} listed twice")
+    return title
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -293,76 +414,32 @@ def parse_config(text: str) -> ExperimentConfig:
     Returns the validated configuration or raises :class:`ConfigError`
     carrying every schema violation with its line reference.
     """
-    col = _Collector()
-    top = {}
-    sections = []
-    current = None
+    errors = []
+    sections = {"": (0, [])}
+    pairs = sections[""][1]
     for line_no, kind, payload in _tokenize(text):
-        if kind == "section":
-            current = {"name": payload, "line": line_no, "pairs": []}
-            sections.append(current)
-        elif kind == "pair":
-            if current is None:
-                top[payload[0]] = (line_no, payload[1])
-            else:
-                current["pairs"].append((line_no, payload[0], payload[1]))
+        if kind == "pair":
+            pairs.append((line_no, *payload))
+        elif kind == "junk":
+            errors.append((line_no, f"unparseable line {payload!r}"))
         else:
-            col.error(line_no, f"unparseable line {payload!r}")
+            pairs = []  # the pairs of a rejected section are dropped
+            try:
+                sections[_section_title(payload, sections)] = (line_no, pairs)
+            except ValueError as exc:
+                errors.append((line_no, str(exc)))
+    values = {title: _parse_section(title, line0, section_pairs, errors)
+              for title, (line0, section_pairs) in sections.items()}
+    for required in ("system", "profile"):
+        if required not in sections:
+            errors.append((0, f"{required} required"))
+    if errors:
+        raise ConfigError(errors)
 
-    seed = 0
-    output_dir = "out"
-    for key, (line, value) in top.items():
-        if key == "seed":
-            seed = col.parse_int(line, "seed", value) or 0
-        elif key == "output_dir":
-            output_dir = value
-        else:
-            col.error(line, f"unknown top-level key {key!r}")
-
-    system = {"kind": None, "lo": None, "hi": None, "m": None}
-    profile = {"family": None, "a": 1.0, "points": ()}
-    experiments = []
-    seen_sections = set()
-
-    for section in sections:
-        name = section["name"]
-        if name == "system":
-            if "system" in seen_sections:
-                col.error(section["line"], "duplicate [system] section")
-                continue
-            seen_sections.add("system")
-            _parse_system(col, section, system)
-        elif name == "profile":
-            if "profile" in seen_sections:
-                col.error(section["line"], "duplicate [profile] section")
-                continue
-            seen_sections.add("profile")
-            _parse_profile(col, section, profile)
-        elif name.startswith("experiment"):
-            exp_name = name[len("experiment"):].strip()
-            if exp_name not in EXPERIMENT_NAMES:
-                col.error(section["line"], f"unknown experiment {exp_name!r}")
-                continue
-            if any(e.name == exp_name for e in experiments):
-                col.error(section["line"], f"experiment {exp_name!r} listed twice")
-                continue
-            request = _parse_experiment(col, section, exp_name)
-            if request is not None:
-                experiments.append(request)
-        else:
-            col.error(section["line"], f"unknown section {name!r}")
-
-    if "system" not in seen_sections:
-        col.error(0, "system required")
-    if "profile" not in seen_sections:
-        col.error(0, "profile required")
-
-    if col.errors:
-        raise ConfigError(col.errors)
-
+    top, system, profile = values[""], values["system"], values["profile"]
     return ExperimentConfig(
-        seed=seed,
-        output_dir=output_dir,
+        seed=top["seed"],
+        output_dir=top["output_dir"],
         system_kind=system["kind"],
         window_lo=system["lo"],
         window_hi=system["hi"],
@@ -370,143 +447,8 @@ def parse_config(text: str) -> ExperimentConfig:
         profile_family=profile["family"],
         profile_a=profile["a"],
         profile_points=profile["points"],
-        experiments=tuple(experiments),
+        experiments=tuple(
+            ExperimentRequest(name=title.split()[1], params=params, line=sections[title][0])
+            for title, params in values.items() if title.startswith("experiment ")
+        ),
     )
-
-
-def _parse_system(col, section, system):
-    line0 = section["line"]
-    for line, key, value in section["pairs"]:
-        if key == "kind":
-            if value not in ("shift", "baker"):
-                col.error(line, f"kind must be shift or baker, got {value!r}")
-            else:
-                system["kind"] = value
-        elif key == "lo":
-            system["lo"] = col.parse_int(line, "lo", value)
-        elif key == "hi":
-            system["hi"] = col.parse_int(line, "hi", value)
-        elif key == "m":
-            m = col.parse_int(line, "m", value)
-            if m is not None and m > 6:
-                col.error(line, "m exceeds desk-scale cap 6")
-            elif m is not None and m < 1:
-                col.error(line, "m must be at least 1")
-            else:
-                system["m"] = m
-        else:
-            col.error(line, f"unknown system key {key!r}")
-    if system["kind"] == "shift":
-        if system["lo"] is None or system["hi"] is None:
-            col.error(line0, "shift system needs lo and hi")
-        elif not (system["lo"] < 0 < system["hi"]):
-            col.error(line0, "shift window must satisfy lo < 0 < hi")
-    elif system["kind"] == "baker":
-        if system["m"] is None:
-            col.error(line0, "baker system needs m")
-    elif system["kind"] is None:
-        col.error(line0, "system needs kind = shift or baker")
-
-
-def _parse_profile(col, section, profile):
-    line0 = section["line"]
-    for line, key, value in section["pairs"]:
-        if key == "family":
-            if value not in ("gumbel", "logistic", "custom"):
-                col.error(line, f"family must be gumbel, logistic, or custom, got {value!r}")
-            else:
-                profile["family"] = value
-        elif key == "a":
-            a = col.parse_float(line, "a", value)
-            if a is not None and a <= 0:
-                col.error(line, "gumbel steepness a must be positive")
-            elif a is not None:
-                profile["a"] = a
-        elif key == "points":
-            points = []
-            ok = True
-            for tok in value.split():
-                if ":" not in tok:
-                    col.error(line, f"points entries look like s:value, got {tok!r}")
-                    ok = False
-                    break
-                s_text, v_text = tok.split(":", 1)
-                s = col.parse_int(line, "points", s_text)
-                v = col.parse_float(line, "points", v_text)
-                if v is not None and not 0.0 <= v <= 1.0:
-                    col.error(line, f"points values must lie in [0, 1], got {v_text!r}")
-                    v = None
-                if s is None or v is None:
-                    ok = False
-                    break
-                points.append((s, v))
-            if ok:
-                profile["points"] = tuple(points)
-        else:
-            col.error(line, f"unknown profile key {key!r}")
-    if profile["family"] is None:
-        col.error(line0, "profile needs family = gumbel, logistic, or custom")
-    if profile["family"] == "custom" and not profile["points"]:
-        col.error(line0, "custom profile needs points")
-
-
-def _parse_experiment(col, section, name):
-    params = _experiment_defaults(name)
-    allowed = _EXPERIMENT_KEYS[name]
-    for line, key, value in section["pairs"]:
-        if key not in allowed:
-            col.error(line, f"unknown key {key!r} for experiment {name}")
-            continue
-        if key in ("t_values", "t_set"):
-            parsed = col.parse_ints(line, key, value)
-            if parsed is not None:
-                if any(t < 0 for t in parsed):
-                    col.error(line, f"{key} must be non-negative")
-                else:
-                    params[key] = parsed
-        elif key in ("max_t", "n_random", "cutoff", "truncation", "grid_lo", "grid_hi"):
-            parsed = col.parse_int(line, key, value)
-            if parsed is None:
-                continue
-            if key in ("max_t", "cutoff", "truncation") and parsed < 1:
-                col.error(line, f"{key} must be at least 1")
-            elif key == "n_random" and parsed < 0:
-                col.error(line, f"{key} must be non-negative")
-            elif key == "grid_lo" and parsed > -20:
-                col.error(line, "grid_lo must be at most -20")
-            elif key == "grid_hi" and parsed < 20:
-                col.error(line, "grid_hi must be at least 20")
-            else:
-                params[key] = parsed
-        elif key == "sweep_a":
-            parsed = col.parse_floats(line, key, value)
-            if parsed is not None:
-                if any(a <= 0 for a in parsed):
-                    col.error(line, "sweep_a entries must be positive")
-                else:
-                    params[key] = parsed
-        elif key == "gate":
-            parsed = col.parse_bool(line, key, value)
-            if parsed is not None:
-                params[key] = parsed
-        elif key == "tower_type":
-            if value not in ("A", "B", "C"):
-                col.error(line, f"tower_type must be A, B, or C, got {value!r}")
-            else:
-                params[key] = value
-        elif key == "spectrum":
-            parsed = _parse_spectrum(col, line, value)
-            if parsed is not None:
-                params[key] = parsed
-        elif key in ("n1", "n2"):
-            parsed = col.parse_fraction(line, key, value)
-            if parsed is not None:
-                if not (0 <= parsed < 1):
-                    col.error(line, f"{key} must lie in [0, 1)")
-                else:
-                    params[key] = parsed
-    if name == "kothe" and not params["n1"] < params["n2"]:
-        col.error(section["line"], "kothe needs n1 < n2")
-    if name == "theorem" and any(t < 1 for t in params["t_values"]):
-        col.error(section["line"], "theorem t_values must be positive (t = 0 is degenerate)")
-    return ExperimentRequest(name=name, params=params, line=section["line"])

@@ -17,8 +17,10 @@ a, t, min_cell).
 from __future__ import annotations
 
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +45,6 @@ from .profiles import (
     build_decay_operator,
     check_admissible,
     gumbel,
-    logistic,
-    profile_from_table,
     verify_covariant_transform,
 )
 from .rigging import (
@@ -67,11 +67,7 @@ def build_system(config: ExperimentConfig):
 
 
 def build_profile(config: ExperimentConfig) -> DecayProfile:
-    if config.profile_family == "gumbel":
-        return gumbel(config.profile_a)
-    if config.profile_family == "logistic":
-        return logistic()
-    return profile_from_table(config.profile_points)
+    return DecayProfile(config.profile_family, config.profile_a, config.profile_points)
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,23 @@ class ReportBundle:
                 "summary": self.summary}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_dict())
+
+
+def _finite(value):
+    """The JSON tree with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_text(doc) -> str:
+    """Strict JSON: non-finite floats are written as null."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 class _Context:
@@ -99,13 +111,10 @@ class _Context:
         self.config = config
         self.system = build_system(config)
         self.profile = build_profile(config)
-        self._decay = None
 
-    @property
+    @cached_property
     def decay(self):
-        if self._decay is None:
-            self._decay = build_decay_operator(self.profile, self.system)
-        return self._decay
+        return build_decay_operator(self.profile, self.system)
 
 
 def _run_covariance(ctx, params, rng):
@@ -142,8 +151,7 @@ def _run_admissibility(ctx, params, rng):
         "monotone_ok": cert.monotone_ok,
         "limits_ok": cert.limits_ok,
         "ratio_ok": cert.ratio_ok,
-        "witnesses": {k: [list(w) if isinstance(w, tuple) else w for w in v]
-                      for k, v in cert.witnesses.items()},
+        "witnesses": cert.witnesses,
     }
     return cert.admissible, details
 
@@ -240,9 +248,8 @@ def _run_tower(ctx, params, rng):
 
 def _spectrum_from_params(params) -> SingularSpectrum:
     family, value = params["spectrum"]
-    if family == "power":
-        return power_spectrum(value, truncation=params.get("truncation", 100_000))
-    return geometric_spectrum(value, truncation=params.get("truncation", 100_000))
+    build = power_spectrum if family == "power" else geometric_spectrum
+    return build(value, truncation=params["truncation"])
 
 
 def _run_classify(ctx, params, rng):
@@ -286,19 +293,7 @@ def _run_kothe(ctx, params, rng):
     consistent = (not report.criterion_met or report.sum_converges) or report.method.startswith(
         "heuristic"
     )
-    details = {
-        "spectrum": report.spectrum,
-        "n1": str(report.n1),
-        "n2": str(report.n2),
-        "exponent": report.exponent,
-        "ratio_limsup": report.ratio_limsup,
-        "criterion_met": report.criterion_met,
-        "partial_sum": report.partial_sum,
-        "sum_converges": report.sum_converges,
-        "closed_form_sum": report.closed_form_sum,
-        "method": report.method,
-    }
-    return consistent, details
+    return consistent, {**asdict(report), "n1": str(report.n1), "n2": str(report.n2)}
 
 
 def _run_theorem(ctx, params, rng):
@@ -312,12 +307,9 @@ def _run_theorem(ctx, params, rng):
             "v_equals_x_deviation": report.v_equals_x_deviation,
             "dual_markov_monotone": report.dual_markov_monotone,
             "dual_markov_traces": list(report.dual_markov_traces),
-            "v_vs_u_witness": {"label": report.v_vs_u_witness.label,
-                               "deviation": report.v_vs_u_witness.deviation},
-            "y_vs_u_witness": {"label": report.y_vs_u_witness.label,
-                               "deviation": report.y_vs_u_witness.deviation},
-            "w_vs_z_witness": {"label": report.w_vs_z_witness.label,
-                               "deviation": report.w_vs_z_witness.deviation},
+            "v_vs_u_witness": asdict(report.v_vs_u_witness),
+            "y_vs_u_witness": asdict(report.y_vs_u_witness),
+            "w_vs_z_witness": asdict(report.w_vs_z_witness),
             "z_spectrum_deviation": report.z_spectrum_deviation,
             "z_conjugacy_deviation": report.z_conjugacy_deviation,
             "all_passed": report.all_passed,
@@ -403,7 +395,8 @@ def emit_report(bundle: ReportBundle, out_dir, fmt: str = "both") -> list:
     """Write the bundle to disk; returns the written paths.
 
     ``manifest.json`` is always written; ``report.json`` for formats
-    json/both; trace CSVs for formats csv/both.
+    json/both; trace CSVs for formats csv/both.  Both JSON files are
+    strict JSON, with non-finite floats written as null.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv, or both, got {fmt!r}")
@@ -412,7 +405,7 @@ def emit_report(bundle: ReportBundle, out_dir, fmt: str = "both") -> list:
     written = []
 
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(bundle.manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(_json_text(bundle.manifest))
     written.append(manifest_path)
 
     if fmt in ("json", "both"):

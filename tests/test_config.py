@@ -1,7 +1,11 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import timeop.config as config_module
+from timeop.cli import main
 from timeop.config import DEMO_CONFIG, ConfigError, parse_config
 
 MINIMAL = """
@@ -120,6 +124,7 @@ class TestSchemaErrors:
         line, msg = next((l, m) for l, m in errors if "points values" in m)
         assert line == text.splitlines().index("points = -1:0.9 0:1.5 1:0.1") + 1
         assert "'1.5'" in msg
+        assert len(errors) == 1  # not also "custom profile needs ..." for the dropped points
 
     def test_empty_sweep_rejected(self):
         text = MINIMAL + "\n[experiment positivity]\nsweep_a =\n"
@@ -127,3 +132,79 @@ class TestSchemaErrors:
         line, msg = next((l, m) for l, m in errors if "sweep_a" in m)
         assert line == text.splitlines().index("sweep_a =") + 1
         assert "at least one value" in msg
+
+    def test_repeated_custom_point_rejected(self):
+        # run builds the profile with the same constructor, so validate must reject it
+        text = MINIMAL.replace("family = gumbel\na = 1.0",
+                               "family = custom\npoints = -1:0.9 -1:0.5 1:0.1")
+        errors = errors_of(text)
+        assert errors == ((text.splitlines().index("[profile]") + 1,
+                           "duplicate table point s=-1"),)
+
+    @pytest.mark.parametrize("key_line, section", [
+        ("seed = 7", None),
+        ("lo = -4", "[system]"),
+        ("a = 1.0", "[profile]"),
+        ("max_t = 2", "[experiment lyapunov]"),
+    ])
+    def test_repeated_key_rejected(self, key_line, section):
+        text = MINIMAL.replace(key_line, f"{key_line}\n{key_line}")
+        key = key_line.split()[0]
+        first = text.splitlines().index(key_line) + 1
+        errors = errors_of(text)
+        assert errors == ((first + 1, f"duplicate key {key!r} (first set on line {first})"),)
+
+    @pytest.mark.parametrize("old, new, faults", [
+        ("hi = 4", "hi = 4\nm = 3", [("m = 3", "m applies only to kind = baker")]),
+        ("kind = shift", "kind = baker\nm = 2", [("lo = -4", "lo applies only to kind = shift"),
+                                                 ("hi = 4", "hi applies only to kind = shift")]),
+        ("family = gumbel", "family = logistic", [("a = 1.0", "a applies only to family = gumbel")]),
+        ("a = 1.0", "a = 1.0\npoints = 0:0.5", [("points = 0:0.5",
+                                                 "points applies only to family = custom")]),
+    ], ids=["m-under-shift", "lo-hi-under-baker", "a-under-logistic", "points-under-gumbel"])
+    def test_key_of_another_kind_or_family_rejected(self, old, new, faults):
+        text = MINIMAL.replace(old, new)
+        lines = text.splitlines()
+        assert errors_of(text) == tuple((lines.index(line) + 1, msg) for line, msg in faults)
+
+    def test_window_checked_by_the_domain_constructor(self):
+        errors = errors_of(MINIMAL.replace("lo = -4", "lo = 1"))
+        assert [msg for _, msg in errors] == ["window must satisfy lo < 0 < hi, got [1, 4]"]
+
+
+class TestValidateCli:
+    """``timeop validate`` exits 2 with exactly one error line per fault."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("family = gumbel\na = 1.0", "family = custom\npoints = -1:0.9 -1:0.5 1:0.1"),
+        ("family = gumbel\na = 1.0", "family = custom\npoints = -1:0.9 0:1.5 1:0.1"),
+        ("seed = 7", "seed = 7\nseed = 8"),
+        ("hi = 4", "hi = 4\nm = 3"),
+    ], ids=["repeated-point", "point-out-of-range", "repeated-seed", "m-under-shift"])
+    def test_one_error_line_per_fault(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL.replace(old, new))
+        assert main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
+def _readme_config_table():
+    """Section title -> keys named in the README "Config format" table."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    body = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    table = {}
+    for row in body.splitlines():
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:-1]]
+        if len(cells) != 2 or cells[0] in ("section", "---"):
+            continue
+        title = "" if cells[0] == "top level" else cells[0].strip("`")
+        spans = re.findall(r"`([^`]*)`", cells[1])
+        table[title] = {m.group() for m in (re.match(r"[a-z_]\w*", s) for s in spans) if m}
+    return table
+
+
+def test_readme_config_table_matches_schema():
+    schema = {title: set(keys) for title, keys in config_module._SCHEMA.items()}
+    assert _readme_config_table() == schema

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -161,6 +162,24 @@ class TestEmission:
         bundle = run_experiments(parse_config(EMPTY_CONFIG))
         with pytest.raises(ValueError):
             emit_report(bundle, tmp_path, fmt="yaml")
+
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        # a tabulated profile that reaches 0 leaves NaN ratio witnesses
+        points = " ".join(f"{s}:{min(1.0, max(0.0, 0.5 - s / 20)):g}" for s in range(-20, 23))
+        text = EMPTY_CONFIG.replace("family = gumbel", f"family = custom\npoints = {points}")
+        bundle = run_experiments(parse_config(text + "\n[experiment admissibility]\n"))
+        ratio = bundle.records[0]["details"]["witnesses"]["ratio"]
+        assert any(math.isnan(w[2]) for w in ratio)
+        emit_report(bundle, tmp_path, fmt="json")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for name in ("report.json", "manifest.json"):
+            json.loads((tmp_path / name).read_text(), parse_constant=reject)
+        report = json.loads((tmp_path / "report.json").read_text())
+        written = report["experiments"][0]["details"]["witnesses"]["ratio"]
+        assert [w[2] for w in written] == [None if math.isnan(w[2]) else w[2] for w in ratio]
 
 
 class TestCli:
