@@ -6,8 +6,9 @@ the antitransposed decay map is the decay diagonal itself, so every map
 here is a log weight per label and every evolution a truncated weighted
 shift.  Two pairs coincide in this real-pairing realization (v with x,
 y with w); the others separate with explicit basis-vector witnesses;
-and the Riesz twist of the extended step is spectrally equivalent to
-the step itself.
+and the Riesz twist of the extended step has the Jordan type of the
+step itself (its powers have the step's ranks, counted along the index
+map) and the closed-form weights of that conjugation.
 """
 
 import numpy as np
@@ -50,6 +51,6 @@ print(f"y != plain step witness {report.y_vs_u_witness.label}: "
       f"difference {report.y_vs_u_witness.deviation:.6g}")
 print(f"w != z witness {report.w_vs_z_witness.label}: "
       f"difference {report.w_vs_z_witness.deviation:.6g}")
-print(f"z ~ u_ext: spectrum multiset deviation {report.z_spectrum_deviation:.3e}, "
-      f"conjugation-route deviation {report.z_conjugacy_deviation:.3e}")
+print(f"z ~ u_ext: Jordan-type rank gap {report.z_spectrum_deviation:.3e}, "
+      f"closed-form weight deviation {report.z_conjugacy_deviation:.3e}")
 print("all relations verified:", report.all_passed)

@@ -42,7 +42,6 @@ from .profiles import (
     logistic,
     profile_from_table,
     verify_covariant_transform,
-    verify_mass_preservation,
 )
 from .rigging import (
     KotheReport,
@@ -57,7 +56,6 @@ from .rigging import (
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
-    raw_spectrum,
     weighted_inner,
 )
 from .markov import (

@@ -168,10 +168,6 @@ class CascadeSystem:
             raise ValueError("margins are defined for t >= 0")
         return self.ages + t <= self.window.hi
 
-    def interior_labels(self, t: int) -> tuple:
-        mask = self.interior_mask(t)
-        return tuple(label for label, ok in zip(self.labels, mask) if ok)
-
     def step_indices(self, t: int) -> np.ndarray:
         """Index map of U^t on labels; -1 where the image leaves the window."""
         if t < 0:

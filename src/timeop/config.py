@@ -430,6 +430,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append((line_no, str(exc)))
     values = {title: _parse_section(title, line0, section_pairs, errors)
               for title, (line0, section_pairs) in sections.items()}
+    if "experiment positivity" in sections and values.get("system", {}).get("kind") == "shift":
+        errors.append((sections["experiment positivity"][0],
+                       "positivity is probed on a baker system"))
     for required in ("system", "profile"):
         if required not in sections:
             errors.append((0, f"{required} required"))

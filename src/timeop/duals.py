@@ -16,13 +16,18 @@ step:
   y     : decay conjugation of u_ext (equal to w in this realization);
   z     : Riesz conjugation of u_ext.
 
-Every conjugation is evaluated in log-ratio form on margin-safe labels;
-weights of v and x reach exp(exp(hi) - exp(lo + t)) and overflow guards
-reject windows past the representable range.  Deviations between
+Every evolution is a truncated weighted shift along the t-step index
+map, and its log weight at a margin-safe label is composed from the log
+decay diagonal and the Riesz diagonal read at the label and at its
+image; weights of v and x reach exp(exp(hi) - exp(lo + t)) and overflow
+guards reject windows past the representable range.  Deviations between
 operators that the theory says coincide are measured in the antidual
 operator metric (relative weight deviation), where the conjugated
 families are uniformly bounded; witnesses for the asserted inequalities
-are reported in the plain coefficient norm.
+are reported in the plain coefficient norm.  The Riesz twist z is
+checked against the closed form 2 (L(a+t) - L(a)) of its weights and
+against the Jordan type of the step (the ranks of its powers), both
+read off the index map.
 """
 
 from __future__ import annotations
@@ -63,16 +68,17 @@ class OperatorWeb:
     """Six conjugated evolutions at one time, on the margin-safe labels.
 
     Each evolution is a truncated weighted shift: the safe label at
-    index i moves to ``targets[i]`` (the t-step index map) carrying
+    index i moves to ``k = targets[i]`` (the t-step index map) carrying
     weight ``exp(log_weights[name][i])``; labels outside the margin
-    carry NaN.  Weight conventions (a = label age, L = log lambda):
+    carry NaN.  Weights compose along the map (L = log lambda, the log
+    decay diagonal; R = 2 L, the log Riesz diagonal):
 
       u_ext : 0
-      w     : L(a+t) - L(a)
-      v     : L(a) - L(a+t)
-      x     : 2 L(a) + [L(a+t) - L(a)] - 2 L(a+t)   (composite route)
-      y     : -L(a) + L(a+t)                        (composite route)
-      z     : 2 L(a+t) - 2 L(a)                     (composite route)
+      w     : L[k] - L[i]
+      v     : L[i] - L[k]
+      x     : R[i] + w - R[k]     (Riesz conjugation of w)
+      y     : -L[i] + L[k]        (decay conjugation of u_ext)
+      z     : R[k] - R[i]         (Riesz conjugation of u_ext)
     """
 
     NAMES = ("u_ext", "w", "v", "x", "y", "z")
@@ -82,9 +88,6 @@ class OperatorWeb:
         self.system: CascadeSystem = decay.system
         self.t = int(t)
         self.safe_mask = safe_mask
-        self.safe_labels = tuple(
-            label for label, ok in zip(self.system.labels, safe_mask) if ok
-        )
         self.log_weights = log_weights
         self.targets = targets
 
@@ -107,29 +110,15 @@ class OperatorWeb:
             mat[self.targets[cols], cols] = np.exp(self.log_weights[name][cols])
         return mat
 
-    def restricted(self, name: str) -> np.ndarray:
-        """Compression of the named evolution to the safe labels.
-
-        Equal to ``matrix(name)`` restricted to the safe rows and
-        columns, built from the index map without the dim x dim array.
-        """
-        safe = np.nonzero(self.safe_mask)[0]
-        position = np.full(self.system.dim, -1)
-        position[safe] = np.arange(safe.size)
-        rows = position[self.targets[safe]]
-        kept = np.nonzero(rows >= 0)[0]
-        out = np.zeros((safe.size, safe.size))
-        with np.errstate(under="ignore"):
-            out[rows[kept], kept] = np.exp(self.log_weights[name][safe[kept]])
-        return out
-
 
 def build_operator_web(decay: DecayOperator, t: int,
                        overflow_cap: float = LOG_WEIGHT_CAP) -> OperatorWeb:
     """Build the six evolutions at time t as index map plus log weights.
 
-    Conjugations by the decay map and its square are composed in the
-    log domain; a conjugation whose weights exceed ``overflow_cap`` in
+    Every weight is composed from ``decay.log_diag`` and ``riesz_map``
+    read at each safe label and at its image under
+    ``system.step_indices(t)``; a safe label whose image is truncated
+    carries NaN.  A conjugation whose weights exceed ``overflow_cap`` in
     log magnitude is rejected by name rather than carried as
     infinities.
     """
@@ -139,18 +128,21 @@ def build_operator_web(decay: DecayOperator, t: int,
     safe = system.interior_mask(t)
     if not np.any(safe):
         raise MarginError(f"no labels admit a {t}-step margin on this window")
-    ages = system.ages
+    targets = system.step_indices(t)
+    landed = safe & (targets >= 0)
     log_lam = decay.log_diag
-    log_lam_shift = np.where(safe, decay.log_weight(np.where(safe, ages + t, ages)), np.nan)
+    log_riesz = riesz_map(decay)
+    lam_image = np.where(landed, log_lam[targets], np.nan)
+    riesz_image = np.where(landed, log_riesz[targets], np.nan)
 
-    ratio = log_lam_shift - log_lam
+    w = lam_image - log_lam
     log_weights = {
         "u_ext": np.where(safe, 0.0, np.nan),
-        "w": ratio,
-        "v": log_lam - log_lam_shift,
-        "x": 2.0 * log_lam + ratio - 2.0 * log_lam_shift,
-        "y": -log_lam + log_lam_shift,
-        "z": 2.0 * log_lam_shift - 2.0 * log_lam,
+        "w": w,
+        "v": -w,
+        "x": log_riesz + w - riesz_image,
+        "y": -log_lam + lam_image,
+        "z": riesz_image - log_riesz,
     }
 
     conjugation_names = {
@@ -163,7 +155,7 @@ def build_operator_web(decay: DecayOperator, t: int,
             raise MarginError(
                 f"{label} is not materializable on this window: weights reach exp({peak:.1f})"
             )
-    return OperatorWeb(decay, t, safe, log_weights, system.step_indices(t))
+    return OperatorWeb(decay, t, safe, log_weights, targets)
 
 
 @dataclass(frozen=True)
@@ -181,9 +173,12 @@ class WebReport:
     Parts: (1) v and x coincide, measured in the antidual operator
     metric; (2) the v-route traces decay monotonically, transported by
     the Riesz map; (3, 4, 5) witnesses separate v from u_ext, y from the
-    plain step, and w from z; (6) z is conjugate to u_ext, checked both
-    by spectrum agreement of the safe compressions and by the conjugacy
-    route deviation.
+    plain step, and w from z; (6) z is conjugate to u_ext, checked by
+    the Jordan type of the safe compression (``z_spectrum_deviation``,
+    the largest gap between the ranks of its powers, counted along the
+    index map, and those of the step) and by the relative deviation of
+    the composed z weights from the closed form 2 (L(a+t) - L(a))
+    (``z_conjugacy_deviation``).
     """
 
     t: int
@@ -223,12 +218,29 @@ def _best_witness(web: OperatorWeb, name_a: str, name_b: str) -> WitnessRecord:
     return WitnessRecord(label=web.system.label_text(label), deviation=float(dev[i]))
 
 
-def _spectrum_deviation(web: OperatorWeb) -> float:
-    za = np.linalg.eigvals(web.restricted("z"))
-    ua = np.linalg.eigvals(web.restricted("u_ext"))
-    za = np.sort_complex(za)
-    ua = np.sort_complex(ua)
-    return float(np.abs(za - ua).max()) if za.size else 0.0
+def _jordan_type_gap(web: OperatorWeb) -> float:
+    """Largest gap between the ranks of C^k and those of the step.
+
+    C is the compression of z to the safe labels.  Each column of C
+    holds at most one entry, so the rank of C^k is the number of
+    distinct endpoints of the k-step chains that follow ``targets``
+    through finite z weights and safe images.  The compressed step has
+    rank #{i : age_i + (k+1) t <= hi}, for k = 1 up to nilpotency.
+    """
+    system = web.system
+    safe = web.safe_mask
+    # z is NaN off the margin, so links start only at safe labels
+    nxt = np.where(np.isfinite(web.log_weights["z"]), web.targets, -1)
+    nxt = np.where((nxt >= 0) & safe[nxt], nxt, -1)
+    ends = safe
+    gap = 0
+    for k in range(1, (system.window.hi - system.window.lo) // web.t + 2):
+        images = nxt[ends]
+        ends = np.zeros(system.dim, dtype=bool)
+        ends[images[images >= 0]] = True
+        expected = np.count_nonzero(system.ages + (k + 1) * web.t <= system.window.hi)
+        gap = max(gap, abs(np.count_nonzero(ends) - expected))
+    return float(gap)
 
 
 def verify_web(web: OperatorWeb, max_steps: int = 3, seed: int = 0) -> WebReport:
@@ -271,7 +283,7 @@ def verify_web(web: OperatorWeb, max_steps: int = 3, seed: int = 0) -> WebReport
         v_vs_u_witness=_best_witness(web, "v", "u_ext"),
         y_vs_u_witness=_best_witness(web, "y", "u_ext"),
         w_vs_z_witness=_best_witness(web, "w", "z"),
-        z_spectrum_deviation=_spectrum_deviation(web),
+        z_spectrum_deviation=_jordan_type_gap(web),
         z_conjugacy_deviation=float(
             np.abs(
                 np.expm1(

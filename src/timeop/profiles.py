@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cascade import CascadeSystem, GridDensity, StateVector, grid_to_walsh, walsh_to_grid
+from .cascade import CascadeSystem, StateVector
 from .hilbert import HVector
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "build_decay_operator",
     "apply_block",
     "verify_covariant_transform",
-    "verify_mass_preservation",
     "log_condition_number",
 ]
 
@@ -325,30 +324,6 @@ def verify_covariant_transform(op: DecayOperator, t: int) -> float:
     cols = system.interior_mask(t)
     return max(system.pullback_deviation(t, lam, lam_shift, cols),
                system.pullback_deviation(t, lam * lam, lam_shift * lam_shift, cols))
-
-
-def verify_mass_preservation(op: DecayOperator, samples) -> float:
-    """Largest mass deviation of the block transform over the samples.
-
-    Samples may be grid densities (baker realization) or state vectors.
-    The transform fixes the equilibrium component and every fluctuation
-    integrates to zero, so the deviation is pure round-off.
-    """
-    worst = 0.0
-    for sample in samples:
-        if isinstance(sample, GridDensity):
-            state = grid_to_walsh(op.system, sample)
-            after = walsh_to_grid(op.system, apply_block(op, state))
-            worst = max(worst, abs(after.mass - sample.mass))
-        elif isinstance(sample, StateVector):
-            after = apply_block(op, sample)
-            worst = max(worst, abs(after.equilibrium - sample.equilibrium))
-            if op.system.kind == "baker":
-                fluct_mass = walsh_to_grid(op.system, StateVector(0.0, after.fluct)).mass
-                worst = max(worst, abs(fluct_mass))
-        else:
-            raise TypeError(f"cannot measure mass of {type(sample).__name__}")
-    return worst
 
 
 def log_condition_number(op: DecayOperator) -> float:

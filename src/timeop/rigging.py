@@ -16,11 +16,10 @@ finite-truncation shadow of the unbounded inverse: past the cap a
 vector is reported as outside the materialized domain rather than
 silently overflowing.
 
-Separately, closed-form singular spectra (power and geometric families,
-or raw lists) are classified as compact / Hilbert-Schmidt / nuclear.
-Family verdicts are decided analytically with integral tail bounds;
-raw finite lists can never certify divergence, so their verdicts are
-flagged heuristic.
+Separately, closed-form singular spectra (power and geometric families)
+are classified as compact / Hilbert-Schmidt / nuclear.  Verdicts are
+decided analytically, and partial sums are bracketed with integral tail
+bounds.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "SingularSpectrum",
     "power_spectrum",
     "geometric_spectrum",
-    "raw_spectrum",
     "PowerVerdict",
     "PartialSumEvidence",
     "OperatorClassReport",
@@ -219,14 +217,13 @@ class SingularSpectrum:
     """Singular values of a positive compact candidate, k = 1, 2, ...
 
     Closed forms: ``power(alpha)`` has values (k+1)**(-alpha) and
-    ``geometric(q)`` has values q**k.  ``raw`` holds a finite list.
-    ``truncation`` is the number of terms materialized for partial sums.
+    ``geometric(q)`` has values q**k.  ``truncation`` is the number of
+    terms materialized for partial sums.
     """
 
     family: str
     alpha: float | None = None
     q: float | None = None
-    raw_values: tuple = ()
     truncation: int = 100_000
 
     def __post_init__(self):
@@ -236,16 +233,6 @@ class SingularSpectrum:
         elif self.family == "geometric":
             if self.q is None or not (0 < self.q < 1):
                 raise ValueError("geometric spectrum needs 0 < q < 1")
-        elif self.family == "raw":
-            vals = np.asarray(self.raw_values, dtype=float)
-            if vals.size == 0:
-                raise ValueError("raw spectrum needs at least one value")
-            if np.any(vals <= 0):
-                raise ValueError("singular values must be positive")
-            if np.any(np.diff(vals) > 0):
-                raise ValueError("singular values must be nonincreasing")
-            object.__setattr__(self, "raw_values", tuple(float(v) for v in vals))
-            object.__setattr__(self, "truncation", vals.size)
         else:
             raise ValueError(f"unknown spectrum family {self.family!r}")
         if self.truncation < 1:
@@ -253,8 +240,6 @@ class SingularSpectrum:
 
     def values(self, count: int | None = None) -> np.ndarray:
         count = count or self.truncation
-        if self.family == "raw":
-            return np.asarray(self.raw_values[:count], dtype=float)
         k = np.arange(1, count + 1, dtype=float)
         if self.family == "power":
             return (k + 1.0) ** (-self.alpha)
@@ -263,9 +248,7 @@ class SingularSpectrum:
     def describe(self) -> str:
         if self.family == "power":
             return f"power({self.alpha:g})"
-        if self.family == "geometric":
-            return f"geometric({self.q:g})"
-        return f"raw[{len(self.raw_values)}]"
+        return f"geometric({self.q:g})"
 
 
 def power_spectrum(alpha: float, truncation: int = 100_000) -> SingularSpectrum:
@@ -274,10 +257,6 @@ def power_spectrum(alpha: float, truncation: int = 100_000) -> SingularSpectrum:
 
 def geometric_spectrum(q: float, truncation: int = 100_000) -> SingularSpectrum:
     return SingularSpectrum("geometric", q=float(q), truncation=truncation)
-
-
-def raw_spectrum(values) -> SingularSpectrum:
-    return SingularSpectrum("raw", raw_values=tuple(values))
 
 
 def _partial_sum(spectrum: SingularSpectrum, exponent: float) -> float:
@@ -296,11 +275,9 @@ def _tail_bounds(spectrum: SingularSpectrum, exponent: float):
         lo = (big_k + 2.0) ** (1.0 - s) / (s - 1.0)
         hi = (big_k + 1.0) ** (1.0 - s) / (s - 1.0)
         return lo, hi
-    if spectrum.family == "geometric":
-        r = spectrum.q ** exponent
-        tail = r ** (big_k + 1) / (1.0 - r)
-        return tail, tail
-    return None
+    r = spectrum.q ** exponent
+    tail = r ** (big_k + 1) / (1.0 - r)
+    return tail, tail
 
 
 def _closed_form_sum(spectrum: SingularSpectrum, exponent: float):
@@ -311,19 +288,10 @@ def _closed_form_sum(spectrum: SingularSpectrum, exponent: float):
 
 
 def _converges(spectrum: SingularSpectrum, exponent: float) -> bool:
-    """Convergence verdict of sum lambda_k**exponent.
-
-    Analytic for the closed-form families; for a raw list, partial-sum
-    doubling: a visibly flattening tail counts as converging.
-    """
+    """Analytic convergence verdict of sum lambda_k**exponent."""
     if spectrum.family == "power":
         return bool(spectrum.alpha * exponent > 1.0)
-    if spectrum.family == "geometric":
-        return True
-    vals = np.asarray(spectrum.raw_values, dtype=float) ** exponent
-    half = vals[: max(1, vals.size // 2)].sum()
-    full = vals.sum()
-    return bool(full - half <= 1e-6 * max(full, 1.0))
+    return True
 
 
 @dataclass(frozen=True)
@@ -345,9 +313,7 @@ class PartialSumEvidence:
 class OperatorClassReport:
     """Compact / Hilbert-Schmidt / nuclear verdicts for J and its powers.
 
-    ``method`` is ``analytic-tail-bound`` for closed-form families and
-    ``heuristic-inconclusive`` for raw lists, whose verdicts cannot
-    certify divergence.
+    Every verdict is analytic, so ``method`` is ``analytic-tail-bound``.
     """
 
     spectrum: str
@@ -356,8 +322,8 @@ class OperatorClassReport:
     nuclear: bool
     power_thresholds: tuple
     min_nuclear_power: int | None
-    method: str
     evidence: tuple
+    method: str = "analytic-tail-bound"
 
     def power_verdict(self, n: int) -> PowerVerdict:
         for power, verdict in self.power_thresholds:
@@ -369,19 +335,12 @@ class OperatorClassReport:
 def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> OperatorClassReport:
     """Classify a singular spectrum and the powers of its operator.
 
-    compact iff the values decrease to zero; Hilbert-Schmidt iff the
-    squares are summable; nuclear iff the values themselves are.  For
-    each integer n up to ``max_power`` the spectrum of the n-th power
-    (values**n) is classified the same way, and the smallest nuclear
-    power is reported when one exists.
+    compact iff the values decrease to zero, as both families do;
+    Hilbert-Schmidt iff the squares are summable; nuclear iff the values
+    themselves are.  For each integer n up to ``max_power`` the spectrum
+    of the n-th power (values**n) is classified the same way, and the
+    smallest nuclear power is reported when one exists.
     """
-    if spectrum.family == "raw":
-        compact = spectrum.raw_values[-1] <= 1e-9 * spectrum.raw_values[0]
-        method = "heuristic-inconclusive"
-    else:
-        compact = True
-        method = "analytic-tail-bound"
-
     nuclear = _converges(spectrum, 1.0)
     hilbert_schmidt = _converges(spectrum, 2.0)
 
@@ -411,12 +370,11 @@ def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> Operato
 
     return OperatorClassReport(
         spectrum=spectrum.describe(),
-        compact=bool(compact),
+        compact=True,
         hilbert_schmidt=hilbert_schmidt,
         nuclear=nuclear,
         power_thresholds=tuple(thresholds),
         min_nuclear_power=min_nuclear,
-        method=method,
         evidence=tuple(evidence),
     )
 
@@ -434,7 +392,7 @@ class KotheReport:
     partial_sum: float
     sum_converges: bool
     closed_form_sum: float | None
-    method: str
+    method: str = "analytic-tail-bound"
 
 
 def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
@@ -443,7 +401,7 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
     Requires 0 <= n1 < n2 < 1.  The criterion holds when the successive
     ratio limit of the singular values stays strictly below one; the
     accompanying series sum lambda_k**(2 (n2 - n1)) is reported with its
-    analytic convergence verdict where the family admits one.
+    analytic convergence verdict.
     """
     n1 = Fraction(n1)
     n2 = Fraction(n2)
@@ -451,21 +409,9 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
         raise ValueError(f"grades must satisfy 0 <= n1 < n2 < 1, got {n1}, {n2}")
     exponent = float(2 * (n2 - n1))
 
-    if spectrum.family == "power":
-        ratio_limsup = 1.0
-        criterion = False
-        method = "analytic-tail-bound"
-    elif spectrum.family == "geometric":
-        ratio_limsup = spectrum.q
-        criterion = spectrum.q < 1.0
-        method = "analytic-tail-bound"
-    else:
-        vals = np.asarray(spectrum.raw_values, dtype=float)
-        ratios = vals[1:] / vals[:-1]
-        tail = ratios[ratios.size // 2 :]
-        ratio_limsup = float(tail.max()) if tail.size else 0.0
-        criterion = ratio_limsup < 1.0
-        method = "heuristic-inconclusive"
+    # successive ratios: 1 in the limit for a power spectrum, q for a
+    # geometric one
+    ratio_limsup = 1.0 if spectrum.family == "power" else spectrum.q
 
     return KotheReport(
         spectrum=spectrum.describe(),
@@ -473,9 +419,8 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
         n2=n2,
         exponent=exponent,
         ratio_limsup=ratio_limsup,
-        criterion_met=bool(criterion),
+        criterion_met=ratio_limsup < 1.0,
         partial_sum=_partial_sum(spectrum, exponent),
         sum_converges=_converges(spectrum, exponent),
         closed_form_sum=_closed_form_sum(spectrum, exponent),
-        method=method,
     )

@@ -205,8 +205,6 @@ def _safe_random_density(ctx, rng, max_age):
 
 
 def _run_positivity(ctx, params, rng):
-    if ctx.system.kind != "baker":
-        raise ValueError("positivity is probed on a baker system")
     t_values = params["t_values"]
     t_max = max(t_values)
     canonical = walsh_to_grid(
@@ -290,9 +288,7 @@ def _run_kothe(ctx, params, rng):
     report = kothe_nuclearity(spectrum, params["n1"], params["n2"])
     # the ratio-limit criterion is sufficient, not necessary: it must
     # imply convergence, while a power spectrum may converge without it
-    consistent = (not report.criterion_met or report.sum_converges) or report.method.startswith(
-        "heuristic"
-    )
+    consistent = not report.criterion_met or report.sum_converges
     return consistent, {**asdict(report), "n1": str(report.n1), "n2": str(report.n2)}
 
 

@@ -171,6 +171,12 @@ class TestSchemaErrors:
         errors = errors_of(MINIMAL.replace("lo = -4", "lo = 1"))
         assert [msg for _, msg in errors] == ["window must satisfy lo < 0 < hi, got [1, 4]"]
 
+    def test_positivity_on_shift_rejected(self):
+        # run probes positivity on the Walsh grid, which only a baker system has
+        text = MINIMAL + "\n[experiment positivity]\n"
+        assert errors_of(text) == ((text.splitlines().index("[experiment positivity]") + 1,
+                                    "positivity is probed on a baker system"),)
+
 
 class TestValidateCli:
     """``timeop validate`` exits 2 with exactly one error line per fault."""
@@ -180,7 +186,9 @@ class TestValidateCli:
         ("family = gumbel\na = 1.0", "family = custom\npoints = -1:0.9 0:1.5 1:0.1"),
         ("seed = 7", "seed = 7\nseed = 8"),
         ("hi = 4", "hi = 4\nm = 3"),
-    ], ids=["repeated-point", "point-out-of-range", "repeated-seed", "m-under-shift"])
+        ("n_random = 3", "n_random = 3\n\n[experiment positivity]"),
+    ], ids=["repeated-point", "point-out-of-range", "repeated-seed", "m-under-shift",
+            "positivity-on-shift"])
     def test_one_error_line_per_fault(self, tmp_path, capsys, old, new):
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL.replace(old, new))

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from timeop.cascade import AgeWindow, MarginError, build_shift_cascade
+from timeop.cascade import (
+    AgeWindow,
+    CascadeSystem,
+    MarginError,
+    build_baker_cascade,
+    build_shift_cascade,
+)
 from timeop.duals import build_operator_web, riesz_map, verify_web
 from timeop.hilbert import HVector
 from timeop.profiles import build_decay_operator, gumbel
@@ -146,3 +152,55 @@ class TestVerifyWeb:
         s, op = shift_decay(-6, 6)
         for t in (1, 2):
             assert verify_web(build_operator_web(op, t)).all_passed
+
+
+def off_by_one(system):
+    """The same labels and ages, every image one position lower.
+
+    As in ``test_index_map_checks.py``; on these windows the map gains
+    fixed points, so z loses its nilpotent Jordan type.
+    """
+    step = system._step
+    return CascadeSystem(system.kind, system.window, system.labels, system.ages,
+                         np.where(step > 0, step - 1, -1), system.basis_id,
+                         m=system.m, masks=system._masks)
+
+
+def web_systems():
+    return [build_shift_cascade(AgeWindow(-6, 6)), build_baker_cascade(3)]
+
+
+class TestWebDefects:
+    """Each injected defect must fail the theorem gate at t = 1."""
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_correct_web_passes_exactly(self, system):
+        report = verify_web(build_operator_web(build_decay_operator(gumbel(1.0), system), 1))
+        assert report.z_spectrum_deviation == 0.0
+        assert report.z_conjugacy_deviation == 0.0
+        assert report.all_passed
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_off_by_one_step_map(self, system):
+        op = build_decay_operator(gumbel(1.0), off_by_one(system))
+        report = verify_web(build_operator_web(op, 1))
+        assert report.z_spectrum_deviation > 1e-8
+        assert report.z_conjugacy_deviation > 1e-10
+        assert not report.all_passed
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_doubled_z_weights(self, system):
+        web = build_operator_web(build_decay_operator(gumbel(1.0), system), 1)
+        web.log_weights["z"] = web.log_weights["z"] + math.log(2.0)
+        report = verify_web(web)
+        assert report.z_conjugacy_deviation > 1e-10
+        assert not report.all_passed
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_one_vanishing_z_weight(self, system):
+        # a label of age 0, whose image at age 1 is itself margin-safe
+        web = build_operator_web(build_decay_operator(gumbel(1.0), system), 1)
+        web.log_weights["z"][int(np.nonzero(system.ages == 0)[0][0])] = -np.inf
+        report = verify_web(web)
+        assert report.z_spectrum_deviation > 1e-8
+        assert not report.all_passed

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from timeop.cascade import AgeWindow, GridDensity, StateVector, build_baker_cascade, \
-    build_shift_cascade, walsh_to_grid
-from timeop.hilbert import HVector
+from timeop.cascade import AgeWindow, StateVector, build_baker_cascade, build_shift_cascade
 from timeop.profiles import (
     ProfileError,
     apply_block,
@@ -16,7 +14,6 @@ from timeop.profiles import (
     logistic,
     profile_from_table,
     verify_covariant_transform,
-    verify_mass_preservation,
 )
 
 
@@ -169,27 +166,3 @@ class TestCovariantTransform:
         b = build_baker_cascade(1)
         op = build_decay_operator(gumbel(1.0), b)
         assert verify_covariant_transform(op, 1) == 0.0
-
-
-class TestMassPreservation:
-    def test_equilibrium_alone(self):
-        b = build_baker_cascade(2)
-        op = build_decay_operator(gumbel(1.0), b)
-        state = StateVector(1.0, HVector(np.zeros(b.dim), b.basis_id))
-        assert verify_mass_preservation(op, [state]) == 0.0
-
-    def test_single_walsh_density(self):
-        b = build_baker_cascade(2)
-        op = build_decay_operator(gumbel(1.0), b)
-        grid = walsh_to_grid(b, StateVector(1.0, b.basis_vector(frozenset({0}))))
-        assert verify_mass_preservation(op, [grid]) <= 1e-12
-
-    def test_random_normalized_densities(self):
-        b = build_baker_cascade(2)
-        op = build_decay_operator(gumbel(1.0), b)
-        rng = np.random.default_rng(42)
-        samples = []
-        for _ in range(50):
-            values = np.abs(rng.standard_normal((8, 4))) + 0.01
-            samples.append(GridDensity(values / values.mean()))
-        assert verify_mass_preservation(op, samples) <= 1e-12

@@ -17,7 +17,6 @@ from timeop.rigging import (
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
-    raw_spectrum,
 )
 
 
@@ -190,14 +189,6 @@ class TestClassification:
         assert report.nuclear and report.hilbert_schmidt and report.compact
         item = next(e for e in report.evidence if e.exponent == 1.0)
         assert item.partial + item.tail_hi == pytest.approx(1.0, abs=1e-12)
-
-    def test_raw_lists_are_flagged_heuristic(self):
-        report = classify_spectrum(raw_spectrum([2.0 ** -k for k in range(1, 40)]))
-        assert report.method == "heuristic-inconclusive"
-
-    def test_non_monotone_raw_list_rejected(self):
-        with pytest.raises(ValueError):
-            raw_spectrum([0.5, 0.7, 0.1])
 
 
 class TestKothe:
