@@ -47,6 +47,9 @@ __all__ = [
     "verify_imprimitivity",
     "walsh_to_grid",
     "grid_to_walsh",
+    "walsh_to_cells",
+    "cells_to_walsh",
+    "grid_cells",
     "system_to_json",
     "system_from_json",
 ]
@@ -348,25 +351,67 @@ def verify_imprimitivity(system: CascadeSystem, delta, t: int) -> float:
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform in natural (bitmask) ordering.
+    """Walsh-Hadamard transform of the last axis, in natural (bitmask) ordering.
 
-    Output index s receives sum_c (-1)**popcount(s & c) input[c]; the
-    transform is its own inverse up to division by the length.
+    Takes one length-N vector or a ``(rows, N)`` block and returns a new
+    array of the same shape.  Output index s of each row receives
+    sum_c (-1)**popcount(s & c) input[c]; the transform is its own
+    inverse up to division by N.
     """
-    a = np.array(values, dtype=float)
-    n = a.shape[0]
-    if n & (n - 1):
+    return _fwht_in_place(np.array(values, dtype=float))
+
+
+def _fwht_in_place(block: np.ndarray) -> np.ndarray:
+    """Transform the last axis of a C-contiguous float block in place.
+
+    Stage j adds and subtracts the pairs of entries whose indices differ
+    in bit j, for j = 0, 1, ... in order, as the one-vector loop
+    ``x, y = a[i], a[i + 2**j]; a[i], a[i + 2**j] = x + y, x - y`` does, so
+    every output float is bitwise that loop's.  Only the memory layout
+    differs.  The loop's early stages read runs of 1, 2, 4, ... floats.
+    Here the low half of the index bits is the slowest axis, ahead of
+    the rows, for the early stages, and the high half for the late ones,
+    so every stage reads contiguous runs of at least rows * sqrt(N)
+    floats.  The stages alternate between ``block`` and one spare block
+    of the same size.  Returns ``block``.
+    """
+    n = block.shape[-1]
+    if n < 1 or n & (n - 1):
         raise ValueError("transform length must be a power of two")
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        y = a[:, 1, :].copy()
-        a[:, 0, :] = x + y
-        a[:, 1, :] = x - y
-        a = a.reshape(n)
-        h *= 2
-    return a
+    if not block.flags.c_contiguous:
+        raise ValueError("the in-place transform needs a C-contiguous block")
+    rows = block.size // n
+    bits = n.bit_length() - 1
+    low = (bits + 1) // 2
+    nl, nh = 1 << low, n >> low
+    src = block.reshape(-1)
+    dst = np.empty(block.size)
+    # layout (low index bits, row, high index bits) for stages 0 .. low-1
+    dst.reshape(nl, rows, nh)[...] = src.reshape(rows, nh, nl).transpose(2, 0, 1)
+    src, dst = _butterflies(dst, src, low, rows * nh)
+    # layout (high index bits, low index bits, row) for the remaining stages
+    dst.reshape(nh, nl, rows)[...] = src.reshape(nl, rows, nh).transpose(2, 0, 1)
+    src, dst = _butterflies(dst, src, bits - low, nl * rows)
+    dst.reshape(rows, nh, nl)[...] = src.reshape(nh, nl, rows).transpose(2, 0, 1)
+    if not np.may_share_memory(dst, block):
+        block.reshape(-1)[...] = dst
+    return block
+
+
+def _butterflies(src: np.ndarray, dst: np.ndarray, stages: int, run: int):
+    """Radix-2 stages along the slowest axis, alternating between two buffers.
+
+    The first stage pairs entries ``run`` apart, each later one twice as
+    far.  Returns the buffer holding the result, then the spare one.
+    """
+    for _ in range(stages):
+        x, y = src.reshape(-1, 2, run).transpose(1, 0, 2)
+        out = dst.reshape(-1, 2, run)
+        np.add(x, y, out=out[:, 0])
+        np.subtract(x, y, out=out[:, 1])
+        src, dst = dst, src
+        run *= 2
+    return src, dst
 
 
 def _require_baker(system: CascadeSystem):
@@ -399,37 +444,80 @@ def _cell_coordinates(m: int):
     return iy, ix
 
 
+def walsh_to_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> np.ndarray:
+    """Evaluate a block of Walsh expansions pointwise on the dyadic cells.
+
+    Row r of the array ``fluct`` holds fluctuation coefficients and
+    ``equilibrium[r]`` the constant component.  Column k of ``fluct``
+    belongs to label index ``labels[k]``, or to label k when ``labels``
+    is None; labels not listed get zero.  Row r of the result lists the
+    cell values in bitmask order, the order :func:`grid_cells` reads a
+    grid in.  All rows go through one transform.
+    """
+    _require_baker(system)
+    fluct = np.asarray(fluct, dtype=float)
+    equilibrium = np.asarray(equilibrium, dtype=float)
+    masks = system._masks if labels is None else system._masks[labels]
+    if fluct.shape != (equilibrium.size, masks.size):
+        raise BasisMismatchError(
+            f"expected {equilibrium.size} rows of {masks.size} coefficients, got {fluct.shape}")
+    full = np.zeros((equilibrium.size, 1 << (2 * system.m + 1)))
+    full[:, 0] = equilibrium
+    full[:, masks] = fluct
+    return _fwht_in_place(full)
+
+
+def cells_to_walsh(system: CascadeSystem, cells) -> tuple:
+    """Equilibrium means and Walsh coefficients of a block of cell values.
+
+    ``cells`` is ``(rows, 2**(2m+1))`` in the bitmask order of
+    :func:`walsh_to_cells`.  Returns the per-row equilibrium components
+    and the ``(rows, dim)`` label-ordered fluctuation coefficients.
+    """
+    _require_baker(system)
+    cells = np.asarray(cells, dtype=float)
+    if cells.ndim != 2 or cells.shape[1] != 1 << (2 * system.m + 1):
+        raise ValueError(f"cell block shape {cells.shape} does not match baker m={system.m}")
+    coeffs = _fwht(cells)
+    coeffs /= cells.shape[1]
+    # a copied column, so that no view keeps the (rows, N) block alive
+    return coeffs[:, 0].copy(), coeffs[:, system._masks]
+
+
+def grid_cells(system: CascadeSystem, grid: GridDensity) -> np.ndarray:
+    """A grid density's cell values as one row, in bitmask order."""
+    _require_baker(system)
+    if grid.values.shape != _grid_shape(system):
+        raise ValueError(f"grid shape {grid.values.shape} does not match {_grid_shape(system)}")
+    iy, ix = _cell_coordinates(system.m)
+    return grid.values[iy, ix][None]
+
+
 def walsh_to_grid(system: CascadeSystem, state: StateVector) -> GridDensity:
     """Evaluate a Walsh expansion pointwise on the dyadic cells.
 
-    The transform is orthogonal up to the fixed cell-count
-    normalization, so the grid/coefficient round trip is exact for
-    dyadic data and accurate to round-off otherwise.
+    The one-row case of :func:`walsh_to_cells`.  The transform is
+    orthogonal up to the fixed cell-count normalization, so the
+    grid/coefficient round trip is exact for dyadic data and accurate
+    to round-off otherwise.
     """
     _require_baker(system)
     if state.fluct.basis_id != system.basis_id:
         raise BasisMismatchError("state does not belong to this baker system")
-    full = np.zeros(1 << (2 * system.m + 1))
-    full[0] = state.equilibrium
-    full[system._masks] = state.fluct.coeffs
-    pointwise = _fwht(full)
-    ny, nx = _grid_shape(system)
+    cells = walsh_to_cells(system, [state.equilibrium], state.fluct.coeffs[None])
     iy, ix = _cell_coordinates(system.m)
-    grid = np.zeros((ny, nx))
-    grid[iy, ix] = pointwise
+    grid = np.zeros(_grid_shape(system))
+    grid[iy, ix] = cells[0]
     return GridDensity(grid)
 
 
 def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> StateVector:
-    """Walsh coefficients (and equilibrium mean) of a grid density."""
-    _require_baker(system)
-    ny, nx = _grid_shape(system)
-    if grid.values.shape != (ny, nx):
-        raise ValueError(f"grid shape {grid.values.shape} does not match {(ny, nx)}")
-    iy, ix = _cell_coordinates(system.m)
-    flat = grid.values[iy, ix]
-    coeffs = _fwht(flat) / (ny * nx)
-    return StateVector(float(coeffs[0]), HVector(coeffs[system._masks], system.basis_id))
+    """Walsh coefficients (and equilibrium mean) of a grid density.
+
+    The one-row case of :func:`cells_to_walsh`.
+    """
+    equilibrium, fluct = cells_to_walsh(system, grid_cells(system, grid))
+    return StateVector(float(equilibrium[0]), HVector(fluct[0], system.basis_id))
 
 
 # -- serialization --------------------------------------------------------

@@ -101,10 +101,11 @@ class OperatorWeb:
     def matrix(self, name: str) -> np.ndarray:
         """Dense dim x dim array of the named evolution, built on request.
 
-        Columns outside the safe labels are zero.  Meant for small-dim
-        cross-checks; no verification route uses it.
+        Columns outside the safe labels, and those of safe labels whose
+        image is truncated, are zero.  Meant for small-dim cross-checks;
+        no verification route uses it.
         """
-        cols = np.nonzero(self.safe_mask)[0]
+        cols = np.nonzero(self.safe_mask & (self.targets >= 0))[0]
         mat = np.zeros((self.system.dim, self.system.dim))
         with np.errstate(under="ignore"):
             mat[self.targets[cols], cols] = np.exp(self.log_weights[name][cols])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import GridDensity, MarginError, StateVector, grid_to_walsh, walsh_to_grid
+from .cascade import GridDensity, MarginError, cells_to_walsh, grid_cells, walsh_to_cells
 from .hilbert import NORM_RESCALE_BELOW, BasisMismatchError, HVector
 from .profiles import DecayOperator
 
@@ -30,6 +30,8 @@ __all__ = [
     "lyapunov_trace",
     "PositivityReport",
     "positivity_probe",
+    "density_walsh",
+    "evolved_minima",
     "AsymmetryReport",
     "asymmetry_probe",
 ]
@@ -81,27 +83,47 @@ def markov_step(ev: MarkovEvolution, rho: HVector, t: int,
     log lambda(n)) times itself at age n + t.  Coefficients below
     ``support_tol`` (relative to the largest) are treated as truncation
     dust and dropped; larger coefficients outside the t-margin raise
-    :class:`MarginError`.
+    :class:`MarginError`.  The one-row case of the block step the
+    positivity probe runs.
+    """
+    system = ev.system
+    if rho.basis_id != system.basis_id:
+        raise BasisMismatchError("vector does not belong to the evolved system")
+    targets, moved = _moved_rows(ev, rho.coeffs[None], t, support_tol)
+    out = np.zeros(system.dim)
+    out[targets] = moved[0]
+    return HVector(out, system.basis_id)
+
+
+def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, support_tol: float):
+    """The t-step of each row of a ``(rows, dim)`` coefficient block.
+
+    Returns the target labels of the labels inside the t-margin and the
+    weighted coefficients each row moves onto them; every other label of
+    the evolved row is zero.  A zero coefficient, -0.0 included, lands
+    as +0.0, the value of a label that receives nothing.  The margin
+    check runs row by row and names the labels of the first offending
+    row.
     """
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
     if t > ev.max_t:
         raise ValueError(f"t={t} exceeds the precomputed horizon {ev.max_t}")
     system = ev.system
-    if rho.basis_id != system.basis_id:
-        raise BasisMismatchError("vector does not belong to the evolved system")
-    coeffs = rho.coeffs
-    floor = support_tol * max(1.0, float(np.abs(coeffs).max(initial=0.0)))
-    outside = system.ages + t > system.window.hi
-    offending = np.nonzero(outside & (np.abs(coeffs) > floor))[0]
-    if offending.size:
+    inside = system.interior_mask(t)
+    size = np.abs(coeffs)
+    far = size[:, ~inside] > support_tol * np.maximum(1.0, size.max(axis=1, keepdims=True))
+    if far.any():
+        row = int(np.nonzero(far.any(axis=1))[0][0])
+        offending = np.nonzero(~inside)[0][far[row]]
         names = ", ".join(system.label_text(system.labels[i]) for i in offending[:8])
         raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
-    out = np.zeros(system.dim)
-    alive = np.nonzero(~outside & (coeffs != 0.0))[0]
-    targets = system.step_indices(t)[alive]
-    out[targets] = np.exp(ev.label_log_ratio(t)[alive]) * coeffs[alive]
-    return HVector(out, system.basis_id)
+    del size, far  # one block fewer alive through the gather below
+    # the weights inside the margin are finite, in [0, 1], so a zero
+    # coefficient stays zero; x + 0.0 is x, except that -0.0 becomes +0.0
+    moved = coeffs[:, inside] + 0.0
+    moved *= np.exp(ev.label_log_ratio(t)[inside])
+    return system.step_indices(t)[inside], moved
 
 
 @dataclass(frozen=True)
@@ -182,19 +204,45 @@ def positivity_probe(ev: MarkovEvolution, rho: GridDensity, t: int) -> Positivit
     component is held fixed while the fluctuation evolves, and the
     result is mapped back to the grid.  Whether the evolved density
     stays nonnegative is measured, never assumed: the report carries the
-    violation magnitude when the minimum dips below zero.
+    violation magnitude when the minimum dips below zero.  The one-row
+    case of :func:`density_walsh` followed by :func:`evolved_minima`.
     """
     if ev.system.kind != "baker":
         raise ValueError("positivity is probed on the baker grid realization")
-    if float(rho.values.min()) < -1e-12:
-        raise ValueError("probe density must be nonnegative")
-    if abs(rho.mass - 1.0) > 1e-9:
-        raise ValueError(f"probe density must have unit mass, got {rho.mass!r}")
-    state = grid_to_walsh(ev.system, rho)
-    evolved = markov_step(ev, state.fluct, t)
-    grid = walsh_to_grid(ev.system, StateVector(state.equilibrium, evolved))
-    min_cell = float(grid.values.min())
+    equilibrium, fluct = density_walsh(ev.system, grid_cells(ev.system, rho))
+    min_cell = float(evolved_minima(ev, equilibrium, fluct, t)[0])
     return PositivityReport(t=t, min_cell=min_cell, violation=max(0.0, -min_cell))
+
+
+def density_walsh(system, cells) -> tuple:
+    """Walsh coefficients of a block of probe densities, one per row.
+
+    ``cells`` holds the cell values in the bitmask order of
+    :func:`~timeop.cascade.walsh_to_cells`.  Every row must be
+    nonnegative and have unit mass, read as its equilibrium component;
+    the first row that is not raises ``ValueError``.  Returns the
+    equilibrium components and the label-ordered fluctuation block.
+    """
+    cells = np.asarray(cells, dtype=float)
+    if np.any(cells.min(axis=-1) < -1e-12):
+        raise ValueError("probe density must be nonnegative")
+    equilibrium, fluct = cells_to_walsh(system, cells)
+    off = np.nonzero(np.abs(equilibrium - 1.0) > 1e-9)[0]
+    if off.size:
+        raise ValueError(f"probe density must have unit mass, got {float(equilibrium[off[0]])!r}")
+    return equilibrium, fluct
+
+
+def evolved_minima(ev: MarkovEvolution, equilibrium, fluct, t: int) -> np.ndarray:
+    """Minimum cell of each density of a block after t steps.
+
+    ``equilibrium`` and ``fluct`` are as :func:`density_walsh` returns
+    them.  The fluctuation rows take one block step, the equilibrium
+    components stay fixed, and all rows go back to the grid in one
+    transform.
+    """
+    targets, moved = _moved_rows(ev, fluct, t, SUPPORT_TOLERANCE)
+    return walsh_to_cells(ev.system, equilibrium, moved, labels=targets).min(axis=1)
 
 
 @dataclass(frozen=True)

@@ -312,18 +312,20 @@ def verify_covariant_transform(op: DecayOperator, t: int) -> float:
 
     Checks ``(U^t)' L U^t = lambda(T + t)`` and the squared variant
     ``(U^t)' L^2 U^t = lambda(T + t)^2`` on basis vectors inside the
-    t-margin, along the step index map; the squared side is formed by
-    squaring the evaluated lambda floats so a correct construction
-    returns exactly 0.0.
+    t-margin, along the step index map.  Both sides are compared as log
+    weights, the squared side as the doubled arrays: plain lambda
+    underflows to 0.0 on wide windows (4 of the 21 labels of shift
+    [-10, 10] under gumbel(1)), where a float comparison reads 0 == 0
+    whatever the weights.  A correct construction returns exactly 0.0.
     """
     if t < 0:
         raise ValueError("covariant transform is checked for t >= 0")
     system = op.system
-    lam = op.diag
-    lam_shift = np.exp(op.log_weight(system.ages + t))
+    log_lam = op.log_diag
+    log_shift = op.log_weight(system.ages + t)
     cols = system.interior_mask(t)
-    return max(system.pullback_deviation(t, lam, lam_shift, cols),
-               system.pullback_deviation(t, lam * lam, lam_shift * lam_shift, cols))
+    return max(system.pullback_deviation(t, log_lam, log_shift, cols),
+               system.pullback_deviation(t, 2.0 * log_lam, 2.0 * log_shift, cols))
 
 
 def log_condition_number(op: DecayOperator) -> float:

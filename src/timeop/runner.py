@@ -28,18 +28,16 @@ import numpy as np
 from . import __version__
 from .cascade import (
     AgeWindow,
-    GridDensity,
-    StateVector,
     build_baker_cascade,
     build_shift_cascade,
     verify_covariance,
     verify_imprimitivity,
-    walsh_to_grid,
+    walsh_to_cells,
 )
 from .config import ExperimentConfig
 from .duals import build_operator_web, verify_web
 from .hilbert import HVector
-from .markov import MarkovEvolution, lyapunov_trace, positivity_probe
+from .markov import MarkovEvolution, density_walsh, evolved_minima, lyapunov_trace
 from .profiles import (
     DecayProfile,
     build_decay_operator,
@@ -193,36 +191,51 @@ def _run_lyapunov(ctx, params, rng):
     return monotone_all, details
 
 
-def _safe_random_density(ctx, rng, max_age):
-    """Nonnegative unit-mass grid density with fluctuation ages <= max_age."""
-    system = ctx.system
-    mask = system.ages <= max_age
-    coeffs = np.where(mask, rng.standard_normal(system.dim), 0.0)
-    grid = walsh_to_grid(system, StateVector(0.0, HVector(coeffs, system.basis_id)))
-    low = float(grid.values.min())
-    scale = 0.5 / max(1e-9, -low) if low < 0 else 1.0
-    return GridDensity(1.0 + scale * grid.values)
+# random densities are probed this many at a time: one (rows, 2**(2m+1))
+# block is 0.5 MB at m = 6, and a chunk keeps at most about four alive
+_PROBE_CHUNK = 8
+
+
+def _random_densities(system, rng, rows, late):
+    """Nonnegative unit-mass densities as bitmask-ordered cell rows.
+
+    Each row draws one coefficient per label, zeroes the ``late`` labels
+    and is evaluated on the grid; a row dipping below zero is scaled so
+    that its minimum is -1/2 before adding the equilibrium 1.  The draws
+    are one ``(rows, dim)`` block, the same stream as ``rows`` draws of
+    one vector each.
+    """
+    fluct = rng.standard_normal((rows, system.dim))
+    fluct[:, late] = 0.0
+    cells = walsh_to_cells(system, np.zeros(rows), fluct)
+    low = cells.min(axis=1)
+    cells *= np.where(low < 0, 0.5 / np.maximum(1e-9, -low), 1.0)[:, None]
+    cells += 1.0
+    return cells
 
 
 def _run_positivity(ctx, params, rng):
+    system = ctx.system
     t_values = params["t_values"]
     t_max = max(t_values)
-    canonical = walsh_to_grid(
-        ctx.system, StateVector(1.0, ctx.system.basis_vector(frozenset({0})))
+    late = system.ages > system.window.hi - t_max
+    canonical = density_walsh(
+        system, walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None])
     )
     sweep = []
     for a in params["sweep_a"]:
         profile = gumbel(a)
-        decay = build_decay_operator(profile, ctx.system)
+        decay = build_decay_operator(profile, system)
         ev = MarkovEvolution(decay, t_max)
         for t in t_values:
-            report = positivity_probe(ev, canonical, t)
-            sweep.append({"a": a, "t": t, "density": "1+chi({0})",
-                          "min_cell": report.min_cell})
-            for k in range(params["n_random"]):
-                density = _safe_random_density(ctx, rng, ctx.system.window.hi - t_max)
-                r = positivity_probe(ev, density, t)
-                sweep.append({"a": a, "t": t, "density": f"random-{k}", "min_cell": r.min_cell})
+            minima = evolved_minima(ev, *canonical, t)
+            sweep.append({"a": a, "t": t, "density": "1+chi({0})", "min_cell": float(minima[0])})
+            for start in range(0, params["n_random"], _PROBE_CHUNK):
+                rows = min(_PROBE_CHUNK, params["n_random"] - start)
+                minima = evolved_minima(
+                    ev, *density_walsh(system, _random_densities(system, rng, rows, late)), t)
+                sweep.extend({"a": a, "t": t, "density": f"random-{start + k}",
+                              "min_cell": float(v)} for k, v in enumerate(minima))
     worst = min(entry["min_cell"] for entry in sweep)
     details = {"sweep": sweep, "worst_min_cell": worst,
                "negative_cells_observed": bool(worst < 0)}

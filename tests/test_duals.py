@@ -103,6 +103,17 @@ class TestWeb:
         with pytest.raises(MarginError):
             build_operator_web(op, 7)
 
+    def test_truncated_image_leaves_its_column_empty(self):
+        # a safe label whose image is -1 has no edge; -1 must not index
+        # the last row, which keeps only the edge from age 3
+        s = build_shift_cascade(AgeWindow(-4, 4))
+        step = np.array(s._step)
+        step[s.index_of(1)] = -1
+        bad = CascadeSystem(s.kind, s.window, s.labels, s.ages, step, s.basis_id)
+        mat = build_operator_web(build_decay_operator(gumbel(1.0), bad), 1).matrix("u_ext")
+        assert not mat[:, s.index_of(1)].any()
+        assert np.array_equal(mat[-1], np.eye(s.dim)[s.index_of(3)])
+
 
 class TestVerifyWeb:
     def test_identity_part_within_round_off(self):

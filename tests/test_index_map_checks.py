@@ -48,15 +48,16 @@ def dense_imprimitivity(system, delta, t):
 
 
 def dense_covariant_transform(op, t):
+    # log weights, the squared side as the doubled arrays
     system = op.system
     ut = np.linalg.matrix_power(system.U, t)
-    lam = op.diag
-    lam_shift = np.exp(op.log_weight(system.ages + t))
+    log_lam = op.log_diag
+    log_shift = op.log_weight(system.ages + t)
     cols = system.interior_mask(t)
     if not np.any(cols):
         return 0.0
     dev = 0.0
-    for d, target in ((lam, lam_shift), (lam * lam, lam_shift * lam_shift)):
+    for d, target in ((log_lam, log_shift), (2.0 * log_lam, 2.0 * log_shift)):
         diff = ut.T @ np.diag(d) @ ut - np.diag(target)
         dev = max(dev, float(np.abs(diff[:, cols]).max()))
     return dev
@@ -131,7 +132,8 @@ def test_step_collision(system):
 def test_collision_alone_is_seen_through_the_off_diagonal_entry():
     # two labels of age 0 step onto one age-1 label: every diagonal entry
     # stays right, and only the shared image puts age 1 (or the
-    # projector's 1.0, or lambda(1)) off the diagonal
+    # projector's 1.0, or 2 log lambda(1) on the squared side) off the
+    # diagonal
     system = build_baker_cascade(2)
     i, j = np.nonzero(system.ages == 0)[0][:2]
     step = np.array(system._step)
@@ -140,7 +142,7 @@ def test_collision_alone_is_seen_through_the_off_diagonal_entry():
     assert verify_covariance(bad, 1) == 1.0 == dense_covariance(bad, 1)
     assert verify_imprimitivity(bad, (0,), 1) == 1.0 == dense_imprimitivity(bad, (0,), 1)
     op = build_decay_operator(gumbel(1.0), bad)
-    expected = float(op.diag[step[i]])
+    expected = float(-2.0 * op.log_diag[step[i]])
     assert verify_covariant_transform(op, 1) == expected == dense_covariant_transform(op, 1)
 
 
@@ -154,7 +156,7 @@ def test_truncated_image_inside_the_margin(system):
     assert covariance[1] == 2.0  # the dense column value |age + t|
     assert verify_imprimitivity(bad, (1,), 1) == 1.0
     op = build_decay_operator(gumbel(1.0), bad)
-    assert verify_covariant_transform(op, 1) == float(np.exp(op.log_weight(system.ages + 1)[j]))
+    assert verify_covariant_transform(op, 1) == float(-2.0 * op.log_weight(system.ages + 1)[j])
 
 
 @pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)
@@ -162,7 +164,7 @@ def test_perturbed_decay_entry(system):
     op = build_decay_operator(gumbel(1.0), system)
     log_diag = np.array(op.log_diag)
     log_diag[int(np.nonzero(system.ages == 1)[0][0])] *= 1.0 + 1e-9
-    op.log_diag = log_diag  # before op.diag is first read, so it picks this up
+    op.log_diag = log_diag
     for t in T_VALUES:
         assert verify_covariant_transform(op, t) == dense_covariant_transform(op, t)
     assert verify_covariant_transform(op, 1) > 0.0

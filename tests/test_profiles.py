@@ -166,3 +166,16 @@ class TestCovariantTransform:
         b = build_baker_cascade(1)
         op = build_decay_operator(gumbel(1.0), b)
         assert verify_covariant_transform(op, 1) == 0.0
+
+    def test_perturbed_underflowed_weight_is_seen(self):
+        # lambda(n) = exp(-e^n) is 0.0 in floats for n >= 7, so a plain
+        # comparison there reads 0 == 0 whatever the weight
+        s = build_shift_cascade(AgeWindow(-10, 10))
+        op = build_decay_operator(gumbel(1.0), s)
+        assert np.count_nonzero(op.diag == 0.0) == 4
+        assert verify_covariant_transform(op, 1) == 0.0
+        log_diag = np.array(op.log_diag)
+        log_diag[s.index_of(8)] += 1.0
+        op.log_diag = log_diag
+        assert math.exp(log_diag[s.index_of(8)]) == 0.0
+        assert verify_covariant_transform(op, 1) == 2.0
