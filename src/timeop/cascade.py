@@ -45,6 +45,7 @@ __all__ = [
     "koopman_power",
     "verify_covariance",
     "verify_imprimitivity",
+    "verify_age_transport",
     "walsh_to_grid",
     "grid_to_walsh",
     "walsh_to_cells",
@@ -138,6 +139,9 @@ class CascadeSystem:
         step = np.asarray(step, dtype=np.int64)
         step.setflags(write=False)
         self._step = step
+        identity = np.arange(len(self.labels), dtype=np.int64)
+        identity.setflags(write=False)
+        self._steps = {0: identity}  # t -> step_indices(t)
         self.basis_id = basis_id
         self.m = m
         self._masks = masks
@@ -172,14 +176,20 @@ class CascadeSystem:
         return self.ages + t <= self.window.hi
 
     def step_indices(self, t: int) -> np.ndarray:
-        """Index map of U^t on labels; -1 where the image leaves the window."""
+        """Read-only index map of U^t on labels; -1 where the image leaves the window.
+
+        Each t is composed once, from the map of t - 1, and kept.
+        """
         if t < 0:
             raise ValueError("the step map is defined for t >= 0")
-        idx = np.arange(self.dim, dtype=np.int64)
-        for _ in range(t):
-            alive = idx >= 0
-            idx[alive] = self._step[idx[alive]]
-        return idx
+        if t not in self._steps:
+            known = max(k for k in self._steps if k < t)
+            idx = self._steps[known]
+            for k in range(known + 1, t + 1):
+                idx = np.where(idx >= 0, self._step[idx], -1)
+                idx.setflags(write=False)
+                self._steps[k] = idx
+        return self._steps[t]
 
     def age_mask(self, delta) -> np.ndarray:
         """Boolean mask of the labels whose age lies in ``delta``."""
@@ -345,6 +355,33 @@ def verify_imprimitivity(system: CascadeSystem, delta, t: int) -> float:
     delta = [int(n) for n in delta]
     shifted = system.age_mask([n + t for n in delta]).astype(float)
     return system.pullback_deviation(t, shifted, system.age_mask(delta).astype(float))
+
+
+def verify_age_transport(system: CascadeSystem, t: int) -> float:
+    """Largest :func:`verify_imprimitivity` deviation over the single ages at time t.
+
+    The maximum of ``verify_imprimitivity(system, (n,), t)`` over every
+    age n with n + t in the window, in one pass of the step index map.
+    For one age n, column j of ``(U^t)' E({n+t}) U^t - E({n})`` is off
+    by 1 where exactly one of "j has age n" and "the image of j has age
+    n + t" holds, and where the image of j has age n + t and is shared
+    with another label.  Every entry is 0 or 1, so the maximum is
+    exactly the float the per-age calls give, defective maps included.
+    """
+    if t < 0:
+        raise ValueError("imprimitivity is checked for t >= 0")
+    lo, hi = system.window.lo, system.window.hi - t
+    idx = system.step_indices(t)
+    alive = idx >= 0
+    image = np.where(alive, idx, 0)
+    # the age n whose transport carries j: its image's age minus t, or
+    # none (below the window) when the image is truncated
+    carried = np.where(alive, system.ages[image] - t, lo - 1)
+    shared = alive & (np.bincount(idx[alive], minlength=system.dim)[image] > 1)
+    own = system.ages
+    off = ((carried >= lo) & (carried <= hi) & ((carried != own) | shared)) | (
+        (own >= lo) & (own <= hi) & (carried != own))
+    return float(off.any())
 
 
 # -- Walsh / grid realization --------------------------------------------

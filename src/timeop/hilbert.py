@@ -8,10 +8,15 @@ index map plus per-label log weights (see the cascade module).
 Vectors are immutable after construction and every operation is a pure
 function, so concurrent read-only use needs no synchronization.  The
 scalar field is real.
+
+The batched routines of the other modules work on ``(rows, dim)``
+coefficient blocks; the helpers here cut a block into row chunks and
+reduce it row by row to the very floats the one-vector code gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,20 @@ __all__ = [
     "HVector",
     "inner",
     "NORM_RESCALE_BELOW",
+    "BLOCK_FLOATS",
+    "row_chunks",
+    "vector_norm",
+    "masked_row_sums",
 ]
 
 # Squaring coefficients below about 1e-154 enters the subnormal range;
 # norms under this cutoff are recomputed on the rescaled coefficients.
 NORM_RESCALE_BELOW = 1e-140
+
+# Batched routines take their rows in chunks whose working set stays
+# within this many floats: eight rows of a baker m = 6 system (dim 8191),
+# the positivity sweep's chunk.
+BLOCK_FLOATS = 8 * 8191
 
 
 class BasisMismatchError(ValueError):
@@ -68,12 +82,7 @@ class HVector:
         the squared coefficients underflowing, so it is recomputed with
         the coefficients scaled by the largest magnitude.
         """
-        n = float(np.linalg.norm(self.coeffs))
-        if n < NORM_RESCALE_BELOW:
-            scale = float(np.abs(self.coeffs).max(initial=0.0))
-            if scale > 0.0:
-                n = scale * float(np.linalg.norm(self.coeffs / scale))
-        return n
+        return vector_norm(self.coeffs)
 
     def __add__(self, other: "HVector") -> "HVector":
         _check_vectors(self, other)
@@ -103,3 +112,48 @@ def inner(u: HVector, v: HVector) -> float:
     """
     _check_vectors(u, v)
     return float(np.dot(u.coeffs, v.coeffs))
+
+
+def vector_norm(coeffs: np.ndarray) -> float:
+    """:meth:`HVector.norm` of a 1-dimensional float array, such as a block row.
+
+    ``np.linalg.norm`` of a real vector is the square root of its dot
+    product with itself; the root is taken here directly, with the same
+    float.
+    """
+    n = math.sqrt(coeffs.dot(coeffs))
+    if n < NORM_RESCALE_BELOW:
+        scale = float(np.abs(coeffs).max(initial=0.0))
+        if scale > 0.0:
+            scaled = coeffs / scale
+            n = scale * math.sqrt(scaled.dot(scaled))
+    return n
+
+
+def row_chunks(rows: int, width: int) -> list:
+    """Slices cutting ``range(rows)`` into chunks of at most ``BLOCK_FLOATS`` floats.
+
+    ``width`` is the floats one row holds at the caller's peak, its
+    temporaries included; a chunk holds one row at least.
+    """
+    step = max(1, BLOCK_FLOATS // max(1, width))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.sum(values[r][mask[r]])`` for every row r of a ``(rows, n)`` block, bitwise.
+
+    A sum along the last axis of a C-contiguous block adds each row
+    pairwise, exactly as the 1-dimensional sum of that row does, but the
+    grouping depends on the row length.  So the rows sharing one mask are
+    compacted to their masked columns and summed as one block.
+    """
+    out = np.empty(values.shape[0])
+    todo = np.ones(values.shape[0], dtype=bool)
+    while todo.any():
+        cols = mask[np.argmax(todo)]
+        rows = todo & (mask == cols).all(axis=1)
+        block = values if rows.all() else values[rows]
+        out[rows] = np.ascontiguousarray(block if cols.all() else block[:, cols]).sum(axis=1)
+        todo &= ~rows
+    return out

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import GridDensity, MarginError, cells_to_walsh, grid_cells, walsh_to_cells
-from .hilbert import NORM_RESCALE_BELOW, BasisMismatchError, HVector
+from .hilbert import (
+    NORM_RESCALE_BELOW,
+    BasisMismatchError,
+    HVector,
+    masked_row_sums,
+    vector_norm,
+)
 from .profiles import DecayOperator
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "markov_step",
     "LyapunovTrace",
     "lyapunov_trace",
+    "lyapunov_traces",
     "PositivityReport",
     "positivity_probe",
     "density_walsh",
@@ -121,7 +128,8 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, support_tol: fl
     del size, far  # one block fewer alive through the gather below
     # the weights inside the margin are finite, in [0, 1], so a zero
     # coefficient stays zero; x + 0.0 is x, except that -0.0 becomes +0.0
-    moved = coeffs[:, inside] + 0.0
+    moved = coeffs[:, inside]
+    moved += 0.0
     moved *= np.exp(ev.label_log_ratio(t)[inside])
     return system.step_indices(t)[inside], moved
 
@@ -153,39 +161,78 @@ def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None,
     relative.  Where either route falls below ``NORM_RESCALE_BELOW``
     the plain form has underflowed, so the routes are compared in the
     log domain instead.  Monotone decrease of the norms is reported,
-    not assumed.
+    not assumed.  The one-row case of :func:`lyapunov_traces`.
     """
+    horizon = _horizon(ev, max_t)
+    if rho.basis_id != ev.system.basis_id:
+        raise BasisMismatchError("vector does not belong to the evolved system")
+    return lyapunov_traces(ev, rho.coeffs[None], horizon, agreement_tol)[0]
+
+
+def _horizon(ev: MarkovEvolution, max_t: int | None) -> int:
     horizon = ev.max_t if max_t is None else int(max_t)
     if horizon > ev.max_t:
         raise ValueError(f"max_t={horizon} exceeds the precomputed horizon {ev.max_t}")
-    norms = []
-    forms = []
-    for t in range(horizon + 1):
-        evolved = markov_step(ev, rho, t)
-        norm_direct = evolved.norm()
+    return horizon
+
+
+def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None,
+                    agreement_tol: float = 1e-10) -> list:
+    """:func:`lyapunov_trace` of each row of a ``(rows, dim)`` coefficient block.
+
+    Each t takes one block step, and every float is the one the
+    one-row trace gives.  The checks run t by t: at the first t where a
+    row's support leaves the window (:class:`MarginError`) or its two
+    routes disagree (``AssertionError``), the first such row raises.
+    """
+    t_values = tuple(range(_horizon(ev, max_t) + 1))
+    coeffs = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("entries must be finite")
+    rows, dim = coeffs.shape
+    nonzero = coeffs != 0.0
+    norms = np.zeros((rows, len(t_values)))
+    forms = np.zeros((rows, len(t_values)))
+    for t in t_values:
+        targets, moved = _moved_rows(ev, coeffs, t, SUPPORT_TOLERANCE)
+        evolved = np.zeros((rows, dim))
+        evolved[:, targets] = moved
+        del moved
+        norms[:, t] = [vector_norm(row) for row in evolved]
+        del evolved
         log_ratio = ev.label_log_ratio(t)
-        alive = (rho.coeffs != 0.0) & ~np.isnan(log_ratio)
+        alive = nonzero & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
-            form = float(np.sum(np.exp(2.0 * log_ratio[alive]) * rho.coeffs[alive] ** 2))
-        if norm_direct > 0.0:
-            root = float(np.sqrt(form))
-            if min(norm_direct, root) >= NORM_RESCALE_BELOW:
-                rel_gap = abs(root - norm_direct) / norm_direct
-            else:
-                logs = 2.0 * log_ratio[alive] + 2.0 * np.log(np.abs(rho.coeffs[alive]))
-                peak = logs.max()
-                log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
-                rel_gap = abs(log_form - np.log(norm_direct))
-            if rel_gap > agreement_tol:
-                raise AssertionError(
-                    f"norm routes disagree at t={t}: direct {norm_direct!r} vs form {root!r} "
-                    f"(relative gap {rel_gap:.3g})"
-                )
-        norms.append(norm_direct)
-        forms.append(form)
-    monotone = all(b <= a for a, b in zip(norms, norms[1:]))
-    ratio = norms[-1] / norms[0] if norms and norms[0] > 0 else 0.0
-    return LyapunovTrace(tuple(range(horizon + 1)), tuple(norms), tuple(forms), monotone, ratio)
+            forms[:, t] = masked_row_sums(np.exp(2.0 * log_ratio) * coeffs ** 2, alive)
+        _check_routes(t, norms[:, t], forms[:, t], log_ratio, coeffs, alive, agreement_tol)
+    traces = []
+    for row_norms, row_forms in zip(norms.tolist(), forms.tolist()):
+        monotone = all(b <= a for a, b in zip(row_norms, row_norms[1:]))
+        ratio = row_norms[-1] / row_norms[0] if row_norms and row_norms[0] > 0 else 0.0
+        traces.append(LyapunovTrace(t_values, tuple(row_norms), tuple(row_forms),
+                                    monotone, ratio))
+    return traces
+
+
+def _check_routes(t, norm_direct, form, log_ratio, coeffs, alive, agreement_tol):
+    """Raise for the first row whose direct norm and form root disagree at t."""
+    root = np.sqrt(form)
+    gap = np.zeros(norm_direct.size)
+    checked = norm_direct > 0.0
+    plain = checked & (np.minimum(norm_direct, root) >= NORM_RESCALE_BELOW)
+    gap[plain] = np.abs(root[plain] - norm_direct[plain]) / norm_direct[plain]
+    for r in np.nonzero(checked & ~plain)[0]:
+        logs = 2.0 * log_ratio[alive[r]] + 2.0 * np.log(np.abs(coeffs[r][alive[r]]))
+        peak = logs.max()
+        log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
+        gap[r] = abs(log_form - np.log(norm_direct[r]))
+    bad = np.nonzero(gap > agreement_tol)[0]
+    if bad.size:
+        r = bad[0]
+        raise AssertionError(
+            f"norm routes disagree at t={t}: direct {float(norm_direct[r])!r} vs form "
+            f"{float(root[r])!r} (relative gap {gap[r]:.3g})"
+        )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import HVector
+from .hilbert import HVector, masked_row_sums, row_chunks, vector_norm
 
 __all__ = [
     "NormDomainError",
@@ -75,23 +75,47 @@ def weighted_inner(u: HVector, v: HVector, log_weights) -> float:
     """sum_k u_k v_k exp(log_weights[k]), each term formed in log domain.
 
     This evaluates Gram-weighted pairings whose weights span hundreds of
-    orders of magnitude without intermediate under- or overflow.
+    orders of magnitude without intermediate under- or overflow.  The
+    one-row case of the block pairing :func:`isometry_check` runs.
     """
     lw = np.asarray(log_weights, dtype=float)
-    uc, vc = u.coeffs, v.coeffs
+    return float(_weighted_inner_rows(u.coeffs[None], v.coeffs[None], lw)[0])
+
+
+def _weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """:func:`weighted_inner` of each row pair of two ``(rows, dim)`` blocks.
+
+    Each row sums over its own active labels, where both coefficients
+    are nonzero.  A row with no active label pairs to 0.0, and a row
+    whose active labels all carry log weight zero to the plain dot
+    product; the first other row whose largest term passes the cap
+    raises :class:`NormDomainError`.
+    """
     active = (uc != 0) & (vc != 0)
-    if not np.any(active):
-        return 0.0
-    if not np.any(lw[active]):
-        return float(np.dot(uc[active], vc[active]))
-    logs = np.log(np.abs(uc[active])) + np.log(np.abs(vc[active])) + lw[active]
-    signs = np.sign(uc[active]) * np.sign(vc[active])
-    peak = float(logs.max())
-    if peak > LOG_WEIGHT_CAP:
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(uc))
+        logs += np.log(np.abs(vc))
+    logs += lw
+    peak = logs.max(axis=1)  # inactive labels log to -inf
+    out = np.zeros(uc.shape[0])
+    plain = ~np.any(active & (lw != 0), axis=1)
+    for r in np.nonzero(plain & active.any(axis=1))[0]:
+        out[r] = np.dot(uc[r][active[r]], vc[r][active[r]])
+    weighted = ~plain
+    over = np.nonzero(weighted & (peak > LOG_WEIGHT_CAP))[0]
+    if over.size:
         raise NormDomainError(
-            f"outside materialized domain: term magnitude exp({peak:.1f}) exceeds the cap"
+            f"outside materialized domain: term magnitude exp({float(peak[over[0]]):.1f}) "
+            "exceeds the cap"
         )
-    return float(np.exp(peak) * np.sum(signs * np.exp(logs - peak)))
+    if weighted.any():
+        rows = weighted if not weighted.all() else slice(None)
+        logs = logs[rows]
+        logs -= peak[rows, None]
+        terms = np.sign(uc[rows]) * np.sign(vc[rows])
+        terms *= np.exp(logs)
+        out[rows] = np.exp(peak[rows]) * masked_row_sums(terms, active[rows])
+    return out
 
 
 def graded_norm(v: HVector, n, j, cap: float = LOG_WEIGHT_CAP) -> float:
@@ -100,7 +124,8 @@ def graded_norm(v: HVector, n, j, cap: float = LOG_WEIGHT_CAP) -> float:
     Evaluated per coordinate as exp(log|v_k| - n log d_k); grade 0
     returns the ambient norm exactly.  Coordinates whose weighted log
     magnitude exceeds ``cap`` raise :class:`NormDomainError`, reporting
-    the vector as outside the materialized domain of the grade.
+    the vector as outside the materialized domain of the grade.  The
+    one-row, one-grade case of the block :func:`build_tower` checks.
     """
     grade = float(Fraction(n)) if isinstance(n, (int, Fraction)) else float(n)
     if grade < 0:
@@ -110,16 +135,47 @@ def graded_norm(v: HVector, n, j, cap: float = LOG_WEIGHT_CAP) -> float:
     log_diag = _log_diag_of(j)
     if v.dim != log_diag.shape[0] or v.basis_id != j.basis_id:
         raise ValueError("vector and operator live over different bases")
-    active = v.coeffs != 0
-    if not np.any(active):
-        return 0.0
-    logs = np.log(np.abs(v.coeffs[active])) - grade * log_diag[active]
-    peak = float(logs.max())
-    if peak > cap:
-        raise NormDomainError(
-            f"outside materialized domain: grade {n} weights reach exp({peak:.1f})"
-        )
-    return float(np.exp(peak) * math.sqrt(np.sum(np.exp(2.0 * (logs - peak)))))
+    norms, peaks = _graded_norm_rows(v.coeffs[None], (grade,), log_diag)
+    if peaks[0, 0] > cap:
+        raise _outside_grade(n, peaks[0, 0])
+    return float(norms[0, 0])
+
+
+def _outside_grade(n, peak) -> NormDomainError:
+    return NormDomainError(
+        f"outside materialized domain: grade {n} weights reach exp({float(peak):.1f})"
+    )
+
+
+def _graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
+    """Graded norms of each row of a ``(rows, dim)`` block at each float grade.
+
+    Returns the ``(rows, grades)`` norms and the peak log magnitudes
+    behind them: entry [r, g] is :func:`graded_norm`'s float for row r
+    at grade g wherever its peak is within the cap.  Grade 0 is the
+    ambient norm and has peak -inf.
+    """
+    grades = np.asarray(grades, dtype=float)
+    rows, dim = coeffs.shape
+    norms = np.zeros((rows, grades.size))
+    peaks = np.full((rows, grades.size), -np.inf)
+    for g in np.nonzero(grades == 0)[0]:
+        norms[:, g] = [vector_norm(row) for row in coeffs]
+    up = np.nonzero(grades > 0)[0]
+    if up.size:
+        active = np.repeat(coeffs != 0, up.size, axis=0)
+        # a row of zeros has peak -inf and norm 0; a peak past the cap
+        # may overflow, and its norm is never used
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logs = np.log(np.abs(coeffs))[:, None, :] - (grades[up, None] * log_diag)
+            logs = logs.reshape(-1, dim)  # row-major: (row, grade) pairs
+            peak = logs.max(axis=1)  # zero coefficients log to -inf
+            logs -= peak[:, None]
+            logs *= 2.0
+            norm = np.exp(peak) * np.sqrt(masked_row_sums(np.exp(logs), active))
+        norms[:, up] = np.where(peak > -np.inf, norm, 0.0).reshape(rows, up.size)
+        peaks[:, up] = peak.reshape(rows, up.size)
+    return norms, peaks
 
 
 @dataclass(frozen=True)
@@ -156,7 +212,9 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
     Monotonicity (higher grade, larger norm) requires every diagonal
     entry of J to be at most one; larger entries are rejected.  The
     sampled verification draws ``samples`` standard normal vectors and
-    checks every consecutive grade pair.
+    checks every consecutive grade pair.  The samples are drawn and
+    normed as row blocks of every grade at once, and the first failure
+    in (sample, grade) order raises, as a loop over both would.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
@@ -164,17 +222,23 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
     if np.any(log_diag > 0):
         raise ValueError("tower monotonicity needs diagonal entries <= 1")
     grades = _tower_grades(tower_type, cutoff)
+    dim = log_diag.shape[0]
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        v = HVector(rng.standard_normal(log_diag.shape[0]), j.basis_id)
-        previous = None
-        for grade in grades:
-            current = graded_norm(v, grade, j)
-            if previous is not None and current < previous * (1.0 - 1e-12):
-                raise ValueError(
-                    f"grade monotonicity failed between grades around {grade} on a sample"
-                )
-            previous = current
+    # a sample holds its logs and their exponentials at every grade
+    for chunk in row_chunks(samples, 2 * len(grades) * dim):
+        block = rng.standard_normal((chunk.stop - chunk.start, dim))
+        norms, peaks = _graded_norm_rows(block, [float(g) for g in grades], log_diag)
+        outside = peaks > LOG_WEIGHT_CAP
+        drop = np.zeros_like(outside)
+        drop[:, 1:] = norms[:, 1:] < norms[:, :-1] * (1.0 - 1e-12)
+        failed = np.flatnonzero(outside | drop)
+        if failed.size:
+            r, g = divmod(int(failed[0]), len(grades))
+            if outside[r, g]:
+                raise _outside_grade(grades[g], peaks[r, g])
+            raise ValueError(
+                f"grade monotonicity failed between grades around {grades[g]} on a sample"
+            )
     supremum = {"A": Fraction(1), "B": Fraction(1), "C": None}[tower_type]
     attained = tower_type == "A"
     return NormTower(tower_type, grades, j, cutoff, supremum, attained, samples)
@@ -187,25 +251,26 @@ def isometry_check(j, samples: int = 100, seed: int = 0) -> float:
     their grade-1 inner product (Gram weights exp(-2 log d)) against the
     ambient pairing of the originals.  The deviation is normalized by
     the product of the ambient norms; the identity holds algebraically,
-    so the return value measures pure round-off.
+    so the return value measures pure round-off.  The pairs are drawn
+    as ``(rows, 2, dim)`` blocks, and every float is the one a loop over
+    the pairs gives.
     """
     log_diag = _log_diag_of(j)
-    basis_id = j.basis_id
     dim = log_diag.shape[0]
     diag = np.exp(log_diag)
+    gram = -2.0 * log_diag
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        sigma = HVector(rng.standard_normal(dim), basis_id)
-        rho = HVector(rng.standard_normal(dim), basis_id)
-        j_sigma = HVector(diag * sigma.coeffs, basis_id)
-        j_rho = HVector(diag * rho.coeffs, basis_id)
-        lhs = weighted_inner(j_sigma, j_rho, -2.0 * log_diag)
-        rhs = float(np.dot(sigma.coeffs, rho.coeffs))
-        scale = sigma.norm() * rho.norm()
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(lhs - rhs) / scale)
+    # a pair holds about eight dim-long rows at the peak: the two draws,
+    # the weighted pair, the logs and the terms with their temporaries
+    for chunk in row_chunks(samples, 8 * dim):
+        pairs = rng.standard_normal((chunk.stop - chunk.start, 2, dim))
+        sigma, rho = pairs[:, 0], pairs[:, 1]
+        lhs = _weighted_inner_rows(diag * sigma, diag * rho, gram)
+        for r, (s, p) in enumerate(zip(sigma, rho)):
+            scale = vector_norm(s) * vector_norm(p)
+            if scale != 0.0:
+                worst = max(worst, abs(float(lhs[r]) - float(np.dot(s, p))) / scale)
     return worst
 
 
@@ -259,10 +324,9 @@ def geometric_spectrum(q: float, truncation: int = 100_000) -> SingularSpectrum:
     return SingularSpectrum("geometric", q=float(q), truncation=truncation)
 
 
-def _partial_sum(spectrum: SingularSpectrum, exponent: float) -> float:
-    vals = spectrum.values()
+def _partial_sum(values: np.ndarray, exponent: float) -> float:
     with np.errstate(under="ignore"):
-        return float(np.sum(vals ** exponent))
+        return float(np.sum(values ** exponent))
 
 
 def _tail_bounds(spectrum: SingularSpectrum, exponent: float):
@@ -355,13 +419,14 @@ def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> Operato
     if min_nuclear is None and spectrum.family == "power":
         min_nuclear = math.floor(1.0 / spectrum.alpha) + 1
 
+    values = spectrum.values()
     evidence = []
     for exponent in (1.0, 2.0, 4.0):
         bounds = _tail_bounds(spectrum, exponent)
         evidence.append(
             PartialSumEvidence(
                 exponent=exponent,
-                partial=_partial_sum(spectrum, exponent),
+                partial=_partial_sum(values, exponent),
                 tail_lo=None if bounds is None else bounds[0],
                 tail_hi=None if bounds is None else bounds[1],
                 converges=_converges(spectrum, exponent),
@@ -420,7 +485,7 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
         exponent=exponent,
         ratio_limsup=ratio_limsup,
         criterion_met=ratio_limsup < 1.0,
-        partial_sum=_partial_sum(spectrum, exponent),
+        partial_sum=_partial_sum(spectrum.values(), exponent),
         sum_converges=_converges(spectrum, exponent),
         closed_form_sum=_closed_form_sum(spectrum, exponent),
     )

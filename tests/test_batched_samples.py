@@ -1,0 +1,539 @@
+"""The row-batched sample loops against the one-sample loops.
+
+``build_tower``, ``isometry_check``, ``lyapunov_traces`` and the
+``lyapunov`` experiment draw and process their random samples as row
+blocks; ``classify_spectrum`` forms its spectrum values once; the
+covariance experiment checks every single-age projector transport in
+one pass.  The one-sample loops live here only, as the references:
+every float must be bitwise the loop's, every error the loop's first
+error, defects must still show, and at baker m = 6 the batched
+experiments must stay within a small memory budget.
+"""
+
+import math
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import timeop.hilbert
+import timeop.markov
+import timeop.rigging
+from timeop.cascade import (
+    AgeWindow,
+    CascadeSystem,
+    build_baker_cascade,
+    build_shift_cascade,
+    verify_age_transport,
+    verify_imprimitivity,
+)
+from timeop.config import parse_config
+from timeop.hilbert import HVector
+from timeop.markov import MarkovEvolution, lyapunov_trace, lyapunov_traces, markov_step
+from timeop.profiles import build_decay_operator, gumbel
+from timeop.rigging import (
+    LOG_WEIGHT_CAP,
+    NormDomainError,
+    _tower_grades,
+    _weighted_inner_rows,
+    build_tower,
+    classify_spectrum,
+    geometric_spectrum,
+    isometry_check,
+    kothe_nuclearity,
+    power_spectrum,
+)
+from timeop.runner import _Context, _interior_band, _run_lyapunov, _run_tower
+
+T_VALUES = (0, 1, 2, 3)
+
+
+def bits(values):
+    """Float bit patterns, so that -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# -- the one-sample loops -------------------------------------------------
+
+
+def norm_loop(coeffs):
+    n = float(np.linalg.norm(coeffs))
+    if n < 1e-140:
+        scale = float(np.abs(coeffs).max(initial=0.0))
+        if scale > 0.0:
+            n = scale * float(np.linalg.norm(coeffs / scale))
+    return n
+
+
+def weighted_inner_loop(uc, vc, lw):
+    active = (uc != 0) & (vc != 0)
+    if not np.any(active):
+        return 0.0
+    if not np.any(lw[active]):
+        return float(np.dot(uc[active], vc[active]))
+    logs = np.log(np.abs(uc[active])) + np.log(np.abs(vc[active])) + lw[active]
+    signs = np.sign(uc[active]) * np.sign(vc[active])
+    peak = float(logs.max())
+    if peak > LOG_WEIGHT_CAP:
+        raise NormDomainError(
+            f"outside materialized domain: term magnitude exp({peak:.1f}) exceeds the cap"
+        )
+    return float(np.exp(peak) * np.sum(signs * np.exp(logs - peak)))
+
+
+def isometry_loop(j, samples, seed):
+    log_diag = np.asarray(j.log_diag, dtype=float)
+    diag = np.exp(log_diag)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        sigma = rng.standard_normal(log_diag.size)
+        rho = rng.standard_normal(log_diag.size)
+        lhs = weighted_inner_loop(diag * sigma, diag * rho, -2.0 * log_diag)
+        rhs = float(np.dot(sigma, rho))
+        scale = norm_loop(sigma) * norm_loop(rho)
+        if scale == 0.0:
+            continue
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+def graded_norm_loop(coeffs, n, log_diag, norm=norm_loop):
+    grade = float(Fraction(n))
+    if grade == 0:
+        return norm(coeffs)
+    active = coeffs != 0
+    if not np.any(active):
+        return 0.0
+    logs = np.log(np.abs(coeffs[active])) - grade * log_diag[active]
+    peak = float(logs.max())
+    if peak > LOG_WEIGHT_CAP:
+        raise NormDomainError(
+            f"outside materialized domain: grade {n} weights reach exp({peak:.1f})"
+        )
+    return float(np.exp(peak) * math.sqrt(np.sum(np.exp(2.0 * (logs - peak)))))
+
+
+def tower_loop(j, grades, samples, seed, norm=norm_loop):
+    """The verdict of the sampled monotonicity check: None, or the error raised."""
+    log_diag = np.asarray(j.log_diag, dtype=float)
+    rng = np.random.default_rng(seed)
+    try:
+        for _ in range(samples):
+            v = rng.standard_normal(log_diag.size)
+            previous = None
+            for grade in grades:
+                current = graded_norm_loop(v, grade, log_diag, norm)
+                if previous is not None and current < previous * (1.0 - 1e-12):
+                    raise ValueError(
+                        f"grade monotonicity failed between grades around {grade} on a sample"
+                    )
+                previous = current
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def tower_verdict(j, tower_type, cutoff, samples, seed):
+    try:
+        build_tower(j, tower_type, cutoff, samples=samples, seed=seed)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
+    """(norms, forms) of one row, stepped one vector at a time."""
+    rho = HVector(coeffs, ev.system.basis_id)
+    norms, forms = [], []
+    for t in range(horizon + 1):
+        norm_direct = norm_loop(markov_step(ev, rho, t).coeffs)
+        log_ratio = ev.label_log_ratio(t)
+        alive = (rho.coeffs != 0.0) & ~np.isnan(log_ratio)
+        with np.errstate(under="ignore"):
+            form = float(np.sum(np.exp(2.0 * log_ratio[alive]) * rho.coeffs[alive] ** 2))
+        if norm_direct > 0.0:
+            root = float(np.sqrt(form))
+            if min(norm_direct, root) >= 1e-140:
+                rel_gap = abs(root - norm_direct) / norm_direct
+            else:
+                logs = 2.0 * log_ratio[alive] + 2.0 * np.log(np.abs(rho.coeffs[alive]))
+                peak = logs.max()
+                log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
+                rel_gap = abs(log_form - np.log(norm_direct))
+            if rel_gap > agreement_tol:
+                raise AssertionError(
+                    f"norm routes disagree at t={t}: direct {norm_direct!r} vs form {root!r} "
+                    f"(relative gap {rel_gap:.3g})"
+                )
+        norms.append(norm_direct)
+        forms.append(form)
+    return norms, forms
+
+
+# -- systems ----------------------------------------------------------------
+
+
+def decays():
+    """Shift windows, the widest with underflowing lambda, and baker m = 3."""
+    return [
+        build_decay_operator(gumbel(1.0), build_shift_cascade(AgeWindow(-4, 4))),
+        build_decay_operator(gumbel(1.0), build_shift_cascade(AgeWindow(-10, 10))),
+        build_decay_operator(gumbel(0.7), build_shift_cascade(AgeWindow(-3, 12))),
+        build_decay_operator(gumbel(1.0), build_baker_cascade(3)),
+    ]
+
+
+class Diagonal:
+    """A bare positive diagonal: log entries and a basis id."""
+
+    def __init__(self, log_diag, basis_id="bare"):
+        self.log_diag = np.asarray(log_diag, dtype=float)
+        self.basis_id = basis_id
+
+
+def subnormal_diagonal():
+    # exp(-744) is subnormal, so J sigma underflows to 0.0 at label 3 for
+    # some samples and not others: the active labels of the grade-1
+    # pairing differ from row to row
+    log_diag = -np.linspace(0.0, 9.0, 12)
+    log_diag[3] = -744.0
+    return Diagonal(log_diag)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of a few rows, so that short sample runs span several chunks."""
+    monkeypatch.setattr(timeop.hilbert, "BLOCK_FLOATS", 200)
+
+
+ids = lambda op: op.basis_id  # noqa: E731
+
+
+class TestIsometry:
+    @pytest.mark.parametrize("op", decays(), ids=ids)
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_bitwise_the_loop(self, op, seed):
+        assert bits(isometry_check(op, samples=50, seed=seed)) == bits(isometry_loop(op, 50, seed))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_active_labels_differ_by_row(self, seed, small_blocks):
+        j = subnormal_diagonal()
+        rng = np.random.default_rng(seed)
+        pairs = rng.standard_normal((40, 2, j.log_diag.size))
+        underflow = np.exp(-744.0) * pairs[:, :, 3] == 0.0
+        assert underflow.any() and not underflow.all()
+        assert bits(isometry_check(j, samples=40, seed=seed)) == bits(isometry_loop(j, 40, seed))
+
+    def test_plain_rows_pair_by_the_dot_product(self):
+        # log weights zero on every label: the loop's plain dot product
+        j = Diagonal(np.zeros(9))
+        assert bits(isometry_check(j, samples=30, seed=2)) == bits(isometry_loop(j, 30, 2))
+
+    def test_pairing_rows_are_the_loop(self):
+        # rows with no active label, rows paired by the plain dot product,
+        # weighted rows with differing active labels, and rows past the cap
+        rng = np.random.default_rng(6)
+        lw = np.array([0.0, 0.0, 3.0, -2.0, 690.0, 0.0])
+        uc = rng.standard_normal((10, 6))
+        vc = rng.standard_normal((10, 6))
+        uc[0] = 0.0
+        uc[1, 2:] = 0.0  # only weight-zero labels active
+        vc[2, [1, 3]] = 0.0
+        uc[3, 4] = -0.0
+        uc[4:6, 4] = 0.0
+        want = [weighted_inner_loop(a, b, lw) for a, b in zip(uc[:8], vc[:8])]
+        assert np.array_equal(bits(_weighted_inner_rows(uc[:8], vc[:8], lw)), bits(want))
+        # rows 8 and 9 pass the cap with the weight exp(690): row 8 raises
+        uc[8:, 4] = (2.0e5, 3.0e5)
+        vc[8:, 4] = 1.0
+        with pytest.raises(NormDomainError) as loop:
+            [weighted_inner_loop(a, b, lw) for a, b in zip(uc, vc)]
+        with pytest.raises(NormDomainError) as batched:
+            _weighted_inner_rows(uc, vc, lw)
+        assert str(batched.value) == str(loop.value)
+        assert "exp(702.2)" in str(loop.value)
+
+
+class TestTower:
+    @pytest.mark.parametrize("op", decays(), ids=ids)
+    @pytest.mark.parametrize("tower_type,cutoff", [("A", 1), ("B", 4), ("C", 2), ("C", 3)])
+    def test_verdict_is_the_loop(self, op, tower_type, cutoff):
+        # on the widest shift grade 1 already overflows: the loop's error
+        grades = _tower_grades(tower_type, cutoff)
+        for seed in (0, 9):
+            verdict = tower_verdict(op, tower_type, cutoff, 20, seed)
+            assert verdict == tower_loop(op, grades, 20, seed)
+
+    def test_shift_wide_grade_one_error(self):
+        op = build_decay_operator(gumbel(1.0), build_shift_cascade(AgeWindow(-10, 10)))
+        kind, message = tower_verdict(op, "C", 3, 20, 0)
+        assert kind is NormDomainError and "grade 1 weights" in message
+
+    def test_first_domain_error_in_sample_order(self, small_blocks):
+        # the weight exp(-932.4) at label 2 puts grade 3/4 past the cap
+        # only for samples with |v_2| > 2, about one in twenty
+        j = Diagonal([0.0, -0.5, -932.4, -2.0, -3.0])
+        grades = _tower_grades("B", 3)
+        kinds = set()
+        for seed in range(12):
+            verdict = tower_verdict(j, "B", 3, 20, seed)
+            assert verdict == tower_loop(j, grades, 20, seed)
+            kinds.add(verdict and verdict[0])
+        assert kinds == {None, NormDomainError}
+
+    def test_monotonicity_message_in_sample_order(self, monkeypatch, small_blocks):
+        # the steep label 2 lifts grade 1/2 to about e^525 and puts grade
+        # 2/3 past the cap on samples with |v_2| > 1.7; an ambient norm
+        # inflated to 1e250 on samples with v_0 > 1.5 exceeds grade 1/2
+        # there: which comes first varies by seed
+        def inflated(coeffs):
+            return norm_loop(coeffs) * (1e250 if coeffs[0] > 1.5 else 1.0)
+
+        monkeypatch.setattr(timeop.rigging, "vector_norm", inflated)
+        j = Diagonal([-1e-7, -2e-7, -1049.2, -3e-7])
+        grades = _tower_grades("B", 2)
+        kinds = set()
+        for seed in range(16):
+            verdict = tower_verdict(j, "B", 2, 20, seed)
+            assert verdict == tower_loop(j, grades, 20, seed, norm=inflated)
+            kinds.add(verdict and verdict[0])
+            if verdict and verdict[0] is ValueError:
+                assert "around 1/2 on a sample" in verdict[1]
+        assert {ValueError, NormDomainError} <= kinds
+
+
+def sample_block(system, horizon, rng, rows=12):
+    """Random rows inside the margin, plus rows whose zero patterns differ."""
+    inside = system.ages <= system.window.hi - horizon
+    block = np.where(inside, rng.standard_normal((rows, system.dim)), 0.0)
+    block[1, inside.nonzero()[0][::2]] = 0.0  # another zero pattern
+    block[2] = 0.0  # nothing to evolve
+    block[3] *= 1e-160  # below the underflow point: the log-domain route
+    block[4, inside.nonzero()[0][-1]] = -0.0
+    return block
+
+
+class TestLyapunovTraces:
+    @pytest.mark.parametrize("op", decays(), ids=ids)
+    def test_norms_and_forms_are_the_loop(self, op):
+        system = op.system
+        horizon = 3
+        ev = MarkovEvolution(op, horizon)
+        block = sample_block(system, horizon, np.random.default_rng(8))
+        traces = lyapunov_traces(ev, block)
+        assert len(traces) == block.shape[0]
+        for row, trace in zip(block, traces):
+            norms, forms = trace_loop(ev, row, horizon)
+            assert np.array_equal(bits(trace.norms), bits(norms))
+            assert np.array_equal(bits(trace.forms), bits(forms))
+            assert trace.t_values == tuple(T_VALUES)
+            assert trace.monotone == all(b <= a for a, b in zip(norms, norms[1:]))
+            assert bits(trace.ratio_to_zero) == bits(norms[-1] / norms[0] if norms[0] > 0 else 0.0)
+            one = lyapunov_trace(ev, HVector(row, system.basis_id))
+            assert one == trace
+
+    def test_route_disagreement_of_one_corrupted_row(self, monkeypatch):
+        system = build_shift_cascade(AgeWindow(-6, 6))
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
+        block = sample_block(system, 3, np.random.default_rng(2), rows=9)
+        block[6, 0] = 0.125  # the marker of the corrupted row
+        honest = timeop.markov._moved_rows
+
+        def corrupt_marked(ev, coeffs, t, support_tol):
+            targets, moved = honest(ev, coeffs, t, support_tol)
+            moved[coeffs[:, 0] == 0.125] *= 1.0 + 1e-6 * (t == 2)
+            return targets, moved
+
+        monkeypatch.setattr(timeop.markov, "_moved_rows", corrupt_marked)
+        with pytest.raises(AssertionError, match="t=2") as batched:
+            lyapunov_traces(ev, block)
+        with pytest.raises(AssertionError) as one:
+            lyapunov_trace(ev, HVector(block[6], system.basis_id))
+        with pytest.raises(AssertionError) as loop:
+            trace_loop(ev, block[6], 3)
+        assert str(batched.value) == str(one.value) == str(loop.value)
+        for row in np.delete(block, 6, axis=0):
+            trace_loop(ev, row, 3)  # the other rows pass
+
+    def test_margin_error_names_the_first_offending_row(self):
+        system = build_shift_cascade(AgeWindow(-6, 6))
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
+        block = sample_block(system, 3, np.random.default_rng(4), rows=6)
+        block[5, system.index_of(5)] = 0.5  # leaves the window at t = 2
+        with pytest.raises(Exception) as batched:
+            lyapunov_traces(ev, block)
+        with pytest.raises(Exception) as one:
+            lyapunov_trace(ev, HVector(block[5], system.basis_id))
+        assert type(batched.value) is type(one.value)
+        assert str(batched.value) == str(one.value)
+        assert "within 2 steps at labels: 5" in str(one.value)
+
+    @pytest.mark.parametrize("bounds,n_random", [((-10, 10), 20), ((-4, 4), 7)])
+    def test_experiment_is_the_sample_loop(self, bounds, n_random, small_blocks):
+        config = parse_config(f"""
+seed = 3
+
+[system]
+kind = shift
+lo = {bounds[0]}
+hi = {bounds[1]}
+
+[profile]
+family = gumbel
+a = 1.0
+
+[experiment lyapunov]
+max_t = 3
+n_random = {n_random}
+""")
+        ctx = _Context(config)
+        params = config.experiments[0].params
+        _, details = _run_lyapunov(ctx, params, np.random.default_rng([3, 0]))
+        # the parent loop: one draw per sample, one trace each
+        rng = np.random.default_rng([3, 0])
+        band = _interior_band(ctx.system, 3)
+        ev = MarkovEvolution(ctx.decay, 3)
+        canonical = np.zeros(ctx.system.dim)
+        canonical[int(np.nonzero(band)[0][np.argmax(ctx.system.ages[band])])] = 1.0
+        norms, forms = trace_loop(ev, canonical, 3)
+        monotone = all(b <= a for a, b in zip(norms, norms[1:]))
+        worst = norms[-1] / norms[0] if norms[0] > 0 else 0.0
+        for _ in range(n_random):
+            sample_norms, _ = trace_loop(ev, np.where(band, rng.standard_normal(ctx.system.dim),
+                                                      0.0), 3)
+            monotone = monotone and all(b <= a for a, b in zip(sample_norms, sample_norms[1:]))
+            worst = max(worst, sample_norms[-1] / sample_norms[0])
+        assert np.array_equal(bits(details["trace_norm"]), bits(norms))
+        assert np.array_equal(bits(details["trace_form"]), bits(forms))
+        assert details["monotone"] == monotone
+        assert bits(details["worst_final_ratio"]) == bits(worst)
+
+
+class TestSpectrumSums:
+    @pytest.mark.parametrize("spectrum", [
+        power_spectrum(0.7, truncation=50000),
+        power_spectrum(1.79, truncation=1000),
+        geometric_spectrum(0.25, truncation=10000),
+        geometric_spectrum(0.95, truncation=50000),
+    ], ids=lambda s: s.describe())
+    def test_partial_sums_are_the_per_exponent_loop(self, spectrum):
+        def loop(exponent):
+            with np.errstate(under="ignore"):
+                return float(np.sum(spectrum.values() ** exponent))
+
+        report = classify_spectrum(spectrum)
+        for item in report.evidence:
+            assert bits(item.partial) == bits(loop(item.exponent))
+        kothe = kothe_nuclearity(spectrum, Fraction(1, 3), Fraction(3, 4))
+        assert bits(kothe.partial_sum) == bits(loop(kothe.exponent))
+
+
+def with_step(system, step):
+    return CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
+                         system.basis_id, m=system.m, masks=system._masks)
+
+
+def transport_loop(system, t):
+    """The per-age calls the covariance experiment made before."""
+    worst = 0.0
+    for n in range(system.window.lo, system.window.hi - t + 1):
+        worst = max(worst, verify_imprimitivity(system, (n,), t))
+    return worst
+
+
+def defective(system):
+    """Off-by-one, colliding and truncated step maps."""
+    step = system._step
+    collide = np.array(step)
+    i = int(np.nonzero(system.ages == -1)[0][0])
+    j = int(np.nonzero(system.ages == 0)[0][0])
+    collide[j] = collide[i]
+    same_age = np.array(step)
+    a, b = np.nonzero(system.ages == 0)[0][:2] if system.kind == "baker" else (i, j)
+    same_age[b] = same_age[a]
+    truncated = np.array(step)
+    truncated[int(np.nonzero(system.ages == 1)[0][0])] = -1
+    return {
+        "off-by-one": with_step(system, np.where(step > 0, step - 1, -1)),
+        "collision": with_step(system, collide),
+        "shared-image": with_step(system, same_age),
+        "truncated": with_step(system, truncated),
+    }
+
+
+class TestAgeTransport:
+    @pytest.mark.parametrize("system", [
+        build_shift_cascade(AgeWindow(-4, 4)),
+        build_shift_cascade(AgeWindow(-10, 10)),
+        build_baker_cascade(3),
+    ], ids=lambda s: s.basis_id)
+    def test_one_pass_is_the_per_age_maximum(self, system):
+        for t in (*T_VALUES, system.window.hi - system.window.lo + 1):
+            assert bits(verify_age_transport(system, t)) == bits(transport_loop(system, t))
+            assert verify_age_transport(system, t) == 0.0
+        for name, bad in defective(system).items():
+            for t in T_VALUES:
+                assert bits(verify_age_transport(bad, t)) == bits(transport_loop(bad, t)), name
+            assert verify_age_transport(bad, 1) == 1.0, name
+
+    def test_rejects_negative_times(self):
+        with pytest.raises(ValueError):
+            verify_age_transport(build_shift_cascade(AgeWindow(-4, 4)), -1)
+
+
+def test_step_map_is_composed_once_and_read_only():
+    system = build_baker_cascade(3)
+    later = system.step_indices(3)
+    for t in (0, 1, 2, 3, 5):
+        idx = system.step_indices(t)
+        assert idx is system.step_indices(t)
+        assert not idx.flags.writeable
+        expected = np.arange(system.dim)
+        for _ in range(t):
+            alive = expected >= 0
+            expected[alive] = system._step[expected[alive]]
+        assert np.array_equal(idx, expected)
+    assert later is system.step_indices(3)
+
+
+BAKER6 = """
+seed = 5
+
+[system]
+kind = baker
+m = 6
+
+[profile]
+family = gumbel
+a = 1.0
+
+[experiment tower]
+tower_type = B
+cutoff = 4
+
+[experiment lyapunov]
+max_t = 3
+n_random = 10
+"""
+
+
+@pytest.mark.parametrize("position,runner", [(0, _run_tower), (1, _run_lyapunov)],
+                         ids=["tower-and-isometry", "lyapunov"])
+def test_baker6_sample_blocks_stay_small(position, runner):
+    # one (rows, 8191) block is 64 kB a row; the row chunks keep each
+    # experiment near its one-sample loop's peak, where a single block of
+    # all samples and grades would hold several MB
+    config = parse_config(BAKER6)
+    ctx = _Context(config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        passed, _ = runner(ctx, config.experiments[position].params,
+                           np.random.default_rng([5, position]))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 3 * 2**20

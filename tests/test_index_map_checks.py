@@ -48,19 +48,15 @@ def dense_imprimitivity(system, delta, t):
 
 
 def dense_covariant_transform(op, t):
-    # log weights, the squared side as the doubled arrays
+    # log weights; the squared side would be the doubled arrays, whose
+    # deviation is exactly twice this one
     system = op.system
     ut = np.linalg.matrix_power(system.U, t)
-    log_lam = op.log_diag
-    log_shift = op.log_weight(system.ages + t)
     cols = system.interior_mask(t)
     if not np.any(cols):
         return 0.0
-    dev = 0.0
-    for d, target in ((log_lam, log_shift), (2.0 * log_lam, 2.0 * log_shift)):
-        diff = ut.T @ np.diag(d) @ ut - np.diag(target)
-        dev = max(dev, float(np.abs(diff[:, cols]).max()))
-    return dev
+    diff = ut.T @ np.diag(op.log_diag) @ ut - np.diag(op.log_weight(system.ages + t))
+    return float(np.abs(diff[:, cols]).max())
 
 
 def systems():
@@ -132,8 +128,7 @@ def test_step_collision(system):
 def test_collision_alone_is_seen_through_the_off_diagonal_entry():
     # two labels of age 0 step onto one age-1 label: every diagonal entry
     # stays right, and only the shared image puts age 1 (or the
-    # projector's 1.0, or 2 log lambda(1) on the squared side) off the
-    # diagonal
+    # projector's 1.0, or log lambda(1)) off the diagonal
     system = build_baker_cascade(2)
     i, j = np.nonzero(system.ages == 0)[0][:2]
     step = np.array(system._step)
@@ -142,7 +137,7 @@ def test_collision_alone_is_seen_through_the_off_diagonal_entry():
     assert verify_covariance(bad, 1) == 1.0 == dense_covariance(bad, 1)
     assert verify_imprimitivity(bad, (0,), 1) == 1.0 == dense_imprimitivity(bad, (0,), 1)
     op = build_decay_operator(gumbel(1.0), bad)
-    expected = float(-2.0 * op.log_diag[step[i]])
+    expected = float(-op.log_diag[step[i]])
     assert verify_covariant_transform(op, 1) == expected == dense_covariant_transform(op, 1)
 
 
@@ -156,7 +151,7 @@ def test_truncated_image_inside_the_margin(system):
     assert covariance[1] == 2.0  # the dense column value |age + t|
     assert verify_imprimitivity(bad, (1,), 1) == 1.0
     op = build_decay_operator(gumbel(1.0), bad)
-    assert verify_covariant_transform(op, 1) == float(-2.0 * op.log_weight(system.ages + 1)[j])
+    assert verify_covariant_transform(op, 1) == float(-op.log_weight(system.ages + 1)[j])
 
 
 @pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)

@@ -133,10 +133,14 @@ class TestLyapunovTrace:
         import timeop.markov as markov
 
         s, ev = evolution(-6, 6, 4)
-        honest = markov.markov_step
+        honest = markov._moved_rows
+
+        def off_at_4(ev, coeffs, t, support_tol):
+            targets, moved = honest(ev, coeffs, t, support_tol)
+            return targets, moved * (1.0 + 1e-6 * (t == 4))
+
         # only the underflowed step is off, so only the log-domain route can see it
-        monkeypatch.setattr(markov, "markov_step",
-                            lambda ev, rho, t: honest(ev, rho, t) * (1.0 + 1e-6 * (t == 4)))
+        monkeypatch.setattr(markov, "_moved_rows", off_at_4)
         with pytest.raises(AssertionError, match="t=4"):
             lyapunov_trace(ev, s.basis_vector(2))
 

@@ -178,4 +178,4 @@ class TestCovariantTransform:
         log_diag[s.index_of(8)] += 1.0
         op.log_diag = log_diag
         assert math.exp(log_diag[s.index_of(8)]) == 0.0
-        assert verify_covariant_transform(op, 1) == 2.0
+        assert verify_covariant_transform(op, 1) == 1.0
