@@ -45,6 +45,7 @@ __all__ = [
     "parse_config",
     "DEMO_CONFIG",
     "EXPERIMENT_NAMES",
+    "TRUNCATION_CAP",
 ]
 
 DEMO_CONFIG = """\
@@ -298,6 +299,10 @@ def _spectrum(key, text):
     return (parts[0], param)
 
 
+# spectra materialize a few float arrays of this length, so a larger
+# truncation is rejected at parse time rather than allocated by run
+TRUNCATION_CAP = 1_000_000
+
 # section -> key -> (parser, default); "" is the top level
 _SCHEMA = {
     "": {"seed": (_int, 0), "output_dir": (_text, "out")},
@@ -314,10 +319,10 @@ _SCHEMA = {
     "experiment tower": {"tower_type": (_one_of("A", "B", "C"), "B"),
                          "cutoff": (_bounded(lo=1), 4)},
     "experiment classify": {"spectrum": (_spectrum, ("power", 0.5)),
-                            "truncation": (_bounded(lo=1), 100_000)},
+                            "truncation": (_bounded(lo=1, hi=TRUNCATION_CAP), 100_000)},
     "experiment kothe": {"spectrum": (_spectrum, ("geometric", 0.5)),
                          "n1": (_grade, Fraction(0)), "n2": (_grade, Fraction(1, 2)),
-                         "truncation": (_bounded(lo=1), 10_000)},
+                         "truncation": (_bounded(lo=1, hi=TRUNCATION_CAP), 10_000)},
     "experiment theorem": {"t_values": (_web_times, (1,))},
 }
 

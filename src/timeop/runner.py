@@ -16,11 +16,11 @@ a, t, min_cell).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -92,20 +92,66 @@ class ReportBundle:
         return _json_text(self.to_dict())
 
 
-def _finite(value):
-    """The JSON tree with every non-finite float replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
-    return value
-
-
 def _json_text(doc) -> str:
-    """Strict JSON: non-finite floats are written as null."""
-    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Strict JSON text of a report tree, with non-finite floats written as null.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True)`` with every
+    non-finite float replaced by None first, byte for byte: dicts with
+    str keys in sorted order, lists and tuples as lists, and numbers as
+    ``repr`` writes them.  A value of any other type, or a non-str key,
+    raises TypeError.  One recursive pass appends the chunks: with an
+    indent the standard encoder runs its pure-Python generators, over a
+    copy of the tree made to drop the non-finite floats.
+    """
+    chunks = []
+    _write_json(doc, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(value, put, newline):
+    """Append the JSON chunks of ``value``, nested at ``newline``'s indent."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        put("[")
+        sep = inner
+        for item in value:
+            put(sep)
+            _write_json(item, put, inner)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        put("{")
+        sep = inner
+        for key in sorted(value):
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], put, inner)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _Context:

@@ -198,6 +198,35 @@ class TestValidateCli:
         assert len(captured.err.splitlines()) == 1
 
 
+class TestTruncationCap:
+    """A spectrum truncation past the cap is refused before run allocates it.
+
+    Only parsed: the oversized values are never run.
+    """
+
+    @pytest.mark.parametrize("section", ["classify", "kothe"])
+    def test_cap_is_accepted(self, section):
+        text = MINIMAL + f"\n[experiment {section}]\ntruncation = {config_module.TRUNCATION_CAP}\n"
+        config = parse_config(text)
+        assert config.experiments[-1].params["truncation"] == config_module.TRUNCATION_CAP
+
+    @pytest.mark.parametrize("section", ["classify", "kothe"])
+    def test_past_the_cap_is_a_line_numbered_error(self, section):
+        text = MINIMAL + f"\n[experiment {section}]\ntruncation = 1000000001\n"
+        line = text.splitlines().index("truncation = 1000000001") + 1
+        assert errors_of(text) == ((line, "truncation must be at most 1000000"),)
+
+    def test_validate_exits_two_with_the_line(self, tmp_path, capsys):
+        text = MINIMAL + "\n[experiment classify]\ntruncation = 1000000000\n"
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        line = text.splitlines().index("truncation = 1000000000") + 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"line {line}: truncation must be at most 1000000\n"
+
+
 def _readme_config_table():
     """Section title -> keys named in the README "Config format" table."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()

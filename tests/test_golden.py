@@ -22,6 +22,7 @@ CONFIGS = {
     "experiment": HERE.parent / "demos" / "experiment.cfg",
     "baker3": GOLDEN / "baker3.cfg",
     "shift_wide": GOLDEN / "shift_wide.cfg",
+    "spectra_underflow": GOLDEN / "spectra_underflow.cfg",
 }
 
 
