@@ -49,6 +49,16 @@ __all__ = [
     "verify_web",
 ]
 
+# pass thresholds of a WebReport: the coinciding pairs (v and x, z and
+# its closed form) agree within IDENTITY_TOL, each separating witness
+# reaches WITNESS_FLOOR, and z's Jordan type is the step's within
+# SPECTRUM_TOL
+IDENTITY_TOL = 1e-10
+WITNESS_FLOOR = 1e-6
+SPECTRUM_TOL = 1e-8
+# block steps of the dual-Markov traces, fewer where the window is narrow
+DUAL_TRACE_STEPS = 3
+
 
 def riesz_map(decay: DecayOperator) -> np.ndarray:
     """Read-only log diagonal ``2 log lambda`` of the Riesz map.
@@ -112,16 +122,15 @@ class OperatorWeb:
         return mat
 
 
-def build_operator_web(decay: DecayOperator, t: int,
-                       overflow_cap: float = LOG_WEIGHT_CAP) -> OperatorWeb:
+def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
     """Build the six evolutions at time t as index map plus log weights.
 
-    Every weight is composed from ``decay.log_diag`` and ``riesz_map``
-    read at each safe label and at its image under
-    ``system.step_indices(t)``; a safe label whose image is truncated
-    carries NaN.  A conjugation whose weights exceed ``overflow_cap`` in
-    log magnitude is rejected by name rather than carried as
-    infinities.
+    ``w`` (and ``y``, the same floats) is ``decay.step_log_ratio(t)``;
+    the Riesz conjugations read ``riesz_map`` at each safe label and at
+    its image under ``system.step_indices(t)``.  A safe label whose
+    image is truncated carries NaN.  A conjugation whose weights exceed
+    ``LOG_WEIGHT_CAP`` in log magnitude is rejected by name rather than
+    carried as infinities.
     """
     if t < 0:
         raise ValueError("the web is built for t >= 0")
@@ -130,19 +139,16 @@ def build_operator_web(decay: DecayOperator, t: int,
     if not np.any(safe):
         raise MarginError(f"no labels admit a {t}-step margin on this window")
     targets = system.step_indices(t)
-    landed = safe & (targets >= 0)
-    log_lam = decay.log_diag
     log_riesz = riesz_map(decay)
-    lam_image = np.where(landed, log_lam[targets], np.nan)
-    riesz_image = np.where(landed, log_riesz[targets], np.nan)
+    riesz_image = np.where(safe & (targets >= 0), log_riesz[targets], np.nan)
 
-    w = lam_image - log_lam
+    w = decay.step_log_ratio(t)
     log_weights = {
         "u_ext": np.where(safe, 0.0, np.nan),
         "w": w,
         "v": -w,
         "x": log_riesz + w - riesz_image,
-        "y": -log_lam + lam_image,
+        "y": w,
         "z": riesz_image - log_riesz,
     }
 
@@ -152,7 +158,7 @@ def build_operator_web(decay: DecayOperator, t: int,
     }
     for name, label in conjugation_names.items():
         peak = np.nanmax(log_weights[name])
-        if peak > overflow_cap:
+        if peak > LOG_WEIGHT_CAP:
             raise MarginError(
                 f"{label} is not materializable on this window: weights reach exp({peak:.1f})"
             )
@@ -179,7 +185,8 @@ class WebReport:
     the largest gap between the ranks of its powers, counted along the
     index map, and those of the step) and by the relative deviation of
     the composed z weights from the closed form 2 (L(a+t) - L(a))
-    (``z_conjugacy_deviation``).
+    (``z_conjugacy_deviation``).  The pass thresholds are the module
+    constants ``IDENTITY_TOL``, ``WITNESS_FLOOR`` and ``SPECTRUM_TOL``.
     """
 
     t: int
@@ -191,20 +198,17 @@ class WebReport:
     w_vs_z_witness: WitnessRecord
     z_spectrum_deviation: float
     z_conjugacy_deviation: float
-    identity_tol: float = 1e-10
-    witness_floor: float = 1e-6
-    spectrum_tol: float = 1e-8
 
     @property
     def all_passed(self) -> bool:
         return (
-            self.v_equals_x_deviation <= self.identity_tol
+            self.v_equals_x_deviation <= IDENTITY_TOL
             and self.dual_markov_monotone
-            and self.v_vs_u_witness.deviation >= self.witness_floor
-            and self.y_vs_u_witness.deviation >= self.witness_floor
-            and self.w_vs_z_witness.deviation >= self.witness_floor
-            and self.z_spectrum_deviation <= self.spectrum_tol
-            and self.z_conjugacy_deviation <= self.identity_tol
+            and self.v_vs_u_witness.deviation >= WITNESS_FLOOR
+            and self.y_vs_u_witness.deviation >= WITNESS_FLOOR
+            and self.w_vs_z_witness.deviation >= WITNESS_FLOOR
+            and self.z_spectrum_deviation <= SPECTRUM_TOL
+            and self.z_conjugacy_deviation <= IDENTITY_TOL
         )
 
 
@@ -244,7 +248,7 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     return float(gap)
 
 
-def verify_web(web: OperatorWeb, max_steps: int = 3, seed: int = 0) -> WebReport:
+def verify_web(web: OperatorWeb, seed: int = 0) -> WebReport:
     """Verify the six relations of the conjugated evolution web.
 
     The time must be positive: at t = 0 every evolution is the identity
@@ -260,8 +264,10 @@ def verify_web(web: OperatorWeb, max_steps: int = 3, seed: int = 0) -> WebReport
     v_equals_x = float(np.abs(np.expm1(diff)).max())
 
     # v-route traces, transported isometrically by the Riesz map: the
-    # coefficient of age a after k blocks carries exp(L(a) + L(a+kt)).
-    steps = min(max_steps, max((system.window.hi - system.window.lo) // web.t, 1))
+    # coefficient of age a after k blocks carries exp(L(a) + L(a+kt)),
+    # L read at its image under the step map (a truncated image carries
+    # nothing)
+    steps = min(DUAL_TRACE_STEPS, max((system.window.hi - system.window.lo) // web.t, 1))
     band = system.ages + steps * web.t <= system.window.hi
     rng = np.random.default_rng(seed)
     traces = []
@@ -269,10 +275,10 @@ def verify_web(web: OperatorWeb, max_steps: int = 3, seed: int = 0) -> WebReport
         f = np.where(band, rng.standard_normal(system.dim), 0.0)
         log_lam = decay.log_diag
         for k in range(steps + 1):
-            shifted = decay.log_weight(system.ages + k * web.t * band.astype(int))
-            logs = np.where(band, log_lam + shifted, -np.inf)
+            image = system.step_indices(k * web.t)[band]
+            logs = np.where(image >= 0, log_lam[band] + log_lam[image], -np.inf)
             with np.errstate(under="ignore"):
-                trace = float(np.sqrt(np.sum(np.exp(2.0 * logs[band]) * f[band] ** 2)))
+                trace = float(np.sqrt(np.sum(np.exp(2.0 * logs) * f[band] ** 2)))
             traces.append(trace)
     monotone = all(b <= a for a, b in zip(traces, traces[1:]))
 

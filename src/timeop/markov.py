@@ -3,10 +3,11 @@
 Conjugating the forward step by an admissible decay operator yields,
 for t >= 0, a strongly contracting evolution on the fluctuation space:
 the coefficient sitting at age n moves to age n + t with the weight
-lambda(n+t)/lambda(n) in (0, 1].  The weight table is precomputed as
-log ratios, and the inverse weighting is never formed as a matrix: its
-entries reach exp(exp(hi)) on a window topping out at hi, so the ratio
-form is the only finitely representable realization.
+lambda(n+t)/lambda(n) in (0, 1].  The log ratios are read along the
+step map (:meth:`~timeop.profiles.DecayOperator.step_log_ratio`), and the
+inverse weighting is never formed as a matrix: its entries reach
+exp(exp(hi)) on a window topping out at hi, so the ratio form is the
+only finitely representable realization.
 
 Negative times are rejected; the backward weights are unbounded as the
 window widens, which :func:`asymmetry_probe` demonstrates, so the
@@ -44,15 +45,17 @@ __all__ = [
 ]
 
 SUPPORT_TOLERANCE = 1e-12
+AGREEMENT_TOLERANCE = 1e-10
 
 
 class MarkovEvolution:
-    """Precomputed log-ratio tables for an induced contraction semigroup.
+    """An induced contraction semigroup up to a horizon.
 
-    ``log_ratios[a - lo, t]`` holds log lambda(a+t) - log lambda(a) for
-    every window age a with a + t <= hi, and NaN where the image leaves
-    the window.  Ratios are guaranteed in (0, 1] by profile
-    admissibility, and the time-zero column is exactly zero.
+    The weights at time t are ``decay.step_log_ratio(t)``: log
+    lambda(n+t) - log lambda(n) read along the step map, NaN where the
+    image leaves the window.  Construction checks every time up to the
+    horizon: no ratio exceeds one and the time-zero weights are exactly
+    one.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -61,48 +64,39 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        window = self.system.window
-        ages = np.arange(window.lo, window.hi + 1)
-        log_lambda = decay.log_weight(ages)
-        table = np.full((ages.size, self.max_t + 1), np.nan)
         for t in range(self.max_t + 1):
-            reach = ages + t <= window.hi
-            table[reach, t] = decay.log_weight(ages[reach] + t) - log_lambda[reach]
-        valid = ~np.isnan(table)
-        if np.any(table[valid] > 0):
-            raise ValueError("decay ratios exceed one; the profile is not admissible")
-        if np.any(table[:, 0][valid[:, 0]] != 0.0):
-            raise ValueError("time-zero weights must be exactly one")
-        table.setflags(write=False)
-        self.log_ratios = table
-        self._age_offset = window.lo
+            log_ratio = decay.step_log_ratio(t)
+            valid = log_ratio[~np.isnan(log_ratio)]
+            if np.any(valid > 0):
+                raise ValueError("decay ratios exceed one; the profile is not admissible")
+            if t == 0 and np.any(valid != 0.0):
+                raise ValueError("time-zero weights must be exactly one")
 
     def label_log_ratio(self, t: int) -> np.ndarray:
-        """Per-label log weight at time t (NaN where out of margin)."""
-        return self.log_ratios[self.system.ages - self._age_offset, t]
+        """Per-label log weight at time t (NaN where out of margin or truncated)."""
+        return self.decay.step_log_ratio(t)
 
 
-def markov_step(ev: MarkovEvolution, rho: HVector, t: int,
-                support_tol: float = SUPPORT_TOLERANCE) -> HVector:
+def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
     """Evolve a margin-supported fluctuation vector t steps forward.
 
     The coefficient at age n contributes exp(log lambda(n+t) -
     log lambda(n)) times itself at age n + t.  Coefficients below
-    ``support_tol`` (relative to the largest) are treated as truncation
-    dust and dropped; larger coefficients outside the t-margin raise
-    :class:`MarginError`.  The one-row case of the block step the
+    ``SUPPORT_TOLERANCE`` (relative to the largest) are treated as
+    truncation dust and dropped; larger coefficients outside the
+    t-margin raise :class:`MarginError`.  The one-row case of the block step the
     positivity probe runs.
     """
     system = ev.system
     if rho.basis_id != system.basis_id:
         raise BasisMismatchError("vector does not belong to the evolved system")
-    targets, moved = _moved_rows(ev, rho.coeffs[None], t, support_tol)
+    targets, moved = _moved_rows(ev, rho.coeffs[None], t)
     out = np.zeros(system.dim)
     out[targets] = moved[0]
     return HVector(out, system.basis_id)
 
 
-def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, support_tol: float):
+def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int):
     """The t-step of each row of a ``(rows, dim)`` coefficient block.
 
     Returns the target labels of the labels inside the t-margin and the
@@ -119,7 +113,7 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, support_tol: fl
     system = ev.system
     inside = system.interior_mask(t)
     size = np.abs(coeffs)
-    far = size[:, ~inside] > support_tol * np.maximum(1.0, size.max(axis=1, keepdims=True))
+    far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, size.max(axis=1, keepdims=True))
     if far.any():
         row = int(np.nonzero(far.any(axis=1))[0][0])
         offending = np.nonzero(~inside)[0][far[row]]
@@ -151,13 +145,12 @@ class LyapunovTrace:
     ratio_to_zero: float
 
 
-def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None,
-                   agreement_tol: float = 1e-10) -> LyapunovTrace:
+def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None) -> LyapunovTrace:
     """Trace the evolved norm of ``rho`` and cross-check its decay.
 
     For each t the direct route squares the per-coefficient products
     while the quadratic-form route sums exp(2 log ratio) times the
-    squared coefficients; both must agree within ``agreement_tol``
+    squared coefficients; both must agree within ``AGREEMENT_TOLERANCE``
     relative.  Where either route falls below ``NORM_RESCALE_BELOW``
     the plain form has underflowed, so the routes are compared in the
     log domain instead.  Monotone decrease of the norms is reported,
@@ -166,7 +159,7 @@ def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None,
     horizon = _horizon(ev, max_t)
     if rho.basis_id != ev.system.basis_id:
         raise BasisMismatchError("vector does not belong to the evolved system")
-    return lyapunov_traces(ev, rho.coeffs[None], horizon, agreement_tol)[0]
+    return lyapunov_traces(ev, rho.coeffs[None], horizon)[0]
 
 
 def _horizon(ev: MarkovEvolution, max_t: int | None) -> int:
@@ -176,8 +169,7 @@ def _horizon(ev: MarkovEvolution, max_t: int | None) -> int:
     return horizon
 
 
-def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None,
-                    agreement_tol: float = 1e-10) -> list:
+def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> list:
     """:func:`lyapunov_trace` of each row of a ``(rows, dim)`` coefficient block.
 
     Each t takes one block step, and every float is the one the
@@ -194,7 +186,7 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None,
     norms = np.zeros((rows, len(t_values)))
     forms = np.zeros((rows, len(t_values)))
     for t in t_values:
-        targets, moved = _moved_rows(ev, coeffs, t, SUPPORT_TOLERANCE)
+        targets, moved = _moved_rows(ev, coeffs, t)
         evolved = np.zeros((rows, dim))
         evolved[:, targets] = moved
         del moved
@@ -204,7 +196,7 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None,
         alive = nonzero & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
             forms[:, t] = masked_row_sums(np.exp(2.0 * log_ratio) * coeffs ** 2, alive)
-        _check_routes(t, norms[:, t], forms[:, t], log_ratio, coeffs, alive, agreement_tol)
+        _check_routes(t, norms[:, t], forms[:, t], log_ratio, coeffs, alive)
     traces = []
     for row_norms, row_forms in zip(norms.tolist(), forms.tolist()):
         monotone = all(b <= a for a, b in zip(row_norms, row_norms[1:]))
@@ -214,7 +206,7 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None,
     return traces
 
 
-def _check_routes(t, norm_direct, form, log_ratio, coeffs, alive, agreement_tol):
+def _check_routes(t, norm_direct, form, log_ratio, coeffs, alive):
     """Raise for the first row whose direct norm and form root disagree at t."""
     root = np.sqrt(form)
     gap = np.zeros(norm_direct.size)
@@ -226,7 +218,7 @@ def _check_routes(t, norm_direct, form, log_ratio, coeffs, alive, agreement_tol)
         peak = logs.max()
         log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
         gap[r] = abs(log_form - np.log(norm_direct[r]))
-    bad = np.nonzero(gap > agreement_tol)[0]
+    bad = np.nonzero(gap > AGREEMENT_TOLERANCE)[0]
     if bad.size:
         r = bad[0]
         raise AssertionError(
@@ -288,7 +280,7 @@ def evolved_minima(ev: MarkovEvolution, equilibrium, fluct, t: int) -> np.ndarra
     components stay fixed, and all rows go back to the grid in one
     transform.
     """
-    targets, moved = _moved_rows(ev, fluct, t, SUPPORT_TOLERANCE)
+    targets, moved = _moved_rows(ev, fluct, t)
     return walsh_to_cells(ev.system, equilibrium, moved, labels=targets).min(axis=1)
 
 

@@ -140,7 +140,6 @@ class AdmissibilityCertificate:
     ratio_ok: bool
     grid: tuple
     t_set: tuple
-    tolerance: float
     witnesses: dict = field(default_factory=dict)
 
     @property
@@ -158,11 +157,12 @@ class AdmissibilityCertificate:
         return tuple(names)
 
 
-def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2),
-                     tolerance=LIMIT_TOLERANCE) -> AdmissibilityCertificate:
+def check_admissible(profile: DecayProfile, grid=(-20, 20),
+                     t_set=(1, 2)) -> AdmissibilityCertificate:
     """Certify the three decay conditions on an integer sample grid.
 
-    Checks, on ``grid = (lo, hi)`` with ``lo <= -20`` and ``hi >= 20``:
+    Checks, on ``grid = (lo, hi)`` with ``lo <= -20`` and ``hi >= 20``
+    and with tol = ``LIMIT_TOLERANCE``:
 
       1. monotone: lambda nonincreasing across the grid;
       2. limits:   lambda(lo) >= 1 - tol and lambda(hi) <= tol;
@@ -196,12 +196,12 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2),
 
     lam_lo = float(np.exp(grid_logs[0]))
     lam_hi = float(np.exp(grid_logs[-1]))
-    limits_ok = lam_lo >= 1.0 - tolerance and lam_hi <= tolerance
+    limits_ok = lam_lo >= 1.0 - LIMIT_TOLERANCE and lam_hi <= LIMIT_TOLERANCE
     if not limits_ok:
         ends = []
-        if lam_lo < 1.0 - tolerance:
+        if lam_lo < 1.0 - LIMIT_TOLERANCE:
             ends.append((lo, lam_lo))
-        if lam_hi > tolerance:
+        if lam_hi > LIMIT_TOLERANCE:
             ends.append((hi, lam_hi))
         witnesses["limits"] = tuple(ends)
 
@@ -216,7 +216,7 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2),
             ratio_ok = False
             ratio_witnesses.append((t, int(s_values[i]), float(np.exp(log_ratio[i + 1]))))
         last = float(np.exp(log_ratio[-1]))
-        if np.isnan(log_ratio[-1]) or last > tolerance:
+        if np.isnan(log_ratio[-1]) or last > LIMIT_TOLERANCE:
             ratio_ok = False
             ratio_witnesses.append((t, hi, last))
     if not ratio_ok:
@@ -228,7 +228,6 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2),
         ratio_ok=ratio_ok,
         grid=(lo, hi),
         t_set=t_set,
-        tolerance=tolerance,
         witnesses=witnesses,
     )
 
@@ -269,36 +268,42 @@ class DecayOperator:
         """log lambda evaluated at arbitrary integer ages."""
         return self.profile.log_value(np.asarray(ages))
 
+    def step_log_ratio(self, t: int) -> np.ndarray:
+        """Per-label log weight of W_t: ``log_diag`` at the t-step image minus ``log_diag``.
 
-def build_decay_operator(profile: DecayProfile, system: CascadeSystem,
-                         certificate: AdmissibilityCertificate | None = None) -> DecayOperator:
-    """Weight the age basis by a certified profile.
+        Read along ``system.step_indices(t)``, so the weight is the one
+        the step map carries, defects included; NaN outside the t-margin
+        and where the image is truncated.
+        """
+        targets = self.system.step_indices(t)
+        landed = self.system.interior_mask(t) & (targets >= 0)
+        return np.where(landed, self.log_diag[targets], np.nan) - self.log_diag
 
-    An uncertified profile is certified here first, on a grid covering
-    both [-20, 20] and the system window.  The limit and ratio
-    conditions are sampled at the grid ends, so a slowly varying
-    closed-form profile needs a wider grid before its tails register:
-    the reach doubles until the certificate passes or reaches 320.  A
+
+def build_decay_operator(profile: DecayProfile, system: CascadeSystem) -> DecayOperator:
+    """Weight the age basis by a profile certified here.
+
+    The profile is certified on a grid covering both [-20, 20] and the
+    system window.  The limit and ratio conditions are sampled at the
+    grid ends, so a slowly varying closed-form profile needs a wider
+    grid before its tails register: the reach doubles until the
+    certificate passes or reaches 320.  A
     tabulated profile is certified on the first grid only, since its
     table ends where it ends.  A failing certificate is rejected with
     its witnesses.
     """
-    if certificate is None:
-        reaches = (20,) if profile.family == "custom" else (20, 40, 80, 160, 320)
-        for reach in reaches:
-            grid = (min(-reach, system.window.lo), max(reach, system.window.hi))
-            certificate = check_admissible(profile, grid=grid)
-            if certificate.admissible:
-                break
+    reaches = (20,) if profile.family == "custom" else (20, 40, 80, 160, 320)
+    for reach in reaches:
+        grid = (min(-reach, system.window.lo), max(reach, system.window.hi))
+        certificate = check_admissible(profile, grid=grid)
+        if certificate.admissible:
+            break
     if not certificate.admissible:
         failed = ", ".join(certificate.failing())
         raise ProfileError(
             f"profile {profile.describe()} is not admissible (failed: {failed}); "
             f"witnesses: {certificate.witnesses!r}"
         )
-    lo, hi = certificate.grid
-    if lo > system.window.lo or hi < system.window.hi:
-        raise ProfileError("certificate grid does not cover the system window")
     return DecayOperator(system, profile, certificate)
 
 

@@ -11,8 +11,8 @@ canonical grade sets are materialized:
 
 Grade-0 always recovers the ambient norm exactly.  All weighted norms
 and inner products are evaluated per coordinate in the log domain, and
-a configurable cap on the per-coordinate log magnitude realizes the
-finite-truncation shadow of the unbounded inverse: past the cap a
+a cap (``LOG_WEIGHT_CAP``) on the per-coordinate log magnitude realizes
+the finite-truncation shadow of the unbounded inverse: past the cap a
 vector is reported as outside the materialized domain rather than
 silently overflowing.
 
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 LOG_WEIGHT_CAP = 700.0
+# integer powers of an operator that classify_spectrum classifies
+MAX_POWER = 6
 
 # spectrum terms below 2**-UNDERFLOW_BITS are +0.0 as floats: the margin
 # of six binades under the smallest subnormal 2**-1074 absorbs the
@@ -123,12 +125,12 @@ def _weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.n
     return out
 
 
-def graded_norm(v: HVector, n, j, cap: float = LOG_WEIGHT_CAP) -> float:
+def graded_norm(v: HVector, n, j) -> float:
     """Strengthened norm of grade n: the ambient norm of J^(-n) v.
 
     Evaluated per coordinate as exp(log|v_k| - n log d_k); grade 0
     returns the ambient norm exactly.  Coordinates whose weighted log
-    magnitude exceeds ``cap`` raise :class:`NormDomainError`, reporting
+    magnitude exceeds ``LOG_WEIGHT_CAP`` raise :class:`NormDomainError`, reporting
     the vector as outside the materialized domain of the grade.  The
     one-row, one-grade case of the block :func:`build_tower` checks.
     """
@@ -141,7 +143,7 @@ def graded_norm(v: HVector, n, j, cap: float = LOG_WEIGHT_CAP) -> float:
     if v.dim != log_diag.shape[0] or v.basis_id != j.basis_id:
         raise ValueError("vector and operator live over different bases")
     norms, peaks = _graded_norm_rows(v.coeffs[None], (grade,), log_diag)
-    if peaks[0, 0] > cap:
+    if peaks[0, 0] > LOG_WEIGHT_CAP:
         raise _outside_grade(n, peaks[0, 0])
     return float(norms[0, 0])
 
@@ -410,6 +412,10 @@ def _tail_bounds(spectrum: SingularSpectrum, exponent: float):
 def _closed_form_sum(spectrum: SingularSpectrum, exponent: float):
     if spectrum.family == "geometric":
         r = spectrum.q ** exponent
+        if r == 1.0:
+            # q**p rounds to one: r / (1 - r) would divide by zero, while
+            # the sum 1 / (q**-p - 1) is finite
+            return 1.0 / math.expm1(-exponent * math.log(spectrum.q))
         return r / (1.0 - r)
     return None
 
@@ -459,12 +465,12 @@ class OperatorClassReport:
         raise KeyError(f"power {n} not materialized in this report")
 
 
-def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> OperatorClassReport:
+def classify_spectrum(spectrum: SingularSpectrum) -> OperatorClassReport:
     """Classify a singular spectrum and the powers of its operator.
 
     compact iff the values decrease to zero, as both families do;
     Hilbert-Schmidt iff the squares are summable; nuclear iff the values
-    themselves are.  For each integer n up to ``max_power`` the spectrum
+    themselves are.  For each integer n up to ``MAX_POWER`` the spectrum
     of the n-th power (values**n) is classified the same way, and the
     smallest nuclear power is reported when one exists.
     """
@@ -473,7 +479,7 @@ def classify_spectrum(spectrum: SingularSpectrum, max_power: int = 6) -> Operato
 
     thresholds = []
     min_nuclear = None
-    for n in range(1, max_power + 1):
+    for n in range(1, MAX_POWER + 1):
         verdict = PowerVerdict(nuclear=_converges(spectrum, n),
                                hilbert_schmidt=_converges(spectrum, 2 * n))
         thresholds.append((n, verdict))

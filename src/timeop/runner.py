@@ -190,15 +190,7 @@ def _run_admissibility(ctx, params, rng):
     cert = check_admissible(
         ctx.profile, grid=(params["grid_lo"], params["grid_hi"]), t_set=params["t_set"]
     )
-    details = {
-        "profile": ctx.profile.describe(),
-        "grid": list(cert.grid),
-        "t_set": list(cert.t_set),
-        "monotone_ok": cert.monotone_ok,
-        "limits_ok": cert.limits_ok,
-        "ratio_ok": cert.ratio_ok,
-        "witnesses": cert.witnesses,
-    }
+    details = {"profile": ctx.profile.describe(), **asdict(cert)}
     return cert.admissible, details
 
 
@@ -361,18 +353,7 @@ def _run_theorem(ctx, params, rng):
     for t in params["t_values"]:
         web = build_operator_web(ctx.decay, t)
         report = verify_web(web, seed=int(rng.integers(2**31)))
-        parts.append({
-            "t": t,
-            "v_equals_x_deviation": report.v_equals_x_deviation,
-            "dual_markov_monotone": report.dual_markov_monotone,
-            "dual_markov_traces": list(report.dual_markov_traces),
-            "v_vs_u_witness": asdict(report.v_vs_u_witness),
-            "y_vs_u_witness": asdict(report.y_vs_u_witness),
-            "w_vs_z_witness": asdict(report.w_vs_z_witness),
-            "z_spectrum_deviation": report.z_spectrum_deviation,
-            "z_conjugacy_deviation": report.z_conjugacy_deviation,
-            "all_passed": report.all_passed,
-        })
+        parts.append({**asdict(report), "all_passed": report.all_passed})
         all_ok = all_ok and report.all_passed
     return all_ok, {"parts": parts}
 

@@ -341,8 +341,8 @@ class TestLyapunovTraces:
         block[6, 0] = 0.125  # the marker of the corrupted row
         honest = timeop.markov._moved_rows
 
-        def corrupt_marked(ev, coeffs, t, support_tol):
-            targets, moved = honest(ev, coeffs, t, support_tol)
+        def corrupt_marked(ev, coeffs, t):
+            targets, moved = honest(ev, coeffs, t)
             moved[coeffs[:, 0] == 0.125] *= 1.0 + 1e-6 * (t == 2)
             return targets, moved
 

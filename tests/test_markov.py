@@ -98,10 +98,12 @@ class TestStep:
 
     def test_weight_table_invariants(self):
         _, ev = evolution()
-        table = ev.log_ratios
-        valid = ~np.isnan(table)
-        assert np.all(table[valid] <= 0.0)
-        assert np.all(table[:, 0][valid[:, 0]] == 0.0)
+        for t in range(ev.max_t + 1):
+            log_ratio = ev.label_log_ratio(t)
+            valid = log_ratio[~np.isnan(log_ratio)]
+            assert np.all(valid <= 0.0)
+            if t == 0:
+                assert np.all(valid == 0.0)
 
 
 class TestLyapunovTrace:
@@ -135,8 +137,8 @@ class TestLyapunovTrace:
         s, ev = evolution(-6, 6, 4)
         honest = markov._moved_rows
 
-        def off_at_4(ev, coeffs, t, support_tol):
-            targets, moved = honest(ev, coeffs, t, support_tol)
+        def off_at_4(ev, coeffs, t):
+            targets, moved = honest(ev, coeffs, t)
             return targets, moved * (1.0 + 1e-6 * (t == 4))
 
         # only the underflowed step is off, so only the log-domain route can see it

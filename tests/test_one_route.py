@@ -1,0 +1,65 @@
+"""W_t's log weights have one route: the decay diagonal read along the step map.
+
+``MarkovEvolution.label_log_ratio`` and the operator web's ``w`` are both
+``DecayOperator.step_log_ratio``.  On a correct system they equal the
+closed form log lambda(a + t) - log lambda(a) bit for bit on the
+t-margin, and are NaN off it; on a system whose step map lowers an age
+the ratio passes one, and the Markov gate rejects it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timeop.cascade import AgeWindow, CascadeSystem, build_baker_cascade, build_shift_cascade
+from timeop.duals import build_operator_web
+from timeop.markov import MarkovEvolution
+from timeop.profiles import DecayOperator, check_admissible, gumbel, logistic
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def decay_and_time(draw):
+    if draw(st.booleans()):
+        lo = draw(st.integers(-8, -1))
+        system = build_shift_cascade(AgeWindow(lo, draw(st.integers(max(1, lo + 2), 6))))
+    else:
+        system = build_baker_cascade(draw(st.integers(1, 4)))
+    # exp(a * hi) <= e^6 keeps every conjugation weight below the cap
+    profile = draw(st.one_of(st.floats(0.05, 1.0).map(gumbel), st.just(logistic())))
+    # logistic fails the ratio condition; the weights need no certificate
+    decay = DecayOperator(system, profile, check_admissible(profile))
+    t = draw(st.integers(0, system.window.hi - system.window.lo))
+    return decay, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(decay_and_time())
+def test_markov_and_web_weights_are_the_closed_form_on_the_margin(case):
+    decay, t = case
+    system = decay.system
+    margin = system.interior_mask(t)
+    expected = decay.log_weight(system.ages[margin] + t) - decay.log_diag[margin]
+    routes = {
+        "markov": MarkovEvolution(decay, t).label_log_ratio(t),
+        "web": build_operator_web(decay, t).log_weights["w"],
+    }
+    for route in routes.values():
+        assert np.array_equal(bits(route[margin]), bits(expected))
+        assert np.all(np.isnan(route[~margin]))
+
+
+def test_a_step_that_lowers_an_age_fails_the_markov_gate():
+    # the age-0 label steps onto age -1, where lambda is larger
+    system = build_shift_cascade(AgeWindow(-4, 4))
+    step = np.array(system._step)
+    step[system.index_of(0)] = system.index_of(-1)
+    bad = CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
+                        system.basis_id)
+    decay = DecayOperator(bad, gumbel(1.0), check_admissible(gumbel(1.0)))
+    with pytest.raises(ValueError, match="decay ratios exceed one"):
+        MarkovEvolution(decay, 2)

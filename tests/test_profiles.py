@@ -5,6 +5,7 @@ import pytest
 
 from timeop.cascade import AgeWindow, StateVector, build_baker_cascade, build_shift_cascade
 from timeop.profiles import (
+    DecayOperator,
     ProfileError,
     apply_block,
     build_decay_operator,
@@ -120,7 +121,7 @@ class TestDecayOperator:
         s = build_shift_cascade(AgeWindow(-2, 2))
         borrowed = check_admissible(gumbel(1.0), grid=(-25, 25))
         with pytest.raises(ProfileError, match="injectivity"):
-            build_decay_operator(profile, s, borrowed)
+            DecayOperator(s, profile, borrowed)
 
     def test_baker_weights_follow_age_classes(self):
         b = build_baker_cascade(1)

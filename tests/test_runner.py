@@ -112,6 +112,18 @@ class TestBundle:
         assert not record["details"]["criterion_met"]
         assert record["status"] == "pass"
 
+    def test_kothe_geometric_sum_where_q_to_the_exponent_rounds_to_one(self):
+        # q = 1 - 2**-52: q**(1/6) rounds to 1.0, so r / (1 - r) would
+        # divide by zero, while the sum is about 6 * 2**52
+        text = SHIFT_CONFIG.format(a=1.0) + (
+            "\n[experiment kothe]\nspectrum = geometric 0.9999999999999998\nn1 = 0\nn2 = 1/12\n"
+        )
+        record = run_experiments(parse_config(text)).records[0]
+        assert record["status"] == "pass"
+        total = record["details"]["closed_form_sum"]
+        assert math.isfinite(total)
+        assert total == pytest.approx(6 * 2.0**52, rel=1e-6)
+
     def test_kothe_criterion_without_convergence_fails(self, monkeypatch):
         import timeop.runner as runner
 
