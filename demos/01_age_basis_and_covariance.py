@@ -15,7 +15,6 @@ from timeop import (
     AgeWindow,
     build_baker_cascade,
     build_shift_cascade,
-    koopman_power,
     system_from_json,
     system_to_json,
     verify_covariance,
@@ -44,8 +43,8 @@ for n in range(-2, 3):
     print(f"  age {n:+d} eigenspace dimension {count} (= 2^(n+m))")
 
 print("\nindex-set shift: U chi{-1,0} lands on chi{0,1}:")
-moved = koopman_power(baker, baker.basis_vector(frozenset({-1, 0})), 1)
-print("  coefficient at chi{0,1} =", moved.coeffs[baker.index_of(frozenset({0, 1}))])
+image = baker.step_indices(1)[baker.index_of(frozenset({-1, 0}))]
+print("  image label =", baker.label_text(baker.labels[image]))
 
 print("\ncovariance deviation on the baker window:")
 for t in range(3):
@@ -62,10 +61,13 @@ for system, name in ((shift, "shift"), (baker, "baker")):
 
 print("\nmixing surrogate: once t exceeds the age-support diameter, evolved")
 print("fluctuations are exactly orthogonal to any fixed observable:")
-u = shift.basis_vector(-1) + shift.basis_vector(0)
-v = shift.basis_vector(-2)
+u = shift.basis_vector(-1).coeffs + shift.basis_vector(0).coeffs
+v = shift.basis_vector(-2).coeffs
 for t in range(1, 5):
-    overlap = float(np.dot(u.coeffs, koopman_power(shift, v, t).coeffs))
+    # U^t moves the coefficient of label k onto label step_indices(t)[k]
+    idx = shift.step_indices(t)
+    kept = idx >= 0
+    overlap = float(np.dot(u[idx[kept]], v[kept]))
     print(f"  t={t}: <u, U^t v> = {overlap}")
 
 print("\nsystems serialize to JSON for fixture reuse; loading re-verifies:")

@@ -12,8 +12,8 @@ import numpy as np
 
 from timeop import (
     AgeWindow,
+    HVector,
     MarkovEvolution,
-    StateVector,
     asymmetry_probe,
     build_baker_cascade,
     build_decay_operator,
@@ -42,8 +42,6 @@ print("\n=== random interior vectors decay too ===")
 rng = np.random.default_rng(0)
 band = (shift.ages >= -2) & (shift.ages <= 2)
 for k in range(3):
-    from timeop import HVector
-
     v = HVector(np.where(band, rng.standard_normal(shift.dim), 0.0), shift.basis_id)
     tr = lyapunov_trace(ev, v, 4)
     print(f"  sample {k}: norms {[f'{n:.4f}' for n in tr.norms]} monotone={tr.monotone}")
@@ -52,7 +50,7 @@ print("\n=== positivity probe on the baker grid ===")
 baker = build_baker_cascade(2)
 bdecay = build_decay_operator(gumbel(1.0), baker)
 bev = MarkovEvolution(bdecay, 2)
-rho = walsh_to_grid(baker, StateVector(1.0, baker.basis_vector(frozenset({0}))))
+rho = walsh_to_grid(baker, 1.0, baker.basis_vector(frozenset({0})).coeffs)
 print("density 1 + chi{0} (cells 0 or 2, mass 1):")
 for t in (1, 2):
     probe = positivity_probe(bev, rho, t)

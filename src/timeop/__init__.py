@@ -12,17 +12,15 @@ diagonal arithmetic allow, and log-domain elsewhere.
 
 __version__ = "0.1.0"
 
-from .hilbert import BasisMismatchError, HVector, inner
+from .hilbert import BasisMismatchError, HVector
 from .cascade import (
     AgeWindow,
     CascadeSystem,
     GridDensity,
     MarginError,
-    StateVector,
     build_baker_cascade,
     build_shift_cascade,
     grid_to_walsh,
-    koopman_power,
     system_from_json,
     system_to_json,
     verify_covariance,
@@ -34,7 +32,6 @@ from .profiles import (
     DecayOperator,
     DecayProfile,
     ProfileError,
-    apply_block,
     build_decay_operator,
     check_admissible,
     gumbel,
@@ -52,11 +49,11 @@ from .rigging import (
     build_tower,
     classify_spectrum,
     geometric_spectrum,
-    graded_norm,
+    graded_norm_rows,
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
-    weighted_inner,
+    weighted_inner_rows,
 )
 from .markov import (
     AsymmetryReport,

@@ -38,11 +38,9 @@ __all__ = [
     "MarginError",
     "AgeWindow",
     "GridDensity",
-    "StateVector",
     "CascadeSystem",
     "build_shift_cascade",
     "build_baker_cascade",
-    "koopman_power",
     "verify_covariance",
     "verify_imprimitivity",
     "verify_age_transport",
@@ -102,18 +100,6 @@ class GridDensity:
     def mass(self) -> float:
         """Integral against the uniform measure (mean of the cell values)."""
         return float(self.values.mean())
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Equilibrium scalar plus the fluctuation coefficients.
-
-    The constant function is stored apart from the fluctuation vector,
-    so block transforms can fix it exactly.
-    """
-
-    equilibrium: float
-    fluct: HVector
 
 
 class CascadeSystem:
@@ -294,33 +280,6 @@ def build_baker_cascade(m: int) -> CascadeSystem:
 
 
 # -- dynamics ------------------------------------------------------------
-
-
-def _support_indices(v: HVector) -> np.ndarray:
-    return np.nonzero(v.coeffs)[0]
-
-
-def koopman_power(system: CascadeSystem, v: HVector, t: int) -> HVector:
-    """Apply the one-step operator t times to a margin-supported vector.
-
-    The action is a pure relabelling, so inner products between vectors
-    jointly supported in the t-margin are preserved: the summands are
-    identical floats, reordered at most by the label permutation.
-    """
-    if t < 0:
-        raise ValueError("the step semigroup is defined for t >= 0")
-    if v.basis_id != system.basis_id:
-        raise BasisMismatchError(f"vector over {v.basis_id!r} does not belong to {system.basis_id!r}")
-    support = _support_indices(v)
-    offending = support[system.ages[support] + t > system.window.hi]
-    if offending.size:
-        names = ", ".join(system.label_text(system.labels[i]) for i in offending[:8])
-        raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
-    out = np.zeros(system.dim)
-    idx = system.step_indices(t)
-    keep = support[idx[support] >= 0]
-    out[idx[keep]] = v.coeffs[keep]
-    return HVector(out, system.basis_id)
 
 
 def verify_covariance(system: CascadeSystem, t: int) -> float:
@@ -530,31 +489,29 @@ def grid_cells(system: CascadeSystem, grid: GridDensity) -> np.ndarray:
     return grid.values[iy, ix][None]
 
 
-def walsh_to_grid(system: CascadeSystem, state: StateVector) -> GridDensity:
-    """Evaluate a Walsh expansion pointwise on the dyadic cells.
+def walsh_to_grid(system: CascadeSystem, equilibrium: float, fluct) -> GridDensity:
+    """Evaluate one Walsh expansion pointwise on the dyadic cells.
 
-    The one-row case of :func:`walsh_to_cells`.  The transform is
-    orthogonal up to the fixed cell-count normalization, so the
-    grid/coefficient round trip is exact for dyadic data and accurate
-    to round-off otherwise.
+    ``fluct`` is the array of label-ordered fluctuation coefficients and
+    ``equilibrium`` the constant component; the one-row case of
+    :func:`walsh_to_cells`.  The transform is orthogonal up to the fixed
+    cell-count normalization, so the grid/coefficient round trip is
+    exact for dyadic data and accurate to round-off otherwise.
     """
-    _require_baker(system)
-    if state.fluct.basis_id != system.basis_id:
-        raise BasisMismatchError("state does not belong to this baker system")
-    cells = walsh_to_cells(system, [state.equilibrium], state.fluct.coeffs[None])
+    cells = walsh_to_cells(system, [equilibrium], [fluct])
     iy, ix = _cell_coordinates(system.m)
     grid = np.zeros(_grid_shape(system))
     grid[iy, ix] = cells[0]
     return GridDensity(grid)
 
 
-def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> StateVector:
-    """Walsh coefficients (and equilibrium mean) of a grid density.
+def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> tuple:
+    """Equilibrium mean and fluctuation coefficient array of a grid density.
 
     The one-row case of :func:`cells_to_walsh`.
     """
     equilibrium, fluct = cells_to_walsh(system, grid_cells(system, grid))
-    return StateVector(float(equilibrium[0]), HVector(fluct[0], system.basis_id))
+    return float(equilibrium[0]), fluct[0]
 
 
 # -- serialization --------------------------------------------------------

@@ -1,17 +1,18 @@
 """Finite-dimensional real Hilbert-space scaffolding.
 
-Coefficient vectors over a labelled orthonormal basis and their
-Euclidean pairing.  Operators are not represented here: every operator
-the package builds is a truncated weighted shift, carried as a step
-index map plus per-label log weights (see the cascade module).
+Vectors are plain float arrays of coefficients over a labelled
+orthonormal basis, and the batched routines of the other modules work
+on ``(rows, dim)`` coefficient blocks; the helpers here cut a block into
+row chunks and reduce it row by row to the very floats a loop over its
+rows gives.  Operators are not represented here: every operator the
+package builds is a truncated weighted shift, carried as a step index
+map plus per-label log weights (see the cascade module).
 
-Vectors are immutable after construction and every operation is a pure
-function, so concurrent read-only use needs no synchronization.  The
-scalar field is real.
-
-The batched routines of the other modules work on ``(rows, dim)``
-coefficient blocks; the helpers here cut a block into row chunks and
-reduce it row by row to the very floats the one-vector code gives.
+:class:`HVector` is the one-row type of the few entry points that take
+a single vector (basis vectors, the Markov step, the Lyapunov trace and
+the asymmetry probe): a read-only array tagged with its basis.  It has
+no arithmetic; sums and multiples are formed on the arrays.  The scalar
+field is real.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "BasisMismatchError",
     "HVector",
-    "inner",
     "NORM_RESCALE_BELOW",
     "BLOCK_FLOATS",
     "row_chunks",
@@ -55,8 +55,8 @@ class HVector:
     coeffs : array_like
         Real coefficients, one per basis label.
     basis_id : str
-        Identifier of the generating basis; operations reject operands
-        whose identifiers differ.
+        Identifier of the generating basis; the one-row entry points
+        reject a vector whose identifier differs from their system's.
     """
 
     coeffs: np.ndarray
@@ -83,35 +83,6 @@ class HVector:
         the coefficients scaled by the largest magnitude.
         """
         return vector_norm(self.coeffs)
-
-    def __add__(self, other: "HVector") -> "HVector":
-        _check_vectors(self, other)
-        return HVector(self.coeffs + other.coeffs, self.basis_id)
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        _check_vectors(self, other)
-        return HVector(self.coeffs - other.coeffs, self.basis_id)
-
-    def __mul__(self, scalar) -> "HVector":
-        return HVector(self.coeffs * float(scalar), self.basis_id)
-
-    __rmul__ = __mul__
-
-
-def _check_vectors(u: HVector, v: HVector):
-    if u.basis_id != v.basis_id:
-        raise BasisMismatchError(f"bases differ: {u.basis_id!r} vs {v.basis_id!r}")
-    if u.dim != v.dim:
-        raise BasisMismatchError(f"dimensions differ: {u.dim} vs {v.dim}")
-
-
-def inner(u: HVector, v: HVector) -> float:
-    """Euclidean pairing sum_k u_k v_k over a common basis.
-
-    Symmetric and bilinear; ``inner(v, v)`` is the squared norm.
-    """
-    _check_vectors(u, v)
-    return float(np.dot(u.coeffs, v.coeffs))
 
 
 def vector_norm(coeffs: np.ndarray) -> float:

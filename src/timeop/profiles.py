@@ -21,8 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cascade import CascadeSystem, StateVector
-from .hilbert import HVector
+from .cascade import CascadeSystem
 
 __all__ = [
     "ProfileError",
@@ -34,7 +33,6 @@ __all__ = [
     "check_admissible",
     "DecayOperator",
     "build_decay_operator",
-    "apply_block",
     "verify_covariant_transform",
     "log_condition_number",
 ]
@@ -96,7 +94,8 @@ class DecayProfile:
             for i, point in enumerate(flat):
                 key = int(point)
                 if key != point or key not in self._lookup:
-                    raise ProfileError(f"profile table does not cover s={point!r}")
+                    shown = key if key == point else float(point)
+                    raise ProfileError(f"profile table does not cover s={shown}")
                 with np.errstate(divide="ignore"):
                     vals[i] = np.log(self._lookup[key])
             out = vals.reshape(s_arr.shape)
@@ -237,8 +236,9 @@ class DecayOperator:
 
     The diagonal entry over a label of age n is lambda(n); entries are
     strictly positive in the log domain even where the plain float
-    value underflows.  Blockwise (see :func:`apply_block`) the transform
-    acts as the identity on the equilibrium component.
+    value underflows.  Blockwise the transform keeps the equilibrium
+    component fixed and takes fluctuation coefficients to
+    ``diag * fluct``.
     """
 
     def __init__(self, system: CascadeSystem, profile: DecayProfile,
@@ -305,11 +305,6 @@ def build_decay_operator(profile: DecayProfile, system: CascadeSystem) -> DecayO
             f"witnesses: {certificate.witnesses!r}"
         )
     return DecayOperator(system, profile, certificate)
-
-
-def apply_block(op: DecayOperator, state: StateVector) -> StateVector:
-    """Blockwise transform: equilibrium fixed exactly, fluctuation weighted."""
-    return StateVector(state.equilibrium, HVector(op.diag * state.fluct.coeffs, op.basis_id))
 
 
 def verify_covariant_transform(op: DecayOperator, t: int) -> float:

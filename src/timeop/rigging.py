@@ -2,7 +2,11 @@
 
 A positive injective diagonal operator J with entries at most one
 generates a family of strengthened Hilbert norms on its range,
-``|v|_n = || J^(-n) v ||``, indexed by rational grades n >= 0.  Three
+``|v|_n = || J^(-n) v ||``, indexed by rational grades n >= 0.  J is
+read as its log diagonal ``log_diag`` (a decay operator carries one),
+and vectors are rows of ``(rows, dim)`` coefficient arrays:
+:func:`graded_norm_rows` norms every row at every grade and
+:func:`weighted_inner_rows` pairs rows against a Gram weighting.  Three
 canonical grade sets are materialized:
 
   A: the single top grade 1 (one strengthened Hilbert norm),
@@ -30,13 +34,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import HVector, masked_row_sums, row_chunks, vector_norm
+from .hilbert import masked_row_sums, row_chunks, vector_norm
 
 __all__ = [
     "NormDomainError",
     "LOG_WEIGHT_CAP",
-    "weighted_inner",
-    "graded_norm",
+    "weighted_inner_rows",
+    "graded_norm_rows",
     "NormTower",
     "build_tower",
     "isometry_check",
@@ -65,37 +69,15 @@ class NormDomainError(ValueError):
     """A weighted coordinate exceeds the materialized log range."""
 
 
-def _log_diag_of(j) -> np.ndarray:
-    """Log diagonal of a positive diagonal operator J.
+def weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """sum_k u_k v_k exp(lw[k]) of each row pair of two ``(rows, dim)`` blocks.
 
-    J is any object carrying ``log_diag`` and ``basis_id`` (a decay
-    operator does); the log form keeps entries that underflow as plain
-    floats strictly positive.
-    """
-    log_diag = getattr(j, "log_diag", None)
-    if log_diag is None:
-        raise ValueError("need an object carrying log_diag")
-    return np.asarray(log_diag, dtype=float)
-
-
-def weighted_inner(u: HVector, v: HVector, log_weights) -> float:
-    """sum_k u_k v_k exp(log_weights[k]), each term formed in log domain.
-
-    This evaluates Gram-weighted pairings whose weights span hundreds of
-    orders of magnitude without intermediate under- or overflow.  The
-    one-row case of the block pairing :func:`isometry_check` runs.
-    """
-    lw = np.asarray(log_weights, dtype=float)
-    return float(_weighted_inner_rows(u.coeffs[None], v.coeffs[None], lw)[0])
-
-
-def _weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """:func:`weighted_inner` of each row pair of two ``(rows, dim)`` blocks.
-
-    Each row sums over its own active labels, where both coefficients
-    are nonzero.  A row with no active label pairs to 0.0, and a row
-    whose active labels all carry log weight zero to the plain dot
-    product; the first other row whose largest term passes the cap
+    Every term is formed in the log domain, so Gram weights spanning
+    hundreds of orders of magnitude pair without intermediate under- or
+    overflow.  Each row sums over its own active labels, where both
+    coefficients are nonzero.  A row with no active label pairs to 0.0,
+    and a row whose active labels all carry log weight zero to the plain
+    dot product; the first other row whose largest term passes the cap
     raises :class:`NormDomainError`.
     """
     active = (uc != 0) & (vc != 0)
@@ -125,44 +107,25 @@ def _weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.n
     return out
 
 
-def graded_norm(v: HVector, n, j) -> float:
-    """Strengthened norm of grade n: the ambient norm of J^(-n) v.
-
-    Evaluated per coordinate as exp(log|v_k| - n log d_k); grade 0
-    returns the ambient norm exactly.  Coordinates whose weighted log
-    magnitude exceeds ``LOG_WEIGHT_CAP`` raise :class:`NormDomainError`, reporting
-    the vector as outside the materialized domain of the grade.  The
-    one-row, one-grade case of the block :func:`build_tower` checks.
-    """
-    grade = float(Fraction(n)) if isinstance(n, (int, Fraction)) else float(n)
-    if grade < 0:
-        raise ValueError(f"grades are non-negative, got {n!r}")
-    if grade == 0:
-        return v.norm()
-    log_diag = _log_diag_of(j)
-    if v.dim != log_diag.shape[0] or v.basis_id != j.basis_id:
-        raise ValueError("vector and operator live over different bases")
-    norms, peaks = _graded_norm_rows(v.coeffs[None], (grade,), log_diag)
-    if peaks[0, 0] > LOG_WEIGHT_CAP:
-        raise _outside_grade(n, peaks[0, 0])
-    return float(norms[0, 0])
-
-
 def _outside_grade(n, peak) -> NormDomainError:
     return NormDomainError(
         f"outside materialized domain: grade {n} weights reach exp({float(peak):.1f})"
     )
 
 
-def _graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
-    """Graded norms of each row of a ``(rows, dim)`` block at each float grade.
+def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
+    """Graded norms ``|v|_n = || J^(-n) v ||`` of each row of a ``(rows, dim)`` block.
 
+    J is given by its log diagonal, and each grade n >= 0 is a float.
     Returns the ``(rows, grades)`` norms and the peak log magnitudes
-    behind them: entry [r, g] is :func:`graded_norm`'s float for row r
-    at grade g wherever its peak is within the cap.  Grade 0 is the
-    ambient norm and has peak -inf.
+    log|v_k| - n log d_k behind them.  A norm is only meaningful where
+    its peak is within ``LOG_WEIGHT_CAP``: past it the row lies outside
+    the materialized domain of that grade.  Grade 0 is the ambient norm,
+    exactly :func:`~timeop.hilbert.vector_norm`, and has peak -inf.
     """
     grades = np.asarray(grades, dtype=float)
+    if np.any(grades < 0):
+        raise ValueError(f"grades are non-negative, got {float(grades.min())}")
     rows, dim = coeffs.shape
     norms = np.zeros((rows, grades.size))
     peaks = np.full((rows, grades.size), -np.inf)
@@ -191,16 +154,10 @@ class NormTower:
 
     tower_type: str
     grades: tuple
-    j: object
     cutoff: int
     supremum: Fraction | None
     supremum_attained: bool
     monotone_samples: int
-
-    def norm(self, v: HVector, grade) -> float:
-        if Fraction(grade) not in self.grades:
-            raise ValueError(f"grade {grade!r} is not materialized in this tower")
-        return graded_norm(v, grade, self.j)
 
 
 def _tower_grades(tower_type: str, cutoff: int) -> tuple:
@@ -225,7 +182,7 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
-    log_diag = _log_diag_of(j)
+    log_diag = j.log_diag
     if np.any(log_diag > 0):
         raise ValueError("tower monotonicity needs diagonal entries <= 1")
     grades = _tower_grades(tower_type, cutoff)
@@ -234,7 +191,7 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
     # a sample holds its logs and their exponentials at every grade
     for chunk in row_chunks(samples, 2 * len(grades) * dim):
         block = rng.standard_normal((chunk.stop - chunk.start, dim))
-        norms, peaks = _graded_norm_rows(block, [float(g) for g in grades], log_diag)
+        norms, peaks = graded_norm_rows(block, [float(g) for g in grades], log_diag)
         outside = peaks > LOG_WEIGHT_CAP
         drop = np.zeros_like(outside)
         drop[:, 1:] = norms[:, 1:] < norms[:, :-1] * (1.0 - 1e-12)
@@ -248,7 +205,7 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
             )
     supremum = {"A": Fraction(1), "B": Fraction(1), "C": None}[tower_type]
     attained = tower_type == "A"
-    return NormTower(tower_type, grades, j, cutoff, supremum, attained, samples)
+    return NormTower(tower_type, grades, cutoff, supremum, attained, samples)
 
 
 def isometry_check(j, samples: int = 100, seed: int = 0) -> float:
@@ -262,7 +219,7 @@ def isometry_check(j, samples: int = 100, seed: int = 0) -> float:
     as ``(rows, 2, dim)`` blocks, and every float is the one a loop over
     the pairs gives.
     """
-    log_diag = _log_diag_of(j)
+    log_diag = j.log_diag
     dim = log_diag.shape[0]
     diag = np.exp(log_diag)
     gram = -2.0 * log_diag
@@ -273,7 +230,7 @@ def isometry_check(j, samples: int = 100, seed: int = 0) -> float:
     for chunk in row_chunks(samples, 8 * dim):
         pairs = rng.standard_normal((chunk.stop - chunk.start, 2, dim))
         sigma, rho = pairs[:, 0], pairs[:, 1]
-        lhs = _weighted_inner_rows(diag * sigma, diag * rho, gram)
+        lhs = weighted_inner_rows(diag * sigma, diag * rho, gram)
         for r, (s, p) in enumerate(zip(sigma, rho)):
             scale = vector_norm(s) * vector_norm(p)
             if scale != 0.0:

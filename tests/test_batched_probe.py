@@ -19,7 +19,6 @@ import timeop.cascade
 from timeop.cascade import (
     GridDensity,
     MarginError,
-    StateVector,
     _cell_coordinates,
     _fwht,
     build_baker_cascade,
@@ -128,7 +127,7 @@ class TestBatchedTransform:
         fluct = rng.standard_normal((5, b.dim))
         block = walsh_to_cells(b, equilibrium, fluct)
         for r in range(5):
-            grid = walsh_to_grid(b, StateVector(equilibrium[r], HVector(fluct[r], b.basis_id)))
+            grid = walsh_to_grid(b, equilibrium[r], fluct[r])
             assert np.array_equal(bits(grid_cells(b, grid)[0]), bits(block[r]))
 
 

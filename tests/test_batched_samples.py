@@ -36,13 +36,13 @@ from timeop.rigging import (
     LOG_WEIGHT_CAP,
     NormDomainError,
     _tower_grades,
-    _weighted_inner_rows,
     build_tower,
     classify_spectrum,
     geometric_spectrum,
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
+    weighted_inner_rows,
 )
 from timeop.runner import _Context, _interior_band, _run_lyapunov, _run_tower
 
@@ -244,14 +244,14 @@ class TestIsometry:
         uc[3, 4] = -0.0
         uc[4:6, 4] = 0.0
         want = [weighted_inner_loop(a, b, lw) for a, b in zip(uc[:8], vc[:8])]
-        assert np.array_equal(bits(_weighted_inner_rows(uc[:8], vc[:8], lw)), bits(want))
+        assert np.array_equal(bits(weighted_inner_rows(uc[:8], vc[:8], lw)), bits(want))
         # rows 8 and 9 pass the cap with the weight exp(690): row 8 raises
         uc[8:, 4] = (2.0e5, 3.0e5)
         vc[8:, 4] = 1.0
         with pytest.raises(NormDomainError) as loop:
             [weighted_inner_loop(a, b, lw) for a, b in zip(uc, vc)]
         with pytest.raises(NormDomainError) as batched:
-            _weighted_inner_rows(uc, vc, lw)
+            weighted_inner_rows(uc, vc, lw)
         assert str(batched.value) == str(loop.value)
         assert "exp(702.2)" in str(loop.value)
 

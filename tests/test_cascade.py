@@ -9,19 +9,24 @@ from hypothesis import strategies as st
 from timeop.cascade import (
     AgeWindow,
     GridDensity,
-    MarginError,
-    StateVector,
     build_baker_cascade,
     build_shift_cascade,
     grid_to_walsh,
-    koopman_power,
     system_from_json,
     system_to_json,
     verify_covariance,
     verify_imprimitivity,
     walsh_to_grid,
 )
-from timeop.hilbert import HVector, inner
+
+
+def step(system, coeffs, t):
+    """U^t on a coefficient array: label k's coefficient moves to step_indices(t)[k]."""
+    idx = system.step_indices(t)
+    kept = idx >= 0
+    out = np.zeros(system.dim)
+    out[idx[kept]] = coeffs[kept]
+    return out
 
 
 def all_subsets(coords):
@@ -31,11 +36,11 @@ def all_subsets(coords):
     return out
 
 
-def brute_force_cell_value(system, state, iy, ix):
+def brute_force_cell_value(system, equilibrium, fluct, iy, ix):
     """Pointwise Walsh evaluation straight from the digit convention."""
     m = system.m
-    total = state.equilibrium
-    for label, coeff in zip(system.labels, state.fluct.coeffs):
+    total = equilibrium
+    for label, coeff in zip(system.labels, fluct):
         if coeff == 0.0:
             continue
         sign = 1
@@ -126,13 +131,13 @@ class TestBakerCascade:
 
     def test_step_shifts_index_set(self):
         b = build_baker_cascade(1)
-        out = koopman_power(b, b.basis_vector(frozenset({0})), 1)
-        assert np.array_equal(out.coeffs, b.basis_vector(frozenset({1})).coeffs)
+        out = step(b, b.basis_vector(frozenset({0})).coeffs, 1)
+        assert np.array_equal(out, b.basis_vector(frozenset({1})).coeffs)
 
     def test_step_shifts_pairs(self):
         b = build_baker_cascade(2)
-        out = koopman_power(b, b.basis_vector(frozenset({-1, 0})), 1)
-        assert np.array_equal(out.coeffs, b.basis_vector(frozenset({0, 1})).coeffs)
+        out = step(b, b.basis_vector(frozenset({-1, 0})).coeffs, 1)
+        assert np.array_equal(out, b.basis_vector(frozenset({0, 1})).coeffs)
 
     def test_covariance_exact(self):
         b = build_baker_cascade(1)
@@ -161,18 +166,14 @@ class TestBakerCascade:
 class TestKoopman:
     def test_zero_steps_identity(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
-        v = HVector(np.array([0.1, 0.2, 0.3, 0.0, 0.0]), s.basis_id)
-        assert np.array_equal(koopman_power(s, v, 0).coeffs, v.coeffs)
+        assert np.array_equal(s.step_indices(0), np.arange(s.dim))
+        v = np.array([0.1, 0.2, 0.3, 0.0, 0.0])
+        assert np.array_equal(step(s, v, 0), v)
 
     def test_double_shift(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
-        out = koopman_power(s, s.basis_vector(0), 2)
-        assert np.array_equal(out.coeffs, s.basis_vector(2).coeffs)
-
-    def test_margin_error_names_labels(self):
-        s = build_shift_cascade(AgeWindow(-2, 2))
-        with pytest.raises(MarginError, match="2"):
-            koopman_power(s, s.basis_vector(2), 1)
+        assert s.step_indices(2)[s.index_of(0)] == s.index_of(2)
+        assert np.array_equal(step(s, s.basis_vector(0).coeffs, 2), s.basis_vector(2).coeffs)
 
     @pytest.mark.parametrize("system", [
         build_shift_cascade(AgeWindow(-4, 4)),
@@ -187,21 +188,19 @@ class TestKoopman:
         for _ in range(20):
             u = np.where(system.ages <= hi - 2, rng.standard_normal(system.dim), 0.0)
             v = np.where(system.ages <= hi - 2, rng.standard_normal(system.dim), 0.0)
-            hu, hv = HVector(u, system.basis_id), HVector(v, system.basis_id)
-            mu, mv = koopman_power(system, hu, 2), koopman_power(system, hv, 2)
+            mu, mv = step(system, u, 2), step(system, v, 2)
             moved = idx >= 0
-            assert np.array_equal((mu.coeffs * mv.coeffs)[idx[moved]],
-                                  (u * v)[moved])
-            assert inner(mu, mv) == pytest.approx(inner(hu, hv), rel=1e-12)
+            assert np.array_equal((mu * mv)[idx[moved]], (u * v)[moved])
+            assert np.dot(mu, mv) == pytest.approx(np.dot(u, v), rel=1e-12)
 
     def test_mixing_overlap_vanishes_exactly(self):
         # once t exceeds the age-support diameter the supports are disjoint
         s = build_shift_cascade(AgeWindow(-5, 5))
-        u = s.basis_vector(-1) + s.basis_vector(0)
-        v = s.basis_vector(-2) + s.basis_vector(-1)
+        u = s.basis_vector(-1).coeffs + s.basis_vector(0).coeffs
+        v = s.basis_vector(-2).coeffs + s.basis_vector(-1).coeffs
         diameter = 0 - (-2)
         for t in range(diameter + 1, 5):
-            assert inner(u, koopman_power(s, v, t)) == 0.0
+            assert np.dot(u, step(s, v, t)) == 0.0
 
 
 class TestWalshGrid:
@@ -217,21 +216,20 @@ class TestWalshGrid:
 
     def test_equilibrium_is_constant_one(self):
         b = build_baker_cascade(2)
-        zero = HVector(np.zeros(b.dim), b.basis_id)
-        grid = walsh_to_grid(b, StateVector(1.0, zero))
+        grid = walsh_to_grid(b, 1.0, np.zeros(b.dim))
         assert np.array_equal(grid.values, np.ones(grid.values.shape))
 
     def test_single_rademacher_balance(self):
         b = build_baker_cascade(1)
-        grid = walsh_to_grid(b, StateVector(0.0, b.basis_vector(frozenset({0}))))
+        grid = walsh_to_grid(b, 0.0, b.basis_vector(frozenset({0})).coeffs)
         flat = grid.values.ravel()
         assert sorted(flat.tolist()) == [-1.0] * 4 + [1.0] * 4
         assert grid.mass == 0.0
 
     def test_two_coefficient_minimum(self):
         b = build_baker_cascade(1)
-        fluct = b.basis_vector(frozenset({0})) + b.basis_vector(frozenset({1}))
-        grid = walsh_to_grid(b, StateVector(1.0, fluct))
+        fluct = b.basis_vector(frozenset({0})).coeffs + b.basis_vector(frozenset({1})).coeffs
+        grid = walsh_to_grid(b, 1.0, fluct)
         # pointwise values over the four sign patterns: 3, 1, 1, -1
         assert float(grid.values.min()) == -1.0
         assert float(grid.values.max()) == 3.0
@@ -239,12 +237,12 @@ class TestWalshGrid:
     def test_matches_pointwise_oracle(self):
         b = build_baker_cascade(2)
         rng = np.random.default_rng(11)
-        state = StateVector(rng.standard_normal(), HVector(rng.standard_normal(b.dim), b.basis_id))
-        grid = walsh_to_grid(b, state)
+        equilibrium, fluct = rng.standard_normal(), rng.standard_normal(b.dim)
+        grid = walsh_to_grid(b, equilibrium, fluct)
         ny, nx = grid.values.shape
         for iy in range(0, ny, 3):
             for ix in range(nx):
-                oracle = brute_force_cell_value(b, state, iy, ix)
+                oracle = brute_force_cell_value(b, equilibrium, fluct, iy, ix)
                 assert grid.values[iy, ix] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_round_trip_exact_on_dyadic_grids(self):
@@ -252,32 +250,32 @@ class TestWalshGrid:
         rng = np.random.default_rng(5)
         values = rng.integers(-8, 9, size=(8, 4)).astype(float) / 8.0
         grid = GridDensity(values)
-        back = walsh_to_grid(b, grid_to_walsh(b, grid))
+        back = walsh_to_grid(b, *grid_to_walsh(b, grid))
         assert np.array_equal(back.values, grid.values)
 
     def test_round_trip_close_on_random_grids(self):
         b = build_baker_cascade(3)
         rng = np.random.default_rng(6)
         grid = GridDensity(rng.standard_normal((16, 8)))
-        back = walsh_to_grid(b, grid_to_walsh(b, grid))
+        back = walsh_to_grid(b, *grid_to_walsh(b, grid))
         assert np.allclose(back.values, grid.values, rtol=0, atol=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**14 - 1), st.integers(0, 2**14 - 1))
     def test_inner_product_preserved_up_to_cell_measure(self, seed_a, seed_b):
         b = build_baker_cascade(1)
-        fa = HVector(np.random.default_rng(seed_a).standard_normal(b.dim), b.basis_id)
-        fb = HVector(np.random.default_rng(seed_b).standard_normal(b.dim), b.basis_id)
-        ga = walsh_to_grid(b, StateVector(0.25, fa))
-        gb = walsh_to_grid(b, StateVector(-2.0, fb))
+        fa = np.random.default_rng(seed_a).standard_normal(b.dim)
+        fb = np.random.default_rng(seed_b).standard_normal(b.dim)
+        ga = walsh_to_grid(b, 0.25, fa)
+        gb = walsh_to_grid(b, -2.0, fb)
         cell_pairing = float((ga.values * gb.values).mean())
-        block_pairing = inner(fa, fb) + 0.25 * (-2.0)
+        block_pairing = float(np.dot(fa, fb)) + 0.25 * (-2.0)
         assert cell_pairing == pytest.approx(block_pairing, rel=1e-12, abs=1e-12)
 
     def test_grid_requires_baker(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
         with pytest.raises(ValueError):
-            walsh_to_grid(s, StateVector(1.0, s.basis_vector(0)))
+            walsh_to_grid(s, 1.0, s.basis_vector(0).coeffs)
 
 
 class TestSerialization:

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timeop.hilbert import BasisMismatchError, HVector, inner
+from timeop.cascade import AgeWindow, build_baker_cascade, build_shift_cascade, walsh_to_grid
+from timeop.hilbert import BasisMismatchError, HVector
+from timeop.markov import MarkovEvolution, markov_step
+from timeop.profiles import build_decay_operator, gumbel
+from timeop.rigging import weighted_inner_rows
 
 B = "test-basis"
 
@@ -12,39 +16,36 @@ def vec(*coeffs):
     return HVector(np.array(coeffs, dtype=float), B)
 
 
+def pairing(u, v):
+    """The Euclidean pairing: the block Gram pairing of one row pair at log weight zero."""
+    u = np.array(u, dtype=float)
+    v = np.array(v, dtype=float)
+    return float(weighted_inner_rows(u[None], v[None], np.zeros(u.size))[0])
+
+
 class TestInner:
     def test_orthogonal_basis_vectors(self):
-        assert inner(vec(1, 0), vec(0, 1)) == 0.0
+        assert pairing([1, 0], [0, 1]) == 0.0
 
     def test_direct_arithmetic(self):
-        assert inner(vec(1, 2), vec(3, 4)) == 11.0
+        assert pairing([1, 2], [3, 4]) == 11.0
 
     def test_norm_squared(self):
-        v = vec(3, 4)
-        assert inner(v, v) == 25.0
-        assert v.norm() == 5.0
-
-    def test_basis_mismatch_rejected(self):
-        with pytest.raises(BasisMismatchError):
-            inner(vec(1, 2), HVector(np.array([1.0, 2.0]), "other"))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(BasisMismatchError):
-            inner(vec(1, 2), vec(1, 2, 3))
+        assert pairing([3, 4], [3, 4]) == 25.0
+        assert vec(3, 4).norm() == 5.0
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=10))
     def test_symmetric(self, coeffs):
-        u = vec(*coeffs)
-        v = vec(*reversed(coeffs))
-        assert inner(u, v) == inner(v, u)
+        u, v = coeffs, coeffs[::-1]
+        assert pairing(u, v) == pairing(v, u)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
            st.floats(-1e3, 1e3))
     def test_bilinear_in_scaling(self, coeffs, scale):
-        u = vec(*coeffs)
-        v = vec(*coeffs[::-1])
-        lhs = inner(scale * u, v)
-        rhs = scale * inner(u, v)
+        u = np.array(coeffs)
+        v = u[::-1]
+        lhs = pairing(scale * u, v)
+        rhs = scale * pairing(u, v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
     @given(st.lists(
@@ -52,11 +53,10 @@ class TestInner:
         min_size=1, max_size=10,
     ))
     def test_positive_definite(self, coeffs):
-        v = vec(*coeffs)
         if any(c != 0 for c in coeffs):
-            assert inner(v, v) > 0.0
+            assert pairing(coeffs, coeffs) > 0.0
         else:
-            assert inner(v, v) == 0.0
+            assert pairing(coeffs, coeffs) == 0.0
 
 
 class TestNorm:
@@ -80,3 +80,23 @@ class TestOperatorAlgebra:
         v = vec(1, 2)
         with pytest.raises(ValueError):
             v.coeffs[0] = 9.0
+
+    def test_vectors_have_no_arithmetic(self):
+        # sums and multiples are formed on the coefficient arrays
+        with pytest.raises(TypeError):
+            vec(1, 2) + vec(3, 4)
+        with pytest.raises(TypeError):
+            2.0 * vec(1, 2)
+
+
+class TestBasisChecks:
+    def test_vector_over_another_basis_rejected(self):
+        s = build_shift_cascade(AgeWindow(-3, 3))
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), s), 1)
+        with pytest.raises(BasisMismatchError):
+            markov_step(ev, HVector(np.zeros(s.dim), "other"), 1)
+
+    def test_coefficient_count_mismatch_rejected(self):
+        b = build_baker_cascade(1)
+        with pytest.raises(BasisMismatchError):
+            walsh_to_grid(b, 1.0, np.zeros(b.dim + 1))

@@ -9,7 +9,6 @@ from timeop.cascade import (
     AgeWindow,
     GridDensity,
     MarginError,
-    StateVector,
     build_baker_cascade,
     build_shift_cascade,
     walsh_to_grid,
@@ -162,11 +161,11 @@ class TestLyapunovTrace:
 
 
 class TestPositivity:
-    def oracle_minimum(self, system, decay, state, t):
+    def oracle_minimum(self, system, decay, equilibrium, fluct, t):
         """Direct grid evolution: shift every coefficient by t with its
         ratio weight, then evaluate pointwise over all sign patterns."""
         coeffs = {}
-        for label, c in zip(system.labels, state.fluct.coeffs):
+        for label, c in zip(system.labels, fluct):
             if c == 0.0:
                 continue
             shifted = frozenset(i + t for i in label)
@@ -180,7 +179,7 @@ class TestPositivity:
         ny, nx = 1 << (m + 1), 1 << m
         for iy in range(ny):
             for ix in range(nx):
-                value = state.equilibrium
+                value = equilibrium
                 for label, c in coeffs.items():
                     sign = 1
                     for i in label:
@@ -194,7 +193,7 @@ class TestPositivity:
         b = build_baker_cascade(2)
         decay = build_decay_operator(gumbel(1.0), b)
         ev = MarkovEvolution(decay, 2)
-        rho = walsh_to_grid(b, StateVector(1.0, b.basis_vector(frozenset({0}))))
+        rho = walsh_to_grid(b, 1.0, b.basis_vector(frozenset({0})).coeffs)
         report = positivity_probe(ev, rho, 1)
         assert report.min_cell == pytest.approx(1.0 - math.exp(1.0 - math.e), rel=1e-12)
         assert report.min_cell >= 0.82
@@ -213,14 +212,12 @@ class TestPositivity:
         b = build_baker_cascade(2)
         decay = build_decay_operator(gumbel(1.0), b)
         ev = MarkovEvolution(decay, 1)
-        state = StateVector(
-            1.0,
-            0.5 * b.basis_vector(frozenset({0})) + 0.5 * b.basis_vector(frozenset({1})),
-        )
-        rho = walsh_to_grid(b, state)
+        fluct = 0.5 * b.basis_vector(frozenset({0})).coeffs \
+            + 0.5 * b.basis_vector(frozenset({1})).coeffs
+        rho = walsh_to_grid(b, 1.0, fluct)
         assert float(rho.values.min()) == 0.0
         report = positivity_probe(ev, rho, 1)
-        oracle = self.oracle_minimum(b, decay, state, 1)
+        oracle = self.oracle_minimum(b, decay, 1.0, fluct, 1)
         assert report.min_cell == pytest.approx(oracle, rel=1e-12)
         direct = 1.0 - 0.5 * math.exp(1.0 - math.e) - 0.5 * math.exp(math.e - math.e**2)
         assert report.min_cell == pytest.approx(direct, rel=1e-12)

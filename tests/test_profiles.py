@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from timeop.cascade import AgeWindow, StateVector, build_baker_cascade, build_shift_cascade
+from timeop.cascade import (
+    AgeWindow,
+    build_baker_cascade,
+    build_shift_cascade,
+    grid_to_walsh,
+    walsh_to_grid,
+)
 from timeop.profiles import (
     DecayOperator,
     ProfileError,
-    apply_block,
     build_decay_operator,
     check_admissible,
     gumbel,
@@ -38,8 +43,10 @@ class TestProfiles:
 
     def test_table_lookup_outside_coverage(self):
         p = profile_from_table([(0, 0.5), (1, 0.25)])
-        with pytest.raises(ProfileError, match="does not cover"):
+        with pytest.raises(ProfileError, match=r"^profile table does not cover s=2$"):
             p.log_value(2)
+        with pytest.raises(ProfileError, match=r"^profile table does not cover s=2\.5$"):
+            p.log_value(np.array([0.0, 2.5]))
 
 
 class TestAdmissibility:
@@ -123,6 +130,20 @@ class TestDecayOperator:
         with pytest.raises(ProfileError, match="injectivity"):
             DecayOperator(s, profile, borrowed)
 
+    def test_custom_table_must_cover_the_certificate_reach(self):
+        # on shift [-3, 3] the certificate grid is [-20, 20] and its ratio
+        # condition reads up to 20 + max(t_set) = 22; the table is 1 up to
+        # age 0 and exp(-s**2) after, which is admissible
+        s = build_shift_cascade(AgeWindow(-3, 3))
+
+        def table(hi):
+            return profile_from_table(
+                [(n, 1.0 if n <= 0 else math.exp(-n * n)) for n in range(-20, hi + 1)])
+
+        with pytest.raises(ProfileError, match=r"^profile table does not cover s=22$"):
+            build_decay_operator(table(21), s)
+        assert build_decay_operator(table(22), s).certificate.admissible
+
     def test_baker_weights_follow_age_classes(self):
         b = build_baker_cascade(1)
         op = build_decay_operator(gumbel(1.0), b)
@@ -136,8 +157,11 @@ class TestDecayOperator:
     def test_equilibrium_fixed_exactly(self):
         b = build_baker_cascade(1)
         op = build_decay_operator(gumbel(1.0), b)
-        state = StateVector(3.25, b.basis_vector(frozenset({0})))
-        assert apply_block(op, state).equilibrium == 3.25
+        # the block transform: equilibrium held, fluctuation weighted by diag
+        grid = walsh_to_grid(b, 3.25, op.diag * b.basis_vector(frozenset({0})).coeffs)
+        equilibrium, fluct = grid_to_walsh(b, grid)
+        assert equilibrium == 3.25
+        assert fluct[b.index_of(frozenset({0}))] == op.diag[b.index_of(frozenset({0}))]
 
     def test_commutes_with_age_projectors_exactly(self):
         b = build_baker_cascade(2)

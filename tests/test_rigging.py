@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from timeop.cascade import AgeWindow, build_shift_cascade
-from timeop.hilbert import HVector
+from timeop.hilbert import vector_norm
 from timeop.profiles import build_decay_operator, gumbel
 from timeop.rigging import (
+    LOG_WEIGHT_CAP,
     NormDomainError,
     build_tower,
     classify_spectrum,
     geometric_spectrum,
-    graded_norm,
+    graded_norm_rows,
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
+    weighted_inner_rows,
 )
 
 
@@ -30,53 +32,62 @@ def diagonal(entries, basis_id="b"):
     return SimpleNamespace(log_diag=np.log(np.asarray(entries, dtype=float)), basis_id=basis_id)
 
 
+def graded(v, n, op):
+    """|v|_n of one coefficient array: one row and one grade of the block routine."""
+    norms, peaks = graded_norm_rows(np.asarray(v, dtype=float)[None], [float(n)], op.log_diag)
+    assert peaks[0, 0] <= LOG_WEIGHT_CAP
+    return float(norms[0, 0])
+
+
 class TestGradedNorm:
     def test_grade_zero_is_ambient_norm(self):
-        s, op = shift_decay()
-        v = HVector(np.arange(1.0, 8.0), s.basis_id)
-        assert graded_norm(v, 0, op) == v.norm()
+        _, op = shift_decay()
+        v = np.arange(1.0, 8.0)
+        assert graded(v, 0, op) == vector_norm(v)
 
     def test_age_zero_vector_grade_two(self):
         s, op = shift_decay(-1, 1)
-        assert graded_norm(s.basis_vector(0), 2, op) == pytest.approx(math.exp(2.0), rel=1e-12)
+        assert graded(s.basis_vector(0).coeffs, 2, op) == pytest.approx(math.exp(2.0), rel=1e-12)
 
     def test_age_zero_vector_grade_half(self):
         s, op = shift_decay(-1, 1)
-        v = s.basis_vector(0)
-        assert graded_norm(v, Fraction(1, 2), op) == pytest.approx(math.exp(0.5), rel=1e-12)
+        v = s.basis_vector(0).coeffs
+        assert graded(v, Fraction(1, 2), op) == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_kothe_coefficient_identity(self):
         # the squared grade-n norm is the weighted series of squared
         # coefficients against the inverse weights
         s, op = shift_decay()
         rng = np.random.default_rng(9)
-        v = HVector(rng.standard_normal(s.dim), s.basis_id)
+        v = rng.standard_normal(s.dim)
         for n in (Fraction(1, 2), Fraction(2, 3), 1, 2):
-            direct = graded_norm(v, n, op) ** 2
-            series = float(np.sum(v.coeffs**2 * np.exp(-2.0 * float(n) * op.log_diag)))
+            direct = graded(v, n, op) ** 2
+            series = float(np.sum(v**2 * np.exp(-2.0 * float(n) * op.log_diag)))
             assert direct == pytest.approx(series, rel=1e-12)
 
     def test_tower_composition(self):
         s, op = shift_decay(-2, 2)
         rng = np.random.default_rng(4)
-        v = HVector(rng.standard_normal(s.dim), s.basis_id)
+        v = rng.standard_normal(s.dim)
         for m in (1, 2):
-            shifted = HVector(np.exp(-m * op.log_diag) * v.coeffs, s.basis_id)
+            shifted = np.exp(-m * op.log_diag) * v
             for n in (Fraction(1, 2), 1):
-                assert graded_norm(v, m + n, op) == pytest.approx(
-                    graded_norm(shifted, n, op), rel=1e-10
-                )
+                assert graded(v, m + n, op) == pytest.approx(graded(shifted, n, op), rel=1e-10)
 
     def test_outside_materialized_domain(self):
+        # grade 3 weights the age-6 label by exp(3 e^6): past the cap, the
+        # norm is reported outside the materialized domain, not overflowed
         s, op = shift_decay(-6, 6)
-        v = s.basis_vector(6)
+        _, peaks = graded_norm_rows(s.basis_vector(6).coeffs[None], [3.0], op.log_diag)
+        assert peaks[0, 0] == pytest.approx(3.0 * math.exp(6.0), rel=1e-12)
+        assert peaks[0, 0] > LOG_WEIGHT_CAP
         with pytest.raises(NormDomainError, match="outside materialized domain"):
-            graded_norm(v, 3, op)
+            build_tower(op, "C", 3)
 
     def test_negative_grade_rejected(self):
         s, op = shift_decay()
         with pytest.raises(ValueError):
-            graded_norm(s.basis_vector(0), -1, op)
+            graded_norm_rows(s.basis_vector(0).coeffs[None], [1.0, -1.0], op.log_diag)
 
 
 class TestTower:
@@ -103,8 +114,8 @@ class TestTower:
         tower = build_tower(op, "B", 5, samples=10, seed=3)
         rng = np.random.default_rng(12)
         for _ in range(10):
-            v = HVector(rng.standard_normal(s.dim), s.basis_id)
-            norms = [tower.norm(v, g) for g in tower.grades]
+            v = rng.standard_normal(s.dim)
+            norms = [graded(v, g, op) for g in tower.grades]
             assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_expanding_diagonal_rejected(self):
@@ -125,13 +136,13 @@ class TestTower:
         primary = [Fraction(p, p + 1) for p in range(8)]
         alternative = [Fraction(2 * p, 2 * p + 1) for p in range(1, 4)]
         for _ in range(10):
-            v = HVector(rng.standard_normal(s.dim), s.basis_id)
+            v = rng.standard_normal(s.dim)
             for alt in alternative:
                 below = max(g for g in primary if g <= alt)
                 above = min(g for g in primary if g >= alt)
-                val = graded_norm(v, alt, op)
-                assert graded_norm(v, below, op) * (1 - 1e-12) <= val
-                assert val <= graded_norm(v, above, op) * (1 + 1e-12)
+                val = graded(v, alt, op)
+                assert graded(v, below, op) * (1 - 1e-12) <= val
+                assert val <= graded(v, above, op) * (1 + 1e-12)
 
 
 class TestIsometry:
@@ -144,10 +155,8 @@ class TestIsometry:
         assert isometry_check(op, samples=100, seed=1) <= 1e-10
 
     def test_zero_vectors_contribute_nothing(self):
-        from timeop.rigging import weighted_inner
-
-        z = HVector(np.zeros(4), "b")
-        assert weighted_inner(z, z, np.zeros(4)) == 0.0
+        z = np.zeros((1, 4))
+        assert weighted_inner_rows(z, z, np.zeros(4))[0] == 0.0
 
 
 class TestClassification:

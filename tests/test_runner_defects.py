@@ -1,0 +1,84 @@
+"""Gated experiments record ``fail`` when the objects they check carry a defect.
+
+The runner builds its system and decay operator through
+``timeop.runner.build_system`` and ``build_decay_operator``; each test
+wraps the honest builder so that it hands the run one injected defect,
+and the gated experiment that checks the broken identity must record
+``fail`` and clear ``all_gated_passed``.  The correct objects pass the
+same configs, so the defect alone makes the difference.
+"""
+
+import numpy as np
+import pytest
+
+import timeop.runner as runner
+from timeop.cascade import CascadeSystem
+from timeop.config import parse_config
+from timeop.runner import run_experiments
+
+SYSTEMS = {
+    "shift": "[system]\nkind = shift\nlo = -6\nhi = 6\n",
+    "baker": "[system]\nkind = baker\nm = 3\n",
+}
+
+
+def config(system, experiment):
+    return parse_config(f"{SYSTEMS[system]}\n[profile]\nfamily = gumbel\n\n{experiment}\n")
+
+
+def with_step(system, step):
+    """The same labels and ages over a different (defective) step map."""
+    return CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
+                         system.basis_id, m=system.m, masks=system._masks)
+
+
+def off_by_one(system):
+    # every image one position lower; (one higher would stay inside the
+    # next age block of the baker order, a legitimate age-raising map)
+    step = system._step
+    return with_step(system, np.where(step > 0, step - 1, -1))
+
+
+def perturbed(op):
+    """The operator with the log weight of its first age-1 label lowered by 1/4."""
+    log_diag = np.array(op.log_diag)
+    log_diag[int(np.nonzero(op.system.ages == 1)[0][0])] -= 0.25
+    log_diag.setflags(write=False)
+    op.log_diag = log_diag
+    return op
+
+
+def only_record(bundle):
+    (record,) = bundle.records
+    return record
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_correct_objects_pass(system):
+    for experiment in ("[experiment covariance]", "[experiment theorem]"):
+        bundle = run_experiments(config(system, experiment))
+        assert only_record(bundle)["status"] == "pass"
+        assert bundle.all_gated_passed
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_off_by_one_step_map_fails_covariance(system, monkeypatch):
+    honest = runner.build_system
+    monkeypatch.setattr(runner, "build_system", lambda cfg: off_by_one(honest(cfg)))
+    bundle = run_experiments(config(system, "[experiment covariance]"))
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert record["details"]["time_covariance_deviation"] > 0.0
+    assert not bundle.all_gated_passed
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_perturbed_log_weight_fails_theorem(system, monkeypatch):
+    honest = runner.build_decay_operator
+    monkeypatch.setattr(runner, "build_decay_operator",
+                        lambda profile, sys_: perturbed(honest(profile, sys_)))
+    bundle = run_experiments(config(system, "[experiment theorem]"))
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert any(part["z_conjugacy_deviation"] > 1e-10 for part in record["details"]["parts"])
+    assert not bundle.all_gated_passed
