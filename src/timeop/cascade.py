@@ -47,6 +47,7 @@ __all__ = [
     "walsh_to_grid",
     "grid_to_walsh",
     "walsh_to_cells",
+    "walsh_to_coarse_cells",
     "cells_to_walsh",
     "grid_cells",
     "system_to_json",
@@ -262,17 +263,11 @@ def build_baker_cascade(m: int) -> CascadeSystem:
     window = AgeWindow(-m, m)
     n_coords = 2 * m + 1
     full = 1 << n_coords
+    # ascending masks are age-major, so mask k sits at index k - 1
     masks = np.arange(1, full, dtype=np.int64)
     # age of a mask is its highest set bit, recentred by -m
     ages = np.floor(np.log2(masks)).astype(np.int64) - m
-    order = np.lexsort((masks, ages))
-    masks = masks[order]
-    ages = ages[order]
-    position = {int(mask): i for i, mask in enumerate(masks)}
-    step = np.array(
-        [position[int(mask) << 1] if (int(mask) << 1) < full else -1 for mask in masks],
-        dtype=np.int64,
-    )
+    step = np.where(2 * masks < full, 2 * masks - 1, -1)
     labels = [frozenset(j - m for j in range(n_coords) if mask >> j & 1) for mask in masks]
     basis_id = f"baker(m={m})"
     masks.setflags(write=False)
@@ -364,12 +359,11 @@ def _fwht_in_place(block: np.ndarray) -> np.ndarray:
     in bit j, for j = 0, 1, ... in order, as the one-vector loop
     ``x, y = a[i], a[i + 2**j]; a[i], a[i + 2**j] = x + y, x - y`` does, so
     every output float is bitwise that loop's.  Only the memory layout
-    differs.  The loop's early stages read runs of 1, 2, 4, ... floats.
-    Here the low half of the index bits is the slowest axis, ahead of
-    the rows, for the early stages, and the high half for the late ones,
-    so every stage reads contiguous runs of at least rows * sqrt(N)
-    floats.  The stages alternate between ``block`` and one spare block
-    of the same size.  Returns ``block``.
+    differs: each stage reads the pairs of neighbours and writes their
+    sums to the front half of a spare block and their differences to the
+    back half (constant geometry), so every stage is two whole-block
+    operations, whatever its j and the number of rows.  Returns
+    ``block``.
     """
     n = block.shape[-1]
     if n < 1 or n & (n - 1):
@@ -377,37 +371,28 @@ def _fwht_in_place(block: np.ndarray) -> np.ndarray:
     if not block.flags.c_contiguous:
         raise ValueError("the in-place transform needs a C-contiguous block")
     rows = block.size // n
-    bits = n.bit_length() - 1
-    low = (bits + 1) // 2
-    nl, nh = 1 << low, n >> low
-    src = block.reshape(-1)
-    dst = np.empty(block.size)
-    # layout (low index bits, row, high index bits) for stages 0 .. low-1
-    dst.reshape(nl, rows, nh)[...] = src.reshape(rows, nh, nl).transpose(2, 0, 1)
-    src, dst = _butterflies(dst, src, low, rows * nh)
-    # layout (high index bits, low index bits, row) for the remaining stages
-    dst.reshape(nh, nl, rows)[...] = src.reshape(nl, rows, nh).transpose(2, 0, 1)
-    src, dst = _butterflies(dst, src, bits - low, nl * rows)
-    dst.reshape(rows, nh, nl)[...] = src.reshape(nh, nl, rows).transpose(2, 0, 1)
-    if not np.may_share_memory(dst, block):
-        block.reshape(-1)[...] = dst
+    out = _butterflies(block.reshape(-1), np.empty(block.size), n.bit_length() - 1)
+    # each stage rotated the flat index right by one bit: the index bits
+    # have come round to the top, ahead of the row
+    block.reshape(rows, n)[...] = out.reshape(n, rows).T
     return block
 
 
-def _butterflies(src: np.ndarray, dst: np.ndarray, stages: int, run: int):
-    """Radix-2 stages along the slowest axis, alternating between two buffers.
+def _butterflies(src: np.ndarray, dst: np.ndarray, stages: int) -> np.ndarray:
+    """Radix-2 stages on the lowest index bit, alternating between two flat buffers.
 
-    The first stage pairs entries ``run`` apart, each later one twice as
-    far.  Returns the buffer holding the result, then the spare one.
+    A stage pairs entries 2k and 2k + 1 and writes their sum to entry k
+    and their difference to entry k + size/2, so the bit it paired
+    becomes the highest and the next one the lowest.  Returns the
+    buffer holding the result.
     """
+    half = src.size // 2
     for _ in range(stages):
-        x, y = src.reshape(-1, 2, run).transpose(1, 0, 2)
-        out = dst.reshape(-1, 2, run)
-        np.add(x, y, out=out[:, 0])
-        np.subtract(x, y, out=out[:, 1])
+        x, y = src[0::2], src[1::2]
+        np.add(x, y, out=dst[:half])
+        np.subtract(x, y, out=dst[half:])
         src, dst = dst, src
-        run *= 2
-    return src, dst
+    return src
 
 
 def _require_baker(system: CascadeSystem):
@@ -448,7 +433,41 @@ def walsh_to_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> np
     belongs to label index ``labels[k]``, or to label k when ``labels``
     is None; labels not listed get zero.  Row r of the result lists the
     cell values in bitmask order, the order :func:`grid_cells` reads a
-    grid in.  All rows go through one transform.
+    grid in.  All rows go through one transform, that of
+    :func:`walsh_to_coarse_cells`, whose block is tiled over the full grid.
+    """
+    cells = walsh_to_coarse_cells(system, equilibrium, fluct, labels)
+    return cells[:, np.arange(1 << (2 * system.m + 1)) & (cells.shape[1] - 1)]
+
+
+def walsh_to_coarse_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> np.ndarray:
+    """:func:`walsh_to_cells` on the coarsest grid of low digits that resolves it.
+
+    Takes the arguments of :func:`walsh_to_cells` and returns the
+    ``(rows, 2**b)`` block of the cells on digits ``0 .. b-1``, b the
+    highest digit a nonzero column's label uses: the block that
+    :func:`cells_to_walsh` reads as a density constant in the digits
+    >= b.  Tiled ``2**(2m+1-b)`` times it is :func:`walsh_to_cells` bit
+    for bit.
+    """
+    cells, low = _coarse_cells(system, equilibrium, fluct, labels)
+    return np.repeat(cells, 1 << low, axis=1) if low else cells
+
+
+def _coarse_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> tuple:
+    """A block of Walsh expansions on the coarsest grid that resolves it.
+
+    Takes the arguments of :func:`walsh_to_cells`.  When the labels of
+    the nonzero columns use only the digits ``low .. top-1`` of the cell
+    masks, every expansion is constant along the other digits, so the
+    full-grid transform is the length-``2**(top-low)`` transform of the
+    block, stretched by ``2**low`` and tiled: full cell c reads column
+    ``(c >> low) % 2**(top-low)``.  This holds bit for bit.  Outside
+    those digits every butterfly of the full transform pairs a value
+    with an exact +0.0, and ``x + 0.0`` and ``x - 0.0`` are x, unless x
+    is -0.0; no -0.0 arises in the sums when the input holds none.  So a
+    block holding a -0.0 keeps every digit.  Returns the
+    ``(rows, 2**(top-low))`` cell block and ``low``.
     """
     _require_baker(system)
     fluct = np.asarray(fluct, dtype=float)
@@ -457,27 +476,49 @@ def walsh_to_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> np
     if fluct.shape != (equilibrium.size, masks.size):
         raise BasisMismatchError(
             f"expected {equilibrium.size} rows of {masks.size} coefficients, got {fluct.shape}")
-    full = np.zeros((equilibrium.size, 1 << (2 * system.m + 1)))
-    full[:, 0] = equilibrium
-    full[:, masks] = fluct
-    return _fwht_in_place(full)
+    nonzero = fluct != 0.0
+    negative_zero = (np.signbit(fluct).any(where=~nonzero)
+                     or np.signbit(equilibrium).any(where=equilibrium == 0.0))
+    if negative_zero:
+        low, top = 0, 2 * system.m + 1
+    else:
+        span = int(np.bitwise_or.reduce(masks[nonzero.any(axis=0)]))
+        low, top = max(0, (span & -span).bit_length() - 1), span.bit_length()
+    width = 1 << (top - low)
+    # the columns on the span's digits; every other column is +0.0
+    fits = (masks & ~((width - 1) << low)) == 0
+    cells = np.zeros((equilibrium.size, width))
+    cells[:, 0] = equilibrium
+    cells[:, masks[fits] >> low] = fluct[:, fits]
+    return _fwht_in_place(cells), low
 
 
 def cells_to_walsh(system: CascadeSystem, cells) -> tuple:
     """Equilibrium means and Walsh coefficients of a block of cell values.
 
-    ``cells`` is ``(rows, 2**(2m+1))`` in the bitmask order of
-    :func:`walsh_to_cells`.  Returns the per-row equilibrium components
-    and the ``(rows, dim)`` label-ordered fluctuation coefficients.
+    ``cells`` is ``(rows, 2**b)`` with b <= 2m+1, in the bitmask order
+    of :func:`walsh_to_cells`, and is read as a density constant in the
+    digits >= b: b = 2m+1 is the full grid.  Returns the per-row
+    equilibrium components and the ``(rows, dim)`` label-ordered
+    fluctuation coefficients.  On finite cells they are bitwise those of
+    the full block tiled from ``cells``.  There, each late stage adds a
+    value to its equal copy and subtracts it from it, so a label within
+    the b digits gets the short transform times ``2**(2m+1-b)``, exactly,
+    over ``2**(2m+1)``: the same one rounding as the short transform
+    over ``2**b``.  Every other label gets +0.0.
     """
     _require_baker(system)
     cells = np.asarray(cells, dtype=float)
-    if cells.ndim != 2 or cells.shape[1] != 1 << (2 * system.m + 1):
+    width = cells.shape[1] if cells.ndim == 2 else 0
+    if width & (width - 1) or not 0 < width <= 1 << (2 * system.m + 1):
         raise ValueError(f"cell block shape {cells.shape} does not match baker m={system.m}")
     coeffs = _fwht(cells)
-    coeffs /= cells.shape[1]
-    # a copied column, so that no view keeps the (rows, N) block alive
-    return coeffs[:, 0].copy(), coeffs[:, system._masks]
+    coeffs /= width
+    resolved = system._masks < width
+    fluct = np.zeros((cells.shape[0], system.dim))
+    fluct[:, resolved] = coeffs[:, system._masks[resolved]]
+    # a copied column, so that no view keeps the (rows, 2**b) block alive
+    return coeffs[:, 0].copy(), fluct
 
 
 def grid_cells(system: CascadeSystem, grid: GridDensity) -> np.ndarray:

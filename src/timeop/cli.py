@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands:
-  validate  parse a config and report schema errors (exit 2 on errors)
+  validate  parse a config and, when an experiment reads the decay
+            operator, certify its profile (exit 2 on errors)
   run       execute a config and write its report bundle
   demo      execute the built-in demonstration config
 
@@ -17,7 +18,8 @@ import sys
 from pathlib import Path
 
 from .config import DEMO_CONFIG, ConfigError, parse_config
-from .runner import emit_report, run_experiments
+from .profiles import ProfileError
+from .runner import certify_profile, emit_report, run_experiments
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,6 +67,11 @@ def main(argv=None) -> int:
             print(f"line {line}: {msg}", file=sys.stderr)
         return 2
     if args.command == "validate":
+        try:
+            certify_profile(config)
+        except ProfileError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         print("config OK")
         return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import GridDensity, MarginError, cells_to_walsh, grid_cells, walsh_to_cells
+from .cascade import GridDensity, MarginError, _coarse_cells, cells_to_walsh, grid_cells
 from .hilbert import (
     NORM_RESCALE_BELOW,
     BasisMismatchError,
@@ -97,10 +97,10 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int):
 
     Returns the target labels of the labels inside the t-margin and the
     weighted coefficients each row moves onto them; every other label of
-    the evolved row is zero.  A zero coefficient, -0.0 included, lands
-    as +0.0, the value of a label that receives nothing.  The margin
-    check runs row by row and names the labels of the first offending
-    row.
+    the evolved row is zero.  A zero result, from a zero coefficient
+    (-0.0 included) or an underflowing product, lands as +0.0, the
+    value of a label that receives nothing.  The margin check runs row
+    by row and names the labels of the first offending row.
     """
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
@@ -116,11 +116,12 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int):
         names = ", ".join(system.label_text(system.labels[i]) for i in offending[:8])
         raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
     del size, far  # one block fewer alive through the gather below
-    # the weights inside the margin are finite, in [0, 1], so a zero
-    # coefficient stays zero; x + 0.0 is x, except that -0.0 becomes +0.0
+    # the weights inside the margin are finite, in [0, 1], so a product
+    # is zero only for a zero coefficient or an underflow; x + 0.0 is x,
+    # except that -0.0 becomes +0.0
     moved = coeffs[:, inside]
-    moved += 0.0
     moved *= np.exp(ev.label_log_ratio(t)[inside])
+    moved += 0.0
     return system.step_indices(t)[inside], moved
 
 
@@ -253,7 +254,9 @@ def density_walsh(system, cells) -> tuple:
     """Walsh coefficients of a block of probe densities, one per row.
 
     ``cells`` holds the cell values in the bitmask order of
-    :func:`~timeop.cascade.walsh_to_cells`.  Every row must be
+    :func:`~timeop.cascade.walsh_to_cells`, on the full grid or on the
+    coarse one of the low digits that
+    :func:`~timeop.cascade.cells_to_walsh` reads.  Every row must be
     nonnegative and have unit mass, read as its equilibrium component;
     the first row that is not raises ``ValueError``.  Returns the
     equilibrium components and the label-ordered fluctuation block.
@@ -274,10 +277,12 @@ def evolved_minima(ev: MarkovEvolution, equilibrium, fluct, t: int) -> np.ndarra
     ``equilibrium`` and ``fluct`` are as :func:`density_walsh` returns
     them.  The fluctuation rows take one block step, the equilibrium
     components stay fixed, and all rows go back to the grid in one
-    transform.
+    transform, on the coarsest grid that resolves them: every full-grid
+    cell value is one of its cells.
     """
     targets, moved = _moved_rows(ev, fluct, t)
-    return walsh_to_cells(ev.system, equilibrium, moved, labels=targets).min(axis=1)
+    cells, _ = _coarse_cells(ev.system, equilibrium, moved, labels=targets)
+    return cells.min(axis=1)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .cascade import (
     verify_age_transport,
     verify_covariance,
     walsh_to_cells,
+    walsh_to_coarse_cells,
 )
 from .config import ExperimentConfig
 from .duals import build_operator_web, verify_web
@@ -61,7 +62,14 @@ from .rigging import (
     power_spectrum,
 )
 
-__all__ = ["ReportBundle", "run_experiments", "emit_report", "build_system", "build_profile"]
+__all__ = [
+    "ReportBundle",
+    "run_experiments",
+    "emit_report",
+    "build_system",
+    "build_profile",
+    "certify_profile",
+]
 
 
 def build_system(config: ExperimentConfig):
@@ -233,8 +241,9 @@ def _run_lyapunov(ctx, params, rng):
     return monotone_all, details
 
 
-# random densities are probed this many at a time: one (rows, 2**(2m+1))
-# block is 0.5 MB at m = 6, and a chunk keeps at most about four alive
+# random densities are probed this many at a time: one (rows, dim)
+# coefficient block is 0.5 MB at m = 6, and a chunk keeps at most about
+# four alive; the cell blocks are 2**t_max times smaller
 _PROBE_CHUNK = 8
 
 
@@ -245,11 +254,13 @@ def _random_densities(system, rng, rows, late):
     and is evaluated on the grid; a row dipping below zero is scaled so
     that its minimum is -1/2 before adding the equilibrium 1.  The draws
     are one ``(rows, dim)`` block, the same stream as ``rows`` draws of
-    one vector each.
+    one vector each.  The grid is that of the low digits the kept labels
+    use, a density constant in the higher ones, as
+    :func:`~timeop.cascade.cells_to_walsh` reads it.
     """
     fluct = rng.standard_normal((rows, system.dim))
     fluct[:, late] = 0.0
-    cells = walsh_to_cells(system, np.zeros(rows), fluct)
+    cells = walsh_to_coarse_cells(system, np.zeros(rows), fluct)
     low = cells.min(axis=1)
     cells *= np.where(low < 0, 0.5 / np.maximum(1e-9, -low), 1.0)[:, None]
     cells += 1.0
@@ -368,6 +379,22 @@ _RUNNERS = {
     "kothe": (_run_kothe, "ratio-limit nuclearity criterion between grades"),
     "theorem": (_run_theorem, "identities and separations of the conjugated evolution web"),
 }
+
+
+# the experiments that read ``ctx.decay``: only they certify the profile
+# on the system when they run
+DECAY_EXPERIMENTS = frozenset({"covariance", "lyapunov", "tower", "theorem"})
+
+
+def certify_profile(config: ExperimentConfig) -> None:
+    """Build the decay operator when an experiment of ``config`` reads it.
+
+    Raises the ``ProfileError`` that :func:`run_experiments` would record
+    for those experiments; a config none of whose experiments reads the
+    decay operator is not certified, as in a run.
+    """
+    if any(request.name in DECAY_EXPERIMENTS for request in config.experiments):
+        build_decay_operator(build_profile(config), build_system(config))
 
 
 def run_experiments(config: ExperimentConfig) -> ReportBundle:

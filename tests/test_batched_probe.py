@@ -6,7 +6,9 @@ reference, and every output float must be bitwise the loop's.  The
 positivity sweep probes its random densities in chunks of rows: each
 row must give the bits the one-density probe gives, raise the error the
 one-density probe raises, and the sweep must stay within a fixed number
-of transforms and a small memory budget.
+of transforms and a small memory budget.  The random densities come on
+the coarse grid of the digits their labels use; the one-density
+references read them tiled over the full grid.
 """
 
 import math
@@ -85,6 +87,11 @@ def reference_min_cell(ev, cells, t):
     return fwht_loop(full).min()
 
 
+def tiled(cells, width):
+    """Coarse cell rows repeated to ``width`` cells: constant in the digits they lack."""
+    return np.tile(cells, (1, width // cells.shape[-1]))
+
+
 def as_grid(system, cells):
     iy, ix = _cell_coordinates(system.m)
     grid = np.zeros((1 << (system.m + 1), 1 << system.m))
@@ -142,8 +149,11 @@ def test_chunk_rows_are_bitwise_the_one_density_probe(m):
     system, late, rng = probe_case(m)
     reference_rng = np.random.default_rng(3)
     rows = 13  # a full chunk and a partial one
-    block = np.vstack([_random_densities(system, rng, 8, late),
-                       _random_densities(system, rng, rows - 8, late)])
+    coarse = np.vstack([_random_densities(system, rng, 8, late),
+                        _random_densities(system, rng, rows - 8, late)])
+    n_cells = 1 << (2 * m + 1)
+    assert coarse.shape == (rows, n_cells >> 2)  # t_max = 2 digits fewer
+    block = tiled(coarse, n_cells)
     reference = np.array([reference_random_cells(system, reference_rng, system.window.hi - 2)
                           for _ in range(rows)])
     assert np.array_equal(bits(block), bits(reference))
@@ -165,6 +175,8 @@ def test_chunk_rows_are_bitwise_the_one_density_probe(m):
             loop = [reference_min_cell(ev, row, t) for row in block]
             assert np.array_equal(bits(minima), bits(single))
             assert np.array_equal(bits(minima), bits(loop))
+            from_coarse = evolved_minima(ev, *density_walsh(system, coarse), t)
+            assert np.array_equal(bits(from_coarse), bits(minima[:rows]))
 
 
 class TestPerRowChecks:
@@ -173,6 +185,8 @@ class TestPerRowChecks:
     def chunk_with(self, bad_cells, m=3):
         system, late, rng = probe_case(m)
         block = _random_densities(system, rng, _PROBE_CHUNK, late)
+        # a bad row on a finer grid than the draws widens the chunk to it
+        block = tiled(block, max(block.shape[1], bad_cells.size))
         block[5] = bad_cells
         ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 2)
         return system, ev, block
@@ -181,19 +195,19 @@ class TestPerRowChecks:
         with pytest.raises(kind) as from_chunk:
             evolved_minima(ev, *density_walsh(system, block), 1)
         with pytest.raises(kind) as from_single:
-            positivity_probe(ev, as_grid(system, block[5]), 1)
+            positivity_probe(ev, as_grid(system, tiled(block[5:6], 1 << 7)[0]), 1)
         assert str(from_chunk.value) == str(from_single.value)
         return str(from_chunk.value)
 
     def test_negative_cell(self):
-        cells = np.ones(1 << 7)
+        cells = np.ones(1 << 5)  # the coarse grid of the draws
         cells[17] = -0.25
         cells[18] = 2.25
         message = self.same_error(*self.chunk_with(cells), ValueError)
         assert "nonnegative" in message
 
     def test_mass_off_one(self):
-        message = self.same_error(*self.chunk_with(np.full(1 << 7, 1.5)), ValueError)
+        message = self.same_error(*self.chunk_with(np.full(1 << 5, 1.5)), ValueError)
         assert "unit mass" in message and "1.5" in message
 
     def test_coefficient_outside_the_margin(self):
@@ -227,7 +241,7 @@ gate = false
 def test_sweep_transform_count_and_memory(monkeypatch):
     # each chunk costs three transforms (draw, forward, evolved) and the
     # canonical row one per (a, t) plus two per run; the peak stays near
-    # three (rows, 2**13) blocks of 0.5 MB, where per-density transforms
+    # three (rows, dim) blocks of 0.5 MB, where per-density transforms
     # cost 3 * n_random per (a, t) and a chunk holding many temporaries
     # about 8 MB
     config = parse_config(POSITIVITY_M6)

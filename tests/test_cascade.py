@@ -129,6 +129,24 @@ class TestBakerCascade:
             assert counts[n] == 2 ** (n + m)
             assert int(np.sum(b.ages == n)) == counts[n]
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_ascending_masks_are_the_age_major_order(self, m):
+        # the construction that sorted the masks by age and looked up
+        # each shifted mask's position in a dict
+        full = 1 << (2 * m + 1)
+        masks = np.arange(1, full, dtype=np.int64)
+        ages = np.floor(np.log2(masks)).astype(np.int64) - m
+        order = np.lexsort((masks, ages))
+        masks, ages = masks[order], ages[order]
+        position = {int(mask): i for i, mask in enumerate(masks)}
+        step = [position[int(k) << 1] if (int(k) << 1) < full else -1 for k in masks]
+        labels = [frozenset(j - m for j in range(2 * m + 1) if k >> j & 1) for k in masks]
+        b = build_baker_cascade(m)
+        assert np.array_equal(b._masks, masks)
+        assert np.array_equal(b.ages, ages)
+        assert b._step.tolist() == step
+        assert list(b.labels) == labels
+
     def test_step_shifts_index_set(self):
         b = build_baker_cascade(1)
         out = step(b, b.basis_vector(frozenset({0})).coeffs, 1)

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 import timeop.config as config_module
 from timeop.cli import main
 from timeop.config import DEMO_CONFIG, ConfigError, parse_config
+from timeop.runner import run_experiments
+
+from test_runner import LOGISTIC_CONFIG
 
 MINIMAL = """
 seed = 7
@@ -196,6 +200,62 @@ class TestValidateCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @staticmethod
+    def custom_table_config(tmp_path, lo, hi):
+        # log lambda(s) = -exp(s - 16) is admissible on the certificate
+        # grid and still nonzero at s = 22
+        points = " ".join(f"{s}:{math.exp(-math.exp(s - 16))!r}" for s in range(lo, hi + 1))
+        path = tmp_path / "custom.cfg"
+        path.write_text("[system]\nkind = shift\nlo = -3\nhi = 3\n\n[profile]\n"
+                        f"family = custom\npoints = {points}\n\n[experiment covariance]\n")
+        return path
+
+    @pytest.mark.parametrize("lo, hi, uncovered", [(-2, 1, -20), (-20, 21, 22)])
+    def test_table_short_of_the_certificate_grid(self, tmp_path, capsys, lo, hi, uncovered):
+        path = self.custom_table_config(tmp_path, lo, hi)
+        assert main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"profile table does not cover s={uncovered}\n"
+
+    def test_table_covering_the_certificate_grid(self, tmp_path, capsys):
+        path = self.custom_table_config(tmp_path, -20, 22)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "config OK\n"
+
+    @staticmethod
+    def validates(tmp_path, capsys, text):
+        path = tmp_path / "reader.cfg"
+        path.write_text(text)
+        code = main(["validate", "--config", str(path)])
+        return code, capsys.readouterr()
+
+    def test_logistic_profile_without_a_decay_reader(self, tmp_path, capsys):
+        # admissibility only certifies the profile: run records it as a gated fail
+        code, captured = self.validates(tmp_path, capsys, LOGISTIC_CONFIG)
+        assert code == 0
+        assert captured.out == "config OK\n"
+        assert captured.err == ""
+
+    def test_short_table_read_only_by_positivity(self, tmp_path, capsys):
+        # the positivity sweep builds its own gumbel profiles
+        points = " ".join(f"{s}:{math.exp(-math.exp(s - 16))!r}" for s in range(-2, 2))
+        text = ("[system]\nkind = baker\nm = 2\n\n[profile]\n"
+                f"family = custom\npoints = {points}\n\n[experiment positivity]\n"
+                "t_values = 1\nn_random = 2\n")
+        code, captured = self.validates(tmp_path, capsys, text)
+        assert code == 0
+        assert captured.out == "config OK\n"
+        assert run_experiments(parse_config(text)).all_gated_passed
+
+    def test_short_table_with_a_decay_reader(self, tmp_path, capsys):
+        text = self.custom_table_config(tmp_path, -20, 21).read_text()
+        text = text.replace("[experiment covariance]", "[experiment positivity]\n\n[experiment lyapunov]")
+        text = text.replace("kind = shift\nlo = -3\nhi = 3", "kind = baker\nm = 2")
+        code, captured = self.validates(tmp_path, capsys, text)
+        assert code == 2
+        assert captured.err == "profile table does not cover s=22\n"
 
 
 class TestTruncationCap:

@@ -21,6 +21,7 @@ GOLDEN = HERE / "golden"
 CONFIGS = {
     "experiment": HERE.parent / "demos" / "experiment.cfg",
     "baker3": GOLDEN / "baker3.cfg",
+    "baker4_probe": GOLDEN / "baker4_probe.cfg",
     "shift_wide": GOLDEN / "shift_wide.cfg",
     "spectra_underflow": GOLDEN / "spectra_underflow.cfg",
 }

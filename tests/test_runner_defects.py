@@ -5,15 +5,20 @@ The runner builds its system and decay operator through
 wraps the honest builder so that it hands the run one injected defect,
 and the gated experiment that checks the broken identity must record
 ``fail`` and clear ``all_gated_passed``.  The correct objects pass the
-same configs, so the defect alone makes the difference.
+same configs, so the defect alone makes the difference.  The
+admissibility experiment checks the profile itself, so its defect is in
+the config: a custom table that covers the certificate grid and breaks
+the ratio condition.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import timeop.runner as runner
 from timeop.cascade import CascadeSystem
-from timeop.config import parse_config
+from timeop.config import DEMO_CONFIG, parse_config
 from timeop.runner import run_experiments
 
 SYSTEMS = {
@@ -82,3 +87,36 @@ def test_perturbed_log_weight_fails_theorem(system, monkeypatch):
     assert record["status"] == "fail"
     assert any(part["z_conjugacy_deviation"] > 1e-10 for part in record["details"]["parts"])
     assert not bundle.all_gated_passed
+
+
+def test_ratio_defect_fails_admissibility():
+    # lambda(s) = e^-s for s > 0: lambda(s + t)/lambda(s) = e^-t never decays
+    points = " ".join(f"{s}:{min(1.0, math.exp(-s))!r}" for s in range(-20, 25))
+    experiment = "[experiment admissibility]\ngrid_lo = -20\ngrid_hi = 20\nt_set = 1 2\n"
+
+    def run(profile):
+        system = "[system]\nkind = shift\nlo = -3\nhi = 3\n"
+        return run_experiments(parse_config(f"{system}\n[profile]\n{profile}\n\n{experiment}"))
+
+    bundle = run(f"family = custom\npoints = {points}")
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert not record["details"]["ratio_ok"]
+    assert record["details"]["monotone_ok"] and record["details"]["limits_ok"]
+    assert not bundle.all_gated_passed
+
+    honest = run("family = gumbel")
+    assert only_record(honest)["status"] == "pass"
+    assert honest.all_gated_passed
+
+
+def test_decay_experiments_are_the_readers_of_the_decay_operator(monkeypatch):
+    # validate certifies the profile exactly for the experiments whose run reads it
+    def unread(ctx):
+        raise RuntimeError("decay operator read")
+
+    monkeypatch.setattr(runner._Context, "decay", property(unread))
+    bundle = run_experiments(parse_config(DEMO_CONFIG))
+    readers = {r["name"] for r in bundle.records if "decay operator read" in r.get("error", "")}
+    assert {r["name"] for r in bundle.records} == set(runner._RUNNERS)
+    assert readers == runner.DECAY_EXPERIMENTS
