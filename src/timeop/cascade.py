@@ -47,7 +47,6 @@ __all__ = [
     "walsh_to_grid",
     "grid_to_walsh",
     "walsh_to_cells",
-    "walsh_to_coarse_cells",
     "cells_to_walsh",
     "grid_cells",
     "system_to_json",
@@ -341,17 +340,6 @@ def verify_age_transport(system: CascadeSystem, t: int) -> float:
 # -- Walsh / grid realization --------------------------------------------
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of the last axis, in natural (bitmask) ordering.
-
-    Takes one length-N vector or a ``(rows, N)`` block and returns a new
-    array of the same shape.  Output index s of each row receives
-    sum_c (-1)**popcount(s & c) input[c]; the transform is its own
-    inverse up to division by N.
-    """
-    return _fwht_in_place(np.array(values, dtype=float))
-
-
 def _fwht_in_place(block: np.ndarray) -> np.ndarray:
     """Transform the last axis of a C-contiguous float block in place.
 
@@ -425,49 +413,19 @@ def _cell_coordinates(m: int):
     return iy, ix
 
 
-def walsh_to_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> np.ndarray:
-    """Evaluate a block of Walsh expansions pointwise on the dyadic cells.
+def walsh_to_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> tuple:
+    """Evaluate a block of Walsh expansions on the coarsest dyadic grid that resolves it.
 
-    Row r of the array ``fluct`` holds fluctuation coefficients and
-    ``equilibrium[r]`` the constant component.  Column k of ``fluct``
-    belongs to label index ``labels[k]``, or to label k when ``labels``
-    is None; labels not listed get zero.  Row r of the result lists the
-    cell values in bitmask order, the order :func:`grid_cells` reads a
-    grid in.  All rows go through one transform, that of
-    :func:`walsh_to_coarse_cells`, whose block is tiled over the full grid.
-    """
-    cells = walsh_to_coarse_cells(system, equilibrium, fluct, labels)
-    return cells[:, np.arange(1 << (2 * system.m + 1)) & (cells.shape[1] - 1)]
-
-
-def walsh_to_coarse_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> np.ndarray:
-    """:func:`walsh_to_cells` on the coarsest grid of low digits that resolves it.
-
-    Takes the arguments of :func:`walsh_to_cells` and returns the
-    ``(rows, 2**b)`` block of the cells on digits ``0 .. b-1``, b the
-    highest digit a nonzero column's label uses: the block that
-    :func:`cells_to_walsh` reads as a density constant in the digits
-    >= b.  Tiled ``2**(2m+1-b)`` times it is :func:`walsh_to_cells` bit
-    for bit.
-    """
-    cells, low = _coarse_cells(system, equilibrium, fluct, labels)
-    return np.repeat(cells, 1 << low, axis=1) if low else cells
-
-
-def _coarse_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> tuple:
-    """A block of Walsh expansions on the coarsest grid that resolves it.
-
-    Takes the arguments of :func:`walsh_to_cells`.  When the labels of
-    the nonzero columns use only the digits ``low .. top-1`` of the cell
-    masks, every expansion is constant along the other digits, so the
-    full-grid transform is the length-``2**(top-low)`` transform of the
-    block, stretched by ``2**low`` and tiled: full cell c reads column
-    ``(c >> low) % 2**(top-low)``.  This holds bit for bit.  Outside
-    those digits every butterfly of the full transform pairs a value
-    with an exact +0.0, and ``x + 0.0`` and ``x - 0.0`` are x, unless x
-    is -0.0; no -0.0 arises in the sums when the input holds none.  So a
-    block holding a -0.0 keeps every digit.  Returns the
-    ``(rows, 2**(top-low))`` cell block and ``low``.
+    Row r of ``fluct`` holds the coefficients of the label indices
+    ``labels`` (of every label when None; the others get zero) and
+    ``equilibrium[r]`` the constant component.  When the nonzero
+    columns' labels use only the digits ``low .. top-1``, all rows take
+    one length-``2**(top-low)`` transform.  Returns that cell block and
+    ``low``, the pair :func:`cells_to_walsh` reads: full cell c is column
+    ``(c >> low) % 2**(top-low)``, bit for bit, since every butterfly of
+    the full transform outside those digits adds or subtracts an exact
+    +0.0, which changes no value but -0.0, and no -0.0 arises when the
+    input holds none.  So a block holding a -0.0 keeps every digit.
     """
     _require_baker(system)
     fluct = np.asarray(fluct, dtype=float)
@@ -493,41 +451,46 @@ def _coarse_cells(system: CascadeSystem, equilibrium, fluct, labels=None) -> tup
     return _fwht_in_place(cells), low
 
 
-def cells_to_walsh(system: CascadeSystem, cells) -> tuple:
+def cells_to_walsh(system: CascadeSystem, cells, low: int) -> tuple:
     """Equilibrium means and Walsh coefficients of a block of cell values.
 
-    ``cells`` is ``(rows, 2**b)`` with b <= 2m+1, in the bitmask order
-    of :func:`walsh_to_cells`, and is read as a density constant in the
-    digits >= b: b = 2m+1 is the full grid.  Returns the per-row
+    ``cells`` is ``(rows, 2**b)``, the values on the digits
+    ``low .. low+b-1`` in the bitmask order of :func:`walsh_to_cells`,
+    read as a density constant in every other digit:
+    ``(cells, 0)`` with b = 2m+1 is the full grid.  Returns the per-row
     equilibrium components and the ``(rows, dim)`` label-ordered
     fluctuation coefficients.  On finite cells they are bitwise those of
-    the full block tiled from ``cells``.  There, each late stage adds a
-    value to its equal copy and subtracts it from it, so a label within
-    the b digits gets the short transform times ``2**(2m+1-b)``, exactly,
-    over ``2**(2m+1)``: the same one rounding as the short transform
-    over ``2**b``.  Every other label gets +0.0.
+    the full block the pair spreads to, full cell c reading column
+    ``(c >> low) % 2**b``.  There, each stage outside the b digits adds
+    a value to its equal copy and subtracts it from it, giving twice the
+    value and +0.0, so a label within the b digits gets the short
+    transform times ``2**(2m+1-b)``, exactly, over ``2**(2m+1)``: the
+    same one rounding as the short transform over ``2**b``.  Every other
+    label gets +0.0.  ``cells`` is left as it is.
     """
     _require_baker(system)
     cells = np.asarray(cells, dtype=float)
     width = cells.shape[1] if cells.ndim == 2 else 0
-    if width & (width - 1) or not 0 < width <= 1 << (2 * system.m + 1):
-        raise ValueError(f"cell block shape {cells.shape} does not match baker m={system.m}")
-    coeffs = _fwht(cells)
+    digits = width.bit_length() - 1
+    if width & (width - 1) or not 0 < width or not 0 <= low <= 2 * system.m + 1 - digits:
+        raise ValueError(
+            f"cell block shape {cells.shape} at digit {low} does not match baker m={system.m}")
+    coeffs = _fwht_in_place(np.array(cells, order="C"))
     coeffs /= width
-    resolved = system._masks < width
+    resolved = (system._masks & ~((width - 1) << low)) == 0
     fluct = np.zeros((cells.shape[0], system.dim))
-    fluct[:, resolved] = coeffs[:, system._masks[resolved]]
+    fluct[:, resolved] = coeffs[:, system._masks[resolved] >> low]
     # a copied column, so that no view keeps the (rows, 2**b) block alive
     return coeffs[:, 0].copy(), fluct
 
 
-def grid_cells(system: CascadeSystem, grid: GridDensity) -> np.ndarray:
-    """A grid density's cell values as one row, in bitmask order."""
+def grid_cells(system: CascadeSystem, grid: GridDensity) -> tuple:
+    """A grid density's cell values as one row in bitmask order, and digit 0."""
     _require_baker(system)
     if grid.values.shape != _grid_shape(system):
         raise ValueError(f"grid shape {grid.values.shape} does not match {_grid_shape(system)}")
     iy, ix = _cell_coordinates(system.m)
-    return grid.values[iy, ix][None]
+    return grid.values[iy, ix][None], 0
 
 
 def walsh_to_grid(system: CascadeSystem, equilibrium: float, fluct) -> GridDensity:
@@ -535,14 +498,15 @@ def walsh_to_grid(system: CascadeSystem, equilibrium: float, fluct) -> GridDensi
 
     ``fluct`` is the array of label-ordered fluctuation coefficients and
     ``equilibrium`` the constant component; the one-row case of
-    :func:`walsh_to_cells`.  The transform is orthogonal up to the fixed
-    cell-count normalization, so the grid/coefficient round trip is
-    exact for dyadic data and accurate to round-off otherwise.
+    :func:`walsh_to_cells`, its block spread over every cell.  The
+    transform is orthogonal up to the fixed cell-count normalization, so
+    the grid/coefficient round trip is exact for dyadic data and
+    accurate to round-off otherwise.
     """
-    cells = walsh_to_cells(system, [equilibrium], [fluct])
+    cells, low = walsh_to_cells(system, [equilibrium], [fluct])
     iy, ix = _cell_coordinates(system.m)
     grid = np.zeros(_grid_shape(system))
-    grid[iy, ix] = cells[0]
+    grid[iy, ix] = cells[0, (np.arange(iy.size) >> low) & (cells.shape[1] - 1)]
     return GridDensity(grid)
 
 
@@ -551,7 +515,7 @@ def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> tuple:
 
     The one-row case of :func:`cells_to_walsh`.
     """
-    equilibrium, fluct = cells_to_walsh(system, grid_cells(system, grid))
+    equilibrium, fluct = cells_to_walsh(system, *grid_cells(system, grid))
     return float(equilibrium[0]), fluct[0]
 
 

@@ -14,6 +14,7 @@ exit 2, and gated failures exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(text: str, seed_override):
     config = parse_config(text)
     if seed_override is not None:
-        config = type(config)(**{**config.__dict__, "seed": seed_override})
+        config = dataclasses.replace(config, seed=seed_override)
     return config
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "DEMO_CONFIG",
-    "EXPERIMENT_NAMES",
     "TRUNCATION_CAP",
 ]
 
@@ -326,7 +325,6 @@ _SCHEMA = {
     "experiment theorem": {"t_values": (_web_times, (1,))},
 }
 
-EXPERIMENT_NAMES = tuple(title.split()[1] for title in _SCHEMA if title.startswith("experiment "))
 
 # section -> (selector key, key -> the selector value it belongs to)
 _VARIANT_KEYS = {

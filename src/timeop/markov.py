@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import GridDensity, MarginError, _coarse_cells, cells_to_walsh, grid_cells
+from .cascade import GridDensity, MarginError, cells_to_walsh, grid_cells, walsh_to_cells
 from .hilbert import (
     NORM_RESCALE_BELOW,
     BasisMismatchError,
@@ -67,10 +67,6 @@ class MarkovEvolution:
             # NaN (outside the margin) compares false
             if np.any(decay.step_log_ratio(t) > 0):
                 raise ValueError("decay ratios exceed one; the profile is not admissible")
-
-    def label_log_ratio(self, t: int) -> np.ndarray:
-        """Per-label log weight at time t (NaN where out of margin or truncated)."""
-        return self.decay.step_log_ratio(t)
 
 
 def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
@@ -120,7 +116,7 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int):
     # is zero only for a zero coefficient or an underflow; x + 0.0 is x,
     # except that -0.0 becomes +0.0
     moved = coeffs[:, inside]
-    moved *= np.exp(ev.label_log_ratio(t)[inside])
+    moved *= np.exp(ev.decay.step_log_ratio(t)[inside])
     moved += 0.0
     return system.step_indices(t)[inside], moved
 
@@ -189,7 +185,7 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
         del moved
         norms[:, t] = [vector_norm(row) for row in evolved]
         del evolved
-        log_ratio = ev.label_log_ratio(t)
+        log_ratio = ev.decay.step_log_ratio(t)
         alive = nonzero & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
             forms[:, t] = masked_row_sums(np.exp(2.0 * log_ratio) * coeffs ** 2, alive)
@@ -245,18 +241,17 @@ def positivity_probe(ev: MarkovEvolution, rho: GridDensity, t: int) -> Positivit
     """
     if ev.system.kind != "baker":
         raise ValueError("positivity is probed on the baker grid realization")
-    equilibrium, fluct = density_walsh(ev.system, grid_cells(ev.system, rho))
+    equilibrium, fluct = density_walsh(ev.system, *grid_cells(ev.system, rho))
     min_cell = float(evolved_minima(ev, equilibrium, fluct, t)[0])
     return PositivityReport(t=t, min_cell=min_cell, violation=max(0.0, -min_cell))
 
 
-def density_walsh(system, cells) -> tuple:
+def density_walsh(system, cells, low: int) -> tuple:
     """Walsh coefficients of a block of probe densities, one per row.
 
-    ``cells`` holds the cell values in the bitmask order of
-    :func:`~timeop.cascade.walsh_to_cells`, on the full grid or on the
-    coarse one of the low digits that
-    :func:`~timeop.cascade.cells_to_walsh` reads.  Every row must be
+    ``(cells, low)`` is a cell block on the digits from ``low`` up, as
+    :func:`~timeop.cascade.walsh_to_cells` returns it and
+    :func:`~timeop.cascade.cells_to_walsh` reads it.  Every row must be
     nonnegative and have unit mass, read as its equilibrium component;
     the first row that is not raises ``ValueError``.  Returns the
     equilibrium components and the label-ordered fluctuation block.
@@ -264,7 +259,7 @@ def density_walsh(system, cells) -> tuple:
     cells = np.asarray(cells, dtype=float)
     if np.any(cells.min(axis=-1) < -1e-12):
         raise ValueError("probe density must be nonnegative")
-    equilibrium, fluct = cells_to_walsh(system, cells)
+    equilibrium, fluct = cells_to_walsh(system, cells, low)
     off = np.nonzero(np.abs(equilibrium - 1.0) > 1e-9)[0]
     if off.size:
         raise ValueError(f"probe density must have unit mass, got {float(equilibrium[off[0]])!r}")
@@ -276,12 +271,12 @@ def evolved_minima(ev: MarkovEvolution, equilibrium, fluct, t: int) -> np.ndarra
 
     ``equilibrium`` and ``fluct`` are as :func:`density_walsh` returns
     them.  The fluctuation rows take one block step, the equilibrium
-    components stay fixed, and all rows go back to the grid in one
-    transform, on the coarsest grid that resolves them: every full-grid
-    cell value is one of its cells.
+    components stay fixed, and all rows go back to the cells in one
+    :func:`~timeop.cascade.walsh_to_cells` transform: every full-grid
+    cell value is one of its block's.
     """
     targets, moved = _moved_rows(ev, fluct, t)
-    cells, _ = _coarse_cells(ev.system, equilibrium, moved, labels=targets)
+    cells, _ = walsh_to_cells(ev.system, equilibrium, moved, labels=targets)
     return cells.min(axis=1)
 
 

@@ -33,7 +33,6 @@ from .cascade import (
     verify_age_transport,
     verify_covariance,
     walsh_to_cells,
-    walsh_to_coarse_cells,
 )
 from .config import ExperimentConfig
 from .duals import build_operator_web, verify_web
@@ -248,23 +247,21 @@ _PROBE_CHUNK = 8
 
 
 def _random_densities(system, rng, rows, late):
-    """Nonnegative unit-mass densities as bitmask-ordered cell rows.
+    """Nonnegative unit-mass densities as a ``(cells, low)`` block.
 
     Each row draws one coefficient per label, zeroes the ``late`` labels
-    and is evaluated on the grid; a row dipping below zero is scaled so
-    that its minimum is -1/2 before adding the equilibrium 1.  The draws
-    are one ``(rows, dim)`` block, the same stream as ``rows`` draws of
-    one vector each.  The grid is that of the low digits the kept labels
-    use, a density constant in the higher ones, as
-    :func:`~timeop.cascade.cells_to_walsh` reads it.
+    and is evaluated by :func:`~timeop.cascade.walsh_to_cells`; a row
+    dipping below zero is scaled so that its minimum is -1/2 before
+    adding the equilibrium 1.  The draws are one ``(rows, dim)`` block,
+    the same stream as ``rows`` draws of one vector each.
     """
     fluct = rng.standard_normal((rows, system.dim))
     fluct[:, late] = 0.0
-    cells = walsh_to_coarse_cells(system, np.zeros(rows), fluct)
-    low = cells.min(axis=1)
-    cells *= np.where(low < 0, 0.5 / np.maximum(1e-9, -low), 1.0)[:, None]
+    cells, low = walsh_to_cells(system, np.zeros(rows), fluct)
+    least = cells.min(axis=1)
+    cells *= np.where(least < 0, 0.5 / np.maximum(1e-9, -least), 1.0)[:, None]
     cells += 1.0
-    return cells
+    return cells, low
 
 
 def _run_positivity(ctx, params, rng):
@@ -273,8 +270,7 @@ def _run_positivity(ctx, params, rng):
     t_max = max(t_values)
     late = system.ages > system.window.hi - t_max
     canonical = density_walsh(
-        system, walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None])
-    )
+        system, *walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None]))
     sweep = []
     for a in params["sweep_a"]:
         profile = gumbel(a)
@@ -286,7 +282,7 @@ def _run_positivity(ctx, params, rng):
             for start in range(0, params["n_random"], _PROBE_CHUNK):
                 rows = min(_PROBE_CHUNK, params["n_random"] - start)
                 minima = evolved_minima(
-                    ev, *density_walsh(system, _random_densities(system, rng, rows, late)), t)
+                    ev, *density_walsh(system, *_random_densities(system, rng, rows, late)), t)
                 sweep.extend({"a": a, "t": t, "density": f"random-{start + k}",
                               "min_cell": float(v)} for k, v in enumerate(minima))
     worst = min(entry["min_cell"] for entry in sweep)
@@ -387,14 +383,25 @@ DECAY_EXPERIMENTS = frozenset({"covariance", "lyapunov", "tower", "theorem"})
 
 
 def certify_profile(config: ExperimentConfig) -> None:
-    """Build the decay operator when an experiment of ``config`` reads it.
+    """Raise the ``ProfileError`` a run of ``config`` would record, without running it.
 
-    Raises the ``ProfileError`` that :func:`run_experiments` would record
-    for those experiments; a config none of whose experiments reads the
-    decay operator is not certified, as in a run.
+    Reads the profile wherever the run does: in the decay operator when
+    an experiment reads it, on the admissibility certificate's grid and
+    at every age + t of the covariance.  A certificate that merely fails
+    is a gated fail of the run, not an error.
     """
+    profile = build_profile(config)
+    system = build_system(config)
     if any(request.name in DECAY_EXPERIMENTS for request in config.experiments):
-        build_decay_operator(build_profile(config), build_system(config))
+        build_decay_operator(profile, system)
+    for request in config.experiments:
+        params = request.params
+        if request.name == "admissibility":
+            check_admissible(profile, grid=(params["grid_lo"], params["grid_hi"]),
+                             t_set=params["t_set"])
+        elif request.name == "covariance":
+            for t in params["t_values"]:
+                profile.log_value(system.ages + t)
 
 
 def run_experiments(config: ExperimentConfig) -> ReportBundle:

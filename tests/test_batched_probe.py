@@ -1,14 +1,14 @@
 """The row-batched Walsh transform and positivity probe against the one-vector loop.
 
-``_fwht`` transforms the last axis of a ``(rows, N)`` block in a
-layout of its own; the textbook one-vector loop lives here only, as the
-reference, and every output float must be bitwise the loop's.  The
+``_fwht_in_place`` transforms the last axis of a ``(rows, N)`` block in
+a layout of its own; the textbook one-vector loop lives here only, as
+the reference, and every output float must be bitwise the loop's.  The
 positivity sweep probes its random densities in chunks of rows: each
 row must give the bits the one-density probe gives, raise the error the
 one-density probe raises, and the sweep must stay within a fixed number
-of transforms and a small memory budget.  The random densities come on
-the coarse grid of the digits their labels use; the one-density
-references read them tiled over the full grid.
+of transforms and a small memory budget.  Densities come as
+``(cells, low)`` blocks on the digits their labels use; the one-density
+references read them spread over the full grid.
 """
 
 import math
@@ -22,7 +22,7 @@ from timeop.cascade import (
     GridDensity,
     MarginError,
     _cell_coordinates,
-    _fwht,
+    _fwht_in_place,
     build_baker_cascade,
     grid_cells,
     walsh_to_cells,
@@ -80,11 +80,17 @@ def reference_min_cell(ev, cells, t):
     fluct = coeffs[system._masks]
     alive = np.nonzero((system.ages + t <= system.window.hi) & (fluct != 0.0))[0]
     evolved = np.zeros(system.dim)
-    evolved[system.step_indices(t)[alive]] = np.exp(ev.label_log_ratio(t)[alive]) * fluct[alive]
+    evolved[system.step_indices(t)[alive]] = np.exp(ev.decay.step_log_ratio(t)[alive]) * fluct[alive]
     full = np.zeros(cells.size)
     full[0] = coeffs[0]
     full[system._masks] = evolved
     return fwht_loop(full).min()
+
+
+def spread(system, cells, low):
+    """A ``(cells, low)`` block on every cell of the full grid: cell c reads (c >> low) mod width."""
+    c = np.arange(1 << (2 * system.m + 1))
+    return cells[:, (c >> low) % cells.shape[1]]
 
 
 def tiled(cells, width):
@@ -116,26 +122,25 @@ class TestBatchedTransform:
         for shape in [(n,), (1, n), (3, n), (8, n), (13, n)]:
             x = rng.standard_normal(shape)
             x.reshape(-1)[:: 7] = -0.0
-            before = x.copy()
-            got = _fwht(x)
+            got = _fwht_in_place(np.array(x))
             want = np.array([fwht_loop(row) for row in x.reshape(-1, n)]).reshape(shape)
             assert got.shape == shape
             assert np.array_equal(bits(got), bits(want))
-            assert np.array_equal(bits(x), bits(before))
 
     def test_rejects_lengths_that_are_not_powers_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            _fwht(np.ones((2, 12)))
+            _fwht_in_place(np.ones((2, 12)))
 
     def test_one_row_functions_are_rows_of_the_block(self):
         b = build_baker_cascade(3)
         rng = np.random.default_rng(4)
         equilibrium = rng.standard_normal(5)
         fluct = rng.standard_normal((5, b.dim))
-        block = walsh_to_cells(b, equilibrium, fluct)
+        block = spread(b, *walsh_to_cells(b, equilibrium, fluct))
         for r in range(5):
-            grid = walsh_to_grid(b, equilibrium[r], fluct[r])
-            assert np.array_equal(bits(grid_cells(b, grid)[0]), bits(block[r]))
+            cells, low = grid_cells(b, walsh_to_grid(b, equilibrium[r], fluct[r]))
+            assert low == 0
+            assert np.array_equal(bits(cells[0]), bits(block[r]))
 
 
 def probe_case(m, seed=3, t_max=2):
@@ -149,8 +154,10 @@ def test_chunk_rows_are_bitwise_the_one_density_probe(m):
     system, late, rng = probe_case(m)
     reference_rng = np.random.default_rng(3)
     rows = 13  # a full chunk and a partial one
-    coarse = np.vstack([_random_densities(system, rng, 8, late),
-                        _random_densities(system, rng, rows - 8, late)])
+    chunks = [_random_densities(system, rng, 8, late),
+              _random_densities(system, rng, rows - 8, late)]
+    assert [low for _, low in chunks] == [0, 0]
+    coarse = np.vstack([cells for cells, _ in chunks])
     n_cells = 1 << (2 * m + 1)
     assert coarse.shape == (rows, n_cells >> 2)  # t_max = 2 digits fewer
     block = tiled(coarse, n_cells)
@@ -159,10 +166,11 @@ def test_chunk_rows_are_bitwise_the_one_density_probe(m):
     assert np.array_equal(bits(block), bits(reference))
 
     canonical = walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None])
+    assert canonical[0].shape == (1, 2) and canonical[1] == m
     zero = signed_zero_density(system)
-    equilibrium, fluct = density_walsh(system, zero[None])
+    equilibrium, fluct = density_walsh(system, zero[None], 0)
     assert bits(fluct[0, system.index_of({-m, 1 - m})]) == bits(-0.0)
-    block = np.vstack([block, canonical, zero])
+    block = np.vstack([block, spread(system, *canonical), zero])
     ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 2)
     stepped = markov_step(ev, HVector(fluct[0], system.basis_id), 1)
     target = system.step_indices(1)[system.index_of({-m, 1 - m})]
@@ -170,13 +178,15 @@ def test_chunk_rows_are_bitwise_the_one_density_probe(m):
     for a in (0.5, 2.0):
         ev = MarkovEvolution(build_decay_operator(gumbel(a), system), 2)
         for t in (0, 1, 2):
-            minima = evolved_minima(ev, *density_walsh(system, block), t)
+            minima = evolved_minima(ev, *density_walsh(system, block, 0), t)
             single = [positivity_probe(ev, as_grid(system, row), t).min_cell for row in block]
             loop = [reference_min_cell(ev, row, t) for row in block]
             assert np.array_equal(bits(minima), bits(single))
             assert np.array_equal(bits(minima), bits(loop))
-            from_coarse = evolved_minima(ev, *density_walsh(system, coarse), t)
+            from_coarse = evolved_minima(ev, *density_walsh(system, coarse, 0), t)
             assert np.array_equal(bits(from_coarse), bits(minima[:rows]))
+            from_pair = evolved_minima(ev, *density_walsh(system, *canonical), t)
+            assert np.array_equal(bits(from_pair), bits(minima[rows:rows + 1]))
 
 
 class TestPerRowChecks:
@@ -184,7 +194,8 @@ class TestPerRowChecks:
 
     def chunk_with(self, bad_cells, m=3):
         system, late, rng = probe_case(m)
-        block = _random_densities(system, rng, _PROBE_CHUNK, late)
+        block, low = _random_densities(system, rng, _PROBE_CHUNK, late)
+        assert low == 0
         # a bad row on a finer grid than the draws widens the chunk to it
         block = tiled(block, max(block.shape[1], bad_cells.size))
         block[5] = bad_cells
@@ -193,7 +204,7 @@ class TestPerRowChecks:
 
     def same_error(self, system, ev, block, kind):
         with pytest.raises(kind) as from_chunk:
-            evolved_minima(ev, *density_walsh(system, block), 1)
+            evolved_minima(ev, *density_walsh(system, block, 0), 1)
         with pytest.raises(kind) as from_single:
             positivity_probe(ev, as_grid(system, tiled(block[5:6], 1 << 7)[0]), 1)
         assert str(from_chunk.value) == str(from_single.value)
@@ -214,7 +225,7 @@ class TestPerRowChecks:
         system = build_baker_cascade(3)
         fluct = np.zeros((1, system.dim))
         fluct[0, system.index_of({0, 3})] = 0.3  # age 3 = hi leaves at t = 1
-        cells = walsh_to_cells(system, [1.0], fluct)[0]
+        cells = spread(system, *walsh_to_cells(system, [1.0], fluct))[0]
         message = self.same_error(*self.chunk_with(cells), MarginError)
         assert "{0,3}" in message
 

@@ -149,7 +149,7 @@ def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
     norms, forms = [], []
     for t in range(horizon + 1):
         norm_direct = norm_loop(markov_step(ev, rho, t).coeffs)
-        log_ratio = ev.label_log_ratio(t)
+        log_ratio = ev.decay.step_log_ratio(t)
         alive = (rho.coeffs != 0.0) & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
             form = float(np.sum(np.exp(2.0 * log_ratio[alive]) * rho.coeffs[alive] ** 2))

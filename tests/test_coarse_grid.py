@@ -1,60 +1,50 @@
 """Walsh expansions evaluated on the coarsest dyadic grid their labels resolve.
 
 An expansion whose nonzero labels use only the digits ``low .. top-1``
-is constant along every other digit, so ``_coarse_cells`` transforms a
-block of length ``2**(top-low)`` in place of the full ``2**(2m+1)``.
-Stretched by ``2**low`` and tiled, its cells must be the full
-transform's bit for bit, and a coarse cell block must give
-``cells_to_walsh`` the coefficients of its tiled full block bit for bit.
-The positivity sweep runs on these short transforms, and its minima
-must be the one-density loop's.
+is constant along every other digit, so ``walsh_to_cells`` transforms a
+block of length ``2**(top-low)`` in place of the full ``2**(2m+1)`` and
+returns it with ``low``.  Spread over the full grid, the pair's cells
+must be the full-grid transform's bit for bit, and ``cells_to_walsh``
+must read the pair into the coefficients of that full block bit for
+bit.  The full-grid transform lives here only, as the reference.  The
+positivity sweep runs on these short transforms, and its minima must be
+the one-density loop's.
 """
 
 import numpy as np
 import pytest
 
 import timeop.cascade
-from timeop.cascade import (
-    _coarse_cells,
-    _fwht,
-    build_baker_cascade,
-    cells_to_walsh,
-    walsh_to_cells,
-    walsh_to_coarse_cells,
-)
+from timeop.cascade import _fwht_in_place, build_baker_cascade, cells_to_walsh, walsh_to_cells
 from timeop.config import parse_config
 from timeop.markov import MarkovEvolution, density_walsh, evolved_minima
 from timeop.profiles import build_decay_operator, gumbel
 from timeop.runner import _Context, _random_densities, _run_positivity
 
-from test_batched_probe import bits, reference_min_cell, signed_zero_density, tiled
+from test_batched_probe import bits, reference_min_cell, signed_zero_density, spread, tiled
 
 
-def full_block(system, equilibrium, fluct, labels=None):
-    """The zero-padded full-grid coefficient block the full transform reads."""
+def full_grid_cells(system, equilibrium, fluct, labels=None):
+    """The full-grid transform: a zero block, the coefficients scattered at their masks."""
     masks = system._masks if labels is None else system._masks[labels]
     full = np.zeros((len(equilibrium), 1 << (2 * system.m + 1)))
     full[:, 0] = equilibrium
     full[:, masks] = fluct
-    return full
+    return _fwht_in_place(full)
 
 
-def stretched(system, cells, low):
-    """Coarse cells spread over the full grid: cell c reads (c >> low) mod width."""
-    c = np.arange(1 << (2 * system.m + 1))
-    return cells[:, (c >> low) % cells.shape[1]]
+def full_grid_walsh(system, full):
+    """Equilibrium and label-ordered coefficients of full-grid cells, by the full transform."""
+    coeffs = _fwht_in_place(np.array(full, order="C")) / full.shape[1]
+    return coeffs[:, 0], coeffs[:, system._masks]
 
 
 def check_coarse(system, equilibrium, fluct, labels=None):
     """Assert the coarse evaluation is the full transform; return its width and low digit."""
     equilibrium = np.asarray(equilibrium, dtype=float)
-    cells, low = _coarse_cells(system, equilibrium, fluct, labels)
-    want = _fwht(full_block(system, equilibrium, fluct, labels))
-    assert np.array_equal(bits(stretched(system, cells, low)), bits(want))
-    assert np.array_equal(bits(walsh_to_cells(system, equilibrium, fluct, labels)), bits(want))
-    low_cells = walsh_to_coarse_cells(system, equilibrium, fluct, labels)
-    assert low_cells.shape[1] == cells.shape[1] << low
-    assert np.array_equal(bits(tiled(low_cells, want.shape[1])), bits(want))
+    cells, low = walsh_to_cells(system, equilibrium, fluct, labels)
+    want = full_grid_cells(system, equilibrium, fluct, labels)
+    assert np.array_equal(bits(spread(system, cells, low)), bits(want))
     return cells.shape[1], low
 
 
@@ -117,9 +107,13 @@ class TestCoarseEvaluation:
 
 
 class TestCoarseCellsToWalsh:
-    def assert_same(self, system, coarse):
-        got = cells_to_walsh(system, coarse)
-        want = cells_to_walsh(system, tiled(coarse, 1 << (2 * system.m + 1)))
+    def assert_same(self, system, cells, low):
+        before = cells.copy()
+        got = cells_to_walsh(system, cells, low)
+        assert np.array_equal(bits(cells), bits(before))
+        for a, b in zip(got, cells_to_walsh(system, np.asfortranarray(cells), low)):
+            assert np.array_equal(bits(a), bits(b))
+        want = full_grid_walsh(system, spread(system, cells, low))
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.array_equal(bits(a), bits(b))
@@ -127,31 +121,38 @@ class TestCoarseCellsToWalsh:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_every_width(self, m):
+        # every width at random digits, with -0.0, subnormal and huge cells
         system = build_baker_cascade(m)
         rng = np.random.default_rng(300 + m)
         for b in range(2 * m + 2):
-            self.assert_same(system, rng.standard_normal((3, 1 << b)))
+            for scale in (1.0, 1e-310, 1e300):
+                cells = rng.standard_normal((3, 1 << b)) * scale
+                cells.reshape(-1)[::5] = -0.0
+                self.assert_same(system, cells, int(rng.integers(0, 2 * m + 2 - b)))
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_signed_zero_density(self, m):
         system = build_baker_cascade(m)
         zero = signed_zero_density(system)
-        _, fluct = self.assert_same(system, zero[None, :4])
+        _, fluct = self.assert_same(system, zero[None, :4], 0)
         assert bits(fluct[0, system.index_of({-m, 1 - m})]) == bits(-0.0)
+        _, fluct = self.assert_same(system, zero[None, :4], 2 * m - 1)
+        assert bits(fluct[0, system.index_of({m - 1, m})]) == bits(-0.0)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_subnormal_coefficients(self, m):
         system = build_baker_cascade(m)
         coarse = np.random.default_rng(400 + m).standard_normal((3, 8)) * 1e-310
-        equilibrium, fluct = self.assert_same(system, coarse)
+        equilibrium, fluct = self.assert_same(system, coarse, 2 * m - 2)
         coeffs = np.concatenate([equilibrium, fluct.ravel()])
         assert np.any((coeffs != 0) & (np.abs(coeffs) < np.finfo(float).tiny))
 
     def test_widths_that_do_not_fit_are_rejected(self):
         system = build_baker_cascade(2)
-        for shape in [(1, 3), (1, 64), (2, 0), (32,)]:
+        for shape, low in [((1, 3), 0), ((1, 64), 0), ((2, 0), 0), ((32,), 0),
+                           ((1, 4), 4), ((1, 32), 1), ((1, 2), -1)]:
             with pytest.raises(ValueError, match="does not match baker m=2"):
-                cells_to_walsh(system, np.ones(shape))
+                cells_to_walsh(system, np.ones(shape), low)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -159,13 +160,13 @@ def test_evolved_minima_are_the_loop_reference(m):
     system = build_baker_cascade(m)
     t_max = 3
     late = system.ages > system.window.hi - t_max
-    coarse = _random_densities(system, np.random.default_rng(m), 6, late)
-    assert coarse.shape[1] == 1 << (2 * m + 1 - t_max)
+    coarse, low = _random_densities(system, np.random.default_rng(m), 6, late)
+    assert coarse.shape[1] == 1 << (2 * m + 1 - t_max) and low == 0
     full = tiled(coarse, 1 << (2 * m + 1))
     for a in (0.4, 1.0, 2.5):
         ev = MarkovEvolution(build_decay_operator(gumbel(a), system), t_max)
         for t in range(t_max + 1):
-            minima = evolved_minima(ev, *density_walsh(system, coarse), t)
+            minima = evolved_minima(ev, *density_walsh(system, coarse, low), t)
             loop = [reference_min_cell(ev, row, t) for row in full]
             assert np.array_equal(bits(minima), bits(loop))
 
@@ -191,9 +192,9 @@ gate = false
 
 def test_sweep_transforms_are_coarse(monkeypatch):
     # every transform of the sweep is 2**t_max times shorter than the
-    # full grid, or shorter, apart from the canonical density's forward
-    # one; steep profiles underflow weights, and no -0.0 product may
-    # send an evolved block back to the full grid
+    # full grid, or shorter, the canonical density's two cells included;
+    # steep profiles underflow weights, and no -0.0 product may send an
+    # evolved block back to the full grid
     config = parse_config(POSITIVITY_M6)
     kernel = timeop.cascade._fwht_in_place
     widths = []
@@ -205,5 +206,4 @@ def test_sweep_transforms_are_coarse(monkeypatch):
     monkeypatch.setattr(timeop.cascade, "_fwht_in_place", counted)
     _run_positivity(_Context(config), config.experiments[0].params,
                     np.random.default_rng([5, 0]))
-    assert widths.count(1 << 13) == 1
-    assert max(w for w in widths if w != 1 << 13) == 1 << (13 - 4)
+    assert max(widths) == 1 << (13 - 4)

@@ -219,6 +219,22 @@ class TestValidateCli:
         assert captured.out == ""
         assert captured.err == f"profile table does not cover s={uncovered}\n"
 
+    @pytest.mark.parametrize("window, experiment, uncovered", [
+        ("hi = 3", "[experiment admissibility]\ngrid_lo = -40", -40),
+        ("hi = 20", "[experiment covariance]\nt_values = 3", 23),
+    ], ids=["admissibility-grid", "covariance-ages"])
+    def test_table_short_of_a_point_the_run_reads(self, tmp_path, capsys, window, experiment,
+                                                  uncovered):
+        # the table covers the decay operator's certificate grid, not these points
+        text = self.custom_table_config(tmp_path, -20, 22).read_text()
+        text = text.replace("hi = 3", window).replace("[experiment covariance]", experiment)
+        code, captured = self.validates(tmp_path, capsys, text)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"profile table does not cover s={uncovered}\n"
+        record = run_experiments(parse_config(text)).records[0]
+        assert record["error"] == f"ProfileError: profile table does not cover s={uncovered}"
+
     def test_table_covering_the_certificate_grid(self, tmp_path, capsys):
         path = self.custom_table_config(tmp_path, -20, 22)
         assert main(["validate", "--config", str(path)]) == 0

@@ -98,7 +98,7 @@ class TestStep:
     def test_weight_table_invariants(self):
         _, ev = evolution()
         for t in range(ev.max_t + 1):
-            log_ratio = ev.label_log_ratio(t)
+            log_ratio = ev.decay.step_log_ratio(t)
             valid = log_ratio[~np.isnan(log_ratio)]
             assert np.all(valid <= 0.0)
             if t == 0:

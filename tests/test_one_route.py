@@ -1,7 +1,7 @@
 """W_t's log weights have one route: the decay diagonal read along the step map.
 
-``MarkovEvolution.label_log_ratio`` and the operator web's ``w`` are both
-``DecayOperator.step_log_ratio``.  On a correct system they equal the
+The weights a ``MarkovEvolution`` steps by and the operator web's ``w``
+are both ``DecayOperator.step_log_ratio``.  On a correct system they equal the
 closed form log lambda(a + t) - log lambda(a) bit for bit on the
 t-margin, and are NaN off it; on a system whose step map lowers an age
 the ratio passes one, and the Markov gate rejects it.
@@ -45,7 +45,7 @@ def test_markov_and_web_weights_are_the_closed_form_on_the_margin(case):
     margin = system.interior_mask(t)
     expected = decay.log_weight(system.ages[margin] + t) - decay.log_diag[margin]
     routes = {
-        "markov": MarkovEvolution(decay, t).label_log_ratio(t),
+        "markov": MarkovEvolution(decay, t).decay.step_log_ratio(t),
         "web": build_operator_web(decay, t).log_weights["w"],
     }
     for route in routes.values():
