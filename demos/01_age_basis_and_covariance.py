@@ -15,8 +15,6 @@ from timeop import (
     AgeWindow,
     build_baker_cascade,
     build_shift_cascade,
-    system_from_json,
-    system_to_json,
     verify_covariance,
     verify_imprimitivity,
 )
@@ -44,7 +42,7 @@ for n in range(-2, 3):
 
 print("\nindex-set shift: U chi{-1,0} lands on chi{0,1}:")
 image = baker.step_indices(1)[baker.index_of(frozenset({-1, 0}))]
-print("  image label =", baker.label_text(baker.labels[image]))
+print("  image label =", baker.label_text(image))
 
 print("\ncovariance deviation on the baker window:")
 for t in range(3):
@@ -69,8 +67,3 @@ for t in range(1, 5):
     kept = idx >= 0
     overlap = float(np.dot(u[idx[kept]], v[kept]))
     print(f"  t={t}: <u, U^t v> = {overlap}")
-
-print("\nsystems serialize to JSON for fixture reuse; loading re-verifies:")
-doc = system_to_json(baker)
-print(f"  baker m=2 document: {len(doc)} bytes; reload matches:",
-      system_from_json(doc).labels == baker.labels)

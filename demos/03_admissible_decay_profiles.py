@@ -44,8 +44,8 @@ print("witnesses:", cert.witnesses["limits"])
 print("\n=== the induced diagonal weighting ===")
 shift = build_shift_cascade(AgeWindow(-3, 3))
 op = build_decay_operator(gumbel(1.0), shift)
-for label, value, logv in zip(shift.labels, op.diag, op.log_diag):
-    print(f"  age {label:+d}: lambda = {value:.9g}   (log {logv:+.6f})")
+for age, value, logv in zip(shift.ages, op.diag, op.log_diag):
+    print(f"  age {age:+d}: lambda = {value:.9g}   (log {logv:+.6f})")
 
 print("\nthe inverse is unbounded in the window limit: the log condition")
 print("number lambda(lo)/lambda(hi) grows with the window:")

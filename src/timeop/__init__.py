@@ -21,8 +21,6 @@ from .cascade import (
     build_baker_cascade,
     build_shift_cascade,
     grid_to_walsh,
-    system_from_json,
-    system_to_json,
     verify_covariance,
     verify_imprimitivity,
     walsh_to_grid,

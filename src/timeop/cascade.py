@@ -26,7 +26,6 @@ one-step index shift S -> S+1 raises age by one.  The constant function
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,8 +48,6 @@ __all__ = [
     "walsh_to_cells",
     "cells_to_walsh",
     "grid_cells",
-    "system_to_json",
-    "system_from_json",
 ]
 
 BAKER_SIZE_CAP = 6
@@ -105,50 +102,68 @@ class GridDensity:
 class CascadeSystem:
     """A finite-window realization of (U, {E_n}, T).
 
-    Instances are immutable after construction.  Labels are ages (ints)
-    for the shift model and frozensets of coordinates for the baker
-    model, ordered age-major.  The step index map and the label ages are
-    the representation: every operator built here is a truncated
-    weighted shift, so ``U^t`` is ``step_indices(t)`` and ``T`` and
-    ``E(delta)`` are per-label weights, and every identity is checked on
-    those arrays in O(dim).  The dense ``U`` matrix is built only on
-    request, for small-dim cross-checks.
+    A cascade is its kind, its age window and its one-step index map;
+    everything else is derived from the first two.  Basis labels are
+    never stored: index k holds age lo + k on the shift, and on the
+    baker the nonempty coordinate subset whose bitmask is k + 1 (bit j
+    for coordinate j - m), so ascending masks are age-major.
+    ``index_of`` and ``label_text`` convert between the two by
+    arithmetic.  The step index map and the label ages are the
+    representation: every operator built here is a truncated weighted
+    shift, so ``U^t`` is ``step_indices(t)`` and ``T`` and ``E(delta)``
+    are per-label weights, and every identity is checked on those
+    arrays in O(dim).  The dense ``U`` matrix is built only on request,
+    for small-dim cross-checks.  Instances are immutable after
+    construction.
     """
 
-    def __init__(self, kind, window, labels, ages, step, basis_id, m=None, masks=None):
+    def __init__(self, kind: str, window: AgeWindow, step):
         self.kind = kind
         self.window = window
-        self.labels = tuple(labels)
-        ages = np.asarray(ages, dtype=np.int64)
+        if kind == "shift":
+            self.m = None
+            self._masks = None
+            ages = np.arange(window.lo, window.hi + 1, dtype=np.int64)
+            self.basis_id = f"shift[{window.lo},{window.hi}]"
+        elif kind == "baker" and window.lo == -window.hi:
+            self.m = m = window.hi
+            masks = np.arange(1, 1 << (2 * m + 1), dtype=np.int64)
+            masks.setflags(write=False)
+            self._masks = masks
+            # age n holds the 2**(n+m) masks whose highest set bit is n + m
+            ages = np.repeat(np.arange(-m, m + 1, dtype=np.int64), 1 << np.arange(2 * m + 1))
+            self.basis_id = f"baker(m={m})"
+        else:
+            raise ValueError(f"no {kind!r} cascade on the window [{window.lo}, {window.hi}]")
         ages.setflags(write=False)
         self.ages = ages
         step = np.asarray(step, dtype=np.int64)
+        if step.shape != ages.shape:
+            raise ValueError(f"step map of shape {step.shape} does not match the "
+                             f"{ages.size} labels of {self.basis_id}")
         step.setflags(write=False)
         self._step = step
-        identity = np.arange(len(self.labels), dtype=np.int64)
+        identity = np.arange(ages.size, dtype=np.int64)
         identity.setflags(write=False)
         self._steps = {0: identity}  # t -> step_indices(t)
-        self.basis_id = basis_id
-        self.m = m
-        self._masks = masks
-        self._index = {label: i for i, label in enumerate(self.labels)}
 
     # -- basic queries -------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.ages.size
 
     def index_of(self, label) -> int:
+        """Index of a label: an age on the shift, a coordinate set on the baker."""
         if isinstance(label, (set, list, tuple)):
             label = frozenset(label)
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"{label!r} is not a basis label of {self.basis_id}") from None
-
-    def age_of(self, label) -> int:
-        return int(self.ages[self.index_of(label)])
+        if self.kind == "shift":
+            if isinstance(label, (int, np.integer)) and label in self.window:
+                return int(label) - self.window.lo
+        elif (isinstance(label, frozenset) and label
+              and all(isinstance(c, (int, np.integer)) and -self.m <= c <= self.m for c in label)):
+            return sum(1 << (int(c) + self.m) for c in label) - 1
+        raise KeyError(f"{label!r} is not a basis label of {self.basis_id}")
 
     def basis_vector(self, label) -> HVector:
         c = np.zeros(self.dim)
@@ -222,10 +237,12 @@ class CascadeSystem:
         mat.setflags(write=False)
         return mat
 
-    def label_text(self, label) -> str:
-        if isinstance(label, frozenset):
-            return "{" + ",".join(str(i) for i in sorted(label)) + "}"
-        return str(label)
+    def label_text(self, i: int) -> str:
+        """The label at index i: its age on the shift, ``{c1,c2,...}`` on the baker."""
+        if self.kind == "shift":
+            return str(int(self.ages[i]))
+        m, mask = self.m, int(self._masks[i])
+        return "{" + ",".join(str(j - m) for j in range(2 * m + 1) if mask >> j & 1) + "}"
 
 
 # -- construction -------------------------------------------------------
@@ -240,11 +257,9 @@ def build_shift_cascade(window: AgeWindow) -> CascadeSystem:
     """
     if window.hi - window.lo < 2:
         raise ValueError("window too small: need hi - lo >= 2")
-    labels = list(window.ages)
-    ages = np.array(labels, dtype=np.int64)
-    step = np.array([i + 1 if n < window.hi else -1 for i, n in enumerate(labels)], dtype=np.int64)
-    basis_id = f"shift[{window.lo},{window.hi}]"
-    return CascadeSystem("shift", window, labels, ages, step, basis_id)
+    step = np.arange(1, window.hi - window.lo + 2, dtype=np.int64)
+    step[-1] = -1
+    return CascadeSystem("shift", window, step)
 
 
 def build_baker_cascade(m: int) -> CascadeSystem:
@@ -259,18 +274,10 @@ def build_baker_cascade(m: int) -> CascadeSystem:
         raise ValueError(f"baker size must be a positive integer, got {m!r}")
     if m > BAKER_SIZE_CAP:
         raise ValueError(f"m exceeds desk-scale cap {BAKER_SIZE_CAP}")
-    window = AgeWindow(-m, m)
-    n_coords = 2 * m + 1
-    full = 1 << n_coords
-    # ascending masks are age-major, so mask k sits at index k - 1
-    masks = np.arange(1, full, dtype=np.int64)
-    # age of a mask is its highest set bit, recentred by -m
-    ages = np.floor(np.log2(masks)).astype(np.int64) - m
-    step = np.where(2 * masks < full, 2 * masks - 1, -1)
-    labels = [frozenset(j - m for j in range(n_coords) if mask >> j & 1) for mask in masks]
-    basis_id = f"baker(m={m})"
-    masks.setflags(write=False)
-    return CascadeSystem("baker", window, labels, ages, step, basis_id, m=m, masks=masks)
+    # index k holds mask k + 1, and S -> S+1 doubles the mask
+    doubled = 2 * np.arange(1, 1 << (2 * m + 1), dtype=np.int64)
+    step = np.where(doubled < 1 << (2 * m + 1), doubled - 1, -1)
+    return CascadeSystem("baker", AgeWindow(-m, m), step)
 
 
 # -- dynamics ------------------------------------------------------------
@@ -517,45 +524,3 @@ def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> tuple:
     """
     equilibrium, fluct = cells_to_walsh(system, *grid_cells(system, grid))
     return float(equilibrium[0]), fluct[0]
-
-
-# -- serialization --------------------------------------------------------
-
-
-def _stored_fields(system: CascadeSystem) -> dict:
-    """The fields a fixture stores and loading verifies: O(dim) each."""
-    return {
-        "basis_labels": [sorted(l) if isinstance(l, frozenset) else l for l in system.labels],
-        "step": system._step.tolist(),
-        "ages": system.ages.tolist(),
-    }
-
-
-def system_to_json(system: CascadeSystem) -> str:
-    """Serialize for fixture reuse: kind, window, labels, step map and ages."""
-    doc = {
-        "kind": system.kind,
-        "window": {"lo": system.window.lo, "hi": system.window.hi},
-        "m": system.m,
-        **_stored_fields(system),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def system_from_json(text: str) -> CascadeSystem:
-    """Rebuild a serialized system and verify it against the document.
-
-    A stored field that differs from the reconstruction, or is missing,
-    is rejected with a ``ValueError`` naming the field.
-    """
-    doc = json.loads(text)
-    if doc["kind"] == "shift":
-        system = build_shift_cascade(AgeWindow(doc["window"]["lo"], doc["window"]["hi"]))
-    elif doc["kind"] == "baker":
-        system = build_baker_cascade(doc["m"])
-    else:
-        raise ValueError(f"unknown system kind {doc['kind']!r}")
-    for field, value in _stored_fields(system).items():
-        if doc.get(field) != value:
-            raise ValueError(f"stored {field} does not match the reconstruction")
-    return system

@@ -105,7 +105,7 @@ class OperatorWeb:
         """Weight carried by a safe label under the named evolution."""
         i = self.system.index_of(label)
         if not self.safe_mask[i]:
-            raise MarginError(f"label {self.system.label_text(label)} is not t-margin safe")
+            raise MarginError(f"label {self.system.label_text(i)} is not t-margin safe")
         return float(np.exp(self.log_weights[name][i]))
 
     def matrix(self, name: str) -> np.ndarray:
@@ -219,8 +219,7 @@ def _best_witness(web: OperatorWeb, name_a: str, name_b: str) -> WitnessRecord:
             np.exp(web.log_weights[name_a][safe]) - np.exp(web.log_weights[name_b][safe])
         )
     i = int(np.argmax(dev))
-    label = web.system.labels[safe[i]]
-    return WitnessRecord(label=web.system.label_text(label), deviation=float(dev[i]))
+    return WitnessRecord(label=web.system.label_text(safe[i]), deviation=float(dev[i]))
 
 
 def _jordan_type_gap(web: OperatorWeb) -> float:

@@ -109,7 +109,7 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int):
     if far.any():
         row = int(np.nonzero(far.any(axis=1))[0][0])
         offending = np.nonzero(~inside)[0][far[row]]
-        names = ", ".join(system.label_text(system.labels[i]) for i in offending[:8])
+        names = ", ".join(system.label_text(i) for i in offending[:8])
         raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
     del size, far  # one block fewer alive through the gather below
     # the weights inside the margin are finite, in [0, 1], so a product

@@ -85,7 +85,8 @@ class DecayProfile:
         """log lambda(s); vectorized over integer arrays."""
         s_arr = np.asarray(s, dtype=float)
         if self.family == "gumbel":
-            out = -np.exp(self.a * s_arr)
+            with np.errstate(over="ignore"):  # -inf past a s = 709: lambda is 0.0 there
+                out = -np.exp(self.a * s_arr)
         elif self.family == "logistic":
             out = -np.logaddexp(0.0, s_arr)
         else:
@@ -100,10 +101,6 @@ class DecayProfile:
                     vals[i] = np.log(self._lookup[key])
             out = vals.reshape(s_arr.shape)
         return out if out.shape else float(out)
-
-    def value(self, s):
-        """lambda(s); may underflow to 0.0, use log_value where that matters."""
-        return np.exp(self.log_value(s))
 
     def describe(self) -> str:
         if self.family == "gumbel":
@@ -208,8 +205,13 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20),
     ratio_witnesses = []
     for t in t_set:
         # an exact zero makes the ratio undefined (NaN); caught below
-        with np.errstate(invalid="ignore"):
-            log_ratio = log_vals[t : t + hi - lo + 1] - grid_logs
+        with np.errstate(invalid="ignore", over="ignore"):
+            if profile.family == "gumbel":
+                # -exp(a (s+t)) + exp(a s) as one product, which reaches
+                # -inf (a ratio of 0.0) where the logs overflow, not NaN
+                log_ratio = grid_logs * np.expm1(profile.a * t)
+            else:
+                log_ratio = log_vals[t : t + hi - lo + 1] - grid_logs
             bad = np.nonzero(np.diff(log_ratio) > 0)[0]
         for i in bad[:4]:
             ratio_ok = False

@@ -248,8 +248,8 @@ class SingularSpectrum:
     Closed forms: ``power(alpha)`` has values (k+1)**(-alpha) and
     ``geometric(q)`` has values q**k.  ``truncation`` is the number of
     terms materialized for partial sums.  :meth:`values` calls ``pow``
-    only on the leading terms that can be nonzero and writes +0.0 for
-    the rest, so every value is bitwise the closed form's.
+    only on the terms that can be nonzero and writes +0.0 for the rest,
+    so every value is bitwise the closed form's.
     """
 
     family: str
@@ -269,38 +269,18 @@ class SingularSpectrum:
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
 
-    def values(self, count: int | None = None) -> np.ndarray:
-        count = count or self.truncation
-        live = min(count, self._live_terms())
-        k = np.arange(1, live + 1, dtype=float)
-        if live == count:
-            # the closed forms as written: the operator may pick another
-            # kernel than np.power (numpy 1.x takes a reciprocal for -1.0)
-            if self.family == "power":
-                return (k + 1.0) ** (-self.alpha)
-            return self.q ** k
-        # the underflowed tail would send pow down its slow path for the
-        # +0.0 that np.zeros already holds
-        values = np.zeros(count)
+    def values(self) -> np.ndarray:
+        k = np.arange(1, self.truncation + 1, dtype=float)
+        # pow runs only where the term is at least 2**-UNDERFLOW_BITS;
+        # every other term rounds to the +0.0 already in place
         if self.family == "power":
-            np.power(k + 1.0, -self.alpha, out=values[:live])
+            base, exponent = k + 1.0, -self.alpha
+            with np.errstate(over="ignore"):
+                live = base <= np.exp2(UNDERFLOW_BITS / self.alpha)
         else:
-            np.power(self.q, k, out=values[:live])
-        return values
-
-    def _live_terms(self) -> int:
-        """A count of leading terms past which every term is +0.0.
-
-        Every later term is below 2**-UNDERFLOW_BITS, so far under the
-        smallest subnormal 2**-1074 that ``pow`` rounds it to +0.0; the
-        count keeps one term to spare.
-        """
-        if self.family == "power":
-            # (k + 1)**-alpha < 2**-UNDERFLOW_BITS once k + 1 > 2**(UNDERFLOW_BITS / alpha)
-            bits = UNDERFLOW_BITS / self.alpha
-            return 2**53 if bits >= 53 else int(2.0**bits)
-        # q**k < 2**-UNDERFLOW_BITS once k > UNDERFLOW_BITS / -log2(q)
-        return int(UNDERFLOW_BITS / -math.log2(self.q)) + 1
+            base, exponent = self.q, k
+            live = k <= UNDERFLOW_BITS / -math.log2(self.q)
+        return np.power(base, exponent, out=np.zeros(k.size), where=live)
 
     def describe(self) -> str:
         if self.family == "power":
@@ -317,7 +297,7 @@ def geometric_spectrum(q: float, truncation: int = 100_000) -> SingularSpectrum:
 
 
 def _partial_sum(values: np.ndarray, exponent: float) -> float:
-    """``np.sum(values ** exponent)`` of a non-increasing array, bitwise."""
+    """``np.sum(values ** exponent)``, bitwise."""
     with np.errstate(under="ignore"):
         return float(np.sum(_powers(values, exponent)))
 
@@ -325,30 +305,17 @@ def _partial_sum(values: np.ndarray, exponent: float) -> float:
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
     """``values ** exponent``, with ``pow`` called only where it can be nonzero.
 
-    Entries at most 2**(-UNDERFLOW_BITS / exponent) have powers below
-    2**-UNDERFLOW_BITS, which round to +0.0; on a non-increasing array
-    they form a tail, found by bisection and confirmed by one ``max()``.
-    The result is written into a full-length array of zeros, so a sum
-    over it takes the same pairwise tree as over ``values ** exponent``.
-    numpy serves exponents 1, 2 and 1/2 without the general ``pow``
-    (a copy, a square, a square root), so they get the plain formula,
-    as does an array without such a tail or one not non-increasing.
+    Entries below 2**(-UNDERFLOW_BITS / exponent) have powers below
+    2**-UNDERFLOW_BITS, which round to +0.0 and are left as the zeros
+    of a full-length array, so a sum over it takes the same pairwise
+    tree as over ``values ** exponent``.  numpy serves exponents 1, 2
+    and 1/2 without the general ``pow`` (a copy, a square, a square
+    root), so they get the plain formula.
     """
+    if exponent in (0.5, 1.0, 2.0):
+        return values ** exponent
     floor = 2.0 ** (-UNDERFLOW_BITS / exponent)  # +0.0 for exponents near 1 and below
-    if exponent in (0.5, 1.0, 2.0) or values[-1] > floor:
-        return values ** exponent
-    lo, hi = 0, values.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid] <= floor:
-            hi = mid
-        else:
-            lo = mid + 1
-    if not values[lo:].max() <= floor:  # not non-increasing, or NaN
-        return values ** exponent
-    powers = np.zeros(values.size)
-    np.power(values[:lo], exponent, out=powers[:lo])
-    return powers
+    return np.power(values, exponent, out=np.zeros(values.size), where=values >= floor)
 
 
 def _tail_bounds(spectrum: SingularSpectrum, exponent: float):

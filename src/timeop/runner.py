@@ -230,7 +230,7 @@ def _run_lyapunov(ctx, params, rng):
     details = {
         "max_t": max_t,
         "n_random": params["n_random"],
-        "canonical_label": ctx.system.label_text(ctx.system.labels[canonical_idx]),
+        "canonical_label": ctx.system.label_text(canonical_idx),
         "trace_t": list(canonical.t_values),
         "trace_norm": list(canonical.norms),
         "trace_form": list(canonical.forms),

@@ -431,8 +431,7 @@ class TestSpectrumSums:
 
 
 def with_step(system, step):
-    return CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
-                         system.basis_id, m=system.m, masks=system._masks)
+    return CascadeSystem(system.kind, system.window, step)
 
 
 def transport_loop(system, t):

@@ -1,5 +1,5 @@
 import itertools
-import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from timeop.cascade import (
     AgeWindow,
+    CascadeSystem,
     GridDensity,
     build_baker_cascade,
     build_shift_cascade,
     grid_to_walsh,
-    system_from_json,
-    system_to_json,
     verify_covariance,
     verify_imprimitivity,
     walsh_to_grid,
@@ -36,11 +35,20 @@ def all_subsets(coords):
     return out
 
 
+def stored_labels(system):
+    """The labels as the construction that stored them built them, age-major."""
+    if system.kind == "shift":
+        return list(system.window.ages)
+    m = system.m
+    return [frozenset(j - m for j in range(2 * m + 1) if mask >> j & 1)
+            for mask in range(1, 1 << (2 * m + 1))]
+
+
 def brute_force_cell_value(system, equilibrium, fluct, iy, ix):
     """Pointwise Walsh evaluation straight from the digit convention."""
     m = system.m
     total = equilibrium
-    for label, coeff in zip(system.labels, fluct):
+    for label, coeff in zip(stored_labels(system), fluct):
         if coeff == 0.0:
             continue
         sign = 1
@@ -115,7 +123,7 @@ class TestBakerCascade:
     def test_age_one_eigenspace_by_enumeration(self):
         b = build_baker_cascade(1)
         expected = {s for s in all_subsets(range(-1, 2)) if max(s) == 1}
-        got = {label for label in b.labels if b.age_of(label) == 1}
+        got = {label for label in stored_labels(b) if b.ages[b.index_of(label)] == 1}
         assert got == expected
         assert len(got) == 4
 
@@ -145,7 +153,7 @@ class TestBakerCascade:
         assert np.array_equal(b._masks, masks)
         assert np.array_equal(b.ages, ages)
         assert b._step.tolist() == step
-        assert list(b.labels) == labels
+        assert [b.index_of(label) for label in labels] == list(range(b.dim))
 
     def test_step_shifts_index_set(self):
         b = build_baker_cascade(1)
@@ -296,36 +304,64 @@ class TestWalshGrid:
             walsh_to_grid(s, 1.0, s.basis_vector(0).coeffs)
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("factory", [
-        lambda: build_shift_cascade(AgeWindow(-3, 3)),
-        lambda: build_baker_cascade(2),
-    ])
-    def test_round_trip(self, factory):
-        system = factory()
-        loaded = system_from_json(system_to_json(system))
-        assert loaded.labels == system.labels
-        assert np.array_equal(loaded.U, system.U)
-        assert np.array_equal(loaded.ages, system.ages)
+class TestDerivedLabels:
+    @pytest.mark.parametrize("system", [build_baker_cascade(m) for m in range(1, 7)] + [
+        build_shift_cascade(AgeWindow(-3, 3)),
+        build_shift_cascade(AgeWindow(-10, 10)),
+    ], ids=lambda s: s.basis_id)
+    def test_index_and_text_are_the_stored_labels(self, system):
+        # the label tuple, its index dict and its text as they were stored
+        labels = stored_labels(system)
+        index = {label: i for i, label in enumerate(labels)}
+        assert len(labels) == system.dim
+        for label in labels:
+            i = system.index_of(label)
+            assert i == index[label]
+            if system.kind == "baker":
+                assert system.index_of(sorted(label)) == i
+                assert system.label_text(i) == "{" + ",".join(map(str, sorted(label))) + "}"
+                assert system.ages[i] == max(label)
+            else:
+                assert system.label_text(i) == str(label)
+                assert system.ages[i] == label
 
-    def test_tampered_document_rejected(self):
-        system = build_shift_cascade(AgeWindow(-2, 2))
-        doc = json.loads(system_to_json(system))
-        doc["step"][0] = 3
-        with pytest.raises(ValueError, match="stored step"):
-            system_from_json(json.dumps(doc))
+    @pytest.mark.parametrize("label", [frozenset(), set(), {-3}, {0, 3}, {0.5}, 0])
+    def test_baker_rejects_foreign_labels(self, label):
+        b = build_baker_cascade(2)
+        with pytest.raises(KeyError, match=r"is not a basis label of baker\(m=2\)"):
+            b.index_of(label)
 
-    def test_largest_baker_fixture_stays_linear_in_dim(self):
-        # the step map and ages, not two dim x dim matrices (8191^2 each at m = 6)
-        system = build_baker_cascade(6)
-        text = system_to_json(system)
-        assert len(text) < 1_000_000
-        loaded = system_from_json(text)
-        assert loaded.labels == system.labels
-        assert np.array_equal(loaded.step_indices(1), system.step_indices(1))
-        assert np.array_equal(loaded.ages, system.ages)
-        for field in ("step", "ages"):
-            doc = json.loads(text)
-            doc[field][-1] += 1
-            with pytest.raises(ValueError, match=f"stored {field}"):
-                system_from_json(json.dumps(doc))
+    @pytest.mark.parametrize("label", [{0}, frozenset({1}), -4, 4, 0.5])
+    def test_shift_rejects_foreign_labels(self, label):
+        s = build_shift_cascade(AgeWindow(-3, 3))
+        with pytest.raises(KeyError, match=r"is not a basis label of shift\[-3,3\]"):
+            s.index_of(label)
+
+    @pytest.mark.parametrize("system", [
+        build_shift_cascade(AgeWindow(-3, 3)),
+        build_baker_cascade(2),
+    ], ids=lambda s: s.basis_id)
+    def test_step_map_of_the_wrong_length_is_rejected(self, system):
+        for step in (system._step[:-1], np.append(system._step, -1), system._step[None]):
+            with pytest.raises(ValueError, match="does not match"):
+                CascadeSystem(system.kind, system.window, step)
+        assert np.array_equal(CascadeSystem(system.kind, system.window, system._step).U, system.U)
+
+    def test_unknown_kind_and_asymmetric_baker_window_are_rejected(self):
+        with pytest.raises(ValueError, match="no 'cat' cascade"):
+            CascadeSystem("cat", AgeWindow(-1, 1), [1, 2, -1])
+        with pytest.raises(ValueError, match="no 'baker' cascade"):
+            CascadeSystem("baker", AgeWindow(-1, 2), np.full(15, -1))
+
+    def test_largest_baker_builds_no_per_label_objects(self):
+        # a few dim-long int64 arrays (64 KiB each at dim 8191); a Python
+        # object per label took several MB
+        build_baker_cascade(6)  # warm the imports and any lazy setup
+        tracemalloc.start()
+        try:
+            system = build_baker_cascade(6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.dim == 8191
+        assert peak < 500_000

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,6 +266,22 @@ class TestValidateCli:
         assert code == 0
         assert captured.out == "config OK\n"
         assert run_experiments(parse_config(text)).all_gated_passed
+
+    def test_gumbel_on_a_wide_admissibility_grid(self, tmp_path, capsys):
+        # log lambda overflows to -inf past s = 709; the ratio's logs must
+        # not difference -inf against -inf into NaN
+        text = ("[system]\nkind = shift\nlo = -3\nhi = 3\n\n[profile]\nfamily = gumbel\n"
+                "a = 1.0\n\n[experiment admissibility]\ngrid_hi = 800\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, captured = self.validates(tmp_path, capsys, text)
+            assert (code, captured.out, captured.err) == (0, "config OK\n", "")
+            out = tmp_path / "out"
+            code = main(["run", "--config", str(tmp_path / "reader.cfg"), "--out", str(out)])
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        record = json.loads((out / "report.json").read_text())["experiments"][0]
+        assert (record["status"], record["details"]["ratio_ok"]) == ("pass", True)
 
     def test_short_table_with_a_decay_reader(self, tmp_path, capsys):
         text = self.custom_table_config(tmp_path, -20, 21).read_text()

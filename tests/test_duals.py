@@ -107,7 +107,7 @@ class TestWeb:
         s = build_shift_cascade(AgeWindow(-4, 4))
         step = np.array(s._step)
         step[s.index_of(1)] = -1
-        bad = CascadeSystem(s.kind, s.window, s.labels, s.ages, step, s.basis_id)
+        bad = CascadeSystem(s.kind, s.window, step)
         mat = build_operator_web(build_decay_operator(gumbel(1.0), bad), 1).matrix("u_ext")
         assert not mat[:, s.index_of(1)].any()
         assert np.array_equal(mat[-1], np.eye(s.dim)[s.index_of(3)])
@@ -170,9 +170,7 @@ def off_by_one(system):
     fixed points, so z loses its nilpotent Jordan type.
     """
     step = system._step
-    return CascadeSystem(system.kind, system.window, system.labels, system.ages,
-                         np.where(step > 0, step - 1, -1), system.basis_id,
-                         m=system.m, masks=system._masks)
+    return CascadeSystem(system.kind, system.window, np.where(step > 0, step - 1, -1))
 
 
 def web_systems():

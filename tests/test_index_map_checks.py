@@ -64,9 +64,8 @@ def systems():
 
 
 def with_step(system, step):
-    """The same labels and ages over a different (defective) step map."""
-    return CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
-                         system.basis_id, m=system.m, masks=system._masks)
+    """The same kind and window over a different (defective) step map."""
+    return CascadeSystem(system.kind, system.window, step)
 
 
 def deltas(system, t):

@@ -164,17 +164,19 @@ class TestPositivity:
     def oracle_minimum(self, system, decay, equilibrium, fluct, t):
         """Direct grid evolution: shift every coefficient by t with its
         ratio weight, then evaluate pointwise over all sign patterns."""
+        m = system.m
         coeffs = {}
-        for label, c in zip(system.labels, fluct):
+        for k, c in enumerate(fluct):
             if c == 0.0:
                 continue
+            # index k holds the coordinate set of bitmask k + 1
+            label = frozenset(j - m for j in range(2 * m + 1) if (k + 1) >> j & 1)
             shifted = frozenset(i + t for i in label)
             weight = math.exp(
-                float(decay.log_weight(system.age_of(label) + t))
-                - float(decay.log_weight(system.age_of(label)))
+                float(decay.log_weight(system.ages[k] + t))
+                - float(decay.log_weight(system.ages[k]))
             )
             coeffs[shifted] = coeffs.get(shifted, 0.0) + weight * c
-        m = system.m
         best = None
         ny, nx = 1 << (m + 1), 1 << m
         for iy in range(ny):

@@ -58,8 +58,7 @@ def test_a_step_that_lowers_an_age_fails_the_markov_gate():
     system = build_shift_cascade(AgeWindow(-4, 4))
     step = np.array(system._step)
     step[system.index_of(0)] = system.index_of(-1)
-    bad = CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
-                        system.basis_id)
+    bad = CascadeSystem(system.kind, system.window, step)
     decay = DecayOperator(bad, gumbel(1.0), check_admissible(gumbel(1.0)))
     with pytest.raises(ValueError, match="decay ratios exceed one"):
         MarkovEvolution(decay, 2)

@@ -147,10 +147,9 @@ class TestDecayOperator:
     def test_baker_weights_follow_age_classes(self):
         b = build_baker_cascade(1)
         op = build_decay_operator(gumbel(1.0), b)
-        for label in b.labels:
-            expected = math.exp(-math.exp(b.age_of(label)))
-            assert op.diag[b.index_of(label)] == pytest.approx(expected, rel=1e-12)
-        age_one = [op.diag[b.index_of(l)] for l in b.labels if b.age_of(l) == 1]
+        for i, age in enumerate(b.ages):
+            assert op.diag[i] == pytest.approx(math.exp(-math.exp(age)), rel=1e-12)
+        age_one = op.diag[b.age_mask(1)]
         assert len(age_one) == 4
         assert all(w == pytest.approx(0.06598803584531254, rel=1e-12) for w in age_one)
 

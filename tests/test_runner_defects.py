@@ -32,9 +32,8 @@ def config(system, experiment):
 
 
 def with_step(system, step):
-    """The same labels and ages over a different (defective) step map."""
-    return CascadeSystem(system.kind, system.window, system.labels, system.ages, step,
-                         system.basis_id, m=system.m, masks=system._masks)
+    """The same kind and window over a different (defective) step map."""
+    return CascadeSystem(system.kind, system.window, step)
 
 
 def off_by_one(system):
