@@ -253,10 +253,8 @@ def build_shift_cascade(window: AgeWindow) -> CascadeSystem:
 
     ``U e_n = e_{n+1}`` below the top age and ``U e_hi = 0`` (open
     boundary); ``E({n})`` is the rank-one projector onto ``e_n`` and
-    ``T e_n = n e_n``.
+    ``T e_n = n e_n``.  The smallest window, [-1, 1], has three labels.
     """
-    if window.hi - window.lo < 2:
-        raise ValueError("window too small: need hi - lo >= 2")
     step = np.arange(1, window.hi - window.lo + 2, dtype=np.int64)
     step[-1] = -1
     return CascadeSystem("shift", window, step)
@@ -465,15 +463,18 @@ def cells_to_walsh(system: CascadeSystem, cells, low: int) -> tuple:
     ``low .. low+b-1`` in the bitmask order of :func:`walsh_to_cells`,
     read as a density constant in every other digit:
     ``(cells, 0)`` with b = 2m+1 is the full grid.  Returns the per-row
-    equilibrium components and the ``(rows, dim)`` label-ordered
-    fluctuation coefficients.  On finite cells they are bitwise those of
-    the full block the pair spreads to, full cell c reading column
-    ``(c >> low) % 2**b``.  There, each stage outside the b digits adds
-    a value to its equal copy and subtracts it from it, giving twice the
-    value and +0.0, so a label within the b digits gets the short
-    transform times ``2**(2m+1-b)``, exactly, over ``2**(2m+1)``: the
-    same one rounding as the short transform over ``2**b``.  Every other
-    label gets +0.0.  ``cells`` is left as it is.
+    equilibrium components, the ``(rows, 2**b - 1)`` coefficients of
+    the labels within the b digits and those label indices, ascending:
+    the ``(coeffs, labels)`` block of the fluctuation.  Column k of the
+    short transform is the label of bitmask ``k << low``.  On finite
+    cells the coefficients are bitwise those of the full block the pair
+    spreads to, full cell c reading column ``(c >> low) % 2**b``.
+    There, each stage outside the b digits adds a value to its equal
+    copy and subtracts it from it, giving twice the value and +0.0, so a
+    label within the b digits gets the short transform times
+    ``2**(2m+1-b)``, exactly, over ``2**(2m+1)``: the same one rounding
+    as the short transform over ``2**b``.  Every other label gets +0.0.
+    ``cells`` is left as it is.
     """
     _require_baker(system)
     cells = np.asarray(cells, dtype=float)
@@ -484,11 +485,9 @@ def cells_to_walsh(system: CascadeSystem, cells, low: int) -> tuple:
             f"cell block shape {cells.shape} at digit {low} does not match baker m={system.m}")
     coeffs = _fwht_in_place(np.array(cells, order="C"))
     coeffs /= width
-    resolved = (system._masks & ~((width - 1) << low)) == 0
-    fluct = np.zeros((cells.shape[0], system.dim))
-    fluct[:, resolved] = coeffs[:, system._masks[resolved] >> low]
-    # a copied column, so that no view keeps the (rows, 2**b) block alive
-    return coeffs[:, 0].copy(), fluct
+    # index k holds mask k + 1
+    labels = (np.arange(1, width, dtype=np.int64) << low) - 1
+    return coeffs[:, 0], coeffs[:, 1:], labels
 
 
 def grid_cells(system: CascadeSystem, grid: GridDensity) -> tuple:
@@ -520,7 +519,10 @@ def walsh_to_grid(system: CascadeSystem, equilibrium: float, fluct) -> GridDensi
 def grid_to_walsh(system: CascadeSystem, grid: GridDensity) -> tuple:
     """Equilibrium mean and fluctuation coefficient array of a grid density.
 
-    The one-row case of :func:`cells_to_walsh`.
+    The one-row case of :func:`cells_to_walsh`, its block scattered to
+    every label.
     """
-    equilibrium, fluct = cells_to_walsh(system, *grid_cells(system, grid))
-    return float(equilibrium[0]), fluct[0]
+    equilibrium, coeffs, labels = cells_to_walsh(system, *grid_cells(system, grid))
+    fluct = np.zeros(system.dim)
+    fluct[labels] = coeffs[0]
+    return float(equilibrium[0]), fluct

@@ -51,10 +51,10 @@ AGREEMENT_TOLERANCE = 1e-10
 class MarkovEvolution:
     """An induced contraction semigroup up to a horizon.
 
-    The weights at time t are ``decay.step_log_ratio(t)``: log
-    lambda(n+t) - log lambda(n) read along the step map, NaN where the
-    image leaves the window.  Construction checks that no ratio exceeds
-    one at any time up to the horizon.
+    The weights at time t are ``log_ratios[t]``, read once from
+    ``decay.step_log_ratio(t)``: log lambda(n+t) - log lambda(n) along
+    the step map, NaN where the image leaves the window.  Construction
+    checks that no ratio exceeds one at any time up to the horizon.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -63,9 +63,11 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        for t in range(self.max_t + 1):
+        self.log_ratios = tuple(decay.step_log_ratio(t) for t in range(self.max_t + 1))
+        for log_ratio in self.log_ratios:
+            log_ratio.setflags(write=False)
             # NaN (outside the margin) compares false
-            if np.any(decay.step_log_ratio(t) > 0):
+            if np.any(log_ratio > 0):
                 raise ValueError("decay ratios exceed one; the profile is not admissible")
 
 
@@ -88,37 +90,43 @@ def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
     return HVector(out, system.basis_id)
 
 
-def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int):
-    """The t-step of each row of a ``(rows, dim)`` coefficient block.
+def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
+    """The t-step of each row of a ``(coeffs, labels)`` block.
 
-    Returns the target labels of the labels inside the t-margin and the
-    weighted coefficients each row moves onto them; every other label of
-    the evolved row is zero.  A zero result, from a zero coefficient
-    (-0.0 included) or an underflowing product, lands as +0.0, the
-    value of a label that receives nothing.  The margin check runs row
-    by row and names the labels of the first offending row.
+    Row r of ``coeffs`` holds the coefficients of the label indices
+    ``labels`` (of every label when None); every other label is zero.
+    Returns the target labels of the given labels inside the t-margin
+    and the weighted coefficients each row moves onto them; every other
+    label of the evolved row is zero.  A zero result, from a zero
+    coefficient (-0.0 included) or an underflowing product, lands as
+    +0.0, the value of a label that receives nothing.  The margin check
+    runs row by row and names the labels of the first offending row, in
+    index order.
     """
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
     if t > ev.max_t:
         raise ValueError(f"t={t} exceeds the precomputed horizon {ev.max_t}")
     system = ev.system
-    inside = system.interior_mask(t)
+    labels = np.arange(system.dim) if labels is None else np.asarray(labels)
+    inside = system.interior_mask(t)[labels]
     size = np.abs(coeffs)
-    far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, size.max(axis=1, keepdims=True))
+    peak = size.max(axis=1, initial=0.0, keepdims=True)
+    far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, peak)
     if far.any():
         row = int(np.nonzero(far.any(axis=1))[0][0])
-        offending = np.nonzero(~inside)[0][far[row]]
+        offending = np.sort(labels[~inside][far[row]])
         names = ", ".join(system.label_text(i) for i in offending[:8])
         raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
     del size, far  # one block fewer alive through the gather below
     # the weights inside the margin are finite, in [0, 1], so a product
     # is zero only for a zero coefficient or an underflow; x + 0.0 is x,
     # except that -0.0 becomes +0.0
+    kept = labels[inside]
     moved = coeffs[:, inside]
-    moved *= np.exp(ev.decay.step_log_ratio(t)[inside])
+    moved *= np.exp(ev.log_ratios[t][kept])
     moved += 0.0
-    return system.step_indices(t)[inside], moved
+    return system.step_indices(t)[kept], moved
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
         del moved
         norms[:, t] = [vector_norm(row) for row in evolved]
         del evolved
-        log_ratio = ev.decay.step_log_ratio(t)
+        log_ratio = ev.log_ratios[t]
         alive = nonzero & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
             forms[:, t] = masked_row_sums(np.exp(2.0 * log_ratio) * coeffs ** 2, alive)
@@ -241,8 +249,8 @@ def positivity_probe(ev: MarkovEvolution, rho: GridDensity, t: int) -> Positivit
     """
     if ev.system.kind != "baker":
         raise ValueError("positivity is probed on the baker grid realization")
-    equilibrium, fluct = density_walsh(ev.system, *grid_cells(ev.system, rho))
-    min_cell = float(evolved_minima(ev, equilibrium, fluct, t)[0])
+    block = density_walsh(ev.system, *grid_cells(ev.system, rho))
+    min_cell = float(evolved_minima(ev, *block, t)[0])
     return PositivityReport(t=t, min_cell=min_cell, violation=max(0.0, -min_cell))
 
 
@@ -254,28 +262,29 @@ def density_walsh(system, cells, low: int) -> tuple:
     :func:`~timeop.cascade.cells_to_walsh` reads it.  Every row must be
     nonnegative and have unit mass, read as its equilibrium component;
     the first row that is not raises ``ValueError``.  Returns the
-    equilibrium components and the label-ordered fluctuation block.
+    equilibrium components and the ``(coeffs, labels)`` block of the
+    fluctuation, as :func:`~timeop.cascade.cells_to_walsh` gives them.
     """
     cells = np.asarray(cells, dtype=float)
     if np.any(cells.min(axis=-1) < -1e-12):
         raise ValueError("probe density must be nonnegative")
-    equilibrium, fluct = cells_to_walsh(system, cells, low)
+    equilibrium, coeffs, labels = cells_to_walsh(system, cells, low)
     off = np.nonzero(np.abs(equilibrium - 1.0) > 1e-9)[0]
     if off.size:
         raise ValueError(f"probe density must have unit mass, got {float(equilibrium[off[0]])!r}")
-    return equilibrium, fluct
+    return equilibrium, coeffs, labels
 
 
-def evolved_minima(ev: MarkovEvolution, equilibrium, fluct, t: int) -> np.ndarray:
+def evolved_minima(ev: MarkovEvolution, equilibrium, coeffs, labels, t: int) -> np.ndarray:
     """Minimum cell of each density of a block after t steps.
 
-    ``equilibrium`` and ``fluct`` are as :func:`density_walsh` returns
-    them.  The fluctuation rows take one block step, the equilibrium
-    components stay fixed, and all rows go back to the cells in one
-    :func:`~timeop.cascade.walsh_to_cells` transform: every full-grid
-    cell value is one of its block's.
+    ``equilibrium`` and the ``(coeffs, labels)`` block are as
+    :func:`density_walsh` returns them.  The block takes one step on its
+    labels, the equilibrium components stay fixed, and all rows go back
+    to the cells in one :func:`~timeop.cascade.walsh_to_cells`
+    transform: every full-grid cell value is one of its block's.
     """
-    targets, moved = _moved_rows(ev, fluct, t)
+    targets, moved = _moved_rows(ev, coeffs, t, labels)
     cells, _ = walsh_to_cells(ev.system, equilibrium, moved, labels=targets)
     return cells.min(axis=1)
 

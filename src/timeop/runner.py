@@ -241,23 +241,23 @@ def _run_lyapunov(ctx, params, rng):
 
 
 # random densities are probed this many at a time: one (rows, dim)
-# coefficient block is 0.5 MB at m = 6, and a chunk keeps at most about
-# four alive; the cell blocks are 2**t_max times smaller
+# draw block is 0.5 MB at m = 6; the (coeffs, labels) blocks of the
+# live labels and the cell blocks are 2**t_max times smaller
 _PROBE_CHUNK = 8
 
 
-def _random_densities(system, rng, rows, late):
+def _random_densities(system, rng, rows, live):
     """Nonnegative unit-mass densities as a ``(cells, low)`` block.
 
-    Each row draws one coefficient per label, zeroes the ``late`` labels
-    and is evaluated by :func:`~timeop.cascade.walsh_to_cells`; a row
-    dipping below zero is scaled so that its minimum is -1/2 before
-    adding the equilibrium 1.  The draws are one ``(rows, dim)`` block,
-    the same stream as ``rows`` draws of one vector each.
+    Each row draws one coefficient per label, keeps those of the
+    ``live`` labels and is evaluated on them by
+    :func:`~timeop.cascade.walsh_to_cells`; a row dipping below zero is
+    scaled so that its minimum is -1/2 before adding the equilibrium 1.
+    The draws are one ``(rows, dim)`` block, the same stream as ``rows``
+    draws of one vector each.
     """
-    fluct = rng.standard_normal((rows, system.dim))
-    fluct[:, late] = 0.0
-    cells, low = walsh_to_cells(system, np.zeros(rows), fluct)
+    fluct = rng.standard_normal((rows, system.dim))[:, live]
+    cells, low = walsh_to_cells(system, np.zeros(rows), fluct, labels=live)
     least = cells.min(axis=1)
     cells *= np.where(least < 0, 0.5 / np.maximum(1e-9, -least), 1.0)[:, None]
     cells += 1.0
@@ -268,9 +268,10 @@ def _run_positivity(ctx, params, rng):
     system = ctx.system
     t_values = params["t_values"]
     t_max = max(t_values)
-    late = system.ages > system.window.hi - t_max
+    # only labels that stay inside the window up to t_max carry a draw
+    live = np.nonzero(system.interior_mask(t_max))[0]
     canonical = density_walsh(
-        system, *walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None]))
+        system, *walsh_to_cells(system, [1.0], [[1.0]], labels=[system.index_of({0})]))
     sweep = []
     for a in params["sweep_a"]:
         profile = gumbel(a)
@@ -282,7 +283,7 @@ def _run_positivity(ctx, params, rng):
             for start in range(0, params["n_random"], _PROBE_CHUNK):
                 rows = min(_PROBE_CHUNK, params["n_random"] - start)
                 minima = evolved_minima(
-                    ev, *density_walsh(system, *_random_densities(system, rng, rows, late)), t)
+                    ev, *density_walsh(system, *_random_densities(system, rng, rows, live)), t)
                 sweep.extend({"a": a, "t": t, "density": f"random-{start + k}",
                               "min_cell": float(v)} for k, v in enumerate(minima))
     worst = min(entry["min_cell"] for entry in sweep)

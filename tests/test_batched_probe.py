@@ -8,7 +8,11 @@ row must give the bits the one-density probe gives, raise the error the
 one-density probe raises, and the sweep must stay within a fixed number
 of transforms and a small memory budget.  Densities come as
 ``(cells, low)`` blocks on the digits their labels use; the one-density
-references read them spread over the full grid.
+references read them spread over the full grid.  Walsh coefficients
+come as ``(coeffs, labels)`` blocks on the labels a cell block resolves
+and are stepped on those labels only; the dim-wide pipeline, one
+``(rows, dim)`` block from the draw to the minima, lives here only, as
+the reference the sweep must match bit for bit.
 """
 
 import math
@@ -31,7 +35,9 @@ from timeop.cascade import (
 from timeop.config import parse_config
 from timeop.hilbert import HVector
 from timeop.markov import (
+    SUPPORT_TOLERANCE,
     MarkovEvolution,
+    _moved_rows,
     density_walsh,
     evolved_minima,
     markov_step,
@@ -71,6 +77,52 @@ def reference_random_cells(system, rng, max_age):
     low = float(cells.min())
     scale = 0.5 / max(1e-9, -low) if low < 0 else 1.0
     return 1.0 + scale * cells
+
+
+def reference_draws(system, rng, rows, live):
+    """A ``(rows, dim)`` block holding the sweep's draws on the ``live`` labels, zero elsewhere."""
+    return np.where(np.isin(np.arange(system.dim), live), rng.standard_normal((rows, system.dim)), 0.0)
+
+
+def dim_wide_walsh(system, cells, low):
+    """Equilibrium and the ``(rows, dim)`` coefficient block of a ``(cells, low)`` pair."""
+    width = cells.shape[1]
+    coeffs = _fwht_in_place(np.array(cells, order="C"))
+    coeffs /= width
+    resolved = (system._masks & ~((width - 1) << low)) == 0
+    fluct = np.zeros((cells.shape[0], system.dim))
+    fluct[:, resolved] = coeffs[:, system._masks[resolved] >> low]
+    return coeffs[:, 0].copy(), fluct
+
+
+def dim_wide_step(ev, fluct, t):
+    """The t-step of a ``(rows, dim)`` block: margin check on every label, then the move."""
+    system = ev.system
+    inside = system.interior_mask(t)
+    size = np.abs(fluct)
+    far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, size.max(axis=1, keepdims=True))
+    if far.any():
+        row = int(np.nonzero(far.any(axis=1))[0][0])
+        offending = np.nonzero(~inside)[0][far[row]]
+        names = ", ".join(system.label_text(i) for i in offending[:8])
+        raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
+    moved = fluct[:, inside] * np.exp(ev.decay.step_log_ratio(t)[inside]) + 0.0
+    return system.step_indices(t)[inside], moved
+
+
+def dim_wide_minima(ev, cells, low, t):
+    """Minima of evolved densities through ``(rows, dim)`` blocks from the cells to the cells."""
+    equilibrium, fluct = dim_wide_walsh(ev.system, cells, low)
+    targets, moved = dim_wide_step(ev, fluct, t)
+    return walsh_to_cells(ev.system, equilibrium, moved, labels=targets)[0].min(axis=1)
+
+
+def dim_wide_densities(system, draws):
+    """The sweep's densities from a ``(rows, dim)`` block of draws."""
+    cells, low = walsh_to_cells(system, np.zeros(draws.shape[0]), draws)
+    least = cells.min(axis=1)
+    cells *= np.where(least < 0, 0.5 / np.maximum(1e-9, -least), 1.0)[:, None]
+    return cells + 1.0, low
 
 
 def reference_min_cell(ev, cells, t):
@@ -145,17 +197,17 @@ class TestBatchedTransform:
 
 def probe_case(m, seed=3, t_max=2):
     system = build_baker_cascade(m)
-    late = system.ages > system.window.hi - t_max
-    return system, late, np.random.default_rng(seed)
+    live = np.nonzero(system.interior_mask(t_max))[0]
+    return system, live, np.random.default_rng(seed)
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_chunk_rows_are_bitwise_the_one_density_probe(m):
-    system, late, rng = probe_case(m)
+    system, live, rng = probe_case(m)
     reference_rng = np.random.default_rng(3)
     rows = 13  # a full chunk and a partial one
-    chunks = [_random_densities(system, rng, 8, late),
-              _random_densities(system, rng, rows - 8, late)]
+    chunks = [_random_densities(system, rng, 8, live),
+              _random_densities(system, rng, rows - 8, live)]
     assert [low for _, low in chunks] == [0, 0]
     coarse = np.vstack([cells for cells, _ in chunks])
     n_cells = 1 << (2 * m + 1)
@@ -168,7 +220,8 @@ def test_chunk_rows_are_bitwise_the_one_density_probe(m):
     canonical = walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None])
     assert canonical[0].shape == (1, 2) and canonical[1] == m
     zero = signed_zero_density(system)
-    equilibrium, fluct = density_walsh(system, zero[None], 0)
+    equilibrium, fluct, labels = density_walsh(system, zero[None], 0)
+    assert np.array_equal(labels, np.arange(system.dim))
     assert bits(fluct[0, system.index_of({-m, 1 - m})]) == bits(-0.0)
     block = np.vstack([block, spread(system, *canonical), zero])
     ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 2)
@@ -193,8 +246,8 @@ class TestPerRowChecks:
     """A bad row inside a chunk raises the one-density probe's error."""
 
     def chunk_with(self, bad_cells, m=3):
-        system, late, rng = probe_case(m)
-        block, low = _random_densities(system, rng, _PROBE_CHUNK, late)
+        system, live, rng = probe_case(m)
+        block, low = _random_densities(system, rng, _PROBE_CHUNK, live)
         assert low == 0
         # a bad row on a finer grid than the draws widens the chunk to it
         block = tiled(block, max(block.shape[1], bad_cells.size))
@@ -228,6 +281,82 @@ class TestPerRowChecks:
         cells = spread(system, *walsh_to_cells(system, [1.0], fluct))[0]
         message = self.same_error(*self.chunk_with(cells), MarginError)
         assert "{0,3}" in message
+
+
+class TestDimWideReference:
+    """The sweep's ``(coeffs, labels)`` blocks against the dim-wide pipeline, bit for bit."""
+
+    @pytest.mark.parametrize("t_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_sweep_minima(self, m, t_max):
+        system = build_baker_cascade(m)
+        live = np.nonzero(system.interior_mask(t_max))[0]
+        assert np.array_equal(live, np.arange(live.size))  # age-major: a prefix
+        rng = np.random.default_rng([m, t_max])
+        reference_rng = np.random.default_rng([m, t_max])
+        for a in (0.3, 1.0, 3.0):
+            ev = MarkovEvolution(build_decay_operator(gumbel(a), system), t_max)
+            for t in range(t_max + 1):
+                for rows in (_PROBE_CHUNK, 3):
+                    pair = _random_densities(system, rng, rows, live)
+                    want_pair = dim_wide_densities(system, reference_draws(system, reference_rng,
+                                                                           rows, live))
+                    assert pair[1] == want_pair[1]
+                    assert np.array_equal(bits(pair[0]), bits(want_pair[0]))
+                    equilibrium, coeffs, labels = density_walsh(system, *pair)
+                    assert coeffs.shape == (rows, labels.size) and labels.size < system.dim
+                    minima = evolved_minima(ev, equilibrium, coeffs, labels, t)
+                    assert np.array_equal(bits(minima), bits(dim_wide_minima(ev, *pair, t)))
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_canonical_pair_is_not_a_prefix(self, m):
+        system = build_baker_cascade(m)
+        pair = walsh_to_cells(system, [1.0], [[1.0]], labels=[system.index_of({0})])
+        equilibrium, coeffs, labels = density_walsh(system, *pair)
+        assert labels.tolist() == [system.index_of({0})]
+        assert bits(coeffs[0, 0]) == bits(1.0)
+        for a in (0.5, 2.0):
+            ev = MarkovEvolution(build_decay_operator(gumbel(a), system), m)
+            for t in range(m + 1):
+                minima = evolved_minima(ev, equilibrium, coeffs, labels, t)
+                assert np.array_equal(bits(minima), bits(dim_wide_minima(ev, *pair, t)))
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_signed_zero_keeps_the_full_grid(self, m):
+        system = build_baker_cascade(m)
+        cells = signed_zero_density(system)[None]
+        equilibrium, coeffs, labels = density_walsh(system, cells, 0)
+        assert np.array_equal(labels, np.arange(system.dim))
+        assert bits(coeffs[0, system.index_of({-m, 1 - m})]) == bits(-0.0)
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 2)
+        for t in (0, 1, 2):
+            minima = evolved_minima(ev, equilibrium, coeffs, labels, t)
+            assert np.array_equal(bits(minima), bits(dim_wide_minima(ev, cells, 0, t)))
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_margin_error_names_the_same_labels(self, m):
+        system = build_baker_cascade(m)
+        rng = np.random.default_rng(m)
+        fluct = np.zeros((3, system.dim))
+        early = np.nonzero(system.ages <= 0)[0]
+        fluct[:, early] = 1e-3 * rng.standard_normal((3, early.size))
+        top = np.nonzero(system.ages == m)[0]
+        fluct[1, top[[-1, 0, 5]]] = 0.3  # the first offending row, three labels of age m
+        fluct[2, top[1]] = 0.3
+        pair = walsh_to_cells(system, np.ones(3), fluct)
+        _, coeffs, labels = density_walsh(system, *pair)
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 1)
+        with pytest.raises(MarginError) as from_labels:
+            evolved_minima(ev, np.ones(3), coeffs, labels, 1)
+        with pytest.raises(MarginError) as from_dim:
+            dim_wide_minima(ev, *pair, 1)
+        assert str(from_labels.value) == str(from_dim.value)
+        assert system.label_text(top[0]) in str(from_labels.value)
+        # labels in another order name the same labels, in index order
+        order = rng.permutation(labels.size)
+        with pytest.raises(MarginError) as shuffled:
+            _moved_rows(ev, coeffs[:, order], 1, labels[order])
+        assert str(shuffled.value) == str(from_dim.value)
 
 
 POSITIVITY_M6 = """

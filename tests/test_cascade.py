@@ -79,6 +79,13 @@ class TestShiftCascade:
         assert s.dim == 5
         assert np.array_equal(s.ages, np.array([-2, -1, 0, 1, 2]))
 
+    def test_smallest_window(self):
+        s = build_shift_cascade(AgeWindow(-1, 1))
+        assert s.dim == 3
+        assert s.step_indices(1).tolist() == [1, 2, -1]
+        with pytest.raises(ValueError, match="lo < 0 < hi"):
+            build_shift_cascade(AgeWindow(0, 1))
+
     def test_step_raises_age(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
         out = s.U @ s.basis_vector(0).coeffs

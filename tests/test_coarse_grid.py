@@ -6,7 +6,9 @@ block of length ``2**(top-low)`` in place of the full ``2**(2m+1)`` and
 returns it with ``low``.  Spread over the full grid, the pair's cells
 must be the full-grid transform's bit for bit, and ``cells_to_walsh``
 must read the pair into the coefficients of that full block bit for
-bit.  The full-grid transform lives here only, as the reference.  The
+bit, giving the coefficients of the labels within its digits with
+those labels.  The full-grid transform lives here only, as the
+reference.  The
 positivity sweep runs on these short transforms, and its minima must be
 the one-density loop's.
 """
@@ -108,16 +110,25 @@ class TestCoarseEvaluation:
 
 class TestCoarseCellsToWalsh:
     def assert_same(self, system, cells, low):
+        """Check the ``(coeffs, labels)`` block against the full transform; return it scattered."""
         before = cells.copy()
-        got = cells_to_walsh(system, cells, low)
+        equilibrium, coeffs, labels = cells_to_walsh(system, cells, low)
         assert np.array_equal(bits(cells), bits(before))
-        for a, b in zip(got, cells_to_walsh(system, np.asfortranarray(cells), low)):
-            assert np.array_equal(bits(a), bits(b))
+        again = cells_to_walsh(system, np.asfortranarray(cells), low)
+        assert np.array_equal(bits(again[0]), bits(equilibrium))
+        assert np.array_equal(bits(again[1]), bits(coeffs))
+        assert np.array_equal(again[2], labels)
+        width = cells.shape[1]
+        resolved = (system._masks & ~((width - 1) << low)) == 0
+        assert np.array_equal(labels, np.nonzero(resolved)[0])
+        assert coeffs.shape == (cells.shape[0], labels.size)
+        fluct = np.zeros((cells.shape[0], system.dim))  # every other label is +0.0
+        fluct[:, labels] = coeffs
         want = full_grid_walsh(system, spread(system, cells, low))
-        for a, b in zip(got, want):
+        for a, b in zip((equilibrium, fluct), want):
             assert a.shape == b.shape
             assert np.array_equal(bits(a), bits(b))
-        return got
+        return equilibrium, fluct
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_every_width(self, m):
@@ -159,8 +170,8 @@ class TestCoarseCellsToWalsh:
 def test_evolved_minima_are_the_loop_reference(m):
     system = build_baker_cascade(m)
     t_max = 3
-    late = system.ages > system.window.hi - t_max
-    coarse, low = _random_densities(system, np.random.default_rng(m), 6, late)
+    live = np.nonzero(system.interior_mask(t_max))[0]
+    coarse, low = _random_densities(system, np.random.default_rng(m), 6, live)
     assert coarse.shape[1] == 1 << (2 * m + 1 - t_max) and low == 0
     full = tiled(coarse, 1 << (2 * m + 1))
     for a in (0.4, 1.0, 2.5):
