@@ -240,24 +240,24 @@ def _run_lyapunov(ctx, params, rng):
     return monotone_all, details
 
 
-# random densities are probed this many at a time: one (rows, dim)
-# draw block is 0.5 MB at m = 6; the (coeffs, labels) blocks of the
-# live labels and the cell blocks are 2**t_max times smaller
+# random densities are probed this many at a time: at m = 6 and
+# t_max = 4 a chunk's (rows, live) draw and (coeffs, labels) blocks are
+# 32 KB each, and its cell blocks no larger
 _PROBE_CHUNK = 8
 
 
 def _random_densities(system, rng, rows, live):
     """Nonnegative unit-mass densities as a ``(cells, low)`` block.
 
-    Each row draws one coefficient per label, keeps those of the
-    ``live`` labels and is evaluated on them by
+    Each row draws one coefficient per label of ``live``, every other
+    label being zero, and is evaluated on those labels by
     :func:`~timeop.cascade.walsh_to_cells`; a row dipping below zero is
     scaled so that its minimum is -1/2 before adding the equilibrium 1.
-    The draws are one ``(rows, dim)`` block, the same stream as ``rows``
-    draws of one vector each.
+    The draws are one ``(rows, live.size)`` block, the same stream as
+    ``rows`` draws of one vector each.
     """
-    fluct = rng.standard_normal((rows, system.dim))[:, live]
-    cells, low = walsh_to_cells(system, np.zeros(rows), fluct, labels=live)
+    cells, low = walsh_to_cells(system, np.zeros(rows), rng.standard_normal((rows, live.size)),
+                                labels=live)
     least = cells.min(axis=1)
     cells *= np.where(least < 0, 0.5 / np.maximum(1e-9, -least), 1.0)[:, None]
     cells += 1.0
