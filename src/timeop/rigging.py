@@ -270,17 +270,20 @@ class SingularSpectrum:
             raise ValueError("truncation must be positive")
 
     def values(self) -> np.ndarray:
-        k = np.arange(1, self.truncation + 1, dtype=float)
-        # pow runs only where the term is at least 2**-UNDERFLOW_BITS;
-        # every other term rounds to the +0.0 already in place
+        # pow runs only on the terms of at least 2**-UNDERFLOW_BITS, a
+        # prefix since the terms fall as k grows; every other term
+        # rounds to the +0.0 already in place
+        out = np.zeros(self.truncation)
         if self.family == "power":
-            base, exponent = k + 1.0, -self.alpha
             with np.errstate(over="ignore"):
-                live = base <= np.exp2(UNDERFLOW_BITS / self.alpha)
+                top = np.exp2(UNDERFLOW_BITS / self.alpha)  # the largest live base k + 1
+            live = max(0, math.floor(min(top, self.truncation + 1.0)) - 1)
+            np.power(np.arange(2.0, live + 2.0), -self.alpha, out=out[:live])
         else:
-            base, exponent = self.q, k
-            live = k <= UNDERFLOW_BITS / -math.log2(self.q)
-        return np.power(base, exponent, out=np.zeros(k.size), where=live)
+            top = UNDERFLOW_BITS / -math.log2(self.q)  # the largest live k
+            live = math.floor(min(top, self.truncation))
+            np.power(self.q, np.arange(1.0, live + 1.0), out=out[:live])
+        return out
 
     def describe(self) -> str:
         if self.family == "power":

@@ -2,20 +2,20 @@
 
 ``_fwht_in_place`` transforms the last axis of a ``(rows, N)`` block in
 a layout of its own; the textbook one-vector loop lives here only, as
-the reference, and every output float must be bitwise the loop's.  The
-positivity sweep probes its random densities in chunks of rows: each
-row must give the bits the one-density probe gives, raise the error the
-one-density probe raises, and the sweep must stay within a fixed number
-of transforms and a small memory budget.  Densities come as
+the reference, and every output float must be bitwise the loop's.
+Blocks of random densities, drawn here as reference inputs, are probed
+in chunks of rows: each row must give the bits the one-density probe
+gives and raise the error the one-density probe raises.  The positivity
+sweep must stay within a fixed number of transforms and a small memory
+budget.  Densities come as
 ``(cells, low)`` blocks on the digits their labels use; the one-density
 references read them spread over the full grid.  Walsh coefficients
 come as ``(coeffs, labels)`` blocks on the labels a cell block resolves
 and are stepped on those labels only; the dim-wide pipeline, one
-``(rows, dim)`` block from the draw to the minima, lives here only, as
-the reference the sweep must match bit for bit.
+``(rows, dim)`` block from the cells to the minima, lives here only, as
+the reference those blocks must match bit for bit.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -44,7 +44,10 @@ from timeop.markov import (
     positivity_probe,
 )
 from timeop.profiles import build_decay_operator, gumbel
-from timeop.runner import _PROBE_CHUNK, _Context, _random_densities, _run_positivity
+from timeop.runner import _Context, _run_positivity
+
+# rows per random block: with a partial block, both shapes are covered
+CHUNK = 8
 
 
 def fwht_loop(values):
@@ -68,24 +71,20 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def reference_random_cells(system, rng, max_age):
-    """One random probe density, drawn and scaled one vector at a time."""
-    live = system.ages <= max_age
-    coeffs = np.zeros(system.dim)
-    coeffs[live] = rng.standard_normal(live.sum())
-    full = np.zeros(1 << (2 * system.m + 1))
-    full[system._masks] = coeffs
-    cells = fwht_loop(full)
-    low = float(cells.min())
-    scale = 0.5 / max(1e-9, -low) if low < 0 else 1.0
-    return 1.0 + scale * cells
+def random_densities(system, rng, rows, live):
+    """Random nonnegative unit-mass densities on the ``live`` labels, as a ``(cells, low)`` block.
 
-
-def reference_draws(system, rng, rows, live):
-    """A ``(rows, dim)`` block holding the sweep's draws on the ``live`` labels, zero elsewhere."""
-    draws = np.zeros((rows, system.dim))
-    draws[:, live] = rng.standard_normal((rows, live.size))
-    return draws
+    Each row draws one normal coefficient per label of ``live``, every
+    other label being zero, and is evaluated on those labels; a row
+    dipping below zero is scaled so that its minimum is -1/2 before
+    adding the equilibrium 1.
+    """
+    cells, low = walsh_to_cells(system, np.zeros(rows), rng.standard_normal((rows, live.size)),
+                                labels=live)
+    least = cells.min(axis=1)
+    cells *= np.where(least < 0, 0.5 / np.maximum(1e-9, -least), 1.0)[:, None]
+    cells += 1.0
+    return cells, low
 
 
 def dim_wide_walsh(system, cells, low):
@@ -119,14 +118,6 @@ def dim_wide_minima(ev, cells, low, t):
     equilibrium, fluct = dim_wide_walsh(ev.system, cells, low)
     targets, moved = dim_wide_step(ev, fluct, t)
     return walsh_to_cells(ev.system, equilibrium, moved, labels=targets)[0].min(axis=1)
-
-
-def dim_wide_densities(system, draws):
-    """The sweep's densities from a ``(rows, dim)`` block of draws."""
-    cells, low = walsh_to_cells(system, np.zeros(draws.shape[0]), draws)
-    least = cells.min(axis=1)
-    cells *= np.where(least < 0, 0.5 / np.maximum(1e-9, -least), 1.0)[:, None]
-    return cells + 1.0, low
 
 
 def reference_min_cell(ev, cells, t):
@@ -208,18 +199,14 @@ def probe_case(m, seed=3, t_max=2):
 @pytest.mark.parametrize("m", [3, 4])
 def test_chunk_rows_are_bitwise_the_one_density_probe(m):
     system, live, rng = probe_case(m)
-    reference_rng = np.random.default_rng(3)
     rows = 13  # a full chunk and a partial one
-    chunks = [_random_densities(system, rng, 8, live),
-              _random_densities(system, rng, rows - 8, live)]
+    chunks = [random_densities(system, rng, CHUNK, live),
+              random_densities(system, rng, rows - CHUNK, live)]
     assert [low for _, low in chunks] == [0, 0]
     coarse = np.vstack([cells for cells, _ in chunks])
     n_cells = 1 << (2 * m + 1)
     assert coarse.shape == (rows, n_cells >> 2)  # t_max = 2 digits fewer
     block = tiled(coarse, n_cells)
-    reference = np.array([reference_random_cells(system, reference_rng, system.window.hi - 2)
-                          for _ in range(rows)])
-    assert np.array_equal(bits(block), bits(reference))
 
     canonical = walsh_to_cells(system, [1.0], system.basis_vector(frozenset({0})).coeffs[None])
     assert canonical[0].shape == (1, 2) and canonical[1] == m
@@ -251,7 +238,7 @@ class TestPerRowChecks:
 
     def chunk_with(self, bad_cells, m=3):
         system, live, rng = probe_case(m)
-        block, low = _random_densities(system, rng, _PROBE_CHUNK, live)
+        block, low = random_densities(system, rng, CHUNK, live)
         assert low == 0
         # a bad row on a finer grid than the draws widens the chunk to it
         block = tiled(block, max(block.shape[1], bad_cells.size))
@@ -297,20 +284,15 @@ class TestDimWideReference:
         live = np.nonzero(system.interior_mask(t_max))[0]
         assert np.array_equal(live, np.arange(live.size))  # age-major: a prefix
         rng = np.random.default_rng([m, t_max])
-        reference_rng = np.random.default_rng([m, t_max])
         for a in (0.3, 1.0, 3.0):
             ev = MarkovEvolution(build_decay_operator(gumbel(a), system), t_max)
             for t in range(t_max + 1):
-                for rows in (_PROBE_CHUNK, 3):
-                    pair = _random_densities(system, rng, rows, live)
-                    want_pair = dim_wide_densities(system, reference_draws(system, reference_rng,
-                                                                           rows, live))
-                    assert pair[1] == want_pair[1]
-                    assert np.array_equal(bits(pair[0]), bits(want_pair[0]))
+                for rows in (CHUNK, 3):
+                    pair = random_densities(system, rng, rows, live)
                     equilibrium, coeffs, labels = density_walsh(system, *pair)
                     assert coeffs.shape == (rows, labels.size) and labels.size < system.dim
                     minima = evolved_minima(ev, equilibrium, coeffs, labels, t)
-                    want = dim_wide_minima(ev, *want_pair, t)
+                    want = dim_wide_minima(ev, *pair, t)
                     assert np.array_equal(bits(minima), bits(want))
 
     @pytest.mark.parametrize("m", [3, 4, 6])
@@ -395,15 +377,14 @@ gate = false
 
 
 def test_sweep_transform_count_and_memory(monkeypatch):
-    # each chunk costs three transforms (draw, forward, evolved) and the
-    # canonical row one per (a, t) plus two per run, where per-density
-    # transforms cost 3 * n_random per (a, t).  The chunks hold only
-    # (rows, live) blocks, 128 KB here (t_max = 2 leaves 2047 live
-    # labels); the peak, about 1.0 MiB, is set by the decay operators and
+    # the canonical and extreme densities take one transform each per
+    # run, and each of their rows one per (a, t).  The extreme density
+    # is one row on the 2**11 cells the live labels resolve (t_max = 2),
+    # 16 KB; the peak, about 0.75 MiB, is set by the decay operators and
     # the t_max + 1 weight rows of two evolutions alive across a change
-    # of a.  Carrying (rows, dim) blocks of 0.5 MB from the draw to the
-    # minima peaks at about 1.8 MiB.  The generator is made before the
-    # trace starts, so that a first import of numpy.random is not counted.
+    # of a.  The generator, which the sweep does not draw from, is made
+    # before the trace starts, so that a first import of numpy.random is
+    # not counted.
     config = parse_config(POSITIVITY_M6)
     ctx = _Context(config)
     params = config.experiments[0].params
@@ -424,6 +405,7 @@ def test_sweep_transform_count_and_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     n_at = len(params["sweep_a"]) * len(params["t_values"])
-    assert len(details["sweep"]) == n_at * (1 + params["n_random"])
-    assert len(calls) <= n_at * (3 * math.ceil(params["n_random"] / _PROBE_CHUNK) + 1) + 2
+    assert len(details["sweep"]) == 2 * n_at
+    assert len(calls) <= 2 * n_at + 2
+    assert all(shape[0] == 1 for shape in calls)
     assert peak < 1.25 * 2**20

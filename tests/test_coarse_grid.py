@@ -21,9 +21,16 @@ from timeop.cascade import _fwht_in_place, build_baker_cascade, cells_to_walsh, 
 from timeop.config import parse_config
 from timeop.markov import MarkovEvolution, density_walsh, evolved_minima
 from timeop.profiles import build_decay_operator, gumbel
-from timeop.runner import _Context, _random_densities, _run_positivity
+from timeop.runner import _Context, _run_positivity
 
-from test_batched_probe import bits, reference_min_cell, signed_zero_density, spread, tiled
+from test_batched_probe import (
+    bits,
+    random_densities,
+    reference_min_cell,
+    signed_zero_density,
+    spread,
+    tiled,
+)
 
 
 def full_grid_cells(system, equilibrium, fluct, labels=None):
@@ -171,7 +178,7 @@ def test_evolved_minima_are_the_loop_reference(m):
     system = build_baker_cascade(m)
     t_max = 3
     live = np.nonzero(system.interior_mask(t_max))[0]
-    coarse, low = _random_densities(system, np.random.default_rng(m), 6, live)
+    coarse, low = random_densities(system, np.random.default_rng(m), 6, live)
     assert coarse.shape[1] == 1 << (2 * m + 1 - t_max) and low == 0
     full = tiled(coarse, 1 << (2 * m + 1))
     for a in (0.4, 1.0, 2.5):

@@ -92,8 +92,26 @@ class TestBundle:
         bundle = run_experiments(parse_config(DEMO_CONFIG))
         record = next(r for r in bundle.records if r["name"] == "positivity")
         sweep = record["details"]["sweep"]
-        assert {entry["a"] for entry in sweep} == {0.5, 1.0, 2.0}
-        assert record["details"]["worst_min_cell"] == min(e["min_cell"] for e in sweep)
+        # one canonical and one extreme row per (a, t), in sweep order
+        assert [(e["a"], e["t"], e["density"]) for e in sweep] == [
+            (a, t, density) for a in (0.5, 1.0, 2.0) for t in (1, 2)
+            for density in ("1+chi({0})", "extreme")]
+        extreme = [e for e in sweep if e["density"] == "extreme"]
+        for entry in extreme:
+            # gumbel on baker m = 2: 1 - lambda(t - 2)/lambda(-2)
+            a, t = entry["a"], entry["t"]
+            closed = 1.0 - math.exp(math.exp(-2 * a) - math.exp(a * (t - 2)))
+            assert abs(entry["closed_form"] - closed) <= 1e-15
+            assert abs(entry["min_cell"] - closed) <= 1e-12
+            assert entry["witness"] == "cell 0 of 8"  # 2**(2m + 1 - t_max) cells
+        least = min(e["min_cell"] for e in extreme)
+        assert record["details"]["worst_min_cell"] == least == min(e["min_cell"] for e in sweep)
+        assert record["details"]["worst_closed_form_deviation"] <= 1e-12
+        assert record["status"] == "recorded"
+        gated = DEMO_CONFIG.replace("gate = false", "gate = true")
+        record = next(r for r in run_experiments(parse_config(gated)).records
+                      if r["name"] == "positivity")
+        assert record["gated"] and record["status"] == "pass"
 
     def test_shallow_profile_runs_decay_experiments(self):
         text = SHIFT_CONFIG.format(a=0.5) + (

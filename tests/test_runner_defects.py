@@ -8,7 +8,10 @@ and the gated experiment that checks the broken identity must record
 same configs, so the defect alone makes the difference.  The
 admissibility experiment checks the profile itself, so its defect is in
 the config: a custom table that covers the certificate grid and breaks
-the ratio condition.
+the ratio condition.  The positivity sweep builds its own gumbel
+operators, so its defects wrap the same builders; one hands it an
+operator on a decreasing table whose ratio is not monotone, built past
+its failing certificate.
 """
 
 import math
@@ -19,6 +22,7 @@ import pytest
 import timeop.runner as runner
 from timeop.cascade import CascadeSystem
 from timeop.config import DEMO_CONFIG, parse_config
+from timeop.profiles import DecayOperator, check_admissible, profile_from_table
 from timeop.runner import run_experiments
 
 SYSTEMS = {
@@ -107,6 +111,56 @@ def test_ratio_defect_fails_admissibility():
     honest = run("family = gumbel")
     assert only_record(honest)["status"] == "pass"
     assert honest.all_gated_passed
+
+
+POSITIVITY = "[experiment positivity]\nt_values = 1 2\ngate = true\n"
+
+
+def positivity_record(monkeypatch=None, name=None, wrap=None):
+    """The gated positivity record on baker m = 3, with ``runner.<name>`` wrapped by ``wrap``."""
+    if name is not None:
+        honest = getattr(runner, name)
+        monkeypatch.setattr(runner, name, lambda *args: wrap(honest(*args), *args))
+    bundle = run_experiments(config("baker", POSITIVITY))
+    record = only_record(bundle)
+    assert bundle.all_gated_passed == (record["status"] == "pass")
+    return record
+
+
+def test_correct_objects_pass_positivity():
+    record = positivity_record()
+    assert record["status"] == "pass"
+    assert record["details"]["worst_closed_form_deviation"] <= 1e-12
+
+
+def test_off_by_one_step_map_fails_positivity(monkeypatch):
+    record = positivity_record(monkeypatch, "build_system", lambda system, cfg: off_by_one(system))
+    assert record["status"] == "fail"
+    assert record["details"]["worst_closed_form_deviation"] > 1e-12
+
+
+def test_perturbed_log_weight_fails_positivity(monkeypatch):
+    # the label of the perturbed weight is live: its age 1 is at most hi - t_max
+    record = positivity_record(monkeypatch, "build_decay_operator",
+                               lambda op, profile, system: perturbed(op))
+    assert record["status"] == "fail"
+    assert record["details"]["worst_closed_form_deviation"] > 1e-12
+
+
+def test_nonmonotone_ratio_fails_positivity(monkeypatch):
+    # decreasing, but lambda(n+1)/lambda(n) runs 0.999, 0.5005, 0.98,
+    # 0.0204, 0.99, 0.0101 over the window: every ratio is at most one,
+    # so W_t is built, and the certificate fails only on the ratio
+    values = {-3: 1.0, -2: 0.999, -1: 0.5, 0: 0.49, 1: 0.01, 2: 0.0099, 3: 1e-4}
+    table = profile_from_table(
+        (s, 1.0 if s < -3 else values.get(s, 1e-4 * 0.5 ** (s - 3))) for s in range(-20, 23))
+    certificate = check_admissible(table)
+    assert certificate.failing() == ("ratio",)
+    record = positivity_record(monkeypatch, "build_decay_operator",
+                               lambda op, profile, system: DecayOperator(system, table, certificate))
+    assert record["status"] == "fail"
+    assert record["details"]["negative_cells_observed"]
+    assert record["details"]["worst_min_cell"] < -1.0
 
 
 def test_decay_experiments_are_the_readers_of_the_decay_operator(monkeypatch):

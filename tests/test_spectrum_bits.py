@@ -6,6 +6,7 @@ are kept here as references, and every float is compared by its bit
 pattern over spectra that underflow early, late and never.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -94,6 +95,30 @@ def test_grid_reaches_the_skipped_tails():
 def test_values_of_a_shorter_count():
     spectrum = geometric_spectrum(0.25, truncation=600)
     assert np.array_equal(bits(spectrum.values()), bits(plain_values(spectrum, 600)))
+
+
+def masked_values(spectrum):
+    """The values as a mask over every term and a masked ``pow`` computed them."""
+    k = np.arange(1, spectrum.truncation + 1, dtype=float)
+    if spectrum.family == "power":
+        base, exponent = k + 1.0, -spectrum.alpha
+        with np.errstate(over="ignore"):
+            live = base <= np.exp2(rigging.UNDERFLOW_BITS / spectrum.alpha)
+    else:
+        base, exponent = spectrum.q, k
+        live = k <= rigging.UNDERFLOW_BITS / -math.log2(spectrum.q)
+    return np.power(base, exponent, out=np.zeros(k.size), where=live)
+
+
+@pytest.mark.parametrize("truncation", [1_000, 50_000])
+@pytest.mark.parametrize("build, value", [
+    (power_spectrum, 0.5), (power_spectrum, 1.5), (power_spectrum, 100.0),
+    (geometric_spectrum, 0.05), (geometric_spectrum, 0.5), (geometric_spectrum, 0.95),
+])
+def test_live_prefix_values_are_the_masked_ones(build, value, truncation):
+    # pow on the live prefix alone gives every bit the masked pow gave
+    spectrum = build(value, truncation=truncation)
+    assert np.array_equal(bits(spectrum.values()), bits(masked_values(spectrum)))
 
 
 def test_tail_that_is_not_non_increasing_takes_the_plain_formula():
