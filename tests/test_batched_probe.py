@@ -7,13 +7,13 @@ Blocks of random densities, drawn here as reference inputs, are probed
 in chunks of rows: each row must give the bits the one-density probe
 gives and raise the error the one-density probe raises.  The positivity
 sweep must stay within a fixed number of transforms and a small memory
-budget.  Densities come as
-``(cells, low)`` blocks on the digits their labels use; the one-density
-references read them spread over the full grid.  Walsh coefficients
-come as ``(coeffs, labels)`` blocks on the labels a cell block resolves
-and are stepped on those labels only; the dim-wide pipeline, one
-``(rows, dim)`` block from the cells to the minima, lives here only, as
-the reference those blocks must match bit for bit.
+budget.  Densities come as ``(cells, low)`` blocks on the digits their
+labels use; the one-density references read them spread over the full
+grid.  Walsh coefficients come as ``(coeffs, labels)`` blocks on the
+labels a cell block resolves and are stepped on those labels only; the
+dim-wide pipeline, one ``(rows, dim)`` block from the cells to the
+minima, lives here only, as the reference those blocks must match bit
+for bit.
 """
 
 import tracemalloc

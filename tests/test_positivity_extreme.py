@@ -99,3 +99,15 @@ def test_sweep_rows_are_the_closed_form(m):
         assert abs(entry["min_cell"] - want) <= 1e-12
         assert entry["witness"] == f"cell 0 of {1 << (m + 1)}"
     assert record["details"]["worst_min_cell"] == min(e["min_cell"] for e in extreme)
+
+
+@pytest.mark.parametrize("t_max", [3, 5, 6])
+def test_a_horizon_past_the_window_errors_on_the_canonical_row(t_max):
+    # on baker m = 2 the label {0} leaves the window after 2 steps; past
+    # t_max = 4 no label is live and the extreme density is one cell
+    text = ("[system]\nkind = baker\nm = 2\n\n[profile]\nfamily = gumbel\n\n"
+            f"[experiment positivity]\nt_values = 1 {t_max}\n")
+    (record,) = run_experiments(parse_config(text)).records
+    assert record["status"] == "error"
+    assert record["error"] == (
+        f"MarginError: support leaves the window within {t_max} steps at labels: {{0}}")

@@ -116,12 +116,12 @@ def test_ratio_defect_fails_admissibility():
 POSITIVITY = "[experiment positivity]\nt_values = 1 2\ngate = true\n"
 
 
-def positivity_record(monkeypatch=None, name=None, wrap=None):
+def positivity_record(monkeypatch=None, name=None, wrap=None, experiment=POSITIVITY):
     """The gated positivity record on baker m = 3, with ``runner.<name>`` wrapped by ``wrap``."""
     if name is not None:
         honest = getattr(runner, name)
         monkeypatch.setattr(runner, name, lambda *args: wrap(honest(*args), *args))
-    bundle = run_experiments(config("baker", POSITIVITY))
+    bundle = run_experiments(config("baker", experiment))
     record = only_record(bundle)
     assert bundle.all_gated_passed == (record["status"] == "pass")
     return record
@@ -145,6 +145,24 @@ def test_perturbed_log_weight_fails_positivity(monkeypatch):
                                lambda op, profile, system: perturbed(op))
     assert record["status"] == "fail"
     assert record["details"]["worst_closed_form_deviation"] > 1e-12
+
+
+def test_raised_weight_at_the_lowest_age_fails_positivity(monkeypatch):
+    # raising log lambda on the one label of age lo by 0.1 keeps the
+    # ratios nonincreasing at a = 1 and 2, so the minimum is the closed
+    # form of the operator's own weights; only the profile's tells
+    def raised(op, profile, system):
+        log_diag = np.array(op.log_diag)
+        log_diag[system.ages == system.window.lo] += 0.1
+        log_diag.setflags(write=False)
+        op.log_diag = log_diag
+        return op
+
+    record = positivity_record(monkeypatch, "build_decay_operator", raised,
+                               POSITIVITY + "sweep_a = 1.0 2.0\n")
+    assert record["status"] == "fail"
+    assert record["details"]["worst_min_cell"] > 0.0
+    assert record["details"]["worst_closed_form_deviation"] > 1e-3
 
 
 def test_nonmonotone_ratio_fails_positivity(monkeypatch):
