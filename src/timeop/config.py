@@ -23,9 +23,11 @@ at most once, and each key at most once per section.  One table,
 :data:`_SCHEMA`, gives every section's keys with their parsers and
 defaults.  Rules that tie keys together are checked by the domain
 constructors that ``run`` calls (``AgeWindow``, ``DecayProfile``), so
-``validate`` and ``run`` accept the same systems and profiles.  Schema
-violations are collected with their line numbers and raised together
-as a :class:`ConfigError`.
+``validate`` and ``run`` accept the same systems and profiles; on an
+otherwise valid config, the Lyapunov and positivity horizons are checked
+against the window as ``run`` steps them.  Schema violations are
+collected with their line numbers and raised together as a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -411,6 +413,37 @@ def _section_title(name, sections):
     return title
 
 
+def _key_line(sections, title, key):
+    """The line that sets ``key`` in a section, else the section's header line."""
+    line0, pairs = sections[title]
+    return next((line for line, k, _ in pairs if k == key), line0)
+
+
+def _horizon_errors(sections, values):
+    """(line, message) of each horizon that the run cannot step on the window.
+
+    Read on a config that is otherwise valid.  The Lyapunov margin band
+    [lo + max_t, hi - max_t] must hold a label, and the positivity
+    sweep's density 1+chi({0}) sits at age 0 of the baker window
+    [-m, m], so its times must be at most m.
+    """
+    system = values["system"]
+    lo, hi = ((-system["m"], system["m"]) if system["kind"] == "baker"
+              else (system["lo"], system["hi"]))
+    errors = []
+    lyapunov = values.get("experiment lyapunov")
+    if lyapunov and 2 * lyapunov["max_t"] > hi - lo:
+        errors.append((_key_line(sections, "experiment lyapunov", "max_t"),
+                       f"max_t must be at most (hi - lo) // 2 = {(hi - lo) // 2}: "
+                       "past it the margin band [lo + max_t, hi - max_t] is empty"))
+    positivity = values.get("experiment positivity")
+    if positivity and max(positivity["t_values"]) > hi:
+        errors.append((_key_line(sections, "experiment positivity", "t_values"),
+                       f"t_values must be at most m = {hi}: "
+                       "past it the density 1+chi({0}) leaves the window"))
+    return errors
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a configuration document.
 
@@ -439,6 +472,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for required in ("system", "profile"):
         if required not in sections:
             errors.append((0, f"{required} required"))
+    if not errors:
+        errors = _horizon_errors(sections, values)
     if errors:
         raise ConfigError(errors)
 

@@ -178,15 +178,17 @@ class WebReport:
     """Mechanical verification record of the six-evolution relations.
 
     Parts: (1) v and x coincide, measured in the antidual operator
-    metric; (2) the v-route traces decay monotonically, transported by
-    the Riesz map; (3, 4, 5) witnesses separate v from u_ext, y from the
-    plain step, and w from z; (6) z is conjugate to u_ext, checked by
-    the Jordan type of the safe compression (``z_spectrum_deviation``,
-    the largest gap between the ranks of its powers, counted along the
-    index map, and those of the step) and by the relative deviation of
-    the composed z weights from the closed form 2 (L(a+t) - L(a))
-    (``z_conjugacy_deviation``).  The pass thresholds are the module
-    constants ``IDENTITY_TOL``, ``WITNESS_FLOOR`` and ``SPECTRUM_TOL``.
+    metric; (2) the v-route traces, transported by the Riesz map, decay
+    monotonically at every band label (``dual_markov_traces`` is the
+    band indicator's trace); (3, 4, 5) witnesses separate v from u_ext,
+    y from the plain step, and w from z; (6) z is conjugate to u_ext,
+    checked by the Jordan type of the safe compression
+    (``z_spectrum_deviation``, the largest gap between the ranks of its
+    powers, counted along the index map, and those of the step) and by
+    the relative deviation of the composed z weights from the closed
+    form 2 (L(a+t) - L(a)) (``z_conjugacy_deviation``).  The pass
+    thresholds are the module constants ``IDENTITY_TOL``,
+    ``WITNESS_FLOOR`` and ``SPECTRUM_TOL``.
     """
 
     t: int
@@ -247,7 +249,7 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     return float(gap)
 
 
-def verify_web(web: OperatorWeb, seed: int = 0) -> WebReport:
+def verify_web(web: OperatorWeb) -> WebReport:
     """Verify the six relations of the conjugated evolution web.
 
     The time must be positive: at t = 0 every evolution is the identity
@@ -263,23 +265,20 @@ def verify_web(web: OperatorWeb, seed: int = 0) -> WebReport:
     v_equals_x = float(np.abs(np.expm1(diff)).max())
 
     # v-route traces, transported isometrically by the Riesz map: the
-    # coefficient of age a after k blocks carries exp(L(a) + L(a+kt)),
-    # L read at its image under the step map (a truncated image carries
-    # nothing)
+    # coefficient of label i after k blocks carries exp(L(i) + L(i_k)),
+    # L read at its image i_k under the step map (a truncated image
+    # carries nothing).  The trace of every f on the band decays exactly
+    # when each label's log weight does; the band indicator's is recorded.
     steps = min(DUAL_TRACE_STEPS, max((system.window.hi - system.window.lo) // web.t, 1))
-    band = system.ages + steps * web.t <= system.window.hi
-    rng = np.random.default_rng(seed)
-    traces = []
-    if np.any(band):
-        f = np.where(band, rng.standard_normal(system.dim), 0.0)
-        log_lam = decay.log_diag
-        for k in range(steps + 1):
-            image = system.step_indices(k * web.t)[band]
-            logs = np.where(image >= 0, log_lam[band] + log_lam[image], -np.inf)
-            with np.errstate(under="ignore"):
-                trace = float(np.sqrt(np.sum(np.exp(2.0 * logs) * f[band] ** 2)))
-            traces.append(trace)
-    monotone = all(b <= a for a, b in zip(traces, traces[1:]))
+    band = np.nonzero(system.ages + steps * web.t <= system.window.hi)[0]
+    log_lam = decay.log_diag
+    logs = np.empty((steps + 1, band.size))
+    for k in range(steps + 1):
+        image = system.step_indices(k * web.t)[band]
+        logs[k] = np.where(image >= 0, log_lam[band] + log_lam[image], -np.inf)
+    monotone = bool(np.all(logs[1:] <= logs[:-1]))
+    with np.errstate(under="ignore"):
+        traces = [float(np.sqrt(np.sum(np.exp(2.0 * row)))) for row in logs]
 
     report = WebReport(
         t=web.t,

@@ -2,11 +2,11 @@
 
 Vectors are plain float arrays of coefficients over a labelled
 orthonormal basis, and the batched routines of the other modules work
-on ``(rows, dim)`` coefficient blocks; the helpers here cut a block into
-row chunks and reduce it row by row to the very floats a loop over its
-rows gives.  Operators are not represented here: every operator the
-package builds is a truncated weighted shift, carried as a step index
-map plus per-label log weights (see the cascade module).
+on ``(rows, dim)`` coefficient blocks; the helpers here reduce a block
+row by row to the very floats a loop over its rows gives.  Operators
+are not represented here: every operator the package builds is a
+truncated weighted shift, carried as a step index map plus per-label
+log weights (see the cascade module).
 
 :class:`HVector` is the one-row type of the few entry points that take
 a single vector (basis vectors, the Markov step, the Lyapunov trace and
@@ -26,8 +26,6 @@ __all__ = [
     "BasisMismatchError",
     "HVector",
     "NORM_RESCALE_BELOW",
-    "BLOCK_FLOATS",
-    "row_chunks",
     "vector_norm",
     "masked_row_sums",
 ]
@@ -35,11 +33,6 @@ __all__ = [
 # Squaring coefficients below about 1e-154 enters the subnormal range;
 # norms under this cutoff are recomputed on the rescaled coefficients.
 NORM_RESCALE_BELOW = 1e-140
-
-# Batched routines take their rows in chunks whose working set stays
-# within this many floats: eight rows of a baker m = 6 system (dim 8191),
-# the positivity sweep's chunk.
-BLOCK_FLOATS = 8 * 8191
 
 
 class BasisMismatchError(ValueError):
@@ -99,16 +92,6 @@ def vector_norm(coeffs: np.ndarray) -> float:
             scaled = coeffs / scale
             n = scale * math.sqrt(scaled.dot(scaled))
     return n
-
-
-def row_chunks(rows: int, width: int) -> list:
-    """Slices cutting ``range(rows)`` into chunks of at most ``BLOCK_FLOATS`` floats.
-
-    ``width`` is the floats one row holds at the caller's peak, its
-    temporaries included; a chunk holds one row at least.
-    """
-    step = max(1, BLOCK_FLOATS // max(1, width))
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

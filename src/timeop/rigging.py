@@ -18,7 +18,9 @@ and inner products are evaluated per coordinate in the log domain, and
 a cap (``LOG_WEIGHT_CAP``) on the per-coordinate log magnitude realizes
 the finite-truncation shadow of the unbounded inverse: past the cap a
 vector is reported as outside the materialized domain rather than
-silently overflowing.
+silently overflowing.  J is diagonal, so the tower's monotonicity and
+domain and the defining isometry hold for every vector exactly when
+they hold label by label: they are checked per label, on no sample.
 
 Separately, closed-form singular spectra (power and geometric families)
 are classified as compact / Hilbert-Schmidt / nuclear.  Verdicts are
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import masked_row_sums, row_chunks, vector_norm
+from .hilbert import masked_row_sums, vector_norm
 
 __all__ = [
     "NormDomainError",
@@ -107,12 +109,6 @@ def weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.nd
     return out
 
 
-def _outside_grade(n, peak) -> NormDomainError:
-    return NormDomainError(
-        f"outside materialized domain: grade {n} weights reach exp({float(peak):.1f})"
-    )
-
-
 def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
     """Graded norms ``|v|_n = || J^(-n) v ||`` of each row of a ``(rows, dim)`` block.
 
@@ -157,7 +153,6 @@ class NormTower:
     cutoff: int
     supremum: Fraction | None
     supremum_attained: bool
-    monotone_samples: int
 
 
 def _tower_grades(tower_type: str, cutoff: int) -> tuple:
@@ -170,15 +165,16 @@ def _tower_grades(tower_type: str, cutoff: int) -> tuple:
     raise ValueError(f"tower type must be A, B, or C, got {tower_type!r}")
 
 
-def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 0) -> NormTower:
-    """Materialize a norm tower and verify grade monotonicity on samples.
+def build_tower(j, tower_type: str, cutoff: int) -> NormTower:
+    """Materialize a norm tower, checked per label.
 
-    Monotonicity (higher grade, larger norm) requires every diagonal
-    entry of J to be at most one; larger entries are rejected.  The
-    sampled verification draws ``samples`` standard normal vectors and
-    checks every consecutive grade pair.  The samples are drawn and
-    normed as row blocks of every grade at once, and the first failure
-    in (sample, grade) order raises, as a loop over both would.
+    ``|v|_n^2 = sum_k v_k^2 exp(-2 n log d_k)`` is nondecreasing in the
+    grade n for every v exactly when every log d_k <= 0, so that
+    precondition is the monotonicity verdict; larger entries are
+    rejected.  The grade-n norm of the basis vector e_k is
+    exp(-n log d_k): the first grade, in grade order, whose largest
+    weight -n min(log d) passes ``LOG_WEIGHT_CAP`` raises
+    :class:`NormDomainError`.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
@@ -186,56 +182,34 @@ def build_tower(j, tower_type: str, cutoff: int, samples: int = 20, seed: int = 
     if np.any(log_diag > 0):
         raise ValueError("tower monotonicity needs diagonal entries <= 1")
     grades = _tower_grades(tower_type, cutoff)
-    dim = log_diag.shape[0]
-    rng = np.random.default_rng(seed)
-    # a sample holds its logs and their exponentials at every grade
-    for chunk in row_chunks(samples, 2 * len(grades) * dim):
-        block = rng.standard_normal((chunk.stop - chunk.start, dim))
-        norms, peaks = graded_norm_rows(block, [float(g) for g in grades], log_diag)
-        outside = peaks > LOG_WEIGHT_CAP
-        drop = np.zeros_like(outside)
-        drop[:, 1:] = norms[:, 1:] < norms[:, :-1] * (1.0 - 1e-12)
-        failed = np.flatnonzero(outside | drop)
-        if failed.size:
-            r, g = divmod(int(failed[0]), len(grades))
-            if outside[r, g]:
-                raise _outside_grade(grades[g], peaks[r, g])
-            raise ValueError(
-                f"grade monotonicity failed between grades around {grades[g]} on a sample"
-            )
+    floor = float(log_diag.min(initial=0.0))
+    for grade in grades:
+        peak = -float(grade) * floor
+        if peak > LOG_WEIGHT_CAP:
+            raise NormDomainError(
+                f"outside materialized domain: grade {grade} weights reach exp({peak:.1f})")
     supremum = {"A": Fraction(1), "B": Fraction(1), "C": None}[tower_type]
     attained = tower_type == "A"
-    return NormTower(tower_type, grades, cutoff, supremum, attained, samples)
+    return NormTower(tower_type, grades, cutoff, supremum, attained)
 
 
-def isometry_check(j, samples: int = 100, seed: int = 0) -> float:
+def isometry_check(j) -> float:
     """Deviation of the defining isometry of the strengthened inner product.
 
-    Draws random pairs (sigma, rho), applies J to both, and compares
-    their grade-1 inner product (Gram weights exp(-2 log d)) against the
-    ambient pairing of the originals.  The deviation is normalized by
-    the product of the ambient norms; the identity holds algebraically,
-    so the return value measures pure round-off.  The pairs are drawn
-    as ``(rows, 2, dim)`` blocks, and every float is the one a loop over
-    the pairs gives.
+    The grade-1 pairing (Gram weights exp(-2 log d)) of J sigma with
+    J rho is diagonal, so it equals the ambient pairing of sigma with
+    rho for every pair exactly when it does on each basis pair
+    (e_k, e_k).  Each label's pairing of (d_k e_k, d_k e_k) is formed as
+    :func:`weighted_inner_rows` forms its term, from the materialized
+    d_k = exp(log d_k), and the largest deviation from 1 is returned.
+    It measures round-off, except at a label whose d_k underflows to
+    0.0: that pairing is 0, and the deviation 1.
     """
     log_diag = j.log_diag
-    dim = log_diag.shape[0]
-    diag = np.exp(log_diag)
-    gram = -2.0 * log_diag
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    # a pair holds about eight dim-long rows at the peak: the two draws,
-    # the weighted pair, the logs and the terms with their temporaries
-    for chunk in row_chunks(samples, 8 * dim):
-        pairs = rng.standard_normal((chunk.stop - chunk.start, 2, dim))
-        sigma, rho = pairs[:, 0], pairs[:, 1]
-        lhs = weighted_inner_rows(diag * sigma, diag * rho, gram)
-        for r, (s, p) in enumerate(zip(sigma, rho)):
-            scale = vector_norm(s) * vector_norm(p)
-            if scale != 0.0:
-                worst = max(worst, abs(float(lhs[r]) - float(np.dot(s, p))) / scale)
-    return worst
+    with np.errstate(under="ignore", divide="ignore"):
+        logs = 2.0 * np.log(np.exp(log_diag))
+    logs -= 2.0 * log_diag
+    return float(np.abs(np.exp(logs) - 1.0).max(initial=0.0))
 
 
 # -- singular spectra ------------------------------------------------------

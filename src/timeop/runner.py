@@ -1,9 +1,10 @@
 """Deterministic experiment orchestration and report emission.
 
 Given a validated configuration, every requested experiment runs once,
-in config order, each with its own child generator seeded from
-``(seed, position)``; the assembled bundle is a plain JSON-serializable
-tree, so a fixed (config, seed) pair reproduces byte-identical reports.
+in config order.  No experiment draws random numbers: each verdict is
+decided per label or on fixed vectors, and the assembled bundle is a
+plain JSON-serializable tree, so a fixed config reproduces
+byte-identical reports.
 Module errors inside one experiment are captured in its record and the
 bundle still emits, with that experiment marked errored.
 
@@ -35,12 +36,10 @@ from .cascade import (
 )
 from .config import ExperimentConfig
 from .duals import build_operator_web, verify_web
-from .hilbert import HVector, row_chunks
 from .markov import (
     MarkovEvolution,
     density_walsh,
     evolved_minima,
-    lyapunov_trace,
     lyapunov_traces,
 )
 from .profiles import (
@@ -173,7 +172,7 @@ class _Context:
         return build_decay_operator(self.profile, self.system)
 
 
-def _run_covariance(ctx, params, rng):
+def _run_covariance(ctx, params):
     worst_t = 0.0
     worst_transport = 0.0
     worst_weighted = 0.0
@@ -192,7 +191,7 @@ def _run_covariance(ctx, params, rng):
     return passed, details
 
 
-def _run_admissibility(ctx, params, rng):
+def _run_admissibility(ctx, params):
     cert = check_admissible(
         ctx.profile, grid=(params["grid_lo"], params["grid_hi"]), t_set=params["t_set"]
     )
@@ -209,40 +208,47 @@ def _interior_band(system, max_t):
     return mask
 
 
-def _run_lyapunov(ctx, params, rng):
+def _run_lyapunov(ctx, params):
+    """Norm decay of W_t on the margin band, decided per label; ignores ``n_random``.
+
+    W_t moves each label along an injective index map with the log
+    weight r_k(t) = ``ev.log_ratios[t][k]``, so ||W_t rho||^2 =
+    sum_k rho_k^2 exp(2 r_k(t)) decays for every rho on the band exactly
+    when each band label's r_k does, and its largest final ratio is
+    max_k exp(r_k(max_t)).  A fail names the first offending label.  The
+    canonical basis row and the band indicator take the two-route trace.
+    """
     max_t = params["max_t"]
     ev = MarkovEvolution(ctx.decay, max_t)
-    band = _interior_band(ctx.system, max_t)
-    canonical_idx = int(np.nonzero(band)[0][np.argmax(ctx.system.ages[band])])
-    coeffs = np.zeros(ctx.system.dim)
-    coeffs[canonical_idx] = 1.0
-    canonical = lyapunov_trace(ev, HVector(coeffs, ctx.system.basis_id))
-    monotone_all = canonical.monotone
-    worst_ratio = canonical.ratio_to_zero
-    # one block of draws is the same stream as one draw per sample; a
-    # sample holds about four dim-long rows at the peak of its trace
-    for chunk in row_chunks(params["n_random"], 4 * ctx.system.dim):
-        shape = (chunk.stop - chunk.start, ctx.system.dim)
-        for trace in lyapunov_traces(ev, np.where(band, rng.standard_normal(shape), 0.0)):
-            monotone_all = monotone_all and trace.monotone
-            worst_ratio = max(worst_ratio, trace.ratio_to_zero)
+    system = ctx.system
+    labels = np.nonzero(_interior_band(system, max_t))[0]
+    canonical_idx = int(labels[np.argmax(system.ages[labels])])
+    block = np.zeros((2, system.dim))
+    block[0, canonical_idx] = 1.0
+    block[1, labels] = 1.0
+    canonical = lyapunov_traces(ev, block)[0]
+    ratios = np.array([log_ratio[labels] for log_ratio in ev.log_ratios])
+    # NaN, a truncated image, counts as a rise
+    offending = labels[np.any(~(ratios[1:] <= ratios[:-1]), axis=0)]
+    worst = int(np.argmax(ratios[-1]))
     details = {
         "max_t": max_t,
-        "n_random": params["n_random"],
-        "canonical_label": ctx.system.label_text(canonical_idx),
+        "canonical_label": system.label_text(canonical_idx),
         "trace_t": list(canonical.t_values),
         "trace_norm": list(canonical.norms),
         "trace_form": list(canonical.forms),
-        "monotone": monotone_all,
-        "worst_final_ratio": worst_ratio,
+        "monotone": not offending.size,
+        "offending_label": system.label_text(offending[0]) if offending.size else None,
+        "worst_final_ratio": float(np.exp(ratios[-1, worst])),
+        "worst_label": system.label_text(labels[worst]),
     }
-    return monotone_all, details
+    return details["monotone"], details
 
 
 EXTREME_TOLERANCE = 1e-12
 
 
-def _run_positivity(ctx, params, rng):
+def _run_positivity(ctx, params):
     """Evolved minima of 1+chi({0}) and of one extreme density per (a, t); ignores ``n_random``.
 
     The labels of age <= N = hi - t_max resolve the functions on the
@@ -290,17 +296,14 @@ def _run_positivity(ctx, params, rng):
                for row, gap in zip(extremes, gaps)), details
 
 
-def _run_tower(ctx, params, rng):
-    tower = build_tower(ctx.decay, params["tower_type"], params["cutoff"],
-                        seed=int(rng.integers(2**31)))
+def _run_tower(ctx, params):
+    tower = build_tower(ctx.decay, params["tower_type"], params["cutoff"])
     details = {
         "tower_type": tower.tower_type,
         "grades": [str(g) for g in tower.grades],
         "supremum": None if tower.supremum is None else str(tower.supremum),
         "supremum_attained": tower.supremum_attained,
-        "monotone_samples": tower.monotone_samples,
-        "isometry_deviation": isometry_check(ctx.decay, samples=50,
-                                             seed=int(rng.integers(2**31))),
+        "isometry_deviation": isometry_check(ctx.decay),
     }
     return details["isometry_deviation"] <= 1e-10, details
 
@@ -311,7 +314,7 @@ def _spectrum_from_params(params) -> SingularSpectrum:
     return build(value, truncation=params["truncation"])
 
 
-def _run_classify(ctx, params, rng):
+def _run_classify(ctx, params):
     spectrum = _spectrum_from_params(params)
     report = classify_spectrum(spectrum)
     bracket_ok = True
@@ -344,7 +347,7 @@ def _run_classify(ctx, params, rng):
     return bracket_ok, details
 
 
-def _run_kothe(ctx, params, rng):
+def _run_kothe(ctx, params):
     spectrum = _spectrum_from_params(params)
     report = kothe_nuclearity(spectrum, params["n1"], params["n2"])
     # the ratio-limit criterion is sufficient, not necessary: it must
@@ -353,12 +356,12 @@ def _run_kothe(ctx, params, rng):
     return consistent, {**asdict(report), "n1": str(report.n1), "n2": str(report.n2)}
 
 
-def _run_theorem(ctx, params, rng):
+def _run_theorem(ctx, params):
     parts = []
     all_ok = True
     for t in params["t_values"]:
         web = build_operator_web(ctx.decay, t)
-        report = verify_web(web, seed=int(rng.integers(2**31)))
+        report = verify_web(web)
         parts.append({**asdict(report), "all_passed": report.all_passed})
         all_ok = all_ok and report.all_passed
     return all_ok, {"parts": parts}
@@ -409,13 +412,12 @@ def run_experiments(config: ExperimentConfig) -> ReportBundle:
     records = []
     counts = {"pass": 0, "fail": 0, "error": 0, "recorded": 0}
     all_gated = True
-    for position, request in enumerate(config.experiments):
+    for request in config.experiments:
         runner, checks = _RUNNERS[request.name]
         gated = bool(request.params.get("gate", True))
-        rng = np.random.default_rng([config.seed, position])
         record = {"name": request.name, "gated": gated, "checks": checks}
         try:
-            passed, details = runner(ctx, request.params, rng)
+            passed, details = runner(ctx, request.params)
             record["details"] = details
             if not gated:
                 record["status"] = "recorded"

@@ -113,8 +113,8 @@ def test_04_isometry():
     with _Budget(1.0) as budget:
         system = build_shift_cascade(AgeWindow(-6, 6))
         decay = build_decay_operator(gumbel(1.0), system)
-        deviation = isometry_check(decay, samples=100, seed=20240804)
-    _report(4, "strengthened-pairing isometry within 1e-10 over 100 seeded samples",
+        deviation = isometry_check(decay)
+    _report(4, "strengthened-pairing isometry within 1e-10 at every basis label",
             deviation <= 1e-10 and budget.elapsed < 1.0,
             f" (deviation {deviation:.3e}, {budget.elapsed:.2f}s)")
 
@@ -125,7 +125,7 @@ def test_05_evolution_web():
         decay = build_decay_operator(gumbel(1.0), system)
         ok = True
         for t in (1, 2):
-            report = verify_web(build_operator_web(decay, t), seed=20240805)
+            report = verify_web(build_operator_web(decay, t))
             ok = ok and report.v_equals_x_deviation <= 1e-10
             ok = ok and report.v_vs_u_witness.deviation >= 1e-3
             ok = ok and report.y_vs_u_witness.deviation >= 1e-3

@@ -382,9 +382,7 @@ def test_sweep_transform_count_and_memory(monkeypatch):
     # is one row on the 2**11 cells the live labels resolve (t_max = 2),
     # 16 KB; the peak, about 0.75 MiB, is set by the decay operators and
     # the t_max + 1 weight rows of two evolutions alive across a change
-    # of a.  The generator, which the sweep does not draw from, is made
-    # before the trace starts, so that a first import of numpy.random is
-    # not counted.
+    # of a.
     config = parse_config(POSITIVITY_M6)
     ctx = _Context(config)
     params = config.experiments[0].params
@@ -396,11 +394,10 @@ def test_sweep_transform_count_and_memory(monkeypatch):
         return kernel(block)
 
     monkeypatch.setattr(timeop.cascade, "_fwht_in_place", counted)
-    rng = np.random.default_rng([5, 0])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _, details = _run_positivity(ctx, params, rng)
+        _, details = _run_positivity(ctx, params)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

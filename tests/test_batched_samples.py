@@ -1,13 +1,15 @@
-"""The row-batched sample loops against the one-sample loops.
+"""The batched and per-label routines against their one-at-a-time loops.
 
-``build_tower``, ``isometry_check``, ``lyapunov_traces`` and the
-``lyapunov`` experiment draw and process their random samples as row
-blocks; ``classify_spectrum`` forms its spectrum values once; the
-covariance experiment checks every single-age projector transport in
-one pass.  The one-sample loops live here only, as the references:
-every float must be bitwise the loop's, every error the loop's first
-error, defects must still show, and at baker m = 6 the batched
-experiments must stay within a small memory budget.
+``lyapunov_traces`` processes its rows as one block; ``build_tower``,
+``isometry_check`` and the ``lyapunov`` experiment decide their verdicts
+per basis label; ``classify_spectrum`` forms its spectrum values once;
+the covariance experiment checks every single-age projector transport
+in one pass.  The loops live here only, as the references: every float
+must be bitwise the loop's, every error the loop's first error, defects
+must still show, and at baker m = 6 the experiments must stay within a
+small memory budget.  A random-pair isometry is a second reference: it
+agrees with the per-label check within 1e-10 where no d_k underflows,
+and reads less than the per-label 1.0 where one does.
 """
 
 import math
@@ -17,9 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import timeop.hilbert
 import timeop.markov
-import timeop.rigging
 from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
@@ -115,29 +115,44 @@ def graded_norm_loop(coeffs, n, log_diag, norm=norm_loop):
     return float(np.exp(peak) * math.sqrt(np.sum(np.exp(2.0 * (logs - peak)))))
 
 
-def tower_loop(j, grades, samples, seed, norm=norm_loop):
-    """The verdict of the sampled monotonicity check: None, or the error raised."""
+def isometry_basis_loop(j):
+    """The grade-1 pairing of (d_k e_k, d_k e_k) against 1, one label at a time."""
     log_diag = np.asarray(j.log_diag, dtype=float)
-    rng = np.random.default_rng(seed)
-    try:
-        for _ in range(samples):
-            v = rng.standard_normal(log_diag.size)
-            previous = None
-            for grade in grades:
-                current = graded_norm_loop(v, grade, log_diag, norm)
-                if previous is not None and current < previous * (1.0 - 1e-12):
-                    raise ValueError(
-                        f"grade monotonicity failed between grades around {grade} on a sample"
-                    )
-                previous = current
-    except ValueError as exc:
-        return type(exc), str(exc)
+    with np.errstate(under="ignore"):
+        diag = np.exp(log_diag)
+    worst = 0.0
+    for k in range(log_diag.size):
+        e = np.zeros(log_diag.size)
+        e[k] = 1.0
+        pairing = weighted_inner_loop(diag * e, diag * e, -2.0 * log_diag)
+        worst = max(worst, abs(pairing - 1.0))
+    return worst
+
+
+def tower_loop(j, grades):
+    """The per-label verdict: None, or the error the first grade past the cap raises.
+
+    Each basis vector is normed at every grade in order; a grade whose
+    largest basis norm passes the cap raises, and a basis norm that
+    drops between grades would break monotonicity.
+    """
+    log_diag = np.asarray(j.log_diag, dtype=float)
+    previous = np.zeros(log_diag.size)
+    for grade in grades:
+        peaks = [-float(grade) * float(d) for d in log_diag]
+        if max(peaks) > LOG_WEIGHT_CAP:
+            return NormDomainError, (
+                f"outside materialized domain: grade {grade} weights reach exp({max(peaks):.1f})")
+        current = np.array([graded_norm_loop(np.eye(log_diag.size)[k], grade, log_diag)
+                            for k in range(log_diag.size)])
+        assert np.all(current >= previous)
+        previous = current
     return None
 
 
-def tower_verdict(j, tower_type, cutoff, samples, seed):
+def tower_verdict(j, tower_type, cutoff):
     try:
-        build_tower(j, tower_type, cutoff, samples=samples, seed=seed)
+        build_tower(j, tower_type, cutoff)
     except ValueError as exc:
         return type(exc), str(exc)
     return None
@@ -202,34 +217,46 @@ def subnormal_diagonal():
     return Diagonal(log_diag)
 
 
-@pytest.fixture
-def small_blocks(monkeypatch):
-    """Blocks of a few rows, so that short sample runs span several chunks."""
-    monkeypatch.setattr(timeop.hilbert, "BLOCK_FLOATS", 200)
-
-
 ids = lambda op: op.basis_id  # noqa: E731
+
+
+def underflows(j):
+    with np.errstate(under="ignore"):
+        return bool(np.any(np.exp(j.log_diag) == 0.0))
 
 
 class TestIsometry:
     @pytest.mark.parametrize("op", decays(), ids=ids)
     @pytest.mark.parametrize("seed", [0, 11])
     def test_bitwise_the_loop(self, op, seed):
-        assert bits(isometry_check(op, samples=50, seed=seed)) == bits(isometry_loop(op, 50, seed))
+        deviation = isometry_check(op)
+        assert bits(deviation) == bits(isometry_basis_loop(op))
+        # the random pairs agree where no d_k underflows; where one does,
+        # the per-label check reads 1.0 and the pairs see less of it
+        pairs = isometry_loop(op, 50, seed)
+        if underflows(op):
+            assert deviation == 1.0 and pairs < deviation
+        else:
+            assert abs(deviation - pairs) <= 1e-10
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_active_labels_differ_by_row(self, seed, small_blocks):
+    def test_active_labels_differ_by_row(self, seed):
+        # the random pairs lose the subnormal label in some rows and not
+        # in others; the per-label check reads its rounding in full
         j = subnormal_diagonal()
         rng = np.random.default_rng(seed)
         pairs = rng.standard_normal((40, 2, j.log_diag.size))
         underflow = np.exp(-744.0) * pairs[:, :, 3] == 0.0
         assert underflow.any() and not underflow.all()
-        assert bits(isometry_check(j, samples=40, seed=seed)) == bits(isometry_loop(j, 40, seed))
+        deviation = isometry_check(j)
+        assert bits(deviation) == bits(isometry_basis_loop(j))
+        assert deviation > 1e-10 and isometry_loop(j, 40, seed) > 1e-10
 
     def test_plain_rows_pair_by_the_dot_product(self):
         # log weights zero on every label: the loop's plain dot product
         j = Diagonal(np.zeros(9))
-        assert bits(isometry_check(j, samples=30, seed=2)) == bits(isometry_loop(j, 30, 2))
+        assert bits(isometry_check(j)) == bits(isometry_basis_loop(j)) == bits(0.0)
+        assert isometry_loop(j, 30, 2) == 0.0
 
     def test_pairing_rows_are_the_loop(self):
         # rows with no active label, rows paired by the plain dot product,
@@ -262,46 +289,23 @@ class TestTower:
     def test_verdict_is_the_loop(self, op, tower_type, cutoff):
         # on the widest shift grade 1 already overflows: the loop's error
         grades = _tower_grades(tower_type, cutoff)
-        for seed in (0, 9):
-            verdict = tower_verdict(op, tower_type, cutoff, 20, seed)
-            assert verdict == tower_loop(op, grades, 20, seed)
+        assert tower_verdict(op, tower_type, cutoff) == tower_loop(op, grades)
 
     def test_shift_wide_grade_one_error(self):
         op = build_decay_operator(gumbel(1.0), build_shift_cascade(AgeWindow(-10, 10)))
-        kind, message = tower_verdict(op, "C", 3, 20, 0)
+        kind, message = tower_verdict(op, "C", 3)
         assert kind is NormDomainError and "grade 1 weights" in message
 
-    def test_first_domain_error_in_sample_order(self, small_blocks):
-        # the weight exp(-932.4) at label 2 puts grade 3/4 past the cap
-        # only for samples with |v_2| > 2, about one in twenty
+    def test_first_domain_error_in_grade_order(self):
+        # the weight exp(-932.4) at label 2 keeps grade 3/4 at exp(699.3),
+        # inside the cap, and puts every grade from 4/5 on past it
         j = Diagonal([0.0, -0.5, -932.4, -2.0, -3.0])
-        grades = _tower_grades("B", 3)
-        kinds = set()
-        for seed in range(12):
-            verdict = tower_verdict(j, "B", 3, 20, seed)
-            assert verdict == tower_loop(j, grades, 20, seed)
-            kinds.add(verdict and verdict[0])
-        assert kinds == {None, NormDomainError}
-
-    def test_monotonicity_message_in_sample_order(self, monkeypatch, small_blocks):
-        # the steep label 2 lifts grade 1/2 to about e^525 and puts grade
-        # 2/3 past the cap on samples with |v_2| > 1.7; an ambient norm
-        # inflated to 1e250 on samples with v_0 > 1.5 exceeds grade 1/2
-        # there: which comes first varies by seed
-        def inflated(coeffs):
-            return norm_loop(coeffs) * (1e250 if coeffs[0] > 1.5 else 1.0)
-
-        monkeypatch.setattr(timeop.rigging, "vector_norm", inflated)
-        j = Diagonal([-1e-7, -2e-7, -1049.2, -3e-7])
-        grades = _tower_grades("B", 2)
-        kinds = set()
-        for seed in range(16):
-            verdict = tower_verdict(j, "B", 2, 20, seed)
-            assert verdict == tower_loop(j, grades, 20, seed, norm=inflated)
-            kinds.add(verdict and verdict[0])
-            if verdict and verdict[0] is ValueError:
-                assert "around 1/2 on a sample" in verdict[1]
-        assert {ValueError, NormDomainError} <= kinds
+        assert tower_verdict(j, "B", 3) is None
+        for cutoff in (4, 6):
+            verdict = tower_verdict(j, "B", cutoff)
+            assert verdict == tower_loop(j, _tower_grades("B", cutoff))
+            assert verdict == (NormDomainError,
+                               "outside materialized domain: grade 4/5 weights reach exp(745.9)")
 
 
 def sample_block(system, horizon, rng, rows=12):
@@ -371,7 +375,9 @@ class TestLyapunovTraces:
         assert "within 2 steps at labels: 5" in str(one.value)
 
     @pytest.mark.parametrize("bounds,n_random", [((-10, 10), 20), ((-4, 4), 7)])
-    def test_experiment_is_the_sample_loop(self, bounds, n_random, small_blocks):
+    def test_experiment_is_the_sample_loop(self, bounds, n_random):
+        # n_random is accepted and ignored: the reference is one trace per
+        # band label, its basis vector, plus the canonical one
         config = parse_config(f"""
 seed = 3
 
@@ -389,26 +395,24 @@ max_t = 3
 n_random = {n_random}
 """)
         ctx = _Context(config)
-        params = config.experiments[0].params
-        _, details = _run_lyapunov(ctx, params, np.random.default_rng([3, 0]))
-        # the parent loop: one draw per sample, one trace each
-        rng = np.random.default_rng([3, 0])
+        _, details = _run_lyapunov(ctx, config.experiments[0].params)
         band = _interior_band(ctx.system, 3)
         ev = MarkovEvolution(ctx.decay, 3)
         canonical = np.zeros(ctx.system.dim)
         canonical[int(np.nonzero(band)[0][np.argmax(ctx.system.ages[band])])] = 1.0
         norms, forms = trace_loop(ev, canonical, 3)
-        monotone = all(b <= a for a, b in zip(norms, norms[1:]))
-        worst = norms[-1] / norms[0] if norms[0] > 0 else 0.0
-        for _ in range(n_random):
-            sample_norms, _ = trace_loop(ev, np.where(band, rng.standard_normal(ctx.system.dim),
-                                                      0.0), 3)
-            monotone = monotone and all(b <= a for a, b in zip(sample_norms, sample_norms[1:]))
-            worst = max(worst, sample_norms[-1] / sample_norms[0])
+        monotone, worst, worst_label = True, 0.0, None
+        for k in np.nonzero(band)[0]:
+            trace = lyapunov_trace(ev, ctx.system.basis_vector(int(ctx.system.ages[k])))
+            monotone = monotone and trace.monotone
+            if trace.ratio_to_zero > worst:
+                worst, worst_label = trace.ratio_to_zero, ctx.system.label_text(k)
         assert np.array_equal(bits(details["trace_norm"]), bits(norms))
         assert np.array_equal(bits(details["trace_form"]), bits(forms))
         assert details["monotone"] == monotone
-        assert bits(details["worst_final_ratio"]) == bits(worst)
+        assert details["offending_label"] is None
+        assert details["worst_label"] == worst_label
+        assert abs(details["worst_final_ratio"] - worst) <= 1e-12 * worst
 
 
 class TestSpectrumSums:
@@ -521,16 +525,14 @@ n_random = 10
 @pytest.mark.parametrize("position,runner", [(0, _run_tower), (1, _run_lyapunov)],
                          ids=["tower-and-isometry", "lyapunov"])
 def test_baker6_sample_blocks_stay_small(position, runner):
-    # one (rows, 8191) block is 64 kB a row; the row chunks keep each
-    # experiment near its one-sample loop's peak, where a single block of
-    # all samples and grades would hold several MB
+    # one (rows, 8191) row is 64 kB; the per-label verdicts hold a few
+    # dim-long rows per t, where a block of every label would hold 512 MB
     config = parse_config(BAKER6)
     ctx = _Context(config)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        passed, _ = runner(ctx, config.experiments[position].params,
-                           np.random.default_rng([5, position]))
+        passed, _ = runner(ctx, config.experiments[position].params)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

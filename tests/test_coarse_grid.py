@@ -222,6 +222,5 @@ def test_sweep_transforms_are_coarse(monkeypatch):
         return kernel(block)
 
     monkeypatch.setattr(timeop.cascade, "_fwht_in_place", counted)
-    _run_positivity(_Context(config), config.experiments[0].params,
-                    np.random.default_rng([5, 0]))
+    _run_positivity(_Context(config), config.experiments[0].params)
     assert max(widths) == 1 << (13 - 4)

@@ -283,9 +283,42 @@ class TestValidateCli:
         record = json.loads((out / "report.json").read_text())["experiments"][0]
         assert (record["status"], record["details"]["ratio_ok"]) == ("pass", True)
 
+    @pytest.mark.parametrize("system, experiment, line, message", [
+        ("kind = baker\nm = 2", "[experiment positivity]\nt_values = 1 3", 9,
+         "t_values must be at most m = 2: past it the density 1+chi({0}) leaves the window"),
+        ("kind = shift\nlo = -3\nhi = 3", "[experiment lyapunov]\nmax_t = 4", 10,
+         "max_t must be at most (hi - lo) // 2 = 3: past it the margin band "
+         "[lo + max_t, hi - max_t] is empty"),
+        ("kind = baker\nm = 2", "[experiment lyapunov]\nmax_t = 3", 9,
+         "max_t must be at most (hi - lo) // 2 = 2: past it the margin band "
+         "[lo + max_t, hi - max_t] is empty"),
+        ("kind = baker\nm = 1", "[experiment lyapunov]", 8,
+         "max_t must be at most (hi - lo) // 2 = 1: past it the margin band "
+         "[lo + max_t, hi - max_t] is empty"),
+    ], ids=["positivity-past-m", "lyapunov-shift", "lyapunov-baker", "lyapunov-default"])
+    def test_horizon_past_the_window(self, tmp_path, capsys, system, experiment, line, message):
+        # run would record an error for each: validate refuses them, naming the key
+        text = f"[system]\n{system}\n\n[profile]\nfamily = gumbel\n\n{experiment}\n"
+        code, captured = self.validates(tmp_path, capsys, text)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"line {line}: {message}\n"
+
+    @pytest.mark.parametrize("system, experiment", [
+        ("kind = baker\nm = 2", "[experiment positivity]\nt_values = 1 2"),
+        ("kind = shift\nlo = -3\nhi = 3", "[experiment lyapunov]\nmax_t = 3"),
+        ("kind = baker\nm = 2", "[experiment lyapunov]\nmax_t = 2"),
+    ], ids=["positivity-at-m", "lyapunov-shift", "lyapunov-baker"])
+    def test_horizon_at_the_window_edge(self, tmp_path, capsys, system, experiment):
+        text = f"[system]\n{system}\n\n[profile]\nfamily = gumbel\n\n{experiment}\n"
+        code, captured = self.validates(tmp_path, capsys, text)
+        assert (code, captured.out, captured.err) == (0, "config OK\n", "")
+        bundle = run_experiments(parse_config(text))
+        assert [r["status"] for r in bundle.records] in (["pass"], ["recorded"])
+
     def test_short_table_with_a_decay_reader(self, tmp_path, capsys):
         text = self.custom_table_config(tmp_path, -20, 21).read_text()
-        text = text.replace("[experiment covariance]", "[experiment positivity]\n\n[experiment lyapunov]")
+        text = text.replace("[experiment covariance]",
+                            "[experiment positivity]\n\n[experiment lyapunov]\nmax_t = 2")
         text = text.replace("kind = shift\nlo = -3\nhi = 3", "kind = baker\nm = 2")
         code, captured = self.validates(tmp_path, capsys, text)
         assert code == 2

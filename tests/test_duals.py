@@ -113,6 +113,29 @@ class TestWeb:
         assert np.array_equal(mat[-1], np.eye(s.dim)[s.index_of(3)])
 
 
+def dual_trace_loop(op, t, steps=3):
+    """Per-label verdict and band-indicator traces, one label at a time.
+
+    A label i of the band carries exp(L(i) + L(i_k)) after k blocks of t
+    steps, i_k its image under the step map, walked here one step at a
+    time; a truncated image carries nothing.
+    """
+    system = op.system
+    steps = min(steps, max((system.window.hi - system.window.lo) // t, 1))
+    band = [i for i in range(system.dim) if system.ages[i] + steps * t <= system.window.hi]
+    logs = np.empty((steps + 1, len(band)))
+    for col, i in enumerate(band):
+        image = i
+        for k in range(steps + 1):
+            logs[k, col] = op.log_diag[i] + op.log_diag[image] if image >= 0 else -np.inf
+            for _ in range(t):
+                image = int(system._step[image]) if image >= 0 else -1
+    monotone = all(logs[k + 1, c] <= logs[k, c] for k in range(steps) for c in range(len(band)))
+    with np.errstate(under="ignore"):
+        traces = tuple(float(np.sqrt(np.sum(np.exp(2.0 * row)))) for row in logs)
+    return monotone, traces
+
+
 class TestVerifyWeb:
     def test_identity_part_within_round_off(self):
         for t in (1, 2):
@@ -147,10 +170,13 @@ class TestVerifyWeb:
 
     def test_transported_traces_decay(self):
         s, op = shift_decay(-6, 6)
-        report = verify_web(build_operator_web(op, 1))
-        assert report.dual_markov_monotone
-        assert len(report.dual_markov_traces) >= 2
-        assert report.dual_markov_traces[-1] < report.dual_markov_traces[0]
+        for t in (1, 2, 3):
+            report = verify_web(build_operator_web(op, t))
+            assert report.dual_markov_monotone
+            assert len(report.dual_markov_traces) >= 2
+            assert report.dual_markov_traces[-1] < report.dual_markov_traces[0]
+            assert (report.dual_markov_monotone, report.dual_markov_traces) == \
+                dual_trace_loop(op, t)
 
     def test_degenerate_time_rejected(self):
         s, op = shift_decay()
@@ -201,6 +227,18 @@ class TestWebDefects:
         web.log_weights["z"] = web.log_weights["z"] + math.log(2.0)
         report = verify_web(web)
         assert report.z_conjugacy_deviation > 1e-10
+        assert not report.all_passed
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_rising_log_weight_breaks_the_dual_traces(self, system):
+        # lambda at the first age-2 label lifted above lambda at age 1:
+        # the orbit of an age-0 label carries a rising weight at k = 2
+        op = build_decay_operator(gumbel(1.0), system)
+        log_diag = np.array(op.log_diag)
+        log_diag[int(np.nonzero(system.ages == 2)[0][0])] = -0.5
+        op.log_diag = log_diag
+        report = verify_web(build_operator_web(op, 1))
+        assert (report.dual_markov_monotone, dual_trace_loop(op, 1)[0]) == (False, False)
         assert not report.all_passed
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)

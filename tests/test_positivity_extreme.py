@@ -9,13 +9,14 @@ gives the same minimum, no random density on the grid goes lower, and
 the minimum is the closed form across sizes and steepnesses.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from timeop.cascade import build_baker_cascade
-from timeop.config import parse_config
+from timeop.config import ConfigError, parse_config
 from timeop.markov import MarkovEvolution, density_walsh, evolved_minima
 from timeop.profiles import build_decay_operator, gumbel
 from timeop.runner import run_experiments
@@ -104,10 +105,18 @@ def test_sweep_rows_are_the_closed_form(m):
 @pytest.mark.parametrize("t_max", [3, 5, 6])
 def test_a_horizon_past_the_window_errors_on_the_canonical_row(t_max):
     # on baker m = 2 the label {0} leaves the window after 2 steps; past
-    # t_max = 4 no label is live and the extreme density is one cell
+    # t_max = 4 no label is live and the extreme density is one cell.
+    # parse_config refuses the horizon, so the run gets it past the parser
     text = ("[system]\nkind = baker\nm = 2\n\n[profile]\nfamily = gumbel\n\n"
-            f"[experiment positivity]\nt_values = 1 {t_max}\n")
-    (record,) = run_experiments(parse_config(text)).records
+            "[experiment positivity]\nt_values = 1 {}\n")
+    with pytest.raises(ConfigError) as refused:
+        parse_config(text.format(t_max))
+    assert refused.value.errors == ((9, "t_values must be at most m = 2: past it the "
+                                         "density 1+chi({0}) leaves the window"),)
+    config = parse_config(text.format(2))
+    (request,) = config.experiments
+    wide = dataclasses.replace(request, params={**request.params, "t_values": (1, t_max)})
+    (record,) = run_experiments(dataclasses.replace(config, experiments=(wide,))).records
     assert record["status"] == "error"
     assert record["error"] == (
         f"MarginError: support leaves the window within {t_max} steps at labels: {{0}}")

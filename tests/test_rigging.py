@@ -111,7 +111,7 @@ class TestTower:
 
     def test_monotonicity_under_the_tower(self):
         s, op = shift_decay()
-        tower = build_tower(op, "B", 5, samples=10, seed=3)
+        tower = build_tower(op, "B", 5)
         rng = np.random.default_rng(12)
         for _ in range(10):
             v = rng.standard_normal(s.dim)
@@ -148,11 +148,11 @@ class TestTower:
 class TestIsometry:
     def test_identity_rigging(self):
         j = diagonal(np.ones(5))
-        assert isometry_check(j, samples=20, seed=0) == 0.0
+        assert isometry_check(j) == 0.0
 
     def test_decay_rigging_round_off_only(self):
         _, op = shift_decay(-3, 3)
-        assert isometry_check(op, samples=100, seed=1) <= 1e-10
+        assert isometry_check(op) <= 1e-10
 
     def test_zero_vectors_contribute_nothing(self):
         z = np.zeros((1, 4))

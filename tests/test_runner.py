@@ -75,12 +75,16 @@ class TestBundle:
         assert not bundle.all_gated_passed
 
     def test_module_errors_are_captured_per_experiment(self):
-        # a horizon too wide for the window leaves no symmetric band
-        text = EMPTY_CONFIG + "\n[experiment lyapunov]\nmax_t = 5\n"
-        bundle = run_experiments(parse_config(text))
+        # a horizon too wide for the window leaves no symmetric band;
+        # parse_config refuses it, so it is set past the parser
+        config = parse_config(EMPTY_CONFIG + "\n[experiment lyapunov]\nmax_t = 3\n")
+        (request,) = config.experiments
+        wide = dataclasses.replace(request, params={**request.params, "max_t": 5})
+        bundle = run_experiments(dataclasses.replace(config, experiments=(wide,)))
         record = bundle.records[0]
         assert record["status"] == "error"
-        assert "error" in record
+        assert record["error"] == ("ValueError: no labels inside the symmetric margin band "
+                                   "for max_t=5")
         assert not bundle.all_gated_passed
 
     def test_empty_experiment_list(self):

@@ -11,7 +11,9 @@ the config: a custom table that covers the certificate grid and breaks
 the ratio condition.  The positivity sweep builds its own gumbel
 operators, so its defects wrap the same builders; one hands it an
 operator on a decreasing table whose ratio is not monotone, built past
-its failing certificate.
+its failing certificate.  The Lyapunov defect raises one label's W_2 log
+weight above its W_1 weight, and the isometry's puts one log weight past
+the float underflow of exp.
 """
 
 import math
@@ -22,7 +24,8 @@ import pytest
 import timeop.runner as runner
 from timeop.cascade import CascadeSystem
 from timeop.config import DEMO_CONFIG, parse_config
-from timeop.profiles import DecayOperator, check_admissible, profile_from_table
+from timeop.profiles import DecayOperator, check_admissible, gumbel, profile_from_table
+from timeop.rigging import isometry_check
 from timeop.runner import run_experiments
 
 SYSTEMS = {
@@ -56,6 +59,38 @@ def perturbed(op):
     return op
 
 
+def rising_ratio(op):
+    """The operator with the W_2 log weight of its first age-0 label raised above W_1's.
+
+    Half of the W_1 log weight there: still at most zero, so the
+    semigroup is built, but the label's ratio rises from t = 1 to 2.
+    """
+    k = int(np.nonzero(op.system.ages == 0)[0][0])
+    honest = op.step_log_ratio
+
+    def step_log_ratio(t):
+        log_ratio = honest(t)
+        if t == 2:
+            log_ratio[k] = 0.5 * honest(1)[k]
+        return log_ratio
+
+    op.step_log_ratio = step_log_ratio
+    return op
+
+
+def underflowing(op):
+    """The operator with the log weight of its first top-age label at -800, past exp's underflow."""
+    log_diag = np.array(op.log_diag)
+    log_diag[int(np.argmax(op.system.ages))] = -800.0
+    log_diag.setflags(write=False)
+    op.log_diag = log_diag
+    return op
+
+
+# grades 0 and 1/2 only, so the weight exp(-800) stays inside the domain
+TOWER = "[experiment tower]\ntower_type = B\ncutoff = 1"
+
+
 def only_record(bundle):
     (record,) = bundle.records
     return record
@@ -63,7 +98,8 @@ def only_record(bundle):
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_correct_objects_pass(system):
-    for experiment in ("[experiment covariance]", "[experiment theorem]"):
+    for experiment in ("[experiment covariance]", "[experiment theorem]",
+                       "[experiment lyapunov]", TOWER):
         bundle = run_experiments(config(system, experiment))
         assert only_record(bundle)["status"] == "pass"
         assert bundle.all_gated_passed
@@ -89,6 +125,33 @@ def test_perturbed_log_weight_fails_theorem(system, monkeypatch):
     record = only_record(bundle)
     assert record["status"] == "fail"
     assert any(part["z_conjugacy_deviation"] > 1e-10 for part in record["details"]["parts"])
+    assert not bundle.all_gated_passed
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_rising_ratio_fails_lyapunov(system, monkeypatch):
+    honest = runner.build_decay_operator
+    monkeypatch.setattr(runner, "build_decay_operator",
+                        lambda profile, sys_: rising_ratio(honest(profile, sys_)))
+    bundle = run_experiments(config(system, "[experiment lyapunov]"))
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert record["details"]["monotone"] is False
+    assert record["details"]["offending_label"] == {"shift": "0", "baker": "{0}"}[system]
+    assert not bundle.all_gated_passed
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_underflowing_weight_fails_isometry(system, monkeypatch):
+    honest = runner.build_decay_operator
+    op = underflowing(honest(gumbel(), runner.build_system(config(system, ""))))
+    assert isometry_check(op) == 1.0
+    monkeypatch.setattr(runner, "build_decay_operator",
+                        lambda profile, sys_: underflowing(honest(profile, sys_)))
+    bundle = run_experiments(config(system, TOWER))
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert record["details"]["isometry_deviation"] > 1e-10
     assert not bundle.all_gated_passed
 
 
