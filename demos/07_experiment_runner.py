@@ -1,9 +1,9 @@
 """Drive the whole laboratory from one declarative config.
 
-The runner executes each configured experiment once with seeded child
-generators and assembles a JSON-serializable bundle; a fixed (config,
-seed) pair reproduces the report byte for byte.  The same machinery is
-reachable from the command line:
+The runner executes each configured experiment once, drawing no random
+numbers, and assembles a JSON-serializable bundle; a fixed config
+reproduces the report byte for byte (its seed is only echoed in the
+manifest).  The same machinery is reachable from the command line:
 
     timeop demo --out out
     timeop validate --config demos/experiment.cfg

@@ -51,7 +51,6 @@ from .rigging import (
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
-    weighted_inner_rows,
 )
 from .markov import (
     AsymmetryReport,

@@ -14,7 +14,6 @@ exit 2, and gated failures exit 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,15 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--config", required=True, help="path to the config file")
         cmd.add_argument("--out", default=None, help="output directory (default: config output_dir)")
         cmd.add_argument("--format", default="both", choices=("json", "csv", "both"))
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
-
-
-def _load(text: str, seed_override):
-    config = parse_config(text)
-    if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
-    return config
 
 
 def main(argv=None) -> int:
@@ -62,7 +53,7 @@ def main(argv=None) -> int:
             print(f"cannot read config {args.config}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     try:
-        config = _load(text, getattr(args, "seed", None))
+        config = parse_config(text)
     except ConfigError as exc:
         for line, msg in exc.errors:
             print(f"line {line}: {msg}", file=sys.stderr)

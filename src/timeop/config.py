@@ -33,7 +33,7 @@ collected with their line numbers and raised together as a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cascade import BAKER_SIZE_CAP, AgeWindow
@@ -112,39 +112,25 @@ class ConfigError(ValueError):
 class ExperimentRequest:
     name: str
     params: dict
-    line: int
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config; ``system`` and ``profile`` hold the keys of their variant only."""
+
     seed: int
     output_dir: str
-    system_kind: str
-    window_lo: int | None
-    window_hi: int | None
-    baker_m: int | None
-    profile_family: str
-    profile_a: float
-    profile_points: tuple
-    experiments: tuple = field(default_factory=tuple)
+    system: dict
+    profile: dict
+    experiments: tuple
 
     def echo(self) -> dict:
         """Canonical nested form, embedded in report manifests."""
-        system = {"kind": self.system_kind}
-        if self.system_kind == "shift":
-            system.update(lo=self.window_lo, hi=self.window_hi)
-        else:
-            system.update(m=self.baker_m)
-        profile = {"family": self.profile_family}
-        if self.profile_family == "gumbel":
-            profile["a"] = self.profile_a
-        if self.profile_points:
-            profile["points"] = [list(p) for p in self.profile_points]
         return {
             "seed": self.seed,
             "output_dir": self.output_dir,
-            "system": system,
-            "profile": profile,
+            "system": self.system,
+            "profile": self.profile,
             "experiments": [
                 {"name": e.name, "params": _jsonable(e.params)} for e in self.experiments
             ],
@@ -335,6 +321,12 @@ _VARIANT_KEYS = {
 }
 
 
+def _variant(values, selector, owners):
+    """The section's selector and the keys of the variant it selects."""
+    return {key: value for key, value in values.items()
+            if owners.get(key, values[selector]) == values[selector]}
+
+
 def _check_system(v):
     if v["kind"] is None:
         raise ValueError("system needs kind = shift or baker")
@@ -477,19 +469,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    top, system, profile = values[""], values["system"], values["profile"]
     return ExperimentConfig(
-        seed=top["seed"],
-        output_dir=top["output_dir"],
-        system_kind=system["kind"],
-        window_lo=system["lo"],
-        window_hi=system["hi"],
-        baker_m=system["m"],
-        profile_family=profile["family"],
-        profile_a=profile["a"],
-        profile_points=profile["points"],
-        experiments=tuple(
-            ExperimentRequest(name=title.split()[1], params=params, line=sections[title][0])
-            for title, params in values.items() if title.startswith("experiment ")
-        ),
+        seed=values[""]["seed"],
+        output_dir=values[""]["output_dir"],
+        system=_variant(values["system"], *_VARIANT_KEYS["system"]),
+        profile=_variant(values["profile"], *_VARIANT_KEYS["profile"]),
+        experiments=tuple(ExperimentRequest(title.split()[1], params)
+                          for title, params in values.items() if title.startswith("experiment ")),
     )

@@ -4,10 +4,9 @@ A positive injective diagonal operator J with entries at most one
 generates a family of strengthened Hilbert norms on its range,
 ``|v|_n = || J^(-n) v ||``, indexed by rational grades n >= 0.  J is
 read as its log diagonal ``log_diag`` (a decay operator carries one),
-and vectors are rows of ``(rows, dim)`` coefficient arrays:
-:func:`graded_norm_rows` norms every row at every grade and
-:func:`weighted_inner_rows` pairs rows against a Gram weighting.  Three
-canonical grade sets are materialized:
+and vectors are rows of ``(rows, dim)`` coefficient arrays, which
+:func:`graded_norm_rows` norms at every grade.  Three canonical grade
+sets are materialized:
 
   A: the single top grade 1 (one strengthened Hilbert norm),
   B: {0, 1/2, 2/3, ..., p/(p+1), ...} with supremum 1 not attained,
@@ -41,7 +40,6 @@ from .hilbert import masked_row_sums, vector_norm
 __all__ = [
     "NormDomainError",
     "LOG_WEIGHT_CAP",
-    "weighted_inner_rows",
     "graded_norm_rows",
     "NormTower",
     "build_tower",
@@ -69,44 +67,6 @@ UNDERFLOW_BITS = 1080.0
 
 class NormDomainError(ValueError):
     """A weighted coordinate exceeds the materialized log range."""
-
-
-def weighted_inner_rows(uc: np.ndarray, vc: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """sum_k u_k v_k exp(lw[k]) of each row pair of two ``(rows, dim)`` blocks.
-
-    Every term is formed in the log domain, so Gram weights spanning
-    hundreds of orders of magnitude pair without intermediate under- or
-    overflow.  Each row sums over its own active labels, where both
-    coefficients are nonzero.  A row with no active label pairs to 0.0,
-    and a row whose active labels all carry log weight zero to the plain
-    dot product; the first other row whose largest term passes the cap
-    raises :class:`NormDomainError`.
-    """
-    active = (uc != 0) & (vc != 0)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(uc))
-        logs += np.log(np.abs(vc))
-    logs += lw
-    peak = logs.max(axis=1)  # inactive labels log to -inf
-    out = np.zeros(uc.shape[0])
-    plain = ~np.any(active & (lw != 0), axis=1)
-    for r in np.nonzero(plain & active.any(axis=1))[0]:
-        out[r] = np.dot(uc[r][active[r]], vc[r][active[r]])
-    weighted = ~plain
-    over = np.nonzero(weighted & (peak > LOG_WEIGHT_CAP))[0]
-    if over.size:
-        raise NormDomainError(
-            f"outside materialized domain: term magnitude exp({float(peak[over[0]]):.1f}) "
-            "exceeds the cap"
-        )
-    if weighted.any():
-        rows = weighted if not weighted.all() else slice(None)
-        logs = logs[rows]
-        logs -= peak[rows, None]
-        terms = np.sign(uc[rows]) * np.sign(vc[rows])
-        terms *= np.exp(logs)
-        out[rows] = np.exp(peak[rows]) * masked_row_sums(terms, active[rows])
-    return out
 
 
 def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
@@ -199,8 +159,8 @@ def isometry_check(j) -> float:
     The grade-1 pairing (Gram weights exp(-2 log d)) of J sigma with
     J rho is diagonal, so it equals the ambient pairing of sigma with
     rho for every pair exactly when it does on each basis pair
-    (e_k, e_k).  Each label's pairing of (d_k e_k, d_k e_k) is formed as
-    :func:`weighted_inner_rows` forms its term, from the materialized
+    (e_k, e_k).  Each label's pairing of (d_k e_k, d_k e_k) is formed in
+    the log domain, exp(2 log|d_k| - 2 log d_k), from the materialized
     d_k = exp(log d_k), and the largest deviation from 1 is returned.
     It measures round-off, except at a label whose d_k underflows to
     0.0: that pairing is 0, and the deviation 1.

@@ -70,13 +70,15 @@ __all__ = [
 
 
 def build_system(config: ExperimentConfig):
-    if config.system_kind == "shift":
-        return build_shift_cascade(AgeWindow(config.window_lo, config.window_hi))
-    return build_baker_cascade(config.baker_m)
+    system = config.system
+    if system["kind"] == "shift":
+        return build_shift_cascade(AgeWindow(system["lo"], system["hi"]))
+    return build_baker_cascade(system["m"])
 
 
 def build_profile(config: ExperimentConfig) -> DecayProfile:
-    return DecayProfile(config.profile_family, config.profile_a, config.profile_points)
+    profile = config.profile
+    return DecayProfile(profile["family"], profile.get("a", 1.0), profile.get("points", ()))
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,6 @@ class _Context:
     """Shared lazily-built objects for one bundle run."""
 
     def __init__(self, config: ExperimentConfig):
-        self.config = config
         self.system = build_system(config)
         self.profile = build_profile(config)
 
@@ -392,26 +393,23 @@ def certify_profile(config: ExperimentConfig) -> None:
     at every age + t of the covariance.  A certificate that merely fails
     is a gated fail of the run, not an error.
     """
-    profile = build_profile(config)
-    system = build_system(config)
+    ctx = _Context(config)
     if any(request.name in DECAY_EXPERIMENTS for request in config.experiments):
-        build_decay_operator(profile, system)
+        ctx.decay  # certifies the profile on the system, as the run does
     for request in config.experiments:
         params = request.params
         if request.name == "admissibility":
-            check_admissible(profile, grid=(params["grid_lo"], params["grid_hi"]),
+            check_admissible(ctx.profile, grid=(params["grid_lo"], params["grid_hi"]),
                              t_set=params["t_set"])
         elif request.name == "covariance":
             for t in params["t_values"]:
-                profile.log_value(system.ages + t)
+                ctx.profile.log_value(ctx.system.ages + t)
 
 
 def run_experiments(config: ExperimentConfig) -> ReportBundle:
     """Run every configured experiment once and assemble the bundle."""
     ctx = _Context(config)
     records = []
-    counts = {"pass": 0, "fail": 0, "error": 0, "recorded": 0}
-    all_gated = True
     for request in config.experiments:
         runner, checks = _RUNNERS[request.name]
         gated = bool(request.params.get("gate", True))
@@ -419,18 +417,10 @@ def run_experiments(config: ExperimentConfig) -> ReportBundle:
         try:
             passed, details = runner(ctx, request.params)
             record["details"] = details
-            if not gated:
-                record["status"] = "recorded"
-            else:
-                record["status"] = "pass" if passed else "fail"
-                if not passed:
-                    all_gated = False
+            record["status"] = ("pass" if passed else "fail") if gated else "recorded"
         except Exception as exc:  # noqa: BLE001 - capture per-experiment
             record["status"] = "error"
             record["error"] = f"{type(exc).__name__}: {exc}"
-            if gated:
-                all_gated = False
-        counts[record["status"]] += 1
         records.append(record)
 
     manifest = {
@@ -442,13 +432,15 @@ def run_experiments(config: ExperimentConfig) -> ReportBundle:
             "python": ".".join(str(p) for p in sys.version_info[:3]),
         },
     }
+    statuses = [record["status"] for record in records]
     summary = {
         "experiments": len(records),
-        "passed": counts["pass"],
-        "failed": counts["fail"],
-        "errored": counts["error"],
-        "recorded": counts["recorded"],
-        "all_gated_passed": all_gated,
+        "passed": statuses.count("pass"),
+        "failed": statuses.count("fail"),
+        "errored": statuses.count("error"),
+        "recorded": statuses.count("recorded"),
+        "all_gated_passed": all(record["status"] == "pass"
+                                for record in records if record["gated"]),
     }
     return ReportBundle(manifest=manifest, records=tuple(records), summary=summary)
 

@@ -42,7 +42,6 @@ from timeop.rigging import (
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
-    weighted_inner_rows,
 )
 from timeop.runner import _Context, _interior_band, _run_lyapunov, _run_tower
 
@@ -257,30 +256,6 @@ class TestIsometry:
         j = Diagonal(np.zeros(9))
         assert bits(isometry_check(j)) == bits(isometry_basis_loop(j)) == bits(0.0)
         assert isometry_loop(j, 30, 2) == 0.0
-
-    def test_pairing_rows_are_the_loop(self):
-        # rows with no active label, rows paired by the plain dot product,
-        # weighted rows with differing active labels, and rows past the cap
-        rng = np.random.default_rng(6)
-        lw = np.array([0.0, 0.0, 3.0, -2.0, 690.0, 0.0])
-        uc = rng.standard_normal((10, 6))
-        vc = rng.standard_normal((10, 6))
-        uc[0] = 0.0
-        uc[1, 2:] = 0.0  # only weight-zero labels active
-        vc[2, [1, 3]] = 0.0
-        uc[3, 4] = -0.0
-        uc[4:6, 4] = 0.0
-        want = [weighted_inner_loop(a, b, lw) for a, b in zip(uc[:8], vc[:8])]
-        assert np.array_equal(bits(weighted_inner_rows(uc[:8], vc[:8], lw)), bits(want))
-        # rows 8 and 9 pass the cap with the weight exp(690): row 8 raises
-        uc[8:, 4] = (2.0e5, 3.0e5)
-        vc[8:, 4] = 1.0
-        with pytest.raises(NormDomainError) as loop:
-            [weighted_inner_loop(a, b, lw) for a, b in zip(uc, vc)]
-        with pytest.raises(NormDomainError) as batched:
-            weighted_inner_rows(uc, vc, lw)
-        assert str(batched.value) == str(loop.value)
-        assert "exp(702.2)" in str(loop.value)
 
 
 class TestTower:

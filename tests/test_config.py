@@ -42,16 +42,14 @@ class TestParsing:
     def test_minimal_config(self):
         config = parse_config(MINIMAL)
         assert config.seed == 7
-        assert config.system_kind == "shift"
-        assert (config.window_lo, config.window_hi) == (-4, 4)
-        assert config.profile_family == "gumbel"
+        assert config.system == {"kind": "shift", "lo": -4, "hi": 4}
+        assert config.profile == {"family": "gumbel", "a": 1.0}
         assert [e.name for e in config.experiments] == ["lyapunov"]
         assert config.experiments[0].params["max_t"] == 2
 
     def test_demo_config_is_valid(self):
         config = parse_config(DEMO_CONFIG)
-        assert config.system_kind == "baker"
-        assert config.baker_m == 2
+        assert config.system == {"kind": "baker", "m": 2}
         names = [e.name for e in config.experiments]
         assert names == [
             "covariance", "admissibility", "lyapunov", "positivity",
@@ -72,7 +70,7 @@ class TestParsing:
         text = MINIMAL.replace("family = gumbel\na = 1.0",
                                "family = custom\npoints = -1:0.9 0:0.5 1:0.1")
         config = parse_config(text)
-        assert config.profile_points == ((-1, 0.9), (0, 0.5), (1, 0.1))
+        assert config.profile == {"family": "custom", "points": ((-1, 0.9), (0, 0.5), (1, 0.1))}
 
 
 class TestSchemaErrors:

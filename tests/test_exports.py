@@ -4,7 +4,10 @@ Every name in a submodule's ``__all__`` must resolve on that module, and
 every name ``timeop/__init__.py`` imports from a submodule must be in
 that submodule's ``__all__``, so a deleted function cannot linger as a
 stale export.  No module imports another module's private
-(underscore) name: what one module needs of another is public.
+(underscore) name: what one module needs of another is public.  Every
+module-level name is read somewhere in the program, its demos or its
+benchmark, so a name with no caller is deleted rather than kept for its
+tests.
 """
 
 import ast
@@ -53,3 +56,44 @@ def private_imports(path):
 @pytest.mark.parametrize("module", MODULES + ["__init__", "__main__"])
 def test_no_module_imports_a_private_name(module):
     assert private_imports(PACKAGE / f"{module}.py") == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "timeop").glob("*.py"))
+# the program and everything that drives it; tests are not callers
+CALLER_FILES = SOURCES + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+
+
+def module_level_names(path):
+    """The functions, classes and constants a module defines at its top level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def loaded_names(path):
+    """Every name a file reads, as a bare name or an attribute.
+
+    ``perfbench/spans.py`` names the calls it wraps as strings such as
+    ``"MarkovEvolution.__init__"``, so its string parts count as reads.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (path.name == "spans.py" and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            yield from node.value.split(".")
+
+
+def test_every_module_level_name_has_a_caller():
+    # an import or an __all__ entry is not a use: a name only the tests
+    # read is dead code, and deleting it deletes its tests
+    loaded = {name for path in CALLER_FILES for name in loaded_names(path)}
+    uncalled = [f"{path.stem}.{name}" for path in SOURCES for name in module_level_names(path)
+                if not name.startswith("__") and name not in loaded]
+    assert uncalled == []

@@ -7,7 +7,6 @@ from timeop.cascade import AgeWindow, build_baker_cascade, build_shift_cascade, 
 from timeop.hilbert import BasisMismatchError, HVector
 from timeop.markov import MarkovEvolution, markov_step
 from timeop.profiles import build_decay_operator, gumbel
-from timeop.rigging import weighted_inner_rows
 
 B = "test-basis"
 
@@ -16,47 +15,9 @@ def vec(*coeffs):
     return HVector(np.array(coeffs, dtype=float), B)
 
 
-def pairing(u, v):
-    """The Euclidean pairing: the block Gram pairing of one row pair at log weight zero."""
-    u = np.array(u, dtype=float)
-    v = np.array(v, dtype=float)
-    return float(weighted_inner_rows(u[None], v[None], np.zeros(u.size))[0])
-
-
 class TestInner:
-    def test_orthogonal_basis_vectors(self):
-        assert pairing([1, 0], [0, 1]) == 0.0
-
-    def test_direct_arithmetic(self):
-        assert pairing([1, 2], [3, 4]) == 11.0
-
     def test_norm_squared(self):
-        assert pairing([3, 4], [3, 4]) == 25.0
         assert vec(3, 4).norm() == 5.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=10))
-    def test_symmetric(self, coeffs):
-        u, v = coeffs, coeffs[::-1]
-        assert pairing(u, v) == pairing(v, u)
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
-           st.floats(-1e3, 1e3))
-    def test_bilinear_in_scaling(self, coeffs, scale):
-        u = np.array(coeffs)
-        v = u[::-1]
-        lhs = pairing(scale * u, v)
-        rhs = scale * pairing(u, v)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
-
-    @given(st.lists(
-        st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)),
-        min_size=1, max_size=10,
-    ))
-    def test_positive_definite(self, coeffs):
-        if any(c != 0 for c in coeffs):
-            assert pairing(coeffs, coeffs) > 0.0
-        else:
-            assert pairing(coeffs, coeffs) == 0.0
 
 
 class TestNorm:

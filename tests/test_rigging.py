@@ -18,7 +18,6 @@ from timeop.rigging import (
     isometry_check,
     kothe_nuclearity,
     power_spectrum,
-    weighted_inner_rows,
 )
 
 
@@ -153,10 +152,6 @@ class TestIsometry:
     def test_decay_rigging_round_off_only(self):
         _, op = shift_decay(-3, 3)
         assert isometry_check(op) <= 1e-10
-
-    def test_zero_vectors_contribute_nothing(self):
-        z = np.zeros((1, 4))
-        assert weighted_inner_rows(z, z, np.zeros(4))[0] == 0.0
 
 
 class TestClassification:

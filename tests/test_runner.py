@@ -192,6 +192,26 @@ class TestEmission:
         assert set(manifest["versions"]) == {"timeop", "numpy", "python"}
         assert manifest["seed"] == 20240808
 
+    @pytest.mark.parametrize("system,system_echo", [
+        ("kind = shift\nlo = -3\nhi = 4", '{"hi": 4, "kind": "shift", "lo": -3}'),
+        ("kind = baker\nm = 2", '{"kind": "baker", "m": 2}'),
+    ])
+    @pytest.mark.parametrize("profile,profile_echo", [
+        ("family = gumbel\na = 0.75", '{"a": 0.75, "family": "gumbel"}'),
+        ("family = logistic", '{"family": "logistic"}'),
+        ("family = custom\npoints = 1:0.1 -1:0.9 0:0.5",
+         '{"family": "custom", "points": [[1, 0.1], [-1, 0.9], [0, 0.5]]}'),
+    ])
+    def test_manifest_echoes_the_selected_variant(self, system, system_echo, profile,
+                                                  profile_echo):
+        # each section echoes its selector and the keys of that variant
+        # only, with custom points in the order they were given
+        config = parse_config(f"seed = 5\n[system]\n{system}\n[profile]\n{profile}\n")
+        echo = run_experiments(config).manifest["config"]
+        assert json.dumps(echo, sort_keys=True) == (
+            f'{{"experiments": [], "output_dir": "out", "profile": {profile_echo}, '
+            f'"seed": 5, "system": {system_echo}}}')
+
     def test_bad_format_rejected(self, tmp_path):
         bundle = run_experiments(parse_config(EMPTY_CONFIG))
         with pytest.raises(ValueError):
@@ -246,10 +266,3 @@ class TestCli:
         path = tmp_path / "logistic.cfg"
         path.write_text(LOGISTIC_CONFIG)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-
-    def test_seed_override_changes_manifest(self, tmp_path):
-        path = tmp_path / "demo.cfg"
-        path.write_text(DEMO_CONFIG)
-        main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "999"])
-        manifest = json.loads((tmp_path / "out/manifest.json").read_text())
-        assert manifest["seed"] == 999
