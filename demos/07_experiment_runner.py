@@ -3,11 +3,12 @@
 The runner executes each configured experiment once, drawing no random
 numbers, and assembles a JSON-serializable bundle; a fixed config
 reproduces the report byte for byte (its seed is only echoed in the
-manifest).  The same machinery is reachable from the command line:
+manifest).  The same machinery is reachable from the command line,
+where ``validate`` is a run that writes nothing:
 
     timeop demo --out out
     timeop validate --config demos/experiment.cfg
-    timeop run --config demos/experiment.cfg --out out --format both
+    timeop run --config demos/experiment.cfg --out out
 """
 
 import tempfile
@@ -27,12 +28,12 @@ for record in bundle.records:
 print("summary:", bundle.summary)
 
 with tempfile.TemporaryDirectory() as tmp:
-    paths = emit_report(bundle, tmp, fmt="both")
+    paths = emit_report(bundle, tmp)
     print("\nartifacts written:")
     for p in paths:
         print(f"  {Path(p).name:22s} {Path(p).stat().st_size:6d} bytes")
     again = run_experiments(config)
-    emit_report(again, Path(tmp) / "again", fmt="json")
+    emit_report(again, Path(tmp) / "again")
     identical = (Path(tmp) / "report.json").read_bytes() == \
         (Path(tmp) / "again/report.json").read_bytes()
     print("\nsecond run byte-identical:", identical)

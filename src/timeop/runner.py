@@ -8,11 +8,10 @@ byte-identical reports.
 Module errors inside one experiment are captured in its record and the
 bundle still emits, with that experiment marked errored.
 
-Emission writes ``manifest.json`` always, ``report.json`` for the json
-formats, and one CSV per trace-like experiment for the csv formats
-(``lyapunov.csv`` with columns t, norm, lyapunov_form and, when the
-baker probe is active, min_cell; ``positivity_sweep.csv`` with columns
-a, t, density, min_cell).
+Emission writes ``manifest.json``, ``report.json`` and one CSV per
+trace-like experiment (``lyapunov.csv`` with columns t, norm,
+lyapunov_form and, when the baker probe is active, min_cell;
+``positivity_sweep.csv`` with columns a, t, density, min_cell).
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "emit_report",
     "build_system",
     "build_profile",
-    "certify_profile",
 ]
 
 
@@ -380,32 +378,6 @@ _RUNNERS = {
 }
 
 
-# the experiments that read ``ctx.decay``: only they certify the profile
-# on the system when they run
-DECAY_EXPERIMENTS = frozenset({"covariance", "lyapunov", "tower", "theorem"})
-
-
-def certify_profile(config: ExperimentConfig) -> None:
-    """Raise the ``ProfileError`` a run of ``config`` would record, without running it.
-
-    Reads the profile wherever the run does: in the decay operator when
-    an experiment reads it, on the admissibility certificate's grid and
-    at every age + t of the covariance.  A certificate that merely fails
-    is a gated fail of the run, not an error.
-    """
-    ctx = _Context(config)
-    if any(request.name in DECAY_EXPERIMENTS for request in config.experiments):
-        ctx.decay  # certifies the profile on the system, as the run does
-    for request in config.experiments:
-        params = request.params
-        if request.name == "admissibility":
-            check_admissible(ctx.profile, grid=(params["grid_lo"], params["grid_hi"]),
-                             t_set=params["t_set"])
-        elif request.name == "covariance":
-            for t in params["t_values"]:
-                ctx.profile.log_value(ctx.system.ages + t)
-
-
 def run_experiments(config: ExperimentConfig) -> ReportBundle:
     """Run every configured experiment once and assemble the bundle."""
     ctx = _Context(config)
@@ -458,56 +430,48 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit_report(bundle: ReportBundle, out_dir, fmt: str = "both") -> list:
+def emit_report(bundle: ReportBundle, out_dir) -> list:
     """Write the bundle to disk; returns the written paths.
 
-    ``manifest.json`` is always written; ``report.json`` for formats
-    json/both; trace CSVs for formats csv/both.  Both JSON files are
-    strict JSON, with non-finite floats written as null.
+    Writes ``manifest.json``, ``report.json`` and the trace CSVs.  Both
+    JSON files are strict JSON, with non-finite floats written as null.
     """
-    if fmt not in ("json", "csv", "both"):
-        raise ValueError(f"format must be json, csv, or both, got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    for name, text in (("manifest.json", _json_text(bundle.manifest)),
+                       ("report.json", bundle.to_json())):
+        path = out / name
+        path.write_text(text)
+        written.append(path)
 
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(_json_text(bundle.manifest))
-    written.append(manifest_path)
-
-    if fmt in ("json", "both"):
-        report_path = out / "report.json"
-        report_path.write_text(bundle.to_json())
-        written.append(report_path)
-
-    if fmt in ("csv", "both"):
-        by_name = {record["name"]: record for record in bundle.records}
-        lyapunov = by_name.get("lyapunov")
-        if lyapunov and "details" in lyapunov:
-            d = lyapunov["details"]
-            min_cells = _min_cells_by_t(by_name.get("positivity"), bundle)
-            header = ["t", "norm", "lyapunov_form"]
-            rows = []
-            for i, t in enumerate(d["trace_t"]):
-                row = [t, d["trace_norm"][i], d["trace_form"][i]]
-                if min_cells is not None:
-                    row.append(min_cells.get(t, ""))
-                rows.append(row)
+    by_name = {record["name"]: record for record in bundle.records}
+    lyapunov = by_name.get("lyapunov")
+    if lyapunov and "details" in lyapunov:
+        d = lyapunov["details"]
+        min_cells = _min_cells_by_t(by_name.get("positivity"), bundle)
+        header = ["t", "norm", "lyapunov_form"]
+        rows = []
+        for i, t in enumerate(d["trace_t"]):
+            row = [t, d["trace_norm"][i], d["trace_form"][i]]
             if min_cells is not None:
-                header.append("min_cell")
-            path = out / "lyapunov.csv"
-            _write_csv(path, header, rows)
-            written.append(path)
-        positivity = by_name.get("positivity")
-        if positivity and "details" in positivity:
-            path = out / "positivity_sweep.csv"
-            _write_csv(
-                path,
-                ["a", "t", "density", "min_cell"],
-                [(e["a"], e["t"], e["density"], e["min_cell"])
-                 for e in positivity["details"]["sweep"]],
-            )
-            written.append(path)
+                row.append(min_cells.get(t, ""))
+            rows.append(row)
+        if min_cells is not None:
+            header.append("min_cell")
+        path = out / "lyapunov.csv"
+        _write_csv(path, header, rows)
+        written.append(path)
+    positivity = by_name.get("positivity")
+    if positivity and "details" in positivity:
+        path = out / "positivity_sweep.csv"
+        _write_csv(
+            path,
+            ["a", "t", "density", "min_cell"],
+            [(e["a"], e["t"], e["density"], e["min_cell"])
+             for e in positivity["details"]["sweep"]],
+        )
+        written.append(path)
     return written
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import timeop.config as config_module
-from timeop.cli import main
+from timeop.cli import _build_parser, main
 from timeop.config import DEMO_CONFIG, ConfigError, parse_config
 from timeop.runner import run_experiments
 
@@ -182,6 +183,14 @@ class TestSchemaErrors:
                                     "positivity is probed on a baker system"),)
 
 
+def custom_table(lo, hi, system="kind = shift\nlo = -3\nhi = 3",
+                 experiments="[experiment covariance]"):
+    # log lambda(s) = -exp(s - 16) is admissible on the certificate
+    # grid and still nonzero at s = 22
+    points = " ".join(f"{s}:{math.exp(-math.exp(s - 16))!r}" for s in range(lo, hi + 1))
+    return f"[system]\n{system}\n\n[profile]\nfamily = custom\npoints = {points}\n\n{experiments}\n"
+
+
 class TestValidateCli:
     """``timeop validate`` exits 2 with exactly one error line per fault."""
 
@@ -201,44 +210,33 @@ class TestValidateCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
-    @staticmethod
-    def custom_table_config(tmp_path, lo, hi):
-        # log lambda(s) = -exp(s - 16) is admissible on the certificate
-        # grid and still nonzero at s = 22
-        points = " ".join(f"{s}:{math.exp(-math.exp(s - 16))!r}" for s in range(lo, hi + 1))
-        path = tmp_path / "custom.cfg"
-        path.write_text("[system]\nkind = shift\nlo = -3\nhi = 3\n\n[profile]\n"
-                        f"family = custom\npoints = {points}\n\n[experiment covariance]\n")
-        return path
-
     @pytest.mark.parametrize("lo, hi, uncovered", [(-2, 1, -20), (-20, 21, 22)])
     def test_table_short_of_the_certificate_grid(self, tmp_path, capsys, lo, hi, uncovered):
-        path = self.custom_table_config(tmp_path, lo, hi)
-        assert main(["validate", "--config", str(path)]) == 2
-        captured = capsys.readouterr()
+        code, captured = self.validates(tmp_path, capsys, custom_table(lo, hi))
+        assert code == 2
         assert captured.out == ""
-        assert captured.err == f"profile table does not cover s={uncovered}\n"
+        assert captured.err == (
+            f"covariance: error (ProfileError: profile table does not cover s={uncovered})\n")
 
-    @pytest.mark.parametrize("window, experiment, uncovered", [
-        ("hi = 3", "[experiment admissibility]\ngrid_lo = -40", -40),
-        ("hi = 20", "[experiment covariance]\nt_values = 3", 23),
+    @pytest.mark.parametrize("window, name, experiment, uncovered", [
+        ("hi = 3", "admissibility", "[experiment admissibility]\ngrid_lo = -40", -40),
+        ("hi = 20", "covariance", "[experiment covariance]\nt_values = 3", 23),
     ], ids=["admissibility-grid", "covariance-ages"])
-    def test_table_short_of_a_point_the_run_reads(self, tmp_path, capsys, window, experiment,
-                                                  uncovered):
+    def test_table_short_of_a_point_the_run_reads(self, tmp_path, capsys, window, name,
+                                                  experiment, uncovered):
         # the table covers the decay operator's certificate grid, not these points
-        text = self.custom_table_config(tmp_path, -20, 22).read_text()
-        text = text.replace("hi = 3", window).replace("[experiment covariance]", experiment)
+        text = custom_table(-20, 22, f"kind = shift\nlo = -3\n{window}", experiment)
         code, captured = self.validates(tmp_path, capsys, text)
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"profile table does not cover s={uncovered}\n"
-        record = run_experiments(parse_config(text)).records[0]
-        assert record["error"] == f"ProfileError: profile table does not cover s={uncovered}"
+        error = f"ProfileError: profile table does not cover s={uncovered}"
+        assert captured.err == f"{name}: error ({error})\n"
+        assert run_experiments(parse_config(text)).records[0]["error"] == error
 
     def test_table_covering_the_certificate_grid(self, tmp_path, capsys):
-        path = self.custom_table_config(tmp_path, -20, 22)
-        assert main(["validate", "--config", str(path)]) == 0
-        assert capsys.readouterr().out == "config OK\n"
+        code, captured = self.validates(tmp_path, capsys, custom_table(-20, 22))
+        assert code == 0
+        assert captured.out == "config OK\n"
 
     @staticmethod
     def validates(tmp_path, capsys, text):
@@ -256,10 +254,8 @@ class TestValidateCli:
 
     def test_short_table_read_only_by_positivity(self, tmp_path, capsys):
         # the positivity sweep builds its own gumbel profiles
-        points = " ".join(f"{s}:{math.exp(-math.exp(s - 16))!r}" for s in range(-2, 2))
-        text = ("[system]\nkind = baker\nm = 2\n\n[profile]\n"
-                f"family = custom\npoints = {points}\n\n[experiment positivity]\n"
-                "t_values = 1\nn_random = 2\n")
+        text = custom_table(-2, 1, "kind = baker\nm = 2",
+                            "[experiment positivity]\nt_values = 1\nn_random = 2")
         code, captured = self.validates(tmp_path, capsys, text)
         assert code == 0
         assert captured.out == "config OK\n"
@@ -314,13 +310,54 @@ class TestValidateCli:
         assert [r["status"] for r in bundle.records] in (["pass"], ["recorded"])
 
     def test_short_table_with_a_decay_reader(self, tmp_path, capsys):
-        text = self.custom_table_config(tmp_path, -20, 21).read_text()
-        text = text.replace("[experiment covariance]",
+        text = custom_table(-20, 21, "kind = baker\nm = 2",
                             "[experiment positivity]\n\n[experiment lyapunov]\nmax_t = 2")
-        text = text.replace("kind = shift\nlo = -3\nhi = 3", "kind = baker\nm = 2")
         code, captured = self.validates(tmp_path, capsys, text)
         assert code == 2
-        assert captured.err == "profile table does not cover s=22\n"
+        assert captured.err == "lyapunov: error (ProfileError: profile table does not cover s=22)\n"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def every_config():
+    """Each config of the repository, the demo file widened to [-8, 8], and the tables above."""
+    demo = (ROOT / "demos" / "experiment.cfg").read_text()
+    wide = demo.replace("lo = -6\nhi = 6", "lo = -8\nhi = 8")
+    assert wide != demo
+    configs = [("experiment.cfg", demo), ("DEMO_CONFIG", DEMO_CONFIG),
+               ("experiment.cfg-wide", wide)]
+    configs += [(path.name, path.read_text()) for path in sorted(ROOT.glob("tests/golden/*.cfg"))]
+    configs += [(f"table-{lo}..{hi}", custom_table(lo, hi)) for lo, hi in
+                ((-2, 1), (-20, 21), (-20, 22))]
+    baker = "kind = baker\nm = 2"
+    configs += [
+        ("table-admissibility-grid",
+         custom_table(-20, 22, experiments="[experiment admissibility]\ngrid_lo = -40")),
+        ("table-covariance-ages",
+         custom_table(-20, 22, "kind = shift\nlo = -3\nhi = 20",
+                      "[experiment covariance]\nt_values = 3")),
+        ("table-baker-positivity",
+         custom_table(-2, 1, baker, "[experiment positivity]\nt_values = 1\nn_random = 2")),
+        ("table-baker-lyapunov",
+         custom_table(-20, 21, baker,
+                      "[experiment positivity]\n\n[experiment lyapunov]\nmax_t = 2")),
+    ]
+    return [pytest.param(text, id=name) for name, text in configs]
+
+
+@pytest.mark.parametrize("text", every_config())
+def test_validate_is_a_run_that_writes_nothing(tmp_path, capsys, text):
+    # validate exits 2 exactly when run records an error, printing run's error lines
+    path = tmp_path / "config.cfg"
+    path.write_text(text)
+    errored = any(r["status"] == "error" for r in run_experiments(parse_config(text)).records)
+    code = main(["validate", "--config", str(path)])
+    validated = capsys.readouterr()
+    main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    run_errors = [line for line in capsys.readouterr().out.splitlines() if ": error (" in line]
+    assert (code, validated.out) == ((2, "") if errored else (0, "config OK\n"))
+    assert validated.err.splitlines() == run_errors
 
 
 class TestTruncationCap:
@@ -370,3 +407,18 @@ def _readme_config_table():
 def test_readme_config_table_matches_schema():
     schema = {title: set(keys) for title, keys in config_module._SCHEMA.items()}
     assert _readme_config_table() == schema
+
+
+def _readme_cli():
+    """The subcommands and ``--flags`` named in the README's "The experiment runner" section."""
+    readme = (ROOT / "README.md").read_text()
+    body = readme.split("## The experiment runner", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"\btimeop (\w+)", body)), set(re.findall(r"--[a-z][\w-]*", body))
+
+
+def test_readme_cli_matches_parser():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for parser in subparsers.choices.values() for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    assert _readme_cli() == (set(subparsers.choices), flags)

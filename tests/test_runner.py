@@ -172,21 +172,15 @@ class TestEmission:
 
     def test_csv_headers(self, tmp_path):
         bundle = run_experiments(parse_config(DEMO_CONFIG))
-        emit_report(bundle, tmp_path, fmt="csv")
+        emit_report(bundle, tmp_path)
         lyapunov = (tmp_path / "lyapunov.csv").read_text().splitlines()
         assert lyapunov[0].startswith("t,norm,lyapunov_form")
         sweep = (tmp_path / "positivity_sweep.csv").read_text().splitlines()
         assert sweep[0] == "a,t,density,min_cell"
 
-    def test_json_format_only(self, tmp_path):
-        bundle = run_experiments(parse_config(EMPTY_CONFIG))
-        paths = emit_report(bundle, tmp_path, fmt="json")
-        names = {p.name for p in paths}
-        assert names == {"manifest.json", "report.json"}
-
     def test_manifest_carries_config_echo_and_versions(self, tmp_path):
         bundle = run_experiments(parse_config(DEMO_CONFIG))
-        emit_report(bundle, tmp_path, fmt="json")
+        emit_report(bundle, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["system"] == {"kind": "baker", "m": 2}
         assert set(manifest["versions"]) == {"timeop", "numpy", "python"}
@@ -212,11 +206,6 @@ class TestEmission:
             f'{{"experiments": [], "output_dir": "out", "profile": {profile_echo}, '
             f'"seed": 5, "system": {system_echo}}}')
 
-    def test_bad_format_rejected(self, tmp_path):
-        bundle = run_experiments(parse_config(EMPTY_CONFIG))
-        with pytest.raises(ValueError):
-            emit_report(bundle, tmp_path, fmt="yaml")
-
     def test_non_finite_values_are_written_as_null(self, tmp_path):
         # a tabulated profile that reaches 0 leaves NaN ratio witnesses
         points = " ".join(f"{s}:{min(1.0, max(0.0, 0.5 - s / 20)):g}" for s in range(-20, 23))
@@ -224,7 +213,7 @@ class TestEmission:
         bundle = run_experiments(parse_config(text + "\n[experiment admissibility]\n"))
         ratio = bundle.records[0]["details"]["witnesses"]["ratio"]
         assert any(math.isnan(w[2]) for w in ratio)
-        emit_report(bundle, tmp_path, fmt="json")
+        emit_report(bundle, tmp_path)
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -266,3 +255,20 @@ class TestCli:
         path = tmp_path / "logistic.cfg"
         path.write_text(LOGISTIC_CONFIG)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + DEMO_CONFIG.encode("utf-16-le"))
+        assert main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"cannot read config {path}: 'utf-8' codec can't decode byte "
+                                "0xff in position 0: invalid start byte\n")
+
+    def test_unwritable_output_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "out"
+        assert main(["demo", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot write output directory {out}: Not a directory\n"

@@ -23,7 +23,7 @@ import pytest
 
 import timeop.runner as runner
 from timeop.cascade import CascadeSystem
-from timeop.config import DEMO_CONFIG, parse_config
+from timeop.config import parse_config
 from timeop.profiles import DecayOperator, check_admissible, gumbel, profile_from_table
 from timeop.rigging import isometry_check
 from timeop.runner import run_experiments
@@ -242,15 +242,3 @@ def test_nonmonotone_ratio_fails_positivity(monkeypatch):
     assert record["status"] == "fail"
     assert record["details"]["negative_cells_observed"]
     assert record["details"]["worst_min_cell"] < -1.0
-
-
-def test_decay_experiments_are_the_readers_of_the_decay_operator(monkeypatch):
-    # validate certifies the profile exactly for the experiments whose run reads it
-    def unread(ctx):
-        raise RuntimeError("decay operator read")
-
-    monkeypatch.setattr(runner._Context, "decay", property(unread))
-    bundle = run_experiments(parse_config(DEMO_CONFIG))
-    readers = {r["name"] for r in bundle.records if "decay operator read" in r.get("error", "")}
-    assert {r["name"] for r in bundle.records} == set(runner._RUNNERS)
-    assert readers == runner.DECAY_EXPERIMENTS
