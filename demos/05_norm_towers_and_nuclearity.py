@@ -20,7 +20,6 @@ from timeop import (
     geometric_spectrum,
     graded_norm_rows,
     gumbel,
-    isometry_check,
     kothe_nuclearity,
     power_spectrum,
 )
@@ -38,34 +37,37 @@ for n, norm in zip(grades, norms[0]):
 print("  (grade 1/2 is e^(1/2), grade 2 is e^2: inverse weights at age 0)")
 
 print("\n=== the three canonical towers ===")
+# each verdict is the record a report stores: fractions as text
 for kind, cutoff in (("A", 1), ("B", 4), ("C", 4)):
     tower = build_tower(op, kind, cutoff)
-    sup = tower.supremum if tower.supremum is not None else "unbounded"
-    print(f"  type {kind}: grades {[str(g) for g in tower.grades]}, "
-          f"supremum {sup}, attained: {tower.supremum_attained}")
+    sup = tower["supremum"] if tower["supremum"] is not None else "unbounded"
+    print(f"  type {kind}: grades {tower['grades']}, "
+          f"supremum {sup}, attained: {tower['supremum_attained']}")
 
 print("\n=== the defining isometry, per label ===")
-dev = isometry_check(op)
-print(f"  largest deviation over the basis labels: {dev:.3e}")
+print(f"  largest deviation over the basis labels: {tower['isometry_deviation']:.3e}")
 
 print("\n=== spectrum classification ===")
 inverse_sqrt = power_spectrum(0.5, truncation=100_000)
 report = classify_spectrum(inverse_sqrt)
-print(f"values (k+1)^(-1/2): compact={report.compact}, "
-      f"Hilbert-Schmidt={report.hilbert_schmidt}, nuclear={report.nuclear}")
+print(f"values (k+1)^(-1/2): compact={report['compact']}, "
+      f"Hilbert-Schmidt={report['hilbert_schmidt']}, nuclear={report['nuclear']}")
 print("powers of the operator:")
-for n, verdict in report.power_thresholds[:4]:
-    print(f"  power {n}: nuclear={verdict.nuclear}, Hilbert-Schmidt={verdict.hilbert_schmidt}")
-print(f"smallest nuclear power: {report.min_nuclear_power}")
-item = next(e for e in report.evidence if e.exponent == 4.0)
-print(f"4th-power series: partial {item.partial:.9f} + tail in "
-      f"[{item.tail_lo:.3e}, {item.tail_hi:.3e}]  "
+for n in ("1", "2", "3", "4"):
+    verdict = report["powers"][n]
+    print(f"  power {n}: nuclear={verdict['nuclear']}, "
+          f"Hilbert-Schmidt={verdict['hilbert_schmidt']}")
+print(f"smallest nuclear power: {report['min_nuclear_power']}")
+item = next(e for e in report["evidence"] if e["exponent"] == 4.0)
+print(f"4th-power series: partial {item['partial_sum']:.9f} + tail in "
+      f"[{item['tail_lo']:.3e}, {item['tail_hi']:.3e}]  "
       f"(brackets pi^2/6 - 1 = {math.pi**2 / 6 - 1:.9f})")
 
 print("\n=== nuclearity of the graded sequence space ===")
 good = kothe_nuclearity(geometric_spectrum(0.5, truncation=10_000), 0, Fraction(1, 2))
-print(f"geometric(1/2): ratio limit {good.ratio_limsup}, criterion met: {good.criterion_met}, "
-      f"series sum {good.partial_sum} (closed form {good.closed_form_sum})")
+print(f"geometric(1/2): ratio limit {good['ratio_limsup']}, "
+      f"criterion met: {good['criterion_met']}, "
+      f"series sum {good['partial_sum']} (closed form {good['closed_form_sum']})")
 bad = kothe_nuclearity(inverse_sqrt, 0, Fraction(1, 2))
-print(f"(k+1)^(-1/2): ratio limit {bad.ratio_limsup}, criterion met: {bad.criterion_met}, "
-      f"series converges: {bad.sum_converges}")
+print(f"(k+1)^(-1/2): ratio limit {bad['ratio_limsup']}, criterion met: {bad['criterion_met']}, "
+      f"series converges: {bad['sum_converges']}")

@@ -39,10 +39,7 @@ from .profiles import (
     verify_covariant_transform,
 )
 from .rigging import (
-    KotheReport,
     NormDomainError,
-    NormTower,
-    OperatorClassReport,
     SingularSpectrum,
     build_tower,
     classify_spectrum,

@@ -108,19 +108,6 @@ class OperatorWeb:
             raise MarginError(f"label {self.system.label_text(i)} is not t-margin safe")
         return float(np.exp(self.log_weights[name][i]))
 
-    def matrix(self, name: str) -> np.ndarray:
-        """Dense dim x dim array of the named evolution, built on request.
-
-        Columns outside the safe labels, and those of safe labels whose
-        image is truncated, are zero.  Meant for small-dim cross-checks;
-        no verification route uses it.
-        """
-        cols = np.nonzero(self.safe_mask & (self.targets >= 0))[0]
-        mat = np.zeros((self.system.dim, self.system.dim))
-        with np.errstate(under="ignore"):
-            mat[self.targets[cols], cols] = np.exp(self.log_weights[name][cols])
-        return mat
-
 
 def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
     """Build the six evolutions at time t as index map plus log weights.

@@ -97,11 +97,12 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
     ``labels`` (of every label when None); every other label is zero.
     Returns the target labels of the given labels inside the t-margin
     and the weighted coefficients each row moves onto them; every other
-    label of the evolved row is zero.  A zero result, from a zero
-    coefficient (-0.0 included) or an underflowing product, lands as
-    +0.0, the value of a label that receives nothing.  The margin check
-    runs row by row and names the labels of the first offending row, in
-    index order.
+    label of the evolved row is zero.  A label inside the margin whose
+    image is truncated (a defective step map) moves nothing.  A zero
+    result, from a zero coefficient (-0.0 included) or an underflowing
+    product, lands as +0.0, the value of a label that receives nothing.
+    The margin check runs row by row and names the labels of the first
+    offending row, in index order.
     """
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
@@ -119,14 +120,16 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
         names = ", ".join(system.label_text(i) for i in offending[:8])
         raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
     del size, far  # one block fewer alive through the gather below
-    # the weights inside the margin are finite, in [0, 1], so a product
-    # is zero only for a zero coefficient or an underflow; x + 0.0 is x,
-    # except that -0.0 becomes +0.0
-    kept = labels[inside]
-    moved = coeffs[:, inside]
-    moved *= np.exp(ev.log_ratios[t][kept])
+    # a label whose image is truncated carries nothing (U^t e_k = 0); the
+    # weights of the others are finite, in [0, 1], so a product is zero
+    # only for a zero coefficient or an underflow; x + 0.0 is x, except
+    # that -0.0 becomes +0.0
+    targets = system.step_indices(t)[labels]
+    kept = inside & (targets >= 0)
+    moved = coeffs[:, kept]
+    moved *= np.exp(ev.log_ratios[t][labels[kept]])
     moved += 0.0
-    return system.step_indices(t)[kept], moved
+    return targets[kept], moved
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ they hold label by label: they are checked per label, on no sample.
 Separately, closed-form singular spectra (power and geometric families)
 are classified as compact / Hilbert-Schmidt / nuclear.  Verdicts are
 decided analytically, and partial sums are bracketed with integral tail
-bounds.
+bounds.  :func:`build_tower`, :func:`classify_spectrum` and
+:func:`kothe_nuclearity` return their verdicts as the plain dicts a
+report records, fractions written as text.
 """
 
 from __future__ import annotations
@@ -41,17 +43,12 @@ __all__ = [
     "NormDomainError",
     "LOG_WEIGHT_CAP",
     "graded_norm_rows",
-    "NormTower",
     "build_tower",
     "isometry_check",
     "SingularSpectrum",
     "power_spectrum",
     "geometric_spectrum",
-    "PowerVerdict",
-    "PartialSumEvidence",
-    "OperatorClassReport",
     "classify_spectrum",
-    "KotheReport",
     "kothe_nuclearity",
 ]
 
@@ -104,17 +101,6 @@ def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
     return norms, peaks
 
 
-@dataclass(frozen=True)
-class NormTower:
-    """A materialized prefix of one of the three canonical grade sets."""
-
-    tower_type: str
-    grades: tuple
-    cutoff: int
-    supremum: Fraction | None
-    supremum_attained: bool
-
-
 def _tower_grades(tower_type: str, cutoff: int) -> tuple:
     if tower_type == "A":
         return (Fraction(1),)
@@ -125,8 +111,8 @@ def _tower_grades(tower_type: str, cutoff: int) -> tuple:
     raise ValueError(f"tower type must be A, B, or C, got {tower_type!r}")
 
 
-def build_tower(j, tower_type: str, cutoff: int) -> NormTower:
-    """Materialize a norm tower, checked per label.
+def build_tower(j, tower_type: str, cutoff: int) -> dict:
+    """Materialize a norm tower, checked per label, as its report record.
 
     ``|v|_n^2 = sum_k v_k^2 exp(-2 n log d_k)`` is nondecreasing in the
     grade n for every v exactly when every log d_k <= 0, so that
@@ -134,7 +120,9 @@ def build_tower(j, tower_type: str, cutoff: int) -> NormTower:
     rejected.  The grade-n norm of the basis vector e_k is
     exp(-n log d_k): the first grade, in grade order, whose largest
     weight -n min(log d) passes ``LOG_WEIGHT_CAP`` raises
-    :class:`NormDomainError`.
+    :class:`NormDomainError`.  The record holds the grades and the
+    supremum as fraction text and the deviation of the defining
+    isometry (:func:`isometry_check`).
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
@@ -148,9 +136,13 @@ def build_tower(j, tower_type: str, cutoff: int) -> NormTower:
         if peak > LOG_WEIGHT_CAP:
             raise NormDomainError(
                 f"outside materialized domain: grade {grade} weights reach exp({peak:.1f})")
-    supremum = {"A": Fraction(1), "B": Fraction(1), "C": None}[tower_type]
-    attained = tower_type == "A"
-    return NormTower(tower_type, grades, cutoff, supremum, attained)
+    return {
+        "tower_type": tower_type,
+        "grades": [str(g) for g in grades],
+        "supremum": None if tower_type == "C" else "1",
+        "supremum_attained": tower_type == "A",
+        "isometry_deviation": isometry_check(j),
+    }
 
 
 def isometry_check(j) -> float:
@@ -288,115 +280,61 @@ def _converges(spectrum: SingularSpectrum, exponent: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PowerVerdict:
-    nuclear: bool
-    hilbert_schmidt: bool
-
-
-@dataclass(frozen=True)
-class PartialSumEvidence:
-    exponent: float
-    partial: float
-    tail_lo: float | None
-    tail_hi: float | None
-    converges: bool
-
-
-@dataclass(frozen=True)
-class OperatorClassReport:
-    """Compact / Hilbert-Schmidt / nuclear verdicts for J and its powers.
-
-    Every verdict is analytic, so ``method`` is ``analytic-tail-bound``.
-    """
-
-    spectrum: str
-    compact: bool
-    hilbert_schmidt: bool
-    nuclear: bool
-    power_thresholds: tuple
-    min_nuclear_power: int | None
-    evidence: tuple
-    method: str = "analytic-tail-bound"
-
-    def power_verdict(self, n: int) -> PowerVerdict:
-        for power, verdict in self.power_thresholds:
-            if power == n:
-                return verdict
-        raise KeyError(f"power {n} not materialized in this report")
-
-
-def classify_spectrum(spectrum: SingularSpectrum) -> OperatorClassReport:
-    """Classify a singular spectrum and the powers of its operator.
+def classify_spectrum(spectrum: SingularSpectrum) -> dict:
+    """Classify a singular spectrum and the powers of its operator, as a report record.
 
     compact iff the values decrease to zero, as both families do;
     Hilbert-Schmidt iff the squares are summable; nuclear iff the values
     themselves are.  For each integer n up to ``MAX_POWER`` the spectrum
-    of the n-th power (values**n) is classified the same way, and the
-    smallest nuclear power is reported when one exists.
+    of the n-th power (values**n) is classified the same way under
+    ``powers[str(n)]``, and the smallest nuclear power is reported when
+    one exists.  Each ``evidence`` entry carries the partial sum of
+    values**exponent with its tail bracket, and a convergent entry with
+    a bracket also the window ``partial_sum + tail`` that holds the limit.
     """
-    nuclear = _converges(spectrum, 1.0)
-    hilbert_schmidt = _converges(spectrum, 2.0)
-
-    thresholds = []
-    min_nuclear = None
-    for n in range(1, MAX_POWER + 1):
-        verdict = PowerVerdict(nuclear=_converges(spectrum, n),
-                               hilbert_schmidt=_converges(spectrum, 2 * n))
-        thresholds.append((n, verdict))
-        if verdict.nuclear and min_nuclear is None:
-            min_nuclear = n
+    powers = {str(n): {"nuclear": _converges(spectrum, n),
+                       "hilbert_schmidt": _converges(spectrum, 2 * n)}
+              for n in range(1, MAX_POWER + 1)}
+    min_nuclear = next((n for n in range(1, MAX_POWER + 1) if _converges(spectrum, n)), None)
     if min_nuclear is None and spectrum.family == "power":
         min_nuclear = math.floor(1.0 / spectrum.alpha) + 1
 
     values = spectrum.values()
     evidence = []
     for exponent in (1.0, 2.0, 4.0):
+        partial = _partial_sum(values, exponent)
         bounds = _tail_bounds(spectrum, exponent)
-        evidence.append(
-            PartialSumEvidence(
-                exponent=exponent,
-                partial=_partial_sum(values, exponent),
-                tail_lo=None if bounds is None else bounds[0],
-                tail_hi=None if bounds is None else bounds[1],
-                converges=_converges(spectrum, exponent),
-            )
-        )
+        entry = {
+            "exponent": exponent,
+            "partial_sum": partial,
+            "converges": _converges(spectrum, exponent),
+            "tail_lo": None if bounds is None else bounds[0],
+            "tail_hi": None if bounds is None else bounds[1],
+        }
+        if entry["converges"] and bounds is not None:
+            entry["limit_window"] = [partial + bounds[0], partial + bounds[1]]
+        evidence.append(entry)
 
-    return OperatorClassReport(
-        spectrum=spectrum.describe(),
-        compact=True,
-        hilbert_schmidt=hilbert_schmidt,
-        nuclear=nuclear,
-        power_thresholds=tuple(thresholds),
-        min_nuclear_power=min_nuclear,
-        evidence=tuple(evidence),
-    )
-
-
-@dataclass(frozen=True)
-class KotheReport:
-    """Ratio-limit evidence for nuclearity of the graded sequence space."""
-
-    spectrum: str
-    n1: Fraction
-    n2: Fraction
-    exponent: float
-    ratio_limsup: float
-    criterion_met: bool
-    partial_sum: float
-    sum_converges: bool
-    closed_form_sum: float | None
-    method: str = "analytic-tail-bound"
+    return {
+        "spectrum": spectrum.describe(),
+        "compact": True,
+        "hilbert_schmidt": _converges(spectrum, 2.0),
+        "nuclear": _converges(spectrum, 1.0),
+        "min_nuclear_power": min_nuclear,
+        "method": "analytic-tail-bound",
+        "powers": powers,
+        "evidence": evidence,
+    }
 
 
-def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
-    """Nuclearity criterion between two grades of the sequence tower.
+def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> dict:
+    """Nuclearity criterion between two grades of the sequence tower, as a report record.
 
-    Requires 0 <= n1 < n2 < 1.  The criterion holds when the successive
-    ratio limit of the singular values stays strictly below one; the
-    accompanying series sum lambda_k**(2 (n2 - n1)) is reported with its
-    analytic convergence verdict.
+    Requires 0 <= n1 < n2 < 1, written as fraction text in the record.
+    The criterion holds when the successive ratio limit of the singular
+    values stays strictly below one; the accompanying series
+    sum lambda_k**(2 (n2 - n1)) is reported with its analytic
+    convergence verdict.
     """
     n1 = Fraction(n1)
     n2 = Fraction(n2)
@@ -408,14 +346,15 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> KotheReport:
     # geometric one
     ratio_limsup = 1.0 if spectrum.family == "power" else spectrum.q
 
-    return KotheReport(
-        spectrum=spectrum.describe(),
-        n1=n1,
-        n2=n2,
-        exponent=exponent,
-        ratio_limsup=ratio_limsup,
-        criterion_met=ratio_limsup < 1.0,
-        partial_sum=_partial_sum(spectrum.values(), exponent),
-        sum_converges=_converges(spectrum, exponent),
-        closed_form_sum=_closed_form_sum(spectrum, exponent),
-    )
+    return {
+        "spectrum": spectrum.describe(),
+        "n1": str(n1),
+        "n2": str(n2),
+        "exponent": exponent,
+        "ratio_limsup": ratio_limsup,
+        "criterion_met": ratio_limsup < 1.0,
+        "partial_sum": _partial_sum(spectrum.values(), exponent),
+        "sum_converges": _converges(spectrum, exponent),
+        "closed_form_sum": _closed_form_sum(spectrum, exponent),
+        "method": "analytic-tail-bound",
+    }

@@ -53,7 +53,6 @@ from .rigging import (
     build_tower,
     classify_spectrum,
     geometric_spectrum,
-    isometry_check,
     kothe_nuclearity,
     power_spectrum,
 )
@@ -296,14 +295,7 @@ def _run_positivity(ctx, params):
 
 
 def _run_tower(ctx, params):
-    tower = build_tower(ctx.decay, params["tower_type"], params["cutoff"])
-    details = {
-        "tower_type": tower.tower_type,
-        "grades": [str(g) for g in tower.grades],
-        "supremum": None if tower.supremum is None else str(tower.supremum),
-        "supremum_attained": tower.supremum_attained,
-        "isometry_deviation": isometry_check(ctx.decay),
-    }
+    details = build_tower(ctx.decay, params["tower_type"], params["cutoff"])
     return details["isometry_deviation"] <= 1e-10, details
 
 
@@ -314,45 +306,17 @@ def _spectrum_from_params(params) -> SingularSpectrum:
 
 
 def _run_classify(ctx, params):
-    spectrum = _spectrum_from_params(params)
-    report = classify_spectrum(spectrum)
-    bracket_ok = True
-    evidence = []
-    for item in report.evidence:
-        entry = {
-            "exponent": item.exponent,
-            "partial_sum": item.partial,
-            "converges": item.converges,
-            "tail_lo": item.tail_lo,
-            "tail_hi": item.tail_hi,
-        }
-        if item.converges and item.tail_lo is not None:
-            entry["limit_window"] = [item.partial + item.tail_lo, item.partial + item.tail_hi]
-            bracket_ok = bracket_ok and item.tail_lo <= item.tail_hi
-        evidence.append(entry)
-    details = {
-        "spectrum": report.spectrum,
-        "compact": report.compact,
-        "hilbert_schmidt": report.hilbert_schmidt,
-        "nuclear": report.nuclear,
-        "min_nuclear_power": report.min_nuclear_power,
-        "method": report.method,
-        "powers": {
-            str(n): {"nuclear": v.nuclear, "hilbert_schmidt": v.hilbert_schmidt}
-            for n, v in report.power_thresholds
-        },
-        "evidence": evidence,
-    }
+    details = classify_spectrum(_spectrum_from_params(params))
+    bracket_ok = all(item["tail_lo"] <= item["tail_hi"] for item in details["evidence"]
+                     if item["converges"] and item["tail_lo"] is not None)
     return bracket_ok, details
 
 
 def _run_kothe(ctx, params):
-    spectrum = _spectrum_from_params(params)
-    report = kothe_nuclearity(spectrum, params["n1"], params["n2"])
+    details = kothe_nuclearity(_spectrum_from_params(params), params["n1"], params["n2"])
     # the ratio-limit criterion is sufficient, not necessary: it must
     # imply convergence, while a power spectrum may converge without it
-    consistent = not report.criterion_met or report.sum_converges
-    return consistent, {**asdict(report), "n1": str(report.n1), "n2": str(report.n2)}
+    return not details["criterion_met"] or details["sum_converges"], details
 
 
 def _run_theorem(ctx, params):

@@ -403,10 +403,10 @@ class TestSpectrumSums:
                 return float(np.sum(spectrum.values() ** exponent))
 
         report = classify_spectrum(spectrum)
-        for item in report.evidence:
-            assert bits(item.partial) == bits(loop(item.exponent))
+        for item in report["evidence"]:
+            assert bits(item["partial_sum"]) == bits(loop(item["exponent"]))
         kothe = kothe_nuclearity(spectrum, Fraction(1, 3), Fraction(3, 4))
-        assert bits(kothe.partial_sum) == bits(loop(kothe.exponent))
+        assert bits(kothe["partial_sum"]) == bits(loop(kothe["exponent"]))
 
 
 def with_step(system, step):

@@ -5,9 +5,9 @@ every name ``timeop/__init__.py`` imports from a submodule must be in
 that submodule's ``__all__``, so a deleted function cannot linger as a
 stale export.  No module imports another module's private
 (underscore) name: what one module needs of another is public.  Every
-module-level name is read somewhere in the program, its demos or its
-benchmark, so a name with no caller is deleted rather than kept for its
-tests.
+module-level name, and every public method and property of a class, is
+read somewhere in the program, its demos or its benchmark, so a name
+with no caller is deleted rather than kept for its tests.
 """
 
 import ast
@@ -74,6 +74,15 @@ def module_level_names(path):
             yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
+def public_members(path):
+    """The public methods and properties that a module's classes define."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def loaded_names(path):
     """Every name a file reads, as a bare name or an attribute.
 
@@ -90,10 +99,23 @@ def loaded_names(path):
             yield from node.value.split(".")
 
 
+def caller_reads():
+    return {name for path in CALLER_FILES for name in loaded_names(path)}
+
+
 def test_every_module_level_name_has_a_caller():
     # an import or an __all__ entry is not a use: a name only the tests
     # read is dead code, and deleting it deletes its tests
-    loaded = {name for path in CALLER_FILES for name in loaded_names(path)}
+    loaded = caller_reads()
     uncalled = [f"{path.stem}.{name}" for path in SOURCES for name in module_level_names(path)
                 if not name.startswith("__") and name not in loaded]
+    assert uncalled == []
+
+
+def test_every_public_method_and_property_has_a_caller():
+    # read as an attribute anywhere in the callers, by any class: a
+    # method or property that only the tests read is dead code
+    loaded = caller_reads()
+    uncalled = [f"{path.stem}.{qualified}" for path in SOURCES
+                for qualified, name in public_members(path) if name not in loaded]
     assert uncalled == []

@@ -24,6 +24,8 @@ from timeop.cascade import (
     verify_imprimitivity,
 )
 from timeop.duals import build_operator_web, verify_web
+from timeop.hilbert import HVector
+from timeop.markov import MarkovEvolution, evolved_minima, lyapunov_traces, markov_step
 from timeop.profiles import build_decay_operator, gumbel, verify_covariant_transform
 
 T_VALUES = (0, 1, 2, 3)
@@ -151,6 +153,23 @@ def test_truncated_image_inside_the_margin(system):
     assert verify_imprimitivity(bad, (1,), 1) == 1.0
     op = build_decay_operator(gumbel(1.0), bad)
     assert verify_covariant_transform(op, 1) == float(-op.log_weight(system.ages + 1)[j])
+    # the Markov step reads a truncated image as U e_k = 0: nothing lands
+    # on index -1, the top label, and no weight exp(NaN) is formed; no
+    # later label's image covers index -1 for the last label of the margin
+    last = int(np.nonzero(system.interior_mask(1))[0][-1])
+    for k in (j, last):
+        step = np.array(system._step)
+        step[k] = -1
+        bad = with_step(system, step)
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), bad), 1)
+        evolved = markov_step(ev, HVector(np.eye(bad.dim)[k], bad.basis_id), 1)
+        assert not evolved.coeffs.any()
+        (trace,) = lyapunov_traces(ev, np.eye(1, bad.dim, k))
+        assert trace.norms == (1.0, 0.0)
+        if bad.kind == "baker":
+            # 1 + chi/2 on label k: the fluctuation vanishes, every cell reads 1
+            minima = evolved_minima(ev, np.ones(1), np.full((1, 1), 0.5), np.array([k]), 1)
+            assert minima.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("system", systems(), ids=lambda s: s.basis_id)

@@ -93,20 +93,20 @@ class TestTower:
     def test_type_b_grades(self):
         _, op = shift_decay()
         tower = build_tower(op, "B", 3)
-        assert tower.grades == (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
-        assert tower.supremum == 1 and not tower.supremum_attained
+        assert tower["grades"] == ["0", "1/2", "2/3", "3/4"]
+        assert tower["supremum"] == "1" and not tower["supremum_attained"]
 
     def test_type_c_grades(self):
         _, op = shift_decay()
         tower = build_tower(op, "C", 3)
-        assert tower.grades == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
-        assert tower.supremum is None
+        assert tower["grades"] == ["0", "1", "2", "3"]
+        assert tower["supremum"] is None
 
     def test_type_a_single_grade(self):
         s, op = shift_decay()
         tower = build_tower(op, "A", 1)
-        assert tower.grades == (Fraction(1),)
-        assert tower.supremum_attained
+        assert tower["grades"] == ["1"]
+        assert tower["supremum"] == "1" and tower["supremum_attained"]
 
     def test_monotonicity_under_the_tower(self):
         s, op = shift_decay()
@@ -114,7 +114,7 @@ class TestTower:
         rng = np.random.default_rng(12)
         for _ in range(10):
             v = rng.standard_normal(s.dim)
-            norms = [graded(v, g, op) for g in tower.grades]
+            norms = [graded(v, Fraction(g), op) for g in tower["grades"]]
             assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_expanding_diagonal_rejected(self):
@@ -157,22 +157,25 @@ class TestIsometry:
 class TestClassification:
     def test_inverse_sqrt_family(self):
         report = classify_spectrum(power_spectrum(0.5, truncation=10_000))
-        assert report.compact
-        assert not report.nuclear
-        assert not report.hilbert_schmidt
-        assert report.power_verdict(2).hilbert_schmidt
-        assert report.power_verdict(4).nuclear
-        assert report.min_nuclear_power == 3
-        assert report.method == "analytic-tail-bound"
+        assert report["compact"]
+        assert not report["nuclear"]
+        assert not report["hilbert_schmidt"]
+        assert report["powers"]["2"]["hilbert_schmidt"]
+        assert report["powers"]["4"]["nuclear"]
+        assert report["min_nuclear_power"] == 3
+        assert report["method"] == "analytic-tail-bound"
 
     def test_fourth_power_partial_sum_brackets_the_limit(self):
         spectrum = power_spectrum(0.5, truncation=100_000)
         report = classify_spectrum(spectrum)
         limit = math.pi**2 / 6.0 - 1.0
-        item = next(e for e in report.evidence if e.exponent == 4.0)
-        assert item.converges
-        assert item.partial + item.tail_lo <= limit + 1e-12
-        assert limit <= item.partial + item.tail_hi + 1e-12
+        item = next(e for e in report["evidence"] if e["exponent"] == 4.0)
+        assert item["converges"]
+        lo, hi = item["limit_window"]
+        assert (lo, hi) == (item["partial_sum"] + item["tail_lo"],
+                            item["partial_sum"] + item["tail_hi"])
+        assert lo <= limit + 1e-12
+        assert limit <= hi + 1e-12
 
     @pytest.mark.parametrize("alpha,nuclear,hs", [
         (0.25, False, False),
@@ -184,31 +187,32 @@ class TestClassification:
     ])
     def test_analytic_thresholds(self, alpha, nuclear, hs):
         report = classify_spectrum(power_spectrum(alpha, truncation=100))
-        assert report.nuclear is nuclear
-        assert report.hilbert_schmidt is hs
-        assert report.compact
+        assert report["nuclear"] is nuclear
+        assert report["hilbert_schmidt"] is hs
+        assert report["compact"]
 
     def test_geometric_is_nuclear_with_unit_sum(self):
         report = classify_spectrum(geometric_spectrum(0.5, truncation=200))
-        assert report.nuclear and report.hilbert_schmidt and report.compact
-        item = next(e for e in report.evidence if e.exponent == 1.0)
-        assert item.partial + item.tail_hi == pytest.approx(1.0, abs=1e-12)
+        assert report["nuclear"] and report["hilbert_schmidt"] and report["compact"]
+        item = next(e for e in report["evidence"] if e["exponent"] == 1.0)
+        assert item["partial_sum"] + item["tail_hi"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKothe:
     def test_geometric_criterion(self):
         report = kothe_nuclearity(geometric_spectrum(0.5, truncation=10_000), 0, Fraction(1, 2))
-        assert report.ratio_limsup == 0.5
-        assert report.criterion_met
-        assert report.sum_converges
-        assert report.closed_form_sum == pytest.approx(1.0, abs=1e-15)
-        assert report.partial_sum == pytest.approx(1.0, abs=1e-12)
+        assert report["ratio_limsup"] == 0.5
+        assert report["criterion_met"]
+        assert report["sum_converges"]
+        assert report["closed_form_sum"] == pytest.approx(1.0, abs=1e-15)
+        assert report["partial_sum"] == pytest.approx(1.0, abs=1e-12)
+        assert (report["n1"], report["n2"]) == ("0", "1/2")
 
     def test_inverse_sqrt_fails_the_criterion(self):
         report = kothe_nuclearity(power_spectrum(0.5, truncation=10_000), 0, Fraction(1, 2))
-        assert report.ratio_limsup == 1.0
-        assert not report.criterion_met
-        assert not report.sum_converges
+        assert report["ratio_limsup"] == 1.0
+        assert not report["criterion_met"]
+        assert not report["sum_converges"]
 
     def test_equal_grades_rejected(self):
         with pytest.raises(ValueError):

@@ -150,15 +150,33 @@ class TestBundle:
         import timeop.runner as runner
 
         honest = runner.kothe_nuclearity
-        monkeypatch.setattr(
-            runner, "kothe_nuclearity",
-            lambda *a: dataclasses.replace(honest(*a), sum_converges=False),
-        )
+        monkeypatch.setattr(runner, "kothe_nuclearity",
+                            lambda *a: {**honest(*a), "sum_converges": False})
         text = SHIFT_CONFIG.format(a=1.0) + (
             "\n[experiment kothe]\nspectrum = geometric 0.5\nn1 = 0\nn2 = 1/2\n"
         )
         record = run_experiments(parse_config(text)).records[0]
         assert record["details"]["criterion_met"]
+        assert record["status"] == "fail"
+
+    def test_classify_tail_bracket_out_of_order_fails(self, monkeypatch):
+        import timeop.runner as runner
+
+        honest = runner.classify_spectrum
+
+        def swapped(spectrum):
+            record = honest(spectrum)
+            entry = record["evidence"][-1]
+            entry["tail_lo"], entry["tail_hi"] = entry["tail_hi"] + 1.0, entry["tail_lo"]
+            return record
+
+        monkeypatch.setattr(runner, "classify_spectrum", swapped)
+        text = SHIFT_CONFIG.format(a=1.0) + (
+            "\n[experiment classify]\nspectrum = power 0.5\ntruncation = 1000\n"
+        )
+        record = run_experiments(parse_config(text)).records[0]
+        entry = record["details"]["evidence"][-1]
+        assert entry["converges"] and entry["tail_lo"] > entry["tail_hi"]
         assert record["status"] == "fail"
 
 
