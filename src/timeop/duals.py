@@ -27,7 +27,10 @@ families are uniformly bounded; witnesses for the asserted inequalities
 are reported in the plain coefficient norm.  The Riesz twist z is
 checked against the closed form 2 (L(a+t) - L(a)) of its weights and
 against the Jordan type of the step (the ranks of its powers), both
-read off the index map.
+read off the index map: the ranks of all powers follow one array of
+chain positions along it.  The dual-Markov traces of all blocks are one
+``(block, label)`` table, and the weights the three witnesses compare
+are exponentiated once.
 """
 
 from __future__ import annotations
@@ -201,39 +204,31 @@ class WebReport:
         )
 
 
-def _best_witness(web: OperatorWeb, name_a: str, name_b: str) -> WitnessRecord:
-    safe = np.nonzero(web.safe_mask)[0]
-    with np.errstate(under="ignore"):
-        dev = np.abs(
-            np.exp(web.log_weights[name_a][safe]) - np.exp(web.log_weights[name_b][safe])
-        )
-    i = int(np.argmax(dev))
-    return WitnessRecord(label=web.system.label_text(safe[i]), deviation=float(dev[i]))
-
-
 def _jordan_type_gap(web: OperatorWeb) -> float:
     """Largest gap between the ranks of C^k and those of the step.
 
     C is the compression of z to the safe labels.  Each column of C
     holds at most one entry, so the rank of C^k is the number of
-    distinct endpoints of the k-step chains that follow ``targets``
-    through finite z weights and safe images.  The compressed step has
-    rank #{i : age_i + (k+1) t <= hi}, for k = 1 up to nilpotency.
+    distinct endpoints of the k-step chains that start at the safe
+    labels and follow ``targets`` through finite z weights and safe
+    images.  The compressed step has rank #{i : age_i + (k+1) t <= hi},
+    for k = 1 up to nilpotency.
     """
     system = web.system
     safe = web.safe_mask
-    # z is NaN off the margin, so links start only at safe labels
+    # z is NaN off the margin, so links start only at safe labels; a
+    # broken chain sits at -1, the appended last entry, which stays -1
     nxt = np.where(np.isfinite(web.log_weights["z"]), web.targets, -1)
-    nxt = np.where((nxt >= 0) & safe[nxt], nxt, -1)
-    ends = safe
-    gap = 0
-    for k in range(1, (system.window.hi - system.window.lo) // web.t + 2):
-        images = nxt[ends]
-        ends = np.zeros(system.dim, dtype=bool)
-        ends[images[images >= 0]] = True
-        expected = np.count_nonzero(system.ages + (k + 1) * web.t <= system.window.hi)
-        gap = max(gap, abs(np.count_nonzero(ends) - expected))
-    return float(gap)
+    nxt = np.append(np.where((nxt >= 0) & safe[nxt], nxt, -1), -1)
+    powers = np.arange(1, (system.window.hi - system.window.lo) // web.t + 2)
+    # row k - 1 marks the endpoints of the k-step chains, its last column the broken ones
+    ends = np.zeros((powers.size, system.dim + 1), dtype=bool)
+    pos = np.flatnonzero(safe)
+    for row in ends:
+        pos = nxt[pos]
+        row[pos] = True
+    expected = (system.ages + (powers[:, None] + 1) * web.t <= system.window.hi).sum(axis=1)
+    return float(np.abs(ends[:, :-1].sum(axis=1) - expected).max(initial=0))
 
 
 def verify_web(web: OperatorWeb) -> WebReport:
@@ -259,22 +254,28 @@ def verify_web(web: OperatorWeb) -> WebReport:
     steps = min(DUAL_TRACE_STEPS, max((system.window.hi - system.window.lo) // web.t, 1))
     band = np.nonzero(system.ages + steps * web.t <= system.window.hi)[0]
     log_lam = decay.log_diag
-    logs = np.empty((steps + 1, band.size))
-    for k in range(steps + 1):
-        image = system.step_indices(k * web.t)[band]
-        logs[k] = np.where(image >= 0, log_lam[band] + log_lam[image], -np.inf)
+    images = np.array([system.step_indices(k * web.t)[band] for k in range(steps + 1)])
+    logs = np.where(images >= 0, log_lam[band] + log_lam[images], -np.inf)
     monotone = bool(np.all(logs[1:] <= logs[:-1]))
+    # the sum along the last axis of a C-contiguous block is each row's 1-D
+    # sum; a block gathered by a column index would be Fortran-ordered
     with np.errstate(under="ignore"):
-        traces = [float(np.sqrt(np.sum(np.exp(2.0 * row)))) for row in logs]
+        traces = np.sqrt(np.sum(np.exp(2.0 * logs), axis=1)).tolist()
+        # each separating witness is the safe label where its pair differs most
+        weights = np.exp(np.array([web.log_weights[name]
+                                   for name in ("v", "y", "w", "u_ext", "z")])[:, safe])
+    dev = np.abs(weights[:3] - weights[[3, 3, 4]])
+    witnesses = [WitnessRecord(label=system.label_text(safe[i]), deviation=float(row[i]))
+                 for row, i in zip(dev, dev.argmax(axis=1))]
 
     report = WebReport(
         t=web.t,
         v_equals_x_deviation=v_equals_x,
         dual_markov_monotone=monotone,
         dual_markov_traces=tuple(traces),
-        v_vs_u_witness=_best_witness(web, "v", "u_ext"),
-        y_vs_u_witness=_best_witness(web, "y", "u_ext"),
-        w_vs_z_witness=_best_witness(web, "w", "z"),
+        v_vs_u_witness=witnesses[0],
+        y_vs_u_witness=witnesses[1],
+        w_vs_z_witness=witnesses[2],
         z_spectrum_deviation=_jordan_type_gap(web),
         z_conjugacy_deviation=float(
             np.abs(

@@ -7,7 +7,10 @@ lambda(n+t)/lambda(n) in (0, 1].  The log ratios are read along the
 step map (:meth:`~timeop.profiles.DecayOperator.step_log_ratio`), and the
 inverse weighting is never formed as a matrix: its entries reach
 exp(exp(hi)) on a window topping out at hi, so the ratio form is the
-only finitely representable realization.
+only finitely representable realization.  The log ratios of every time
+up to a horizon form one read-only ``(t, label)`` table, and the
+Lyapunov traces decide the margin and the agreement of their two norm
+routes for all times of all rows at once, against that table.
 
 Negative times are rejected; the backward weights are unbounded as the
 window widens, which :func:`asymmetry_probe` demonstrates, so the
@@ -21,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import GridDensity, MarginError, cells_to_walsh, grid_cells, walsh_to_cells
-from .hilbert import (
-    NORM_RESCALE_BELOW,
-    BasisMismatchError,
-    HVector,
-    masked_row_sums,
-    vector_norm,
-)
+from .hilbert import NORM_RESCALE_BELOW, BasisMismatchError, HVector, vector_norm
 from .profiles import DecayOperator
 
 __all__ = [
@@ -51,10 +48,11 @@ AGREEMENT_TOLERANCE = 1e-10
 class MarkovEvolution:
     """An induced contraction semigroup up to a horizon.
 
-    The weights at time t are ``log_ratios[t]``, read once from
-    ``decay.step_log_ratio(t)``: log lambda(n+t) - log lambda(n) along
-    the step map, NaN where the image leaves the window.  Construction
-    checks that no ratio exceeds one at any time up to the horizon.
+    ``log_ratios`` is the read-only ``(max_t + 1, dim)`` table whose row
+    t is ``decay.step_log_ratio(t)``, read once: log lambda(n+t) -
+    log lambda(n) along the step map, NaN where the image leaves the
+    window.  Construction checks that no ratio exceeds one at any time
+    up to the horizon.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -63,12 +61,13 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        self.log_ratios = tuple(decay.step_log_ratio(t) for t in range(self.max_t + 1))
-        for log_ratio in self.log_ratios:
-            log_ratio.setflags(write=False)
-            # NaN (outside the margin) compares false
-            if np.any(log_ratio > 0):
-                raise ValueError("decay ratios exceed one; the profile is not admissible")
+        self.log_ratios = np.empty((self.max_t + 1, self.system.dim))
+        for t, log_ratio in enumerate(self.log_ratios):
+            log_ratio[:] = decay.step_log_ratio(t)
+        self.log_ratios.setflags(write=False)
+        # NaN (outside the margin) compares false
+        if np.any(self.log_ratios > 0):
+            raise ValueError("decay ratios exceed one; the profile is not admissible")
 
 
 def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
@@ -96,13 +95,10 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
     Row r of ``coeffs`` holds the coefficients of the label indices
     ``labels`` (of every label when None); every other label is zero.
     Returns the target labels of the given labels inside the t-margin
-    and the weighted coefficients each row moves onto them; every other
-    label of the evolved row is zero.  A label inside the margin whose
-    image is truncated (a defective step map) moves nothing.  A zero
-    result, from a zero coefficient (-0.0 included) or an underflowing
-    product, lands as +0.0, the value of a label that receives nothing.
-    The margin check runs row by row and names the labels of the first
-    offending row, in index order.
+    and the weighted coefficients each row moves onto them, as
+    :func:`_landed` gives them; every other label of the evolved row is
+    zero.  The margin check runs row by row and names the labels of the
+    first offending row, in index order.
     """
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
@@ -110,26 +106,43 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
         raise ValueError(f"t={t} exceeds the precomputed horizon {ev.max_t}")
     system = ev.system
     labels = np.arange(system.dim) if labels is None else np.asarray(labels)
-    inside = system.interior_mask(t)[labels]
+    inside = system.ages[labels] + t <= system.window.hi
     size = np.abs(coeffs)
     peak = size.max(axis=1, initial=0.0, keepdims=True)
     far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, peak)
     if far.any():
         row = int(np.nonzero(far.any(axis=1))[0][0])
-        offending = np.sort(labels[~inside][far[row]])
-        names = ", ".join(system.label_text(i) for i in offending[:8])
-        raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
+        raise _margin_error(system, t, np.sort(labels[~inside][far[row]]))
     del size, far  # one block fewer alive through the gather below
+    return _landed(ev, coeffs, t, labels, inside)
+
+
+def _landed(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels, inside):
+    """The targets of the ``inside`` labels and what each row moves onto them at t.
+
+    ``coeffs`` and ``labels`` are as in :func:`_moved_rows`, and
+    ``inside`` masks the labels inside the t-margin.  A label inside the
+    margin whose image is truncated (a defective step map) moves nothing.
+    A zero result, from a zero coefficient (-0.0 included) or an
+    underflowing product, lands as +0.0, the value of a label that
+    receives nothing.
+    """
     # a label whose image is truncated carries nothing (U^t e_k = 0); the
     # weights of the others are finite, in [0, 1], so a product is zero
     # only for a zero coefficient or an underflow; x + 0.0 is x, except
     # that -0.0 becomes +0.0
-    targets = system.step_indices(t)[labels]
+    targets = ev.system.step_indices(t)[labels]
     kept = inside & (targets >= 0)
     moved = coeffs[:, kept]
     moved *= np.exp(ev.log_ratios[t][labels[kept]])
     moved += 0.0
     return targets[kept], moved
+
+
+def _margin_error(system, t: int, offending) -> MarginError:
+    """The error naming the first eight ``offending`` labels, which leave within t steps."""
+    names = ", ".join(system.label_text(i) for i in offending[:8])
+    return MarginError(f"support leaves the window within {t} steps at labels: {names}")
 
 
 @dataclass(frozen=True)
@@ -176,31 +189,50 @@ def _horizon(ev: MarkovEvolution, max_t: int | None) -> int:
 def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> list:
     """:func:`lyapunov_trace` of each row of a ``(rows, dim)`` coefficient block.
 
-    Each t takes one block step, and every float is the one the
-    one-row trace gives.  The checks run t by t: at the first t where a
-    row's support leaves the window (:class:`MarginError`) or its two
-    routes disagree (``AssertionError``), the first such row raises.
+    Every float is the one the one-row trace gives: per row and t, the
+    direct norm is :func:`~timeop.hilbert.vector_norm` of the full-dim
+    evolved row, and the form the sum over the row's alive labels.  The
+    checks are decided for all times at once, on the ``(t, label)``
+    margins and log ratios: the first t at which a row's support leaves
+    the window (:class:`MarginError`) or its two routes disagree
+    (``AssertionError``) raises, for the first such row; at a t with
+    both, the margin error.
     """
-    t_values = tuple(range(_horizon(ev, max_t) + 1))
+    times = np.arange(_horizon(ev, max_t) + 1)
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("entries must be finite")
-    rows, dim = coeffs.shape
-    nonzero = coeffs != 0.0
-    norms = np.zeros((rows, len(t_values)))
-    forms = np.zeros((rows, len(t_values)))
-    for t in t_values:
-        targets, moved = _moved_rows(ev, coeffs, t)
-        evolved = np.zeros((rows, dim))
+    system = ev.system
+    rows = coeffs.shape[0]
+    inside = system.ages + times[:, None] <= system.window.hi
+    size = np.abs(coeffs)
+    big = size > SUPPORT_TOLERANCE * np.maximum(1.0, size.max(axis=1, initial=0.0, keepdims=True))
+    del size
+    # a row leaves the window once its oldest coefficient above the dust
+    # does; the times before the first such t are decided
+    oldest = np.where(big, system.ages, -np.inf).max(axis=1, initial=-np.inf)
+    leaves = oldest[:, None] + times > system.window.hi
+    stop = int(np.argmax(leaves.any(axis=0))) if leaves.any() else times.size
+    labels = np.arange(system.dim)
+    norms = np.empty((rows, stop))
+    for t in range(stop):
+        targets, moved = _landed(ev, coeffs, t, labels, inside[t])
+        evolved = np.zeros((rows, system.dim))
         evolved[:, targets] = moved
-        del moved
         norms[:, t] = [vector_norm(row) for row in evolved]
-        del evolved
-        log_ratio = ev.log_ratios[t]
-        alive = nonzero & ~np.isnan(log_ratio)
-        with np.errstate(under="ignore"):
-            forms[:, t] = masked_row_sums(np.exp(2.0 * log_ratio) * coeffs ** 2, alive)
-        _check_routes(t, norms[:, t], forms[:, t], log_ratio, coeffs, alive)
+    table = ev.log_ratios[:stop]
+    alive = (coeffs != 0.0)[:, None, :] & ~np.isnan(table)
+    at_row, at_t, at_label = np.nonzero(alive)
+    with np.errstate(under="ignore"):
+        terms = np.exp(2.0 * table[at_t, at_label]) * coeffs[at_row, at_label] ** 2
+    # one slice of ``terms`` per (row, t), in row-major order
+    ends = np.cumsum(alive.sum(axis=2).ravel()).tolist()
+    forms = np.array([terms[a:b].sum() for a, b in zip([0] + ends, ends)]).reshape(rows, stop)
+    _check_routes(norms, forms, table, coeffs, alive)
+    if stop < times.size:
+        row = int(np.argmax(leaves[:, stop]))
+        raise _margin_error(system, stop, np.nonzero(big[row] & ~inside[stop])[0])
+    t_values = tuple(times.tolist())
     traces = []
     for row_norms, row_forms in zip(norms.tolist(), forms.tolist()):
         monotone = all(b <= a for a, b in zip(row_norms, row_norms[1:]))
@@ -210,24 +242,30 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     return traces
 
 
-def _check_routes(t, norm_direct, form, log_ratio, coeffs, alive):
-    """Raise for the first row whose direct norm and form root disagree at t."""
-    root = np.sqrt(form)
-    gap = np.zeros(norm_direct.size)
-    checked = norm_direct > 0.0
-    plain = checked & (np.minimum(norm_direct, root) >= NORM_RESCALE_BELOW)
-    gap[plain] = np.abs(root[plain] - norm_direct[plain]) / norm_direct[plain]
-    for r in np.nonzero(checked & ~plain)[0]:
-        logs = 2.0 * log_ratio[alive[r]] + 2.0 * np.log(np.abs(coeffs[r][alive[r]]))
+def _check_routes(norms, forms, table, coeffs, alive):
+    """Raise at the first t, for its first row, where the direct norm and the form root disagree.
+
+    ``norms`` and ``forms`` are ``(rows, t)`` grids; a pair below
+    ``NORM_RESCALE_BELOW`` is compared in the log domain, recomputed
+    from ``table`` (the log ratios) and ``coeffs`` on the ``alive`` labels.
+    """
+    root = np.sqrt(forms)
+    gap = np.zeros(norms.shape)
+    checked = norms > 0.0
+    plain = checked & (np.minimum(norms, root) >= NORM_RESCALE_BELOW)
+    gap[plain] = np.abs(root[plain] - norms[plain]) / norms[plain]
+    for r, t in zip(*np.nonzero(checked & ~plain)):
+        logs = 2.0 * table[t][alive[r, t]] + 2.0 * np.log(np.abs(coeffs[r][alive[r, t]]))
         peak = logs.max()
         log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
-        gap[r] = abs(log_form - np.log(norm_direct[r]))
-    bad = np.nonzero(gap > AGREEMENT_TOLERANCE)[0]
-    if bad.size:
-        r = bad[0]
+        gap[r, t] = abs(log_form - np.log(norms[r, t]))
+    bad = gap > AGREEMENT_TOLERANCE
+    if bad.any():
+        t = int(np.argmax(bad.any(axis=0)))
+        r = int(np.argmax(bad[:, t]))
         raise AssertionError(
-            f"norm routes disagree at t={t}: direct {float(norm_direct[r])!r} vs form "
-            f"{float(root[r])!r} (relative gap {gap[r]:.3g})"
+            f"norm routes disagree at t={t}: direct {float(norms[r, t])!r} vs form "
+            f"{float(root[r, t])!r} (relative gap {gap[r, t]:.3g})"
         )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -92,9 +92,6 @@ class ReportBundle:
         return {"manifest": self.manifest, "experiments": list(self.records),
                 "summary": self.summary}
 
-    def to_json(self) -> str:
-        return _json_text(self.to_dict())
-
 
 def _json_text(doc) -> str:
     """Strict JSON text of a report tree, with non-finite floats written as null.
@@ -105,7 +102,8 @@ def _json_text(doc) -> str:
     ``repr`` writes them.  A value of any other type, or a non-str key,
     raises TypeError.  One recursive pass appends the chunks: with an
     indent the standard encoder runs its pure-Python generators, over a
-    copy of the tree made to drop the non-finite floats.
+    copy of the tree made to drop the non-finite floats.  A
+    :class:`_Nested` value is a subtree already written by this function.
     """
     chunks = []
     _write_json(doc, chunks.append, "\n")
@@ -154,8 +152,21 @@ def _write_json(value, put, newline):
             _write_json(value[key], put, inner)
             sep = "," + inner
         put(newline + "}")
+    elif isinstance(value, _Nested):
+        put(value.text[:-1].replace("\n", newline))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _Nested:
+    """The :func:`_json_text` of a subtree, nested by indenting its lines.
+
+    The text's final newline is dropped.  A string is written escaped,
+    so every other newline of the text is one that the indent follows.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 class _Context:
@@ -193,7 +204,7 @@ def _run_admissibility(ctx, params):
     cert = check_admissible(
         ctx.profile, grid=(params["grid_lo"], params["grid_hi"]), t_set=params["t_set"]
     )
-    details = {"profile": ctx.profile.describe(), **asdict(cert)}
+    details = {"profile": ctx.profile.describe(), **vars(cert)}
     return cert.admissible, details
 
 
@@ -225,7 +236,7 @@ def _run_lyapunov(ctx, params):
     block[0, canonical_idx] = 1.0
     block[1, labels] = 1.0
     canonical = lyapunov_traces(ev, block)[0]
-    ratios = np.array([log_ratio[labels] for log_ratio in ev.log_ratios])
+    ratios = ev.log_ratios[:, labels]
     # NaN, a truncated image, counts as a rise
     offending = labels[np.any(~(ratios[1:] <= ratios[:-1]), axis=0)]
     worst = int(np.argmax(ratios[-1]))
@@ -325,7 +336,10 @@ def _run_theorem(ctx, params):
     for t in params["t_values"]:
         web = build_operator_web(ctx.decay, t)
         report = verify_web(web)
-        parts.append({**asdict(report), "all_passed": report.all_passed})
+        part = {**vars(report), "all_passed": report.all_passed}
+        for key in ("v_vs_u_witness", "y_vs_u_witness", "w_vs_z_witness"):
+            part[key] = dict(vars(part[key]))
+        parts.append(part)
         all_ok = all_ok and report.all_passed
     return all_ok, {"parts": parts}
 
@@ -398,13 +412,15 @@ def emit_report(bundle: ReportBundle, out_dir) -> list:
     """Write the bundle to disk; returns the written paths.
 
     Writes ``manifest.json``, ``report.json`` and the trace CSVs.  Both
-    JSON files are strict JSON, with non-finite floats written as null.
+    JSON files are strict JSON, with non-finite floats written as null;
+    the manifest is rendered once and nested into the report.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, text in (("manifest.json", _json_text(bundle.manifest)),
-                       ("report.json", bundle.to_json())):
+    manifest = _json_text(bundle.manifest)
+    report = _json_text({**bundle.to_dict(), "manifest": _Nested(manifest)})
+    for name, text in (("manifest.json", manifest), ("report.json", report)):
         path = out / name
         path.write_text(text)
         written.append(path)

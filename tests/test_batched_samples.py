@@ -1,6 +1,6 @@
 """The batched and per-label routines against their one-at-a-time loops.
 
-``lyapunov_traces`` processes its rows as one block; ``build_tower``,
+``lyapunov_traces`` decides all times of its rows in one pass; ``build_tower``,
 ``isometry_check`` and the ``lyapunov`` experiment decide their verdicts
 per basis label; ``classify_spectrum`` forms its spectrum values once;
 the covariance experiment checks every single-age projector transport
@@ -23,6 +23,7 @@ import timeop.markov
 from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
+    MarginError,
     build_baker_cascade,
     build_shift_cascade,
     verify_age_transport,
@@ -186,6 +187,24 @@ def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
     return norms, forms
 
 
+def corrupt_route(monkeypatch, marker, t_fault):
+    """Scale by 1 + 1e-6, at ``t_fault``, what the rows whose label 0 holds ``marker`` move.
+
+    ``_landed`` is the step that ``lyapunov_traces`` takes at each t
+    and that ``markov_step``, and so ``trace_loop``, takes behind its
+    margin check; faults installed one after another all apply.
+    """
+    landed = timeop.markov._landed
+
+    def faulty(ev, coeffs, t, labels, inside):
+        targets, moved = landed(ev, coeffs, t, labels, inside)
+        if t == t_fault:
+            moved[coeffs[:, 0] == marker] *= 1.0 + 1e-6
+        return targets, moved
+
+    monkeypatch.setattr(timeop.markov, "_landed", faulty)
+
+
 # -- systems ----------------------------------------------------------------
 
 
@@ -318,14 +337,7 @@ class TestLyapunovTraces:
         ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
         block = sample_block(system, 3, np.random.default_rng(2), rows=9)
         block[6, 0] = 0.125  # the marker of the corrupted row
-        honest = timeop.markov._moved_rows
-
-        def corrupt_marked(ev, coeffs, t):
-            targets, moved = honest(ev, coeffs, t)
-            moved[coeffs[:, 0] == 0.125] *= 1.0 + 1e-6 * (t == 2)
-            return targets, moved
-
-        monkeypatch.setattr(timeop.markov, "_moved_rows", corrupt_marked)
+        corrupt_route(monkeypatch, 0.125, 2)
         with pytest.raises(AssertionError, match="t=2") as batched:
             lyapunov_traces(ev, block)
         with pytest.raises(AssertionError) as one:
@@ -335,6 +347,64 @@ class TestLyapunovTraces:
         assert str(batched.value) == str(one.value) == str(loop.value)
         for row in np.delete(block, 6, axis=0):
             trace_loop(ev, row, 3)  # the other rows pass
+
+    def test_baker_experiment_rows_are_the_loop(self):
+        # the canonical row and band indicator of the lyapunov experiment,
+        # and a random row, on baker m = 4
+        system = build_baker_cascade(4)
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
+        labels = np.nonzero(_interior_band(system, 3))[0]
+        block = np.zeros((3, system.dim))
+        block[0, labels[-1]] = 1.0
+        block[1, labels] = 1.0
+        block[2] = sample_block(system, 3, np.random.default_rng(9), rows=5)[0]
+        for row, trace in zip(block, lyapunov_traces(ev, block)):
+            norms, forms = trace_loop(ev, row, 3)
+            assert np.array_equal(bits(trace.norms), bits(norms))
+            assert np.array_equal(bits(trace.forms), bits(forms))
+
+    def test_first_route_fault_in_time_then_in_row_order(self, monkeypatch):
+        # row 1 is off at t = 2; rows 4 and 7, later in the block, at t = 0
+        system = build_shift_cascade(AgeWindow(-6, 6))
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
+        block = sample_block(system, 3, np.random.default_rng(5), rows=8)
+        block[1, 0] = 0.25
+        block[[4, 7], 0] = 0.125
+        corrupt_route(monkeypatch, 0.25, 2)
+        corrupt_route(monkeypatch, 0.125, 0)
+        with pytest.raises(AssertionError, match="t=0") as batched:
+            lyapunov_traces(ev, block)
+        with pytest.raises(AssertionError) as loop:
+            trace_loop(ev, block[4], 3)
+        assert str(batched.value) == str(loop.value)
+        with pytest.raises(AssertionError, match="t=2") as batched:
+            lyapunov_traces(ev, np.delete(block, [4, 7], axis=0))
+        with pytest.raises(AssertionError) as loop:
+            trace_loop(ev, block[1], 3)
+        assert str(batched.value) == str(loop.value)
+
+    @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-6, 6)),
+                                        build_baker_cascade(3)], ids=ids)
+    def test_margin_error_comes_before_a_route_fault_at_its_t(self, system, monkeypatch):
+        ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
+        block = sample_block(system, 3, np.random.default_rng(6), rows=6)
+        block[0, 0] = 0.125  # off at t = 2, in the first row
+        k = int(np.nonzero(system.ages == system.window.hi - 1)[0][0])
+        block[4, k] = 0.5  # leaves the window at t = 2
+        corrupt_route(monkeypatch, 0.125, 2)
+        with pytest.raises(MarginError) as batched:
+            lyapunov_traces(ev, block)
+        with pytest.raises(MarginError) as loop:
+            trace_loop(ev, block[4], 3)
+        assert str(batched.value) == str(loop.value)
+        assert str(batched.value).endswith(f"within 2 steps at labels: {system.label_text(k)}")
+        # a route fault one step earlier comes first
+        corrupt_route(monkeypatch, 0.125, 1)
+        with pytest.raises(AssertionError, match="t=1") as batched:
+            lyapunov_traces(ev, block)
+        with pytest.raises(AssertionError) as loop:
+            trace_loop(ev, block[0], 3)
+        assert str(batched.value) == str(loop.value)
 
     def test_margin_error_names_the_first_offending_row(self):
         system = build_shift_cascade(AgeWindow(-6, 6))

@@ -23,7 +23,7 @@ from timeop.cascade import (
     verify_covariance,
     verify_imprimitivity,
 )
-from timeop.duals import build_operator_web, verify_web
+from timeop.duals import _jordan_type_gap, build_operator_web, verify_web
 from timeop.hilbert import HVector
 from timeop.markov import MarkovEvolution, evolved_minima, lyapunov_traces, markov_step
 from timeop.profiles import build_decay_operator, gumbel, verify_covariant_transform
@@ -181,6 +181,51 @@ def test_perturbed_decay_entry(system):
     for t in T_VALUES:
         assert verify_covariant_transform(op, t) == dense_covariant_transform(op, t)
     assert verify_covariant_transform(op, 1) > 0.0
+
+
+def jordan_type_gap_loop(web):
+    """The Jordan-type gap of the web's z, one dim-long mask of chain ends per power."""
+    system = web.system
+    safe = web.safe_mask
+    nxt = np.where(np.isfinite(web.log_weights["z"]), web.targets, -1)
+    nxt = np.where((nxt >= 0) & safe[nxt], nxt, -1)
+    ends = safe
+    gap = 0
+    for k in range(1, (system.window.hi - system.window.lo) // web.t + 2):
+        images = nxt[ends]
+        ends = np.zeros(system.dim, dtype=bool)
+        ends[images[images >= 0]] = True
+        expected = np.count_nonzero(system.ages + (k + 1) * web.t <= system.window.hi)
+        gap = max(gap, abs(np.count_nonzero(ends) - expected))
+    return float(gap)
+
+
+def defective_steps(system):
+    """The off-by-one, collision and truncated-image step maps of the tests above."""
+    step = system._step
+    i = int(np.nonzero(system.ages == -1)[0][0])
+    j = int(np.nonzero(system.ages == 0)[0][0])
+    collision = np.array(step)
+    collision[j] = step[i]
+    truncated = np.array(step)
+    truncated[int(np.nonzero(system.ages == 1)[0][0])] = -1
+    return {"off_by_one": np.where(step > 0, step - 1, -1), "collision": collision,
+            "truncated": truncated}
+
+
+@pytest.mark.parametrize("system", systems() + [build_baker_cascade(4)], ids=lambda s: s.basis_id)
+def test_jordan_type_gap_is_the_mask_loop(system):
+    gaps = {}
+    for name, step in {"correct": system._step, **defective_steps(system)}.items():
+        op = build_decay_operator(gumbel(1.0), with_step(system, step))
+        for t in T_VALUES[1:]:
+            web = build_operator_web(op, t)
+            gaps[name, t] = _jordan_type_gap(web)
+            assert gaps[name, t] == jordan_type_gap_loop(web)
+    assert all(gaps["correct", t] == 0.0 for t in T_VALUES[1:])
+    # the defects reach the ranks; on baker m = 2 the truncated image, of
+    # age 1, lies past every compression
+    assert any(gap > 0.0 for (name, _), gap in gaps.items() if name != "correct")
 
 
 def test_routines_allocate_no_dense_matrix():

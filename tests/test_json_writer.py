@@ -2,18 +2,23 @@
 
 ``_json_text`` writes report trees in one pass.  The text it replaced,
 ``json.dumps`` with indent 2 and sorted keys over a copy of the tree
-with non-finite floats set to None, is kept here as the reference.
+with non-finite floats set to None, is kept here as the reference, and
+both files that ``emit_report`` writes are checked against it.
 """
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timeop.runner import _json_text
+from timeop.config import DEMO_CONFIG, parse_config
+from timeop.runner import _json_text, _Nested, emit_report, run_experiments
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _finite(value):
@@ -50,6 +55,27 @@ trees = st.recursive(
 @given(trees)
 def test_writer_is_the_reference_encoder(doc):
     assert _json_text(doc) == reference(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees, texts)
+def test_nested_text_is_the_subtree_written_in_place(doc, key):
+    for wrap in (lambda v: {key: v, "other": [v]}, lambda v: [v, {"k": v}]):
+        assert _json_text(wrap(_Nested(_json_text(doc)))) == _json_text(wrap(doc))
+
+
+CONFIG_TEXTS = {"DEMO_CONFIG": DEMO_CONFIG} | {
+    path.name: path.read_text()
+    for path in [ROOT / "demos" / "experiment.cfg", *sorted((ROOT / "tests" / "golden").glob("*.cfg"))]
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+def test_emitted_files_are_the_reference_text(name, tmp_path):
+    bundle = run_experiments(parse_config(CONFIG_TEXTS[name]))
+    emit_report(bundle, tmp_path)
+    assert (tmp_path / "manifest.json").read_text() == reference(bundle.manifest)
+    assert (tmp_path / "report.json").read_text() == reference(bundle.to_dict())
 
 
 @pytest.mark.parametrize("doc", [

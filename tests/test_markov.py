@@ -134,14 +134,14 @@ class TestLyapunovTrace:
         import timeop.markov as markov
 
         s, ev = evolution(-6, 6, 4)
-        honest = markov._moved_rows
+        honest = markov._landed
 
-        def off_at_4(ev, coeffs, t):
-            targets, moved = honest(ev, coeffs, t)
+        def off_at_4(ev, coeffs, t, labels, inside):
+            targets, moved = honest(ev, coeffs, t, labels, inside)
             return targets, moved * (1.0 + 1e-6 * (t == 4))
 
         # only the underflowed step is off, so only the log-domain route can see it
-        monkeypatch.setattr(markov, "_moved_rows", off_at_4)
+        monkeypatch.setattr(markov, "_landed", off_at_4)
         with pytest.raises(AssertionError, match="t=4"):
             lyapunov_trace(ev, s.basis_vector(2))
 
