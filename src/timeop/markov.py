@@ -10,7 +10,9 @@ exp(exp(hi)) on a window topping out at hi, so the ratio form is the
 only finitely representable realization.  The log ratios of every time
 up to a horizon form one read-only ``(t, label)`` table, and the
 Lyapunov traces decide the margin and the agreement of their two norm
-routes for all times of all rows at once, against that table.
+routes for all times of all rows at once, against that table.  The
+positivity sweep takes one step and one Walsh transform per (density,
+t) for all its weightings.
 
 Negative times are rejected; the backward weights are unbounded as the
 window widens, which :func:`asymmetry_probe` demonstrates, so the
@@ -37,6 +39,7 @@ __all__ = [
     "positivity_probe",
     "density_walsh",
     "evolved_minima",
+    "swept_minima",
     "AsymmetryReport",
     "asymmetry_probe",
 ]
@@ -77,8 +80,8 @@ def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
     log lambda(n)) times itself at age n + t.  Coefficients below
     ``SUPPORT_TOLERANCE`` (relative to the largest) are treated as
     truncation dust and dropped; larger coefficients outside the
-    t-margin raise :class:`MarginError`.  The one-row case of the block step the
-    positivity probe runs.
+    t-margin raise :class:`MarginError`.  The one-row case of
+    :func:`_moved_rows`.
     """
     system = ev.system
     if rho.basis_id != system.basis_id:
@@ -100,12 +103,20 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
     zero.  The margin check runs row by row and names the labels of the
     first offending row, in index order.
     """
+    _check_time(ev, t)
+    labels = np.arange(ev.system.dim) if labels is None else np.asarray(labels)
+    return _landed(ev, coeffs, t, labels, _inside(ev.system, coeffs, t, labels))
+
+
+def _check_time(ev: MarkovEvolution, t: int):
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
     if t > ev.max_t:
         raise ValueError(f"t={t} exceeds the precomputed horizon {ev.max_t}")
-    system = ev.system
-    labels = np.arange(system.dim) if labels is None else np.asarray(labels)
+
+
+def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
+    """The mask of the ``labels`` inside the t-margin, after the margin check."""
     inside = system.ages[labels] + t <= system.window.hi
     size = np.abs(coeffs)
     peak = size.max(axis=1, initial=0.0, keepdims=True)
@@ -113,30 +124,35 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
     if far.any():
         row = int(np.nonzero(far.any(axis=1))[0][0])
         raise _margin_error(system, t, np.sort(labels[~inside][far[row]]))
-    del size, far  # one block fewer alive through the gather below
-    return _landed(ev, coeffs, t, labels, inside)
+    return inside
 
 
 def _landed(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels, inside):
     """The targets of the ``inside`` labels and what each row moves onto them at t.
 
     ``coeffs`` and ``labels`` are as in :func:`_moved_rows`, and
-    ``inside`` masks the labels inside the t-margin.  A label inside the
-    margin whose image is truncated (a defective step map) moves nothing.
-    A zero result, from a zero coefficient (-0.0 included) or an
-    underflowing product, lands as +0.0, the value of a label that
-    receives nothing.
+    ``inside`` masks the labels inside the t-margin.
     """
-    # a label whose image is truncated carries nothing (U^t e_k = 0); the
-    # weights of the others are finite, in [0, 1], so a product is zero
-    # only for a zero coefficient or an underflow; x + 0.0 is x, except
-    # that -0.0 becomes +0.0
-    targets = ev.system.step_indices(t)[labels]
+    targets, kept = _kept(ev.system, t, labels, inside)
+    return targets, _weigh(coeffs[:, kept], ev.log_ratios[t][labels[kept]])
+
+
+def _kept(system, t: int, labels, inside) -> tuple:
+    """The t-step targets of the ``inside`` labels that land, and the mask of those labels."""
+    # a label whose image is truncated carries nothing (U^t e_k = 0)
+    targets = system.step_indices(t)[labels]
     kept = inside & (targets >= 0)
-    moved = coeffs[:, kept]
-    moved *= np.exp(ev.log_ratios[t][labels[kept]])
+    return targets[kept], kept
+
+
+def _weigh(moved: np.ndarray, log_ratios) -> np.ndarray:
+    """``moved`` times exp(``log_ratios``), in place, with a zero result landing as +0.0."""
+    # the weights are finite, in [0, 1], so a product is zero only for a
+    # zero coefficient (-0.0 included) or an underflow; x + 0.0 is x,
+    # except that -0.0 becomes +0.0, the value of a label that receives nothing
+    moved *= np.exp(log_ratios)
     moved += 0.0
-    return targets[kept], moved
+    return moved
 
 
 def _margin_error(system, t: int, offending) -> MarginError:
@@ -319,15 +335,58 @@ def density_walsh(system, cells, low: int) -> tuple:
 def evolved_minima(ev: MarkovEvolution, equilibrium, coeffs, labels, t: int) -> np.ndarray:
     """Minimum cell of each density of a block after t steps.
 
-    ``equilibrium`` and the ``(coeffs, labels)`` block are as
-    :func:`density_walsh` returns them.  The block takes one step on its
-    labels, the equilibrium components stay fixed, and all rows go back
-    to the cells in one :func:`~timeop.cascade.walsh_to_cells`
-    transform: every full-grid cell value is one of its block's.
+    The one-evolution, one-time case of :func:`swept_minima`.
     """
-    targets, moved = _moved_rows(ev, coeffs, t, labels)
-    cells, _ = walsh_to_cells(ev.system, equilibrium, moved, labels=targets)
-    return cells.min(axis=1)
+    return swept_minima([ev], [(equilibrium, coeffs, labels)], [t])[0][0][0]
+
+
+def swept_minima(evolutions, blocks, times) -> list:
+    """Minimum cell of each density of each block after each t, under each evolution.
+
+    ``evolutions``, a nonempty iterable on one system, is read once, so
+    a generator keeps one alive at a time; ``blocks`` are as
+    :func:`density_walsh` returns them.  Returns, per t and block, the
+    ``(evolutions, rows)`` minima.  The margin check and the step
+    targets do not depend on the weighting: each (t, block) runs them
+    once, and each evolution adds its log ratios on the kept labels.
+    Each (t, block) then takes one weight product and one
+    :func:`~timeop.cascade.walsh_to_cells` transform for all rows: the
+    floats are the one-row step's, and the block over the union of the
+    rows' spans tiles each row's own, so the minima are too.  Raises
+    what a loop over evolutions, then times, then blocks raises.
+    """
+    steps, tables = None, []
+    for ev in evolutions:
+        if steps is None:
+            system = ev.system
+            steps = [_block_step(ev, t, *block) for t in times for block in blocks]
+        else:
+            for t in times:
+                _check_time(ev, t)
+        tables.append([ev.log_ratios[t][sources] for t, _, _, sources, _ in steps])
+        del ev  # not alive while the next one is built
+    if steps is None:
+        raise ValueError("the sweep needs at least one evolution")
+    minima = [_block_minima(system, step, np.array(rows)) for step, rows in zip(steps, zip(*tables))]
+    return [minima[i:i + len(blocks)] for i in range(0, len(minima), len(blocks))]
+
+
+def _block_step(ev: MarkovEvolution, t: int, equilibrium, coeffs, labels) -> tuple:
+    """A block's t-step, but for the weights: its kept coefficients, their labels and targets."""
+    _check_time(ev, t)
+    labels = np.asarray(labels)
+    targets, kept = _kept(ev.system, t, labels, _inside(ev.system, coeffs, t, labels))
+    return t, equilibrium, coeffs[:, kept], labels[kept], targets
+
+
+def _block_minima(system, step, log_ratios) -> np.ndarray:
+    """The ``(evolutions, rows)`` minima of a block step weighted by each row of ``log_ratios``."""
+    _, equilibrium, coeffs, _, targets = step
+    n, rows = log_ratios.shape[0], coeffs.shape[0]
+    moved = _weigh(np.tile(coeffs, (n, 1, 1)), log_ratios[:, None, :])
+    cells, _ = walsh_to_cells(system, np.tile(equilibrium, n),
+                              moved.reshape(n * rows, targets.size), labels=targets)
+    return cells.min(axis=1).reshape(n, rows)
 
 
 @dataclass(frozen=True)

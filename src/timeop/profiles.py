@@ -240,7 +240,10 @@ class DecayOperator:
     strictly positive in the log domain even where the plain float
     value underflows.  Blockwise the transform keeps the equilibrium
     component fixed and takes fluctuation coefficients to
-    ``diag * fluct``.
+    ``diag * fluct``.  The profile is evaluated once per age of the
+    window and gathered onto the labels: every family is elementwise,
+    and the labels are age-major, so the values and the first failing
+    age are those of an evaluation over the labels.
     """
 
     def __init__(self, system: CascadeSystem, profile: DecayProfile,
@@ -248,10 +251,12 @@ class DecayOperator:
         self.system = system
         self.profile = profile
         self.certificate = certificate
-        log_diag = np.asarray(profile.log_value(system.ages), dtype=float)
-        if np.any(~np.isfinite(log_diag)):
-            bad_age = int(system.ages[~np.isfinite(log_diag)][0])
+        window = system.window
+        per_age = np.asarray(profile.log_value(np.arange(window.lo, window.hi + 1)), dtype=float)
+        if np.any(~np.isfinite(per_age)):
+            bad_age = window.lo + int(np.argmax(~np.isfinite(per_age)))
             raise ProfileError(f"decay value 0 at age {bad_age} breaks injectivity")
+        log_diag = per_age[system.ages - window.lo]
         log_diag.setflags(write=False)
         self.log_diag = log_diag
 

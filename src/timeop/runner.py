@@ -38,8 +38,8 @@ from .duals import build_operator_web, verify_web
 from .markov import (
     MarkovEvolution,
     density_walsh,
-    evolved_minima,
     lyapunov_traces,
+    swept_minima,
 )
 from .profiles import (
     DecayProfile,
@@ -277,6 +277,12 @@ def _run_positivity(ctx, params):
     nonnegative and within ``EXTREME_TOLERANCE`` of 1 - r_lo, read from
     the profile, not the operator, so that a defective operator cannot
     move both sides.
+
+    The two densities stay separate blocks, so a margin error names one
+    density's labels.  :func:`~timeop.markov.swept_minima` steps each
+    (density, t) pair once for all steepnesses and takes one transform
+    per pair, holding one row per a; the operators are built one at a
+    time, in sweep order.
     """
     system = ctx.system
     t_max = max(params["t_values"])
@@ -285,16 +291,18 @@ def _run_positivity(ctx, params):
     # the cells of the live labels: one past t_max = 2m, where the canonical row raises first
     width = 1 << max(0, 2 * system.m + 1 - t_max)
     extreme = density_walsh(system, np.eye(1, width) * width, 0)
+    evolutions = (MarkovEvolution(build_decay_operator(gumbel(a), system), t_max)
+                  for a in params["sweep_a"])
+    minima = swept_minima(evolutions, [canonical, extreme], params["t_values"])
     sweep, extremes = [], []
-    for a in params["sweep_a"]:
+    for i, a in enumerate(params["sweep_a"]):
         profile = gumbel(a)
-        ev = MarkovEvolution(build_decay_operator(profile, system), t_max)
-        for t in params["t_values"]:
+        for (canonical_minima, extreme_minima), t in zip(minima, params["t_values"]):
             sweep.append({"a": a, "t": t, "density": "1+chi({0})",
-                          "min_cell": float(evolved_minima(ev, *canonical, t)[0])})
+                          "min_cell": float(canonical_minima[i, 0])})
             extremes.append({
                 "a": a, "t": t, "density": "extreme", "witness": f"cell 0 of {width}",
-                "min_cell": float(evolved_minima(ev, *extreme, t)[0]),
+                "min_cell": float(extreme_minima[i, 0]),
                 "closed_form": float(-np.expm1(profile.log_value(lo + t) - profile.log_value(lo)))})
             sweep.append(extremes[-1])
     gaps = [abs(row["min_cell"] - row["closed_form"]) for row in extremes]

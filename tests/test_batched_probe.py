@@ -6,8 +6,10 @@ the reference, and every output float must be bitwise the loop's.
 Blocks of random densities, drawn here as reference inputs, are probed
 in chunks of rows: each row must give the bits the one-density probe
 gives and raise the error the one-density probe raises.  The positivity
-sweep must stay within a fixed number of transforms and a small memory
-budget.  Densities come as ``(cells, low)`` blocks on the digits their
+sweep takes one transform per (density, t), holding a row per
+steepness, within a small memory budget; its rows must be bitwise, and
+its first error the one, of a loop of one-evolution steps per (a, t).
+Densities come as ``(cells, low)`` blocks on the digits their
 labels use; the one-density references read them spread over the full
 grid.  Walsh coefficients come as ``(coeffs, labels)`` blocks on the
 labels a cell block resolves and are stepped on those labels only; the
@@ -42,9 +44,10 @@ from timeop.markov import (
     evolved_minima,
     markov_step,
     positivity_probe,
+    swept_minima,
 )
-from timeop.profiles import build_decay_operator, gumbel
-from timeop.runner import _Context, _run_positivity
+from timeop.profiles import ProfileError, build_decay_operator, gumbel
+from timeop.runner import _Context, _run_positivity, run_experiments
 
 # rows per random block: with a partial block, both shapes are covered
 CHUNK = 8
@@ -357,6 +360,24 @@ class TestDimWideReference:
         assert str(shuffled.value) == str(from_dim.value)
 
 
+@pytest.mark.parametrize("m", [3, 6])
+def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m):
+    # blocks of several rows under several evolutions, one of them steep
+    # enough to underflow weights, against the dim-wide pipeline
+    system, live, rng = probe_case(m)
+    pairs = [random_densities(system, rng, rows, live) for rows in (CHUNK, 3)]
+    evolutions = [MarkovEvolution(build_decay_operator(gumbel(a), system), 2)
+                  for a in (0.5, 2.0, 20.0)]
+    swept = swept_minima(iter(evolutions), [density_walsh(system, *pair) for pair in pairs],
+                         (0, 1, 2))
+    for t, per_block in zip((0, 1, 2), swept):
+        for pair, minima in zip(pairs, per_block):
+            want = [dim_wide_minima(ev, *pair, t) for ev in evolutions]
+            assert np.array_equal(bits(minima), bits(want))
+    with pytest.raises(ValueError, match="at least one evolution"):
+        swept_minima(iter(()), [density_walsh(system, *pairs[0])], (1,))
+
+
 POSITIVITY_M6 = """
 seed = 5
 
@@ -377,12 +398,12 @@ gate = false
 
 
 def test_sweep_transform_count_and_memory(monkeypatch):
-    # the canonical and extreme densities take one transform each per
-    # run, and each of their rows one per (a, t).  The extreme density
-    # is one row on the 2**11 cells the live labels resolve (t_max = 2),
-    # 16 KB; the peak, about 0.75 MiB, is set by the decay operators and
-    # the t_max + 1 weight rows of two evolutions alive across a change
-    # of a.
+    # the canonical and extreme densities take one one-row transform each
+    # per run, and then one transform each per t, holding one row per a.
+    # The extreme density is one row on the 2**11 cells the live labels
+    # resolve (t_max = 2), 16 KB; the peak, about 0.6 MiB, is set by the
+    # decay operator and the t_max + 1 weight rows of the one evolution
+    # alive at a time.
     config = parse_config(POSITIVITY_M6)
     ctx = _Context(config)
     params = config.experiments[0].params
@@ -401,8 +422,59 @@ def test_sweep_transform_count_and_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    n_at = len(params["sweep_a"]) * len(params["t_values"])
-    assert len(details["sweep"]) == 2 * n_at
-    assert len(calls) <= 2 * n_at + 2
-    assert all(shape[0] == 1 for shape in calls)
+    n_a, n_t = len(params["sweep_a"]), len(params["t_values"])
+    assert len(details["sweep"]) == 2 * n_a * n_t
+    densities, sweep = calls[:2], calls[2:]
+    assert [shape[0] for shape in densities] == [1, 1]
+    assert len(sweep) <= 2 * n_t
+    assert all(shape[0] == n_a for shape in sweep)
     assert peak < 1.25 * 2**20
+
+
+def loop_sweep(system, params):
+    """The sweep's minima as a loop of one-evolution steps per (a, t), in record order."""
+    t_max = max(params["t_values"])
+    canonical = density_walsh(system, [[2.0, 0.0]], system.m)
+    width = 1 << max(0, 2 * system.m + 1 - t_max)
+    extreme = density_walsh(system, np.eye(1, width) * width, 0)
+    minima = []
+    for a in params["sweep_a"]:
+        ev = MarkovEvolution(build_decay_operator(gumbel(a), system), t_max)
+        for t in params["t_values"]:
+            minima += [evolved_minima(ev, *canonical, t)[0], evolved_minima(ev, *extreme, t)[0]]
+    return minima
+
+
+def positivity_config(m, sweep_a):
+    t_values = " ".join(str(t) for t in range(m + 1))
+    return parse_config(f"[system]\nkind = baker\nm = {m}\n\n[profile]\nfamily = gumbel\n\n"
+                        f"[experiment positivity]\nt_values = {t_values}\nsweep_a = {sweep_a}\n")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sweep_rows_are_bitwise_the_per_a_loop(m):
+    # gumbel(0.3) is certified only past the first reach; under
+    # gumbel(20) the weights of the age-0 labels underflow to +0.0 at
+    # t >= 1, so that row's own span is narrower than the block's
+    config = positivity_config(m, "0.3 1.0 2.5 20.0")
+    ctx = _Context(config)
+    params = config.experiments[0].params
+    assert build_decay_operator(gumbel(0.3), ctx.system).certificate.grid != (-20, 20)
+    ev = MarkovEvolution(build_decay_operator(gumbel(20.0), ctx.system), 1)
+    _, moved = _moved_rows(ev, np.ones((1, 1)), 1, [ctx.system.index_of({0})])
+    assert bits(moved[0, 0]) == bits(0.0)
+    _, details = _run_positivity(ctx, params)
+    got = [row["min_cell"] for row in details["sweep"]]
+    assert np.array_equal(bits(got), bits(loop_sweep(ctx.system, params)))
+
+
+def test_sweep_error_is_the_loop_error():
+    # gumbel(0.01) is not admissible: the second a raises, and the record
+    # carries what the loop raises there
+    config = positivity_config(3, "1.0 0.01 2.0")
+    (record,) = run_experiments(config).records
+    with pytest.raises(ProfileError) as from_loop:
+        loop_sweep(_Context(config).system, config.experiments[0].params)
+    assert record["status"] == "error"
+    assert record["error"] == f"ProfileError: {from_loop.value}"
+    assert record["error"].startswith("ProfileError: profile gumbel(a=0.01) is not admissible")

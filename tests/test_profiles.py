@@ -144,6 +144,33 @@ class TestDecayOperator:
             build_decay_operator(table(21), s)
         assert build_decay_operator(table(22), s).certificate.admissible
 
+    @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-6, 6)),
+                                        build_shift_cascade(AgeWindow(-10, 3)),
+                                        *(build_baker_cascade(m) for m in range(1, 7))],
+                             ids=lambda s: s.basis_id)
+    @pytest.mark.parametrize("family", ["gumbel", "logistic", "custom"])
+    def test_log_diag_is_the_profile_over_the_labels(self, family, system):
+        # the profile is evaluated once per age and gathered onto the
+        # labels; every bit must be that of an evaluation over the labels
+        window = system.window
+        profile = {"gumbel": gumbel(0.7), "logistic": logistic(),
+                   "custom": profile_from_table([(s, math.exp(-math.exp(0.4 * s)))
+                                                 for s in range(window.lo, window.hi + 1)])}[family]
+        op = DecayOperator(system, profile, check_admissible(gumbel(1.0), grid=(-25, 25)))
+        want = np.asarray(profile.log_value(system.ages), dtype=float)
+        assert np.array_equal(op.log_diag.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-3, 3)),
+                                        build_baker_cascade(3)], ids=lambda s: s.basis_id)
+    def test_table_errors_name_the_first_failing_age(self, system):
+        borrowed = check_admissible(gumbel(1.0), grid=(-25, 25))
+        gaps = profile_from_table([(s, 0.5) for s in (-3, -2, -1, 0, 3)])
+        with pytest.raises(ProfileError, match=r"^profile table does not cover s=1$"):
+            DecayOperator(system, gaps, borrowed)
+        zeros = profile_from_table([(s, 0.5 if s < 1 else 0.0) for s in range(-3, 4)])
+        with pytest.raises(ProfileError, match=r"^decay value 0 at age 1 breaks injectivity$"):
+            DecayOperator(system, zeros, borrowed)
+
     def test_baker_weights_follow_age_classes(self):
         b = build_baker_cascade(1)
         op = build_decay_operator(gumbel(1.0), b)
