@@ -192,6 +192,16 @@ class CascadeSystem:
                 self._steps[k] = idx
         return self._steps[t]
 
+    def step_pairs(self, t: int) -> tuple:
+        """The labels inside the t-margin whose t-step image lands, and those images.
+
+        The two index arrays of the labels U^t moves and carries a
+        weight for, the sources in index order.
+        """
+        targets = self.step_indices(t)
+        sources = np.nonzero(self.interior_mask(t) & (targets >= 0))[0]
+        return sources, targets[sources]
+
     def age_mask(self, delta) -> np.ndarray:
         """Boolean mask of the labels whose age lies in ``delta``."""
         if isinstance(delta, (int, np.integer)):

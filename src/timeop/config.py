@@ -251,6 +251,9 @@ def _steepnesses(key, text):
     values = tuple(_steepness(key, tok) for tok in text.split())
     if not values:
         raise ValueError(f"{key} must list at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{key} lists a = {value!r} twice")
     return values
 
 

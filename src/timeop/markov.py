@@ -10,9 +10,12 @@ exp(exp(hi)) on a window topping out at hi, so the ratio form is the
 only finitely representable realization.  The log ratios of every time
 up to a horizon form one read-only ``(t, label)`` table, and the
 Lyapunov traces decide the margin and the agreement of their two norm
-routes for all times of all rows at once, against that table.  The
-positivity sweep takes one step and one Walsh transform per (density,
-t) for all its weightings.
+routes for all times of all rows at once, against that table, on the
+labels their rows support.  The positivity sweep forms no such table:
+it takes one step and one Walsh transform per (density, t) for all its
+weightings, and reads each weighting's log ratios
+(:meth:`~timeop.profiles.DecayOperator.log_ratio`) on the labels it
+steps, after checking them on every label.
 
 Negative times are rejected; the backward weights are unbounded as the
 window widens, which :func:`asymmetry_probe` demonstrates, so the
@@ -46,6 +49,7 @@ __all__ = [
 
 SUPPORT_TOLERANCE = 1e-12
 AGREEMENT_TOLERANCE = 1e-10
+_NOT_ADMISSIBLE = "decay ratios exceed one; the profile is not admissible"
 
 
 class MarkovEvolution:
@@ -70,7 +74,7 @@ class MarkovEvolution:
         self.log_ratios.setflags(write=False)
         # NaN (outside the margin) compares false
         if np.any(self.log_ratios > 0):
-            raise ValueError("decay ratios exceed one; the profile is not admissible")
+            raise ValueError(_NOT_ADMISSIBLE)
 
 
 def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
@@ -103,16 +107,16 @@ def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
     zero.  The margin check runs row by row and names the labels of the
     first offending row, in index order.
     """
-    _check_time(ev, t)
+    _check_time(t, ev.max_t)
     labels = np.arange(ev.system.dim) if labels is None else np.asarray(labels)
     return _landed(ev, coeffs, t, labels, _inside(ev.system, coeffs, t, labels))
 
 
-def _check_time(ev: MarkovEvolution, t: int):
+def _check_time(t: int, horizon: int | None = None):
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
-    if t > ev.max_t:
-        raise ValueError(f"t={t} exceeds the precomputed horizon {ev.max_t}")
+    if horizon is not None and t > horizon:
+        raise ValueError(f"t={t} exceeds the precomputed horizon {horizon}")
 
 
 def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
@@ -236,15 +240,19 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
         evolved = np.zeros((rows, system.dim))
         evolved[:, targets] = moved
         norms[:, t] = [vector_norm(row) for row in evolved]
-    table = ev.log_ratios[:stop]
-    alive = (coeffs != 0.0)[:, None, :] & ~np.isnan(table)
+    # the forms read the support columns only: every alive label is one
+    # of them, and in the same order, so each (row, t) sums the same terms
+    support = np.nonzero((coeffs != 0.0).any(axis=0))[0]
+    table = ev.log_ratios[:stop, support]
+    held = coeffs[:, support]
+    alive = (held != 0.0)[:, None, :] & ~np.isnan(table)
     at_row, at_t, at_label = np.nonzero(alive)
     with np.errstate(under="ignore"):
-        terms = np.exp(2.0 * table[at_t, at_label]) * coeffs[at_row, at_label] ** 2
+        terms = np.exp(2.0 * table[at_t, at_label]) * held[at_row, at_label] ** 2
     # one slice of ``terms`` per (row, t), in row-major order
     ends = np.cumsum(alive.sum(axis=2).ravel()).tolist()
     forms = np.array([terms[a:b].sum() for a, b in zip([0] + ends, ends)]).reshape(rows, stop)
-    _check_routes(norms, forms, table, coeffs, alive)
+    _check_routes(norms, forms, table, held, alive)
     if stop < times.size:
         row = int(np.argmax(leaves[:, stop]))
         raise _margin_error(system, stop, np.nonzero(big[row] & ~inside[stop])[0])
@@ -263,7 +271,8 @@ def _check_routes(norms, forms, table, coeffs, alive):
 
     ``norms`` and ``forms`` are ``(rows, t)`` grids; a pair below
     ``NORM_RESCALE_BELOW`` is compared in the log domain, recomputed
-    from ``table`` (the log ratios) and ``coeffs`` on the ``alive`` labels.
+    from ``table`` (the log ratios) and ``coeffs`` on the ``alive``
+    labels, all three on the same columns.
     """
     root = np.sqrt(forms)
     gap = np.zeros(norms.shape)
@@ -335,53 +344,65 @@ def density_walsh(system, cells, low: int) -> tuple:
 def evolved_minima(ev: MarkovEvolution, equilibrium, coeffs, labels, t: int) -> np.ndarray:
     """Minimum cell of each density of a block after t steps.
 
-    The one-evolution, one-time case of :func:`swept_minima`.
+    The one-operator, one-time case of :func:`swept_minima`, under the
+    decay operator of ``ev`` and within its horizon.
     """
-    return swept_minima([ev], [(equilibrium, coeffs, labels)], [t])[0][0][0]
+    _check_time(t, ev.max_t)
+    return swept_minima([ev.decay], [(equilibrium, coeffs, labels)], [t])[0][0][0]
 
 
-def swept_minima(evolutions, blocks, times) -> list:
-    """Minimum cell of each density of each block after each t, under each evolution.
+def swept_minima(decays, blocks, times) -> list:
+    """Minimum cell of each density of each block after each t, under each decay operator.
 
-    ``evolutions``, a nonempty iterable on one system, is read once, so
-    a generator keeps one alive at a time; ``blocks`` are as
+    ``decays``, a nonempty iterable of
+    :class:`~timeop.profiles.DecayOperator` on one system, is read once,
+    so a generator keeps one alive at a time; ``blocks`` are as
     :func:`density_walsh` returns them.  Returns, per t and block, the
-    ``(evolutions, rows)`` minima.  The margin check and the step
-    targets do not depend on the weighting: each (t, block) runs them
-    once, and each evolution adds its log ratios on the kept labels.
-    Each (t, block) then takes one weight product and one
+    ``(decays, rows)`` minima.  Each operator is first checked on every
+    label, as a :class:`MarkovEvolution` with the largest t for horizon
+    checks it: no log ratio of W_1, ..., W_t may exceed zero.  The check
+    reads the landed (source, target) pairs of those t, formed once per
+    sweep, since they depend on the system only.  The margin check and
+    the step targets do not depend on the weighting: each (t, block)
+    runs them once, and each operator adds its log ratios on the kept
+    labels only, the floats ``step_log_ratio(t)`` holds there.  Each
+    (t, block) then takes one weight product and one
     :func:`~timeop.cascade.walsh_to_cells` transform for all rows: the
     floats are the one-row step's, and the block over the union of the
     rows' spans tiles each row's own, so the minima are too.  Raises
-    what a loop over evolutions, then times, then blocks raises.
+    what a loop over operators, each checked, then times, then blocks
+    raises.
     """
     steps, tables = None, []
-    for ev in evolutions:
+    for decay in decays:
         if steps is None:
-            system = ev.system
-            steps = [_block_step(ev, t, *block) for t in times for block in blocks]
-        else:
-            for t in times:
-                _check_time(ev, t)
-        tables.append([ev.log_ratios[t][sources] for t, _, _, sources, _ in steps])
-        del ev  # not alive while the next one is built
+            system = decay.system
+            # t = 0 is left out: its log ratios, log_diag[k] - log_diag[k], are zero
+            pairs = [system.step_pairs(t) for t in range(1, max(times, default=0) + 1)]
+            sources, targets = (np.concatenate(side) for side in zip(*pairs)) if pairs else ([], [])
+        if np.any(decay.log_ratio(sources, targets) > 0):
+            raise ValueError(_NOT_ADMISSIBLE)
+        if steps is None:
+            steps = [_block_step(system, t, *block) for t in times for block in blocks]
+        tables.append([decay.log_ratio(kept, images) for _, _, kept, images in steps])
+        del decay  # not alive while the next one is built
     if steps is None:
-        raise ValueError("the sweep needs at least one evolution")
+        raise ValueError("the sweep needs at least one decay operator")
     minima = [_block_minima(system, step, np.array(rows)) for step, rows in zip(steps, zip(*tables))]
     return [minima[i:i + len(blocks)] for i in range(0, len(minima), len(blocks))]
 
 
-def _block_step(ev: MarkovEvolution, t: int, equilibrium, coeffs, labels) -> tuple:
+def _block_step(system, t: int, equilibrium, coeffs, labels) -> tuple:
     """A block's t-step, but for the weights: its kept coefficients, their labels and targets."""
-    _check_time(ev, t)
+    _check_time(t)
     labels = np.asarray(labels)
-    targets, kept = _kept(ev.system, t, labels, _inside(ev.system, coeffs, t, labels))
-    return t, equilibrium, coeffs[:, kept], labels[kept], targets
+    targets, kept = _kept(system, t, labels, _inside(system, coeffs, t, labels))
+    return equilibrium, coeffs[:, kept], labels[kept], targets
 
 
 def _block_minima(system, step, log_ratios) -> np.ndarray:
-    """The ``(evolutions, rows)`` minima of a block step weighted by each row of ``log_ratios``."""
-    _, equilibrium, coeffs, _, targets = step
+    """The ``(decays, rows)`` minima of a block step weighted by each row of ``log_ratios``."""
+    equilibrium, coeffs, _, targets = step
     n, rows = log_ratios.shape[0], coeffs.shape[0]
     moved = _weigh(np.tile(coeffs, (n, 1, 1)), log_ratios[:, None, :])
     cells, _ = walsh_to_cells(system, np.tile(equilibrium, n),

@@ -224,8 +224,13 @@ def _run_lyapunov(ctx, params):
     weight r_k(t) = ``ev.log_ratios[t][k]``, so ||W_t rho||^2 =
     sum_k rho_k^2 exp(2 r_k(t)) decays for every rho on the band exactly
     when each band label's r_k does, and its largest final ratio is
-    max_k exp(r_k(max_t)).  A fail names the first offending label.  The
-    canonical basis row and the band indicator take the two-route trace.
+    max_k exp(r_k(max_t)).  That reading holds only for a step that
+    raises ages by one: a band label whose t-step image, for some
+    t <= max_t, does not have its age + t offends too, so a step map
+    that turns labels into fixed points, whose constant ratio reads as
+    a contraction, cannot pass.  A fail names the first offending
+    label.  The canonical basis row and the band indicator take the
+    two-route trace.
     """
     max_t = params["max_t"]
     ev = MarkovEvolution(ctx.decay, max_t)
@@ -237,8 +242,11 @@ def _run_lyapunov(ctx, params):
     block[1, labels] = 1.0
     canonical = lyapunov_traces(ev, block)[0]
     ratios = ev.log_ratios[:, labels]
+    images = np.array([system.step_indices(t)[labels] for t in range(1, max_t + 1)])
+    ages = system.ages[labels] + np.arange(1, max_t + 1)[:, None]
     # NaN, a truncated image, counts as a rise
-    offending = labels[np.any(~(ratios[1:] <= ratios[:-1]), axis=0)]
+    offending = labels[np.any(~(ratios[1:] <= ratios[:-1])
+                              | (images < 0) | (system.ages[images] != ages), axis=0)]
     worst = int(np.argmax(ratios[-1]))
     details = {
         "max_t": max_t,
@@ -281,8 +289,11 @@ def _run_positivity(ctx, params):
     The two densities stay separate blocks, so a margin error names one
     density's labels.  :func:`~timeop.markov.swept_minima` steps each
     (density, t) pair once for all steepnesses and takes one transform
-    per pair, holding one row per a; the operators are built one at a
-    time, in sweep order.
+    per pair, holding one row per a.  The decay operators are built one
+    at a time, in sweep order, and each is checked on every label up to
+    t_max, as a ``MarkovEvolution`` would check it; its log ratios are
+    read only on the labels the pairs step, and no ``(t, label)`` table
+    is formed.
     """
     system = ctx.system
     t_max = max(params["t_values"])
@@ -291,9 +302,8 @@ def _run_positivity(ctx, params):
     # the cells of the live labels: one past t_max = 2m, where the canonical row raises first
     width = 1 << max(0, 2 * system.m + 1 - t_max)
     extreme = density_walsh(system, np.eye(1, width) * width, 0)
-    evolutions = (MarkovEvolution(build_decay_operator(gumbel(a), system), t_max)
-                  for a in params["sweep_a"])
-    minima = swept_minima(evolutions, [canonical, extreme], params["t_values"])
+    decays = (build_decay_operator(gumbel(a), system) for a in params["sweep_a"])
+    minima = swept_minima(decays, [canonical, extreme], params["t_values"])
     sweep, extremes = [], []
     for i, a in enumerate(params["sweep_a"]):
         profile = gumbel(a)

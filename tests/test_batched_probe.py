@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import timeop.cascade
+import timeop.markov
 from timeop.cascade import (
     GridDensity,
     MarginError,
@@ -361,20 +362,34 @@ class TestDimWideReference:
 
 
 @pytest.mark.parametrize("m", [3, 6])
-def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m):
-    # blocks of several rows under several evolutions, one of them steep
-    # enough to underflow weights, against the dim-wide pipeline
+def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
+    # blocks of several rows under several decay operators, one of them
+    # steep enough to underflow weights, against the dim-wide pipeline
+    # of each one's evolution; the weights the sweep steps by are those
+    # of the evolution's table on the kept labels, bit for bit
     system, live, rng = probe_case(m)
     pairs = [random_densities(system, rng, rows, live) for rows in (CHUNK, 3)]
-    evolutions = [MarkovEvolution(build_decay_operator(gumbel(a), system), 2)
-                  for a in (0.5, 2.0, 20.0)]
-    swept = swept_minima(iter(evolutions), [density_walsh(system, *pair) for pair in pairs],
-                         (0, 1, 2))
-    for t, per_block in zip((0, 1, 2), swept):
+    decays = [build_decay_operator(gumbel(a), system) for a in (0.5, 2.0, 20.0)]
+    weighed = []
+    block_minima = timeop.markov._block_minima
+
+    def recorded(system, step, log_ratios):
+        weighed.append((step[2], log_ratios))
+        return block_minima(system, step, log_ratios)
+
+    monkeypatch.setattr(timeop.markov, "_block_minima", recorded)
+    times = (0, 1, 2)
+    swept = swept_minima(iter(decays), [density_walsh(system, *pair) for pair in pairs], times)
+    evolutions = [MarkovEvolution(decay, 2) for decay in decays]
+    for t, per_block in zip(times, swept):
         for pair, minima in zip(pairs, per_block):
             want = [dim_wide_minima(ev, *pair, t) for ev in evolutions]
             assert np.array_equal(bits(minima), bits(want))
-    with pytest.raises(ValueError, match="at least one evolution"):
+    assert len(weighed) == len(times) * len(pairs)
+    for t, (kept, log_ratios) in zip(np.repeat(times, len(pairs)), weighed):
+        assert kept.size > 0
+        assert np.array_equal(bits(log_ratios), bits([ev.log_ratios[t][kept] for ev in evolutions]))
+    with pytest.raises(ValueError, match="at least one decay operator"):
         swept_minima(iter(()), [density_walsh(system, *pairs[0])], (1,))
 
 
@@ -401,9 +416,8 @@ def test_sweep_transform_count_and_memory(monkeypatch):
     # the canonical and extreme densities take one one-row transform each
     # per run, and then one transform each per t, holding one row per a.
     # The extreme density is one row on the 2**11 cells the live labels
-    # resolve (t_max = 2), 16 KB; the peak, about 0.6 MiB, is set by the
-    # decay operator and the t_max + 1 weight rows of the one evolution
-    # alive at a time.
+    # resolve (t_max = 2), 16 KB; the peak, about 0.5 MiB, holds the one
+    # decay operator alive at a time and no (t, label) weight table.
     config = parse_config(POSITIVITY_M6)
     ctx = _Context(config)
     params = config.experiments[0].params
@@ -478,3 +492,22 @@ def test_sweep_error_is_the_loop_error():
     assert record["status"] == "error"
     assert record["error"] == f"ProfileError: {from_loop.value}"
     assert record["error"].startswith("ProfileError: profile gumbel(a=0.01) is not admissible")
+
+
+def test_one_evolution_per_run(monkeypatch):
+    # the lyapunov experiment builds the one MarkovEvolution of a run;
+    # the positivity sweep reads its operators' log ratios directly
+    built = []
+    init = MarkovEvolution.__init__
+
+    def counted(self, decay, max_t):
+        built.append(max_t)
+        init(self, decay, max_t)
+
+    monkeypatch.setattr(MarkovEvolution, "__init__", counted)
+    config = parse_config("[system]\nkind = baker\nm = 3\n\n[profile]\nfamily = gumbel\n\n"
+                          "[experiment lyapunov]\nmax_t = 2\n\n"
+                          "[experiment positivity]\nt_values = 1 2\nsweep_a = 0.5 1.0 2.0\n")
+    bundle = run_experiments(config)
+    assert [record["status"] for record in bundle.records] == ["pass", "recorded"]
+    assert built == [2]

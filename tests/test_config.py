@@ -138,6 +138,14 @@ class TestSchemaErrors:
         assert line == text.splitlines().index("sweep_a =") + 1
         assert "at least one value" in msg
 
+    @pytest.mark.parametrize("sweep", ["1.0 1.0", "0.5 1 2.0 1.00"])
+    def test_repeated_steepness_rejected(self, sweep):
+        # run would certify the operator again and write each of its rows twice
+        text = MINIMAL.replace("kind = shift\nlo = -4\nhi = 4", "kind = baker\nm = 3") + (
+            f"\n[experiment positivity]\nsweep_a = {sweep}\n")
+        assert errors_of(text) == ((text.splitlines().index(f"sweep_a = {sweep}") + 1,
+                                    "sweep_a lists a = 1.0 twice"),)
+
     def test_repeated_custom_point_rejected(self):
         # run builds the profile with the same constructor, so validate must reject it
         text = MINIMAL.replace("family = gumbel\na = 1.0",

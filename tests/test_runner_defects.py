@@ -11,9 +11,11 @@ the config: a custom table that covers the certificate grid and breaks
 the ratio condition.  The positivity sweep builds its own gumbel
 operators, so its defects wrap the same builders; one hands it an
 operator on a decreasing table whose ratio is not monotone, built past
-its failing certificate.  The Lyapunov defect raises one label's W_2 log
-weight above its W_1 weight, and the isometry's puts one log weight past
-the float underflow of exp.
+its failing certificate, and one an operator whose ratio exceeds one
+only on labels no swept density steps, which must still be refused.
+The Lyapunov defects raise one label's W_2 log weight above its W_1
+weight, or lower every step image by one position, and the isometry's
+puts one log weight past the float underflow of exp.
 """
 
 import math
@@ -142,6 +144,22 @@ def test_rising_ratio_fails_lyapunov(system, monkeypatch):
 
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_off_by_one_step_map_fails_lyapunov(system, monkeypatch):
+    # on the shift the labels become fixed points, whose constant ratio
+    # reads as a contraction; on the baker the ratios still decay, but
+    # {-1} steps onto a label of age -1, not 0
+    honest = runner.build_system
+    monkeypatch.setattr(runner, "build_system", lambda cfg: off_by_one(honest(cfg)))
+    bundle = run_experiments(config(system, "[experiment lyapunov]\nmax_t = 2"))
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert record["details"]["monotone"] is False
+    assert record["details"]["worst_final_ratio"] <= 1.0
+    assert record["details"]["offending_label"] == {"shift": "-4", "baker": "{-1}"}[system]
+    assert not bundle.all_gated_passed
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_underflowing_weight_fails_isometry(system, monkeypatch):
     honest = runner.build_decay_operator
     op = underflowing(honest(gumbel(), runner.build_system(config(system, ""))))
@@ -226,6 +244,28 @@ def test_raised_weight_at_the_lowest_age_fails_positivity(monkeypatch):
     assert record["status"] == "fail"
     assert record["details"]["worst_min_cell"] > 0.0
     assert record["details"]["worst_closed_form_deviation"] > 1e-3
+
+
+def test_ratio_above_one_off_the_swept_labels_errors_positivity(monkeypatch):
+    # every age-3 log weight set midway between the age-1 and age-2
+    # ones raises only the t = 1 ratio of the age-2 labels above one;
+    # no swept density steps an age-2 label at t = 1, yet the sweep
+    # rejects the operator as a MarkovEvolution does, on every label
+    def midway(op, profile, system):
+        log_diag = np.array(op.log_diag)
+        first = {n: log_diag[system.ages == n][0] for n in (1, 2)}
+        log_diag[system.ages == 3] = 0.5 * (first[1] + first[2])
+        log_diag.setflags(write=False)
+        op.log_diag = log_diag
+        return op
+
+    system = runner.build_system(config("baker", ""))
+    op = midway(runner.build_decay_operator(gumbel(), system), None, system)
+    assert np.all((op.step_log_ratio(1) > 0) == (system.ages == 2))
+    assert not np.any(op.step_log_ratio(2) > 0)
+    record = positivity_record(monkeypatch, "build_decay_operator", midway)
+    assert record["status"] == "error"
+    assert record["error"] == "ValueError: decay ratios exceed one; the profile is not admissible"
 
 
 def test_nonmonotone_ratio_fails_positivity(monkeypatch):
