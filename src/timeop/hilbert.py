@@ -2,8 +2,8 @@
 
 Vectors are plain float arrays of coefficients over a labelled
 orthonormal basis, and the batched routines of the other modules work
-on ``(rows, dim)`` coefficient blocks; the helpers here reduce a block
-row by row to the very floats a loop over its rows gives.  Operators
+on ``(rows, dim)`` coefficient blocks; :func:`vector_norm` gives the
+norm of one such row as :meth:`HVector.norm` gives it.  Operators
 are not represented here: every operator the package builds is a
 truncated weighted shift, carried as a step index map plus per-label
 log weights (see the cascade module).
@@ -27,7 +27,6 @@ __all__ = [
     "HVector",
     "NORM_RESCALE_BELOW",
     "vector_norm",
-    "masked_row_sums",
 ]
 
 # Squaring coefficients below about 1e-154 enters the subnormal range;
@@ -93,21 +92,3 @@ def vector_norm(coeffs: np.ndarray) -> float:
             n = scale * math.sqrt(scaled.dot(scaled))
     return n
 
-
-def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``np.sum(values[r][mask[r]])`` for every row r of a ``(rows, n)`` block, bitwise.
-
-    A sum along the last axis of a C-contiguous block adds each row
-    pairwise, exactly as the 1-dimensional sum of that row does, but the
-    grouping depends on the row length.  So the rows sharing one mask are
-    compacted to their masked columns and summed as one block.
-    """
-    out = np.empty(values.shape[0])
-    todo = np.ones(values.shape[0], dtype=bool)
-    while todo.any():
-        cols = mask[np.argmax(todo)]
-        rows = todo & (mask == cols).all(axis=1)
-        block = values if rows.all() else values[rows]
-        out[rows] = np.ascontiguousarray(block if cols.all() else block[:, cols]).sum(axis=1)
-        todo &= ~rows
-    return out

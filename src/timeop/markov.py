@@ -3,19 +3,17 @@
 Conjugating the forward step by an admissible decay operator yields,
 for t >= 0, a strongly contracting evolution on the fluctuation space:
 the coefficient sitting at age n moves to age n + t with the weight
-lambda(n+t)/lambda(n) in (0, 1].  The log ratios are read along the
-step map (:meth:`~timeop.profiles.DecayOperator.step_log_ratio`), and the
-inverse weighting is never formed as a matrix: its entries reach
-exp(exp(hi)) on a window topping out at hi, so the ratio form is the
-only finitely representable realization.  The log ratios of every time
-up to a horizon form one read-only ``(t, label)`` table, and the
-Lyapunov traces decide the margin and the agreement of their two norm
-routes for all times of all rows at once, against that table, on the
-labels their rows support.  The positivity sweep forms no such table:
-it takes one step and one Walsh transform per (density, t) for all its
-weightings, and reads each weighting's log ratios
-(:meth:`~timeop.profiles.DecayOperator.log_ratio`) on the labels it
-steps, after checking them on every label.
+lambda(n+t)/lambda(n) in (0, 1].  Every log ratio is read from
+:meth:`~timeop.profiles.DecayOperator.log_ratio` on the (label, image)
+pairs the step map lands, and the inverse weighting is never formed as
+a matrix: its entries reach exp(exp(hi)) on a window topping out at hi,
+so the ratio form is the only finitely representable realization.  An
+evolution and the positivity sweep check a weighting once, on the
+landed pairs of every time up to their horizon, and then read its log
+ratios only on the labels they step.  The Lyapunov traces decide the
+margin and the agreement of their two norm routes for all times of all
+rows at once, on the labels their rows support; the sweep takes one
+step and one Walsh transform per (density, t) for all its weightings.
 
 Negative times are rejected; the backward weights are unbounded as the
 window widens, which :func:`asymmetry_probe` demonstrates, so the
@@ -55,11 +53,9 @@ _NOT_ADMISSIBLE = "decay ratios exceed one; the profile is not admissible"
 class MarkovEvolution:
     """An induced contraction semigroup up to a horizon.
 
-    ``log_ratios`` is the read-only ``(max_t + 1, dim)`` table whose row
-    t is ``decay.step_log_ratio(t)``, read once: log lambda(n+t) -
-    log lambda(n) along the step map, NaN where the image leaves the
-    window.  Construction checks that no ratio exceeds one at any time
-    up to the horizon.
+    Construction checks that no ratio exceeds one at any time up to the
+    horizon; the log ratios themselves are read from ``decay`` where a
+    step needs them.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -68,13 +64,20 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        self.log_ratios = np.empty((self.max_t + 1, self.system.dim))
-        for t, log_ratio in enumerate(self.log_ratios):
-            log_ratio[:] = decay.step_log_ratio(t)
-        self.log_ratios.setflags(write=False)
-        # NaN (outside the margin) compares false
-        if np.any(self.log_ratios > 0):
-            raise ValueError(_NOT_ADMISSIBLE)
+        _check_admissible(decay, _landed_pairs(self.system, self.max_t))
+
+
+def _landed_pairs(system, horizon: int) -> tuple:
+    """The landed (source, target) pairs of W_1, ..., W_horizon, concatenated."""
+    # t = 0 is left out: its log ratios, log_diag[k] - log_diag[k], are zero
+    pairs = [system.step_pairs(t) for t in range(1, horizon + 1)]
+    return tuple(np.concatenate(side) for side in zip(*pairs)) if pairs else ([], [])
+
+
+def _check_admissible(decay: DecayOperator, pairs):
+    """Raise unless no log ratio of ``decay`` on the (source, target) ``pairs`` exceeds zero."""
+    if np.any(decay.log_ratio(*pairs) > 0):
+        raise ValueError(_NOT_ADMISSIBLE)
 
 
 def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
@@ -84,43 +87,33 @@ def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
     log lambda(n)) times itself at age n + t.  Coefficients below
     ``SUPPORT_TOLERANCE`` (relative to the largest) are treated as
     truncation dust and dropped; larger coefficients outside the
-    t-margin raise :class:`MarginError`.  The one-row case of
-    :func:`_moved_rows`.
+    t-margin raise :class:`MarginError`.
     """
     system = ev.system
     if rho.basis_id != system.basis_id:
         raise BasisMismatchError("vector does not belong to the evolved system")
-    targets, moved = _moved_rows(ev, rho.coeffs[None], t)
+    _check_time(t, ev.max_t)
+    coeffs, labels = rho.coeffs[None], np.arange(system.dim)
+    targets, moved = _landed(ev.decay, coeffs, t, labels, _inside(system, coeffs, t, labels))
     out = np.zeros(system.dim)
     out[targets] = moved[0]
     return HVector(out, system.basis_id)
-
-
-def _moved_rows(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels=None):
-    """The t-step of each row of a ``(coeffs, labels)`` block.
-
-    Row r of ``coeffs`` holds the coefficients of the label indices
-    ``labels`` (of every label when None); every other label is zero.
-    Returns the target labels of the given labels inside the t-margin
-    and the weighted coefficients each row moves onto them, as
-    :func:`_landed` gives them; every other label of the evolved row is
-    zero.  The margin check runs row by row and names the labels of the
-    first offending row, in index order.
-    """
-    _check_time(t, ev.max_t)
-    labels = np.arange(ev.system.dim) if labels is None else np.asarray(labels)
-    return _landed(ev, coeffs, t, labels, _inside(ev.system, coeffs, t, labels))
 
 
 def _check_time(t: int, horizon: int | None = None):
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
     if horizon is not None and t > horizon:
-        raise ValueError(f"t={t} exceeds the precomputed horizon {horizon}")
+        raise ValueError(f"t={t} exceeds the horizon {horizon}")
 
 
 def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
-    """The mask of the ``labels`` inside the t-margin, after the margin check."""
+    """The mask of the ``labels`` inside the t-margin, after the margin check.
+
+    Row r of ``coeffs`` holds the coefficients of the label indices
+    ``labels``.  The check runs row by row and names the labels of the
+    first offending row, in index order.
+    """
     inside = system.ages[labels] + t <= system.window.hi
     size = np.abs(coeffs)
     peak = size.max(axis=1, initial=0.0, keepdims=True)
@@ -131,14 +124,14 @@ def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
     return inside
 
 
-def _landed(ev: MarkovEvolution, coeffs: np.ndarray, t: int, labels, inside):
+def _landed(decay: DecayOperator, coeffs: np.ndarray, t: int, labels, inside):
     """The targets of the ``inside`` labels and what each row moves onto them at t.
 
-    ``coeffs`` and ``labels`` are as in :func:`_moved_rows`, and
-    ``inside`` masks the labels inside the t-margin.
+    ``coeffs`` and ``labels`` are as in :func:`_inside`, and ``inside``
+    masks the labels inside the t-margin.
     """
-    targets, kept = _kept(ev.system, t, labels, inside)
-    return targets, _weigh(coeffs[:, kept], ev.log_ratios[t][labels[kept]])
+    targets, kept = _kept(decay.system, t, labels, inside)
+    return targets, _weigh(coeffs[:, kept], decay.log_ratio(labels[kept], targets))
 
 
 def _kept(system, t: int, labels, inside) -> tuple:
@@ -193,17 +186,9 @@ def lyapunov_trace(ev: MarkovEvolution, rho: HVector, max_t: int | None = None) 
     log domain instead.  Monotone decrease of the norms is reported,
     not assumed.  The one-row case of :func:`lyapunov_traces`.
     """
-    horizon = _horizon(ev, max_t)
     if rho.basis_id != ev.system.basis_id:
         raise BasisMismatchError("vector does not belong to the evolved system")
-    return lyapunov_traces(ev, rho.coeffs[None], horizon)[0]
-
-
-def _horizon(ev: MarkovEvolution, max_t: int | None) -> int:
-    horizon = ev.max_t if max_t is None else int(max_t)
-    if horizon > ev.max_t:
-        raise ValueError(f"max_t={horizon} exceeds the precomputed horizon {ev.max_t}")
-    return horizon
+    return lyapunov_traces(ev, rho.coeffs[None], max_t)[0]
 
 
 def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> list:
@@ -213,16 +198,18 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     direct norm is :func:`~timeop.hilbert.vector_norm` of the full-dim
     evolved row, and the form the sum over the row's alive labels.  The
     checks are decided for all times at once, on the ``(t, label)``
-    margins and log ratios: the first t at which a row's support leaves
+    margins and images: the first t at which a row's support leaves
     the window (:class:`MarginError`) or its two routes disagree
     (``AssertionError``) raises, for the first such row; at a t with
     both, the margin error.
     """
-    times = np.arange(_horizon(ev, max_t) + 1)
+    horizon = ev.max_t if max_t is None else int(max_t)
+    _check_time(horizon, ev.max_t)
+    times = np.arange(horizon + 1)
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("entries must be finite")
-    system = ev.system
+    system, decay = ev.system, ev.decay
     rows = coeffs.shape[0]
     inside = system.ages + times[:, None] <= system.window.hi
     size = np.abs(coeffs)
@@ -236,16 +223,18 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     labels = np.arange(system.dim)
     norms = np.empty((rows, stop))
     for t in range(stop):
-        targets, moved = _landed(ev, coeffs, t, labels, inside[t])
+        targets, moved = _landed(decay, coeffs, t, labels, inside[t])
         evolved = np.zeros((rows, system.dim))
         evolved[:, targets] = moved
         norms[:, t] = [vector_norm(row) for row in evolved]
     # the forms read the support columns only: every alive label is one
     # of them, and in the same order, so each (row, t) sums the same terms
     support = np.nonzero((coeffs != 0.0).any(axis=0))[0]
-    table = ev.log_ratios[:stop, support]
+    images = np.array([system.step_indices(t)[support] for t in range(stop)], dtype=int)
+    images = images.reshape(stop, support.size)
+    table = decay.log_ratio(support, images)
     held = coeffs[:, support]
-    alive = (held != 0.0)[:, None, :] & ~np.isnan(table)
+    alive = (held != 0.0)[:, None, :] & inside[:stop, support] & (images >= 0)
     at_row, at_t, at_label = np.nonzero(alive)
     with np.errstate(under="ignore"):
         terms = np.exp(2.0 * table[at_t, at_label]) * held[at_row, at_label] ** 2
@@ -359,14 +348,13 @@ def swept_minima(decays, blocks, times) -> list:
     so a generator keeps one alive at a time; ``blocks`` are as
     :func:`density_walsh` returns them.  Returns, per t and block, the
     ``(decays, rows)`` minima.  Each operator is first checked on every
-    label, as a :class:`MarkovEvolution` with the largest t for horizon
-    checks it: no log ratio of W_1, ..., W_t may exceed zero.  The check
-    reads the landed (source, target) pairs of those t, formed once per
-    sweep, since they depend on the system only.  The margin check and
-    the step targets do not depend on the weighting: each (t, block)
-    runs them once, and each operator adds its log ratios on the kept
-    labels only, the floats ``step_log_ratio(t)`` holds there.  Each
-    (t, block) then takes one weight product and one
+    label, by the check of a :class:`MarkovEvolution` with the largest t
+    for horizon: no log ratio of W_1, ..., W_t may exceed zero.  The
+    landed (source, target) pairs it reads are formed once per sweep,
+    since they depend on the system only.  The margin check and the
+    step targets do not depend on the weighting: each (t, block) runs
+    them once, and each operator adds its log ratios on the kept labels
+    only.  Each (t, block) then takes one weight product and one
     :func:`~timeop.cascade.walsh_to_cells` transform for all rows: the
     floats are the one-row step's, and the block over the union of the
     rows' spans tiles each row's own, so the minima are too.  Raises
@@ -377,11 +365,8 @@ def swept_minima(decays, blocks, times) -> list:
     for decay in decays:
         if steps is None:
             system = decay.system
-            # t = 0 is left out: its log ratios, log_diag[k] - log_diag[k], are zero
-            pairs = [system.step_pairs(t) for t in range(1, max(times, default=0) + 1)]
-            sources, targets = (np.concatenate(side) for side in zip(*pairs)) if pairs else ([], [])
-        if np.any(decay.log_ratio(sources, targets) > 0):
-            raise ValueError(_NOT_ADMISSIBLE)
+            pairs = _landed_pairs(system, max(times, default=0))
+        _check_admissible(decay, pairs)
         if steps is None:
             steps = [_block_step(system, t, *block) for t in times for block in blocks]
         tables.append([decay.log_ratio(kept, images) for _, _, kept, images in steps])

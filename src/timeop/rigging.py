@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import masked_row_sums, vector_norm
+from .hilbert import vector_norm
 
 __all__ = [
     "NormDomainError",
@@ -86,7 +86,7 @@ def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
         norms[:, g] = [vector_norm(row) for row in coeffs]
     up = np.nonzero(grades > 0)[0]
     if up.size:
-        active = np.repeat(coeffs != 0, up.size, axis=0)
+        live = coeffs != 0
         # a row of zeros has peak -inf and norm 0; a peak past the cap
         # may overflow, and its norm is never used
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -95,7 +95,9 @@ def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
             peak = logs.max(axis=1)  # zero coefficients log to -inf
             logs -= peak[:, None]
             logs *= 2.0
-            norm = np.exp(peak) * np.sqrt(masked_row_sums(np.exp(logs), active))
+            # each (row, grade) sums the terms of the row's nonzero labels
+            sums = [w[live[i // up.size]].sum() for i, w in enumerate(np.exp(logs))]
+            norm = np.exp(peak) * np.sqrt(sums)
         norms[:, up] = np.where(peak > -np.inf, norm, 0.0).reshape(rows, up.size)
         peaks[:, up] = peak.reshape(rows, up.size)
     return norms, peaks

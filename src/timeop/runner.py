@@ -220,8 +220,8 @@ def _interior_band(system, max_t):
 def _run_lyapunov(ctx, params):
     """Norm decay of W_t on the margin band, decided per label; ignores ``n_random``.
 
-    W_t moves each label along an injective index map with the log
-    weight r_k(t) = ``ev.log_ratios[t][k]``, so ||W_t rho||^2 =
+    W_t moves each label k onto its t-step image i_k(t) with the log
+    weight r_k(t) = ``decay.log_ratio(k, i_k(t))``, so ||W_t rho||^2 =
     sum_k rho_k^2 exp(2 r_k(t)) decays for every rho on the band exactly
     when each band label's r_k does, and its largest final ratio is
     max_k exp(r_k(max_t)).  That reading holds only for a step that
@@ -241,12 +241,14 @@ def _run_lyapunov(ctx, params):
     block[0, canonical_idx] = 1.0
     block[1, labels] = 1.0
     canonical = lyapunov_traces(ev, block)[0]
-    ratios = ev.log_ratios[:, labels]
-    images = np.array([system.step_indices(t)[labels] for t in range(1, max_t + 1)])
-    ages = system.ages[labels] + np.arange(1, max_t + 1)[:, None]
+    # the band stays inside the margin up to max_t: only a truncated image fails to land
+    images = np.array([system.step_indices(t)[labels] for t in range(max_t + 1)])
+    ratios = np.where(images >= 0, ctx.decay.log_ratio(labels, images), np.nan)
+    ages = system.ages[labels] + np.arange(max_t + 1)[:, None]
     # NaN, a truncated image, counts as a rise
-    offending = labels[np.any(~(ratios[1:] <= ratios[:-1])
-                              | (images < 0) | (system.ages[images] != ages), axis=0)]
+    rises = ~(ratios[1:] <= ratios[:-1])
+    strays = (images < 0) | (system.ages[images] != ages)
+    offending = labels[rises.any(axis=0) | strays.any(axis=0)]
     worst = int(np.argmax(ratios[-1]))
     details = {
         "max_t": max_t,
@@ -291,9 +293,8 @@ def _run_positivity(ctx, params):
     (density, t) pair once for all steepnesses and takes one transform
     per pair, holding one row per a.  The decay operators are built one
     at a time, in sweep order, and each is checked on every label up to
-    t_max, as a ``MarkovEvolution`` would check it; its log ratios are
-    read only on the labels the pairs step, and no ``(t, label)`` table
-    is formed.
+    t_max by the check a ``MarkovEvolution`` runs; its log ratios are
+    read only on the labels the pairs step.
     """
     system = ctx.system
     t_max = max(params["t_values"])

@@ -40,7 +40,6 @@ from timeop.hilbert import HVector
 from timeop.markov import (
     SUPPORT_TOLERANCE,
     MarkovEvolution,
-    _moved_rows,
     density_walsh,
     evolved_minima,
     markov_step,
@@ -357,7 +356,7 @@ class TestDimWideReference:
         # labels in another order name the same labels, in index order
         order = rng.permutation(labels.size)
         with pytest.raises(MarginError) as shuffled:
-            _moved_rows(ev, coeffs[:, order], 1, labels[order])
+            evolved_minima(ev, np.ones(3), coeffs[:, order], labels[order], 1)
         assert str(shuffled.value) == str(from_dim.value)
 
 
@@ -366,7 +365,7 @@ def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
     # blocks of several rows under several decay operators, one of them
     # steep enough to underflow weights, against the dim-wide pipeline
     # of each one's evolution; the weights the sweep steps by are those
-    # of the evolution's table on the kept labels, bit for bit
+    # of step_log_ratio on the kept labels, bit for bit
     system, live, rng = probe_case(m)
     pairs = [random_densities(system, rng, rows, live) for rows in (CHUNK, 3)]
     decays = [build_decay_operator(gumbel(a), system) for a in (0.5, 2.0, 20.0)]
@@ -388,7 +387,8 @@ def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
     assert len(weighed) == len(times) * len(pairs)
     for t, (kept, log_ratios) in zip(np.repeat(times, len(pairs)), weighed):
         assert kept.size > 0
-        assert np.array_equal(bits(log_ratios), bits([ev.log_ratios[t][kept] for ev in evolutions]))
+        want = [ev.decay.step_log_ratio(t)[kept] for ev in evolutions]
+        assert np.array_equal(bits(log_ratios), bits(want))
     with pytest.raises(ValueError, match="at least one decay operator"):
         swept_minima(iter(()), [density_walsh(system, *pairs[0])], (1,))
 
@@ -475,8 +475,8 @@ def test_sweep_rows_are_bitwise_the_per_a_loop(m):
     params = config.experiments[0].params
     assert build_decay_operator(gumbel(0.3), ctx.system).certificate.grid != (-20, 20)
     ev = MarkovEvolution(build_decay_operator(gumbel(20.0), ctx.system), 1)
-    _, moved = _moved_rows(ev, np.ones((1, 1)), 1, [ctx.system.index_of({0})])
-    assert bits(moved[0, 0]) == bits(0.0)
+    image = ctx.system.step_indices(1)[ctx.system.index_of({0})]
+    assert bits(markov_step(ev, ctx.system.basis_vector({0}), 1).coeffs[image]) == bits(0.0)
     _, details = _run_positivity(ctx, params)
     got = [row["min_cell"] for row in details["sweep"]]
     assert np.array_equal(bits(got), bits(loop_sweep(ctx.system, params)))

@@ -26,6 +26,7 @@ import pytest
 import timeop.runner as runner
 from timeop.cascade import CascadeSystem
 from timeop.config import parse_config
+from timeop.markov import MarkovEvolution
 from timeop.profiles import DecayOperator, check_admissible, gumbel, profile_from_table
 from timeop.rigging import isometry_check
 from timeop.runner import run_experiments
@@ -64,19 +65,21 @@ def perturbed(op):
 def rising_ratio(op):
     """The operator with the W_2 log weight of its first age-0 label raised above W_1's.
 
-    Half of the W_1 log weight there: still at most zero, so the
-    semigroup is built, but the label's ratio rises from t = 1 to 2.
+    The (label, t = 2 image) pair weighs half of the W_1 log weight
+    there: still at most zero, so the semigroup is built, but the
+    label's ratio rises from t = 1 to 2.
     """
     k = int(np.nonzero(op.system.ages == 0)[0][0])
-    honest = op.step_log_ratio
+    first, second = (int(op.system.step_indices(t)[k]) for t in (1, 2))
+    honest = op.log_ratio
 
-    def step_log_ratio(t):
-        log_ratio = honest(t)
-        if t == 2:
-            log_ratio[k] = 0.5 * honest(1)[k]
-        return log_ratio
+    def log_ratio(sources, targets):
+        out = honest(sources, targets)
+        at = np.logical_and(np.equal(sources, k), np.equal(targets, second))
+        out[np.broadcast_to(at, out.shape)] = 0.5 * honest(k, first)
+        return out
 
-    op.step_log_ratio = step_log_ratio
+    op.log_ratio = log_ratio
     return op
 
 
@@ -266,6 +269,10 @@ def test_ratio_above_one_off_the_swept_labels_errors_positivity(monkeypatch):
     record = positivity_record(monkeypatch, "build_decay_operator", midway)
     assert record["status"] == "error"
     assert record["error"] == "ValueError: decay ratios exceed one; the profile is not admissible"
+    # the one check a MarkovEvolution runs too
+    with pytest.raises(ValueError) as from_evolution:
+        MarkovEvolution(op, 2)
+    assert f"ValueError: {from_evolution.value}" == record["error"]
 
 
 def test_nonmonotone_ratio_fails_positivity(monkeypatch):
