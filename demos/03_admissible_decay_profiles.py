@@ -1,11 +1,12 @@
-"""Which decay profiles qualify, and what the certificates record.
+"""Which decay profiles qualify, and what a sampled check records.
 
-A profile needs three sampled conditions: monotone decrease, the right
-limits at both ends, and decaying ratios lambda(s+t)/lambda(s).  The
-double-exponential (gumbel) family passes; the logistic family looks
-fine until the ratio condition exposes its merely-exponential tail; a
-constant profile fails the limits outright.  Certificates carry their
-grid and the offending sample points, so a rejection is reproducible.
+A profile needs three conditions: monotone decrease, the right limits
+at both ends, and decaying ratios lambda(s+t)/lambda(s).  The
+double-exponential (gumbel) family meets them for every steepness; the
+logistic family looks fine until the ratio condition exposes its
+merely-exponential tail; a constant profile fails the limits outright.
+A sampled check's record carries its grid and the offending sample
+points, so a rejection is reproducible.
 """
 
 import math
@@ -22,8 +23,9 @@ from timeop import (
 )
 
 print("=== gumbel(1): lambda(s) = exp(-e^s) ===")
-cert = check_admissible(gumbel(1.0), grid=(-20, 20), t_set=(1, 2))
-print("monotone:", cert.monotone_ok, " limits:", cert.limits_ok, " ratio:", cert.ratio_ok)
+record = check_admissible(gumbel(1.0), grid=(-20, 20), t_set=(1, 2))
+print("monotone:", record["monotone_ok"], " limits:", record["limits_ok"],
+      " ratio:", record["ratio_ok"])
 p = gumbel(1.0)
 for s in (-2, -1, 0, 1):
     ratio = math.exp(p.log_value(s + 1) - p.log_value(s))
@@ -31,15 +33,16 @@ for s in (-2, -1, 0, 1):
 print("  the ratio is itself decreasing and collapses to zero up the grid")
 
 print("\n=== logistic: lambda(s) = 1/(1+e^s) ===")
-cert = check_admissible(logistic(), grid=(-20, 20), t_set=(1, 2))
-print("monotone:", cert.monotone_ok, " limits:", cert.limits_ok, " ratio:", cert.ratio_ok)
-print("witnesses:", cert.witnesses["ratio"])
+record = check_admissible(logistic(), grid=(-20, 20), t_set=(1, 2))
+print("monotone:", record["monotone_ok"], " limits:", record["limits_ok"],
+      " ratio:", record["ratio_ok"])
+print("witnesses:", record["witnesses"]["ratio"])
 print("  the ratio tends to e^-t, not zero: an exponential tail is too slow")
 
 print("\n=== constant 1 ===")
-cert = check_admissible(profile_from_table([(s, 1.0) for s in range(-25, 26)]))
-print("monotone:", cert.monotone_ok, " limits:", cert.limits_ok)
-print("witnesses:", cert.witnesses["limits"])
+record = check_admissible(profile_from_table([(s, 1.0) for s in range(-25, 26)]))
+print("monotone:", record["monotone_ok"], " limits:", record["limits_ok"])
+print("witnesses:", record["witnesses"]["limits"])
 
 print("\n=== the induced diagonal weighting ===")
 shift = build_shift_cascade(AgeWindow(-3, 3))

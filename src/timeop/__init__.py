@@ -26,7 +26,6 @@ from .cascade import (
     walsh_to_grid,
 )
 from .profiles import (
-    AdmissibilityCertificate,
     DecayOperator,
     DecayProfile,
     ProfileError,

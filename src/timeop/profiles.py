@@ -2,12 +2,15 @@
 
 A decay profile is a nonincreasing function lambda: Z -> [0, 1] with
 lambda -> 1 at -infinity, lambda -> 0 at +infinity, and ratio decay
-lambda(s+t)/lambda(s) -> 0 for every fixed t > 0.  Profiles passing a
-sampled certificate of the three conditions define a diagonal weighting
-of the age basis; extended blockwise by the identity on the equilibrium
-component, the weighting preserves total mass while damping every
-fluctuation, and it intertwines the reversible step with an
-irreversible contraction semigroup (see the markov module).
+lambda(s+t)/lambda(s) -> 0 for every fixed t > 0.  Admissibility is
+decided once, by family: every gumbel profile meets the three
+conditions, logistic fails the ratio condition, and a tabulated profile
+is checked on a sampled grid (:func:`check_admissible`).  An admissible
+profile defines a diagonal weighting of the age basis; extended
+blockwise by the identity on the equilibrium component, the weighting
+preserves total mass while damping every fluctuation, and it
+intertwines the reversible step with an irreversible contraction
+semigroup (see the markov module).
 
 All profile evaluation is done in the log domain; the default gumbel
 family has log lambda(s) = -exp(a s) exactly, so windows far past the
@@ -16,7 +19,8 @@ underflow point of the plain values remain fully usable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +33,6 @@ __all__ = [
     "gumbel",
     "logistic",
     "profile_from_table",
-    "AdmissibilityCertificate",
     "check_admissible",
     "DecayOperator",
     "build_decay_operator",
@@ -61,8 +64,8 @@ class DecayProfile:
     def __post_init__(self):
         if self.family not in ("gumbel", "logistic", "custom"):
             raise ProfileError(f"unknown profile family {self.family!r}")
-        if self.family == "gumbel" and not self.a > 0:
-            raise ProfileError(f"gumbel steepness must be positive, got {self.a!r}")
+        if self.family == "gumbel" and not (self.a > 0 and math.isfinite(self.a)):
+            raise ProfileError(f"gumbel steepness must be positive and finite, got {self.a!r}")
         if self.family == "custom":
             if not self.table:
                 raise ProfileError("custom profile needs a table of (s, value) points")
@@ -122,40 +125,8 @@ def profile_from_table(points) -> DecayProfile:
     return DecayProfile("custom", table=tuple((int(s), float(v)) for s, v in points))
 
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
-    """Sampled verification record for the three profile conditions.
-
-    A certificate refers to a concrete finite grid; it is evidence, not
-    a proof over all integers.  ``witnesses`` maps a failed condition to
-    the offending sample points.
-    """
-
-    monotone_ok: bool
-    limits_ok: bool
-    ratio_ok: bool
-    grid: tuple
-    t_set: tuple
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def admissible(self) -> bool:
-        return self.monotone_ok and self.limits_ok and self.ratio_ok
-
-    def failing(self) -> tuple:
-        names = []
-        if not self.monotone_ok:
-            names.append("monotone")
-        if not self.limits_ok:
-            names.append("limits")
-        if not self.ratio_ok:
-            names.append("ratio")
-        return tuple(names)
-
-
-def check_admissible(profile: DecayProfile, grid=(-20, 20),
-                     t_set=(1, 2)) -> AdmissibilityCertificate:
-    """Certify the three decay conditions on an integer sample grid.
+def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2)) -> dict:
+    """Check the three decay conditions on an integer sample grid.
 
     Checks, on ``grid = (lo, hi)`` with ``lo <= -20`` and ``hi >= 20``
     and with tol = ``LIMIT_TOLERANCE``:
@@ -166,7 +137,10 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20),
                    is nonincreasing and its last sampled value is <= tol.
 
     Ratios are formed as exp of log differences, never by dividing
-    plain values.
+    plain values.  The record holds the three verdicts, the grid, the
+    t values and ``witnesses``, which maps a failed condition to its
+    offending sample points.  It is evidence on a finite grid, not a
+    proof over all integers.
     """
     lo, hi = int(grid[0]), int(grid[1])
     if lo > -20 or hi < 20:
@@ -223,14 +197,14 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20),
     if not ratio_ok:
         witnesses["ratio"] = tuple(ratio_witnesses)
 
-    return AdmissibilityCertificate(
-        monotone_ok=monotone_ok,
-        limits_ok=limits_ok,
-        ratio_ok=ratio_ok,
-        grid=(lo, hi),
-        t_set=t_set,
-        witnesses=witnesses,
-    )
+    return {
+        "monotone_ok": monotone_ok,
+        "limits_ok": limits_ok,
+        "ratio_ok": ratio_ok,
+        "grid": (lo, hi),
+        "t_set": t_set,
+        "witnesses": witnesses,
+    }
 
 
 class DecayOperator:
@@ -246,11 +220,9 @@ class DecayOperator:
     age are those of an evaluation over the labels.
     """
 
-    def __init__(self, system: CascadeSystem, profile: DecayProfile,
-                 certificate: AdmissibilityCertificate):
+    def __init__(self, system: CascadeSystem, profile: DecayProfile):
         self.system = system
         self.profile = profile
-        self.certificate = certificate
         window = system.window
         per_age = np.asarray(profile.log_value(np.arange(window.lo, window.hi + 1)), dtype=float)
         if np.any(~np.isfinite(per_age)):
@@ -297,30 +269,36 @@ class DecayOperator:
 
 
 def build_decay_operator(profile: DecayProfile, system: CascadeSystem) -> DecayOperator:
-    """Weight the age basis by a profile certified here.
+    """Weight the age basis by a profile, refusing one that is not admissible.
 
-    The profile is certified on a grid covering both [-20, 20] and the
-    system window.  The limit and ratio conditions are sampled at the
-    grid ends, so a slowly varying closed-form profile needs a wider
-    grid before its tails register: the reach doubles until the
-    certificate passes or reaches 320.  A
-    tabulated profile is certified on the first grid only, since its
-    table ends where it ends.  A failing certificate is rejected with
-    its witnesses.
+    The verdict is decided by family.  A gumbel profile, log lambda(s) =
+    -exp(a s) with a positive and finite as its constructor enforces, is
+    admissible:
+
+      1. monotone: exp(a s) increases, so log lambda decreases;
+      2. limits:   exp(a s) tends to 0 at -infinity and to infinity at
+                   +infinity, so lambda tends to 1 and to 0;
+      3. ratio:    log lambda(s+t) - log lambda(s) = -exp(a s) (exp(a t) - 1)
+                   tends to -infinity for every t > 0.
+
+    Logistic is refused in closed form: its ratio tends to exp(-t).  A
+    tabulated profile is checked by :func:`check_admissible` on a grid
+    covering both [-20, 20] and the system window, and a failing record
+    is refused with its witnesses.
     """
-    reaches = (20,) if profile.family == "custom" else (20, 40, 80, 160, 320)
-    for reach in reaches:
-        grid = (min(-reach, system.window.lo), max(reach, system.window.hi))
-        certificate = check_admissible(profile, grid=grid)
-        if certificate.admissible:
-            break
-    if not certificate.admissible:
-        failed = ", ".join(certificate.failing())
-        raise ProfileError(
-            f"profile {profile.describe()} is not admissible (failed: {failed}); "
-            f"witnesses: {certificate.witnesses!r}"
-        )
-    return DecayOperator(system, profile, certificate)
+    if profile.family == "logistic":
+        raise ProfileError("profile logistic is not admissible (failed: ratio): "
+                           "lambda(s+t)/lambda(s) tends to exp(-t), not 0")
+    if profile.family == "custom":
+        window = system.window
+        record = check_admissible(profile, grid=(min(-20, window.lo), max(20, window.hi)))
+        failed = [name for name in ("monotone", "limits", "ratio") if not record[f"{name}_ok"]]
+        if failed:
+            raise ProfileError(
+                f"profile {profile.describe()} is not admissible (failed: {', '.join(failed)}); "
+                f"witnesses: {record['witnesses']!r}"
+            )
+    return DecayOperator(system, profile)
 
 
 def verify_covariant_transform(op: DecayOperator, t: int) -> float:

@@ -201,11 +201,11 @@ def _run_covariance(ctx, params):
 
 
 def _run_admissibility(ctx, params):
-    cert = check_admissible(
+    record = check_admissible(
         ctx.profile, grid=(params["grid_lo"], params["grid_hi"]), t_set=params["t_set"]
     )
-    details = {"profile": ctx.profile.describe(), **vars(cert)}
-    return cert.admissible, details
+    passed = record["monotone_ok"] and record["limits_ok"] and record["ratio_ok"]
+    return passed, {"profile": ctx.profile.describe(), **record}
 
 
 def _interior_band(system, max_t):
@@ -280,13 +280,13 @@ def _run_positivity(ctx, params):
 
         W_t delta = (1 - r_lo) + sum_{lo <= n < N} (r_n - r_{n+1}) U_t F_n + r_N U_t F_N,
 
-    at least 1 - r_lo when r is nonincreasing (the certificate's ratio
-    condition).  Every F_n of a cell indicator vanishes off the cell's
-    digit of age lo, so an indicator attains the bound.  The record
-    passes when each extreme row, the indicator of cell 0, is
-    nonnegative and within ``EXTREME_TOLERANCE`` of 1 - r_lo, read from
-    the profile, not the operator, so that a defective operator cannot
-    move both sides.
+    at least 1 - r_lo when r is nonincreasing, as it is under every
+    gumbel steepness: r_n = exp(-exp(a n) (exp(a t) - 1)).  Every F_n
+    of a cell indicator vanishes off the cell's digit of age lo, so an
+    indicator attains the bound.  The record passes when each extreme
+    row, the indicator of cell 0, is nonnegative and within
+    ``EXTREME_TOLERANCE`` of 1 - r_lo, read from the profile, not the
+    operator, so that a defective operator cannot move both sides.
 
     The two densities stay separate blocks, so a margin error names one
     density's labels.  :func:`~timeop.markov.swept_minima` steps each

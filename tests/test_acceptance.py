@@ -192,9 +192,10 @@ def test_09_admissibility_gate():
         good_b = check_admissible(gumbel(1.0), grid=(-20, 20), t_set=(1, 2))
         bad_a = check_admissible(logistic(), grid=(-20, 20), t_set=(1, 2))
         bad_b = check_admissible(logistic(), grid=(-20, 20), t_set=(1, 2))
-        ok = good_a.admissible and good_a == good_b
-        ok = ok and not bad_a.ratio_ok and bad_a.monotone_ok and bad_a.limits_ok
-        ok = ok and bad_a.witnesses["ratio"] and bad_a == bad_b
+        ok = good_a["monotone_ok"] and good_a["limits_ok"] and good_a["ratio_ok"]
+        ok = ok and good_a == good_b
+        ok = ok and not bad_a["ratio_ok"] and bad_a["monotone_ok"] and bad_a["limits_ok"]
+        ok = ok and bad_a["witnesses"]["ratio"] and bad_a == bad_b
     _report(9, "profile gate: gumbel passes, logistic fails the ratio condition, deterministically",
             ok and budget.elapsed < 1.0, f" ({budget.elapsed:.2f}s)")
 

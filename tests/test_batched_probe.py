@@ -467,13 +467,12 @@ def positivity_config(m, sweep_a):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_sweep_rows_are_bitwise_the_per_a_loop(m):
-    # gumbel(0.3) is certified only past the first reach; under
+    # gumbel(0.01) and gumbel(0.3) keep lambda(-20) below 1 - 1e-6; under
     # gumbel(20) the weights of the age-0 labels underflow to +0.0 at
     # t >= 1, so that row's own span is narrower than the block's
-    config = positivity_config(m, "0.3 1.0 2.5 20.0")
+    config = positivity_config(m, "0.01 0.3 1.0 2.5 20.0")
     ctx = _Context(config)
     params = config.experiments[0].params
-    assert build_decay_operator(gumbel(0.3), ctx.system).certificate.grid != (-20, 20)
     ev = MarkovEvolution(build_decay_operator(gumbel(20.0), ctx.system), 1)
     image = ctx.system.step_indices(1)[ctx.system.index_of({0})]
     assert bits(markov_step(ev, ctx.system.basis_vector({0}), 1).coeffs[image]) == bits(0.0)
@@ -483,15 +482,15 @@ def test_sweep_rows_are_bitwise_the_per_a_loop(m):
 
 
 def test_sweep_error_is_the_loop_error():
-    # gumbel(0.01) is not admissible: the second a raises, and the record
-    # carries what the loop raises there
-    config = positivity_config(3, "1.0 0.01 2.0")
+    # gumbel(300) weighs age 3 by exp(-e^900) = 0: the second a raises,
+    # and the record carries what the loop raises there
+    config = positivity_config(3, "1.0 300 2.0")
     (record,) = run_experiments(config).records
     with pytest.raises(ProfileError) as from_loop:
         loop_sweep(_Context(config).system, config.experiments[0].params)
     assert record["status"] == "error"
     assert record["error"] == f"ProfileError: {from_loop.value}"
-    assert record["error"].startswith("ProfileError: profile gumbel(a=0.01) is not admissible")
+    assert record["error"] == "ProfileError: decay value 0 at age 3 breaks injectivity"
 
 
 def test_one_evolution_per_run(monkeypatch):

@@ -193,7 +193,7 @@ class TestSchemaErrors:
 
 def custom_table(lo, hi, system="kind = shift\nlo = -3\nhi = 3",
                  experiments="[experiment covariance]"):
-    # log lambda(s) = -exp(s - 16) is admissible on the certificate
+    # log lambda(s) = -exp(s - 16) is admissible on the sampled
     # grid and still nonzero at s = 22
     points = " ".join(f"{s}:{math.exp(-math.exp(s - 16))!r}" for s in range(lo, hi + 1))
     return f"[system]\n{system}\n\n[profile]\nfamily = custom\npoints = {points}\n\n{experiments}\n"
@@ -232,7 +232,7 @@ class TestValidateCli:
     ], ids=["admissibility-grid", "covariance-ages"])
     def test_table_short_of_a_point_the_run_reads(self, tmp_path, capsys, window, name,
                                                   experiment, uncovered):
-        # the table covers the decay operator's certificate grid, not these points
+        # the table covers the decay operator's sampled grid, not these points
         text = custom_table(-20, 22, f"kind = shift\nlo = -3\n{window}", experiment)
         code, captured = self.validates(tmp_path, capsys, text)
         assert code == 2
@@ -340,12 +340,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def every_config():
-    """Each config of the repository, the demo file widened to [-8, 8], and the tables above."""
+    """Each config of the repository, the demo file widened to [-8, 8] or at a
+    shallow gumbel steepness, and the tables above."""
     demo = (ROOT / "demos" / "experiment.cfg").read_text()
     wide = demo.replace("lo = -6\nhi = 6", "lo = -8\nhi = 8")
-    assert wide != demo
+    shallow = demo.replace("a = 1.0", "a = 0.02")
+    assert demo != wide and demo != shallow
     configs = [("experiment.cfg", demo), ("DEMO_CONFIG", DEMO_CONFIG),
-               ("experiment.cfg-wide", wide)]
+               ("experiment.cfg-wide", wide), ("experiment.cfg-a0.02", shallow)]
     configs += [(path.name, path.read_text()) for path in sorted(ROOT.glob("tests/golden/*.cfg"))]
     configs += [(f"table-{lo}..{hi}", custom_table(lo, hi)) for lo, hi in
                 ((-2, 1), (-20, 21), (-20, 22))]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from timeop.cascade import AgeWindow, CascadeSystem, build_baker_cascade, build_shift_cascade
 from timeop.duals import build_operator_web
 from timeop.markov import MarkovEvolution
-from timeop.profiles import DecayOperator, check_admissible, gumbel, logistic
+from timeop.profiles import DecayOperator, build_decay_operator, gumbel, logistic
 
 
 def bits(values):
@@ -29,10 +29,12 @@ def decay_and_time(draw):
         system = build_shift_cascade(AgeWindow(lo, draw(st.integers(max(1, lo + 2), 6))))
     else:
         system = build_baker_cascade(draw(st.integers(1, 4)))
-    # exp(a * hi) <= e^6 keeps every conjugation weight below the cap
-    profile = draw(st.one_of(st.floats(0.05, 1.0).map(gumbel), st.just(logistic())))
-    # logistic fails the ratio condition; the weights need no certificate
-    decay = DecayOperator(system, profile, check_admissible(profile))
+    # exp(a * hi) <= e^6 keeps every conjugation weight below the cap;
+    # logistic fails the ratio condition, so only the operator takes it
+    if draw(st.booleans()):
+        decay = build_decay_operator(gumbel(draw(st.floats(0.005, 1.0))), system)
+    else:
+        decay = DecayOperator(system, logistic())
     t = draw(st.integers(0, system.window.hi - system.window.lo))
     return decay, t
 
@@ -59,6 +61,6 @@ def test_a_step_that_lowers_an_age_fails_the_markov_gate():
     step = np.array(system._step)
     step[system.index_of(0)] = system.index_of(-1)
     bad = CascadeSystem(system.kind, system.window, step)
-    decay = DecayOperator(bad, gumbel(1.0), check_admissible(gumbel(1.0)))
+    decay = build_decay_operator(gumbel(1.0), bad)
     with pytest.raises(ValueError, match="decay ratios exceed one"):
         MarkovEvolution(decay, 2)

@@ -33,6 +33,11 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             gumbel(0.0)
 
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_gumbel_needs_finite_steepness(self, a):
+        with pytest.raises(ProfileError, match="^gumbel steepness must be positive and finite"):
+            gumbel(a)
+
     def test_table_values_outside_unit_interval_rejected(self):
         with pytest.raises(ProfileError):
             profile_from_table([(0, 1.5)])
@@ -51,9 +56,9 @@ class TestProfiles:
 
 class TestAdmissibility:
     def test_gumbel_passes_all_three(self):
-        cert = check_admissible(gumbel(1.0), grid=(-20, 20), t_set=(1, 2))
-        assert cert.admissible
-        assert cert.witnesses == {}
+        record = check_admissible(gumbel(1.0), grid=(-20, 20), t_set=(1, 2))
+        assert record["monotone_ok"] and record["limits_ok"] and record["ratio_ok"]
+        assert record["witnesses"] == {}
 
     def test_gumbel_ratio_values(self):
         # the ratio at s = -1 exceeds the ratio at s = 0 and the tail
@@ -66,19 +71,19 @@ class TestAdmissibility:
         assert ratio(20, 1) == 0.0
 
     def test_logistic_fails_only_the_ratio_condition(self):
-        cert = check_admissible(logistic(), grid=(-20, 20), t_set=(1,))
-        assert cert.monotone_ok
-        assert cert.limits_ok
-        assert not cert.ratio_ok
-        ((t, s, value),) = cert.witnesses["ratio"]
+        record = check_admissible(logistic(), grid=(-20, 20), t_set=(1,))
+        assert record["monotone_ok"]
+        assert record["limits_ok"]
+        assert not record["ratio_ok"]
+        ((t, s, value),) = record["witnesses"]["ratio"]
         assert (t, s) == (1, 20)
         assert value == pytest.approx(math.exp(-1.0), rel=1e-6)
 
     def test_constant_profile_fails_limits(self):
         table = [(s, 1.0) for s in range(-25, 26)]
-        cert = check_admissible(profile_from_table(table), grid=(-20, 20), t_set=(1, 2))
-        assert cert.monotone_ok
-        assert not cert.limits_ok
+        record = check_admissible(profile_from_table(table), grid=(-20, 20), t_set=(1, 2))
+        assert record["monotone_ok"]
+        assert not record["limits_ok"]
 
     def test_grid_must_cover_the_reference_range(self):
         with pytest.raises(ProfileError):
@@ -100,38 +105,64 @@ class TestDecayOperator:
         assert op.diag[1] == pytest.approx(0.36787944117144233, rel=1e-12)
         assert op.diag[2] == pytest.approx(0.06598803584531254, rel=1e-12)
 
-    def test_shallow_profile_is_certified_on_a_wider_grid(self):
-        # lambda(-20) < 1 - 1e-6 for gumbel(0.5); the tails register at reach 40
-        s = build_shift_cascade(AgeWindow(-6, 6))
-        assert build_decay_operator(gumbel(0.5), s).certificate.grid == (-40, 40)
-        assert build_decay_operator(gumbel(1.0), s).certificate.grid == (-20, 20)
+    @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-6, 6)),
+                                        build_baker_cascade(6)], ids=lambda s: s.basis_id)
+    @pytest.mark.parametrize("a", [0.01, 0.02, 0.5])
+    def test_every_gumbel_steepness_is_admissible(self, a, system):
+        # lambda(-20) < 1 - 1e-6 for these steepnesses, so a sampled grid
+        # would need a far wider reach to see the limits; the verdict is
+        # the family's, and the weights are the profile's
+        op = build_decay_operator(gumbel(a), system)
+        assert np.array_equal(op.log_diag, gumbel(a).log_value(system.ages))
+        assert check_admissible(gumbel(a), grid=(-20, 20))["limits_ok"] is False
 
     def test_inadmissible_profile_rejected(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
-        with pytest.raises(ProfileError, match="not admissible"):
+        with pytest.raises(ProfileError) as refused:
             build_decay_operator(logistic(), s)
+        assert str(refused.value) == (
+            "profile logistic is not admissible (failed: ratio): "
+            "lambda(s+t)/lambda(s) tends to exp(-t), not 0")
 
     def test_zero_in_window_fails_the_ratio_condition(self):
         # a profile that hits exact zero inside the window has undefined
-        # decay ratios, so certification already rejects it
+        # decay ratios, so the sampled check already rejects it
         table = [(s, 1.0) for s in range(-25, 0)] + [(0, 0.5)] + [(s, 0.0) for s in range(1, 26)]
         profile = profile_from_table(table)
         s = build_shift_cascade(AgeWindow(-2, 2))
-        with pytest.raises(ProfileError, match="not admissible"):
+        with pytest.raises(ProfileError) as refused:
             build_decay_operator(profile, s)
+        assert str(refused.value) == (
+            "profile custom(51 points) is not admissible (failed: ratio); "
+            "witnesses: {'ratio': ((1, 20, nan), (2, 20, nan))}")
 
-    def test_zero_weight_with_external_certificate_breaks_injectivity(self):
-        # a stale certificate from another profile cannot smuggle a zero
-        # weight past the injectivity guard
+    def test_zero_weight_built_unchecked_breaks_injectivity(self):
+        # the operator itself refuses a zero weight, with no check of the profile
         table = [(s, 1.0) for s in range(-25, 0)] + [(0, 0.5)] + [(s, 0.0) for s in range(1, 26)]
         profile = profile_from_table(table)
         s = build_shift_cascade(AgeWindow(-2, 2))
-        borrowed = check_admissible(gumbel(1.0), grid=(-25, 25))
         with pytest.raises(ProfileError, match="injectivity"):
-            DecayOperator(s, profile, borrowed)
+            DecayOperator(s, profile)
+
+    def test_custom_table_verdicts_and_messages(self):
+        # a table is checked on [-20, 20] widened to the window
+        shift = build_shift_cascade(AgeWindow(-3, 3))
+        flat = profile_from_table([(s, 1.0) for s in range(-25, 26)])
+        with pytest.raises(ProfileError) as refused:
+            build_decay_operator(flat, shift)
+        assert str(refused.value) == (
+            "profile custom(51 points) is not admissible (failed: limits, ratio); "
+            "witnesses: {'limits': ((20, 1.0),), 'ratio': ((1, 20, 1.0), (2, 20, 1.0))}")
+        wide = build_shift_cascade(AgeWindow(-3, 24))
+        steep = profile_from_table([(n, 1.0 if n <= 0 else math.exp(-n * n))
+                                    for n in range(-20, 27)])
+        assert np.array_equal(build_decay_operator(steep, wide).log_diag,
+                              steep.log_value(wide.ages))
+        with pytest.raises(ProfileError, match=r"^profile table does not cover s=26$"):
+            build_decay_operator(profile_from_table(steep.table[:-1]), wide)
 
     def test_custom_table_must_cover_the_certificate_reach(self):
-        # on shift [-3, 3] the certificate grid is [-20, 20] and its ratio
+        # on shift [-3, 3] the sampled grid is [-20, 20] and its ratio
         # condition reads up to 20 + max(t_set) = 22; the table is 1 up to
         # age 0 and exp(-s**2) after, which is admissible
         s = build_shift_cascade(AgeWindow(-3, 3))
@@ -142,7 +173,8 @@ class TestDecayOperator:
 
         with pytest.raises(ProfileError, match=r"^profile table does not cover s=22$"):
             build_decay_operator(table(21), s)
-        assert build_decay_operator(table(22), s).certificate.admissible
+        assert np.array_equal(build_decay_operator(table(22), s).log_diag,
+                              table(22).log_value(s.ages))
 
     @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-6, 6)),
                                         build_shift_cascade(AgeWindow(-10, 3)),
@@ -156,20 +188,19 @@ class TestDecayOperator:
         profile = {"gumbel": gumbel(0.7), "logistic": logistic(),
                    "custom": profile_from_table([(s, math.exp(-math.exp(0.4 * s)))
                                                  for s in range(window.lo, window.hi + 1)])}[family]
-        op = DecayOperator(system, profile, check_admissible(gumbel(1.0), grid=(-25, 25)))
+        op = DecayOperator(system, profile)
         want = np.asarray(profile.log_value(system.ages), dtype=float)
         assert np.array_equal(op.log_diag.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-3, 3)),
                                         build_baker_cascade(3)], ids=lambda s: s.basis_id)
     def test_table_errors_name_the_first_failing_age(self, system):
-        borrowed = check_admissible(gumbel(1.0), grid=(-25, 25))
         gaps = profile_from_table([(s, 0.5) for s in (-3, -2, -1, 0, 3)])
         with pytest.raises(ProfileError, match=r"^profile table does not cover s=1$"):
-            DecayOperator(system, gaps, borrowed)
+            DecayOperator(system, gaps)
         zeros = profile_from_table([(s, 0.5 if s < 1 else 0.0) for s in range(-3, 4)])
         with pytest.raises(ProfileError, match=r"^decay value 0 at age 1 breaks injectivity$"):
-            DecayOperator(system, zeros, borrowed)
+            DecayOperator(system, zeros)
 
     def test_baker_weights_follow_age_classes(self):
         b = build_baker_cascade(1)

@@ -7,11 +7,11 @@ and the gated experiment that checks the broken identity must record
 ``fail`` and clear ``all_gated_passed``.  The correct objects pass the
 same configs, so the defect alone makes the difference.  The
 admissibility experiment checks the profile itself, so its defect is in
-the config: a custom table that covers the certificate grid and breaks
+the config: a custom table that covers the sampled grid and breaks
 the ratio condition.  The positivity sweep builds its own gumbel
 operators, so its defects wrap the same builders; one hands it an
 operator on a decreasing table whose ratio is not monotone, built past
-its failing certificate, and one an operator whose ratio exceeds one
+its failing sampled check, and one an operator whose ratio exceeds one
 only on labels no swept density steps, which must still be refused.
 The Lyapunov defects raise one label's W_2 log weight above its W_1
 weight, or lower every step image by one position, and the isometry's
@@ -278,14 +278,14 @@ def test_ratio_above_one_off_the_swept_labels_errors_positivity(monkeypatch):
 def test_nonmonotone_ratio_fails_positivity(monkeypatch):
     # decreasing, but lambda(n+1)/lambda(n) runs 0.999, 0.5005, 0.98,
     # 0.0204, 0.99, 0.0101 over the window: every ratio is at most one,
-    # so W_t is built, and the certificate fails only on the ratio
+    # so W_t is built, and the sampled check fails only on the ratio
     values = {-3: 1.0, -2: 0.999, -1: 0.5, 0: 0.49, 1: 0.01, 2: 0.0099, 3: 1e-4}
     table = profile_from_table(
         (s, 1.0 if s < -3 else values.get(s, 1e-4 * 0.5 ** (s - 3))) for s in range(-20, 23))
-    certificate = check_admissible(table)
-    assert certificate.failing() == ("ratio",)
+    sampled = check_admissible(table)
+    assert (sampled["monotone_ok"], sampled["limits_ok"], sampled["ratio_ok"]) == (True, True, False)
     record = positivity_record(monkeypatch, "build_decay_operator",
-                               lambda op, profile, system: DecayOperator(system, table, certificate))
+                               lambda op, profile, system: DecayOperator(system, table))
     assert record["status"] == "fail"
     assert record["details"]["negative_cells_observed"]
     assert record["details"]["worst_min_cell"] < -1.0
