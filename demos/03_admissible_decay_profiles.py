@@ -2,11 +2,11 @@
 
 A profile needs three conditions: monotone decrease, the right limits
 at both ends, and decaying ratios lambda(s+t)/lambda(s).  The
-double-exponential (gumbel) family meets them for every steepness; the
-logistic family looks fine until the ratio condition exposes its
-merely-exponential tail; a constant profile fails the limits outright.
-A sampled check's record carries its grid and the offending sample
-points, so a rejection is reproducible.
+double-exponential (gumbel) family meets them for every steepness, in
+closed form; the logistic family looks fine until the ratio condition
+exposes its merely-exponential tail; a constant profile fails the
+limits outright.  A sampled check's record carries its grid and the
+offending sample points, so a rejection is reproducible.
 """
 
 import math

@@ -1,7 +1,7 @@
 """Graded norm towers, the defining isometry, and spectrum classes.
 
 The decay operator generates strengthened norms |v|_n = ||J^-n v||.
-Three canonical grade families are materialized (single top grade,
+Three canonical grade families are built (single top grade,
 grades accumulating at one, unbounded integer grades), the defining
 isometry of the strengthened pairing is checked label by label, and
 standalone singular spectra are classified as compact, Hilbert-Schmidt,

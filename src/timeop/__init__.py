@@ -38,7 +38,6 @@ from .profiles import (
     verify_covariant_transform,
 )
 from .rigging import (
-    NormDomainError,
     SingularSpectrum,
     build_tower,
     classify_spectrum,

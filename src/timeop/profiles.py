@@ -3,14 +3,14 @@
 A decay profile is a nonincreasing function lambda: Z -> [0, 1] with
 lambda -> 1 at -infinity, lambda -> 0 at +infinity, and ratio decay
 lambda(s+t)/lambda(s) -> 0 for every fixed t > 0.  Admissibility is
-decided once, by family: every gumbel profile meets the three
-conditions, logistic fails the ratio condition, and a tabulated profile
-is checked on a sampled grid (:func:`check_admissible`).  An admissible
-profile defines a diagonal weighting of the age basis; extended
-blockwise by the identity on the equilibrium component, the weighting
-preserves total mass while damping every fluctuation, and it
-intertwines the reversible step with an irreversible contraction
-semigroup (see the markov module).
+decided in one place, :func:`check_admissible`: every gumbel profile
+meets the three conditions in closed form, and logistic and tabulated
+profiles are checked on a sampled grid, where logistic fails the ratio
+condition.  An admissible profile defines a diagonal weighting of the
+age basis; extended blockwise by the identity on the equilibrium
+component, the weighting preserves total mass while damping every
+fluctuation, and it intertwines the reversible step with an
+irreversible contraction semigroup (see the markov module).
 
 All profile evaluation is done in the log domain; the default gumbel
 family has log lambda(s) = -exp(a s) exactly, so windows far past the
@@ -126,10 +126,21 @@ def profile_from_table(points) -> DecayProfile:
 
 
 def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2)) -> dict:
-    """Check the three decay conditions on an integer sample grid.
+    """Decide the three decay conditions, as a report record.
 
-    Checks, on ``grid = (lo, hi)`` with ``lo <= -20`` and ``hi >= 20``
-    and with tol = ``LIMIT_TOLERANCE``:
+    ``grid = (lo, hi)`` must have ``lo <= -20`` and ``hi >= 20``, and
+    ``t_set`` positive integers.  A gumbel profile, log lambda(s) =
+    -exp(a s) with a positive and finite as its constructor enforces, is
+    admissible over all integers:
+
+      1. monotone: exp(a s) increases, so log lambda decreases;
+      2. limits:   exp(a s) tends to 0 at -infinity and to infinity at
+                   +infinity, so lambda tends to 1 and to 0;
+      3. ratio:    log lambda(s+t) - log lambda(s) = -exp(a s) (exp(a t) - 1)
+                   tends to -infinity for every t > 0.
+
+    Logistic and tabulated profiles are sampled on the integer grid,
+    with tol = ``LIMIT_TOLERANCE``:
 
       1. monotone: lambda nonincreasing across the grid;
       2. limits:   lambda(lo) >= 1 - tol and lambda(hi) <= tol;
@@ -139,8 +150,8 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2)) -> dic
     Ratios are formed as exp of log differences, never by dividing
     plain values.  The record holds the three verdicts, the grid, the
     t values and ``witnesses``, which maps a failed condition to its
-    offending sample points.  It is evidence on a finite grid, not a
-    proof over all integers.
+    offending sample points.  A sampled record is evidence on a finite
+    grid, not a proof over all integers.
     """
     lo, hi = int(grid[0]), int(grid[1])
     if lo > -20 or hi < 20:
@@ -148,6 +159,9 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2)) -> dic
     t_set = tuple(sorted(set(int(t) for t in t_set)))
     if not t_set or t_set[0] < 1:
         raise ProfileError("t_set must contain positive integers")
+    if profile.family == "gumbel":
+        return {"monotone_ok": True, "limits_ok": True, "ratio_ok": True,
+                "grid": (lo, hi), "t_set": t_set, "witnesses": {}}
     t_max = t_set[-1]
     s_values = np.arange(lo, hi + t_max + 1)
     log_vals = profile.log_value(s_values)
@@ -179,13 +193,8 @@ def check_admissible(profile: DecayProfile, grid=(-20, 20), t_set=(1, 2)) -> dic
     ratio_witnesses = []
     for t in t_set:
         # an exact zero makes the ratio undefined (NaN); caught below
-        with np.errstate(invalid="ignore", over="ignore"):
-            if profile.family == "gumbel":
-                # -exp(a (s+t)) + exp(a s) as one product, which reaches
-                # -inf (a ratio of 0.0) where the logs overflow, not NaN
-                log_ratio = grid_logs * np.expm1(profile.a * t)
-            else:
-                log_ratio = log_vals[t : t + hi - lo + 1] - grid_logs
+        with np.errstate(invalid="ignore"):
+            log_ratio = log_vals[t : t + hi - lo + 1] - grid_logs
             bad = np.nonzero(np.diff(log_ratio) > 0)[0]
         for i in bad[:4]:
             ratio_ok = False
@@ -271,33 +280,18 @@ class DecayOperator:
 def build_decay_operator(profile: DecayProfile, system: CascadeSystem) -> DecayOperator:
     """Weight the age basis by a profile, refusing one that is not admissible.
 
-    The verdict is decided by family.  A gumbel profile, log lambda(s) =
-    -exp(a s) with a positive and finite as its constructor enforces, is
-    admissible:
-
-      1. monotone: exp(a s) increases, so log lambda decreases;
-      2. limits:   exp(a s) tends to 0 at -infinity and to infinity at
-                   +infinity, so lambda tends to 1 and to 0;
-      3. ratio:    log lambda(s+t) - log lambda(s) = -exp(a s) (exp(a t) - 1)
-                   tends to -infinity for every t > 0.
-
-    Logistic is refused in closed form: its ratio tends to exp(-t).  A
-    tabulated profile is checked by :func:`check_admissible` on a grid
-    covering both [-20, 20] and the system window, and a failing record
-    is refused with its witnesses.
+    The verdict is :func:`check_admissible`'s, on a grid covering both
+    [-20, 20] and the system window; a failing record is refused with
+    its witnesses.
     """
-    if profile.family == "logistic":
-        raise ProfileError("profile logistic is not admissible (failed: ratio): "
-                           "lambda(s+t)/lambda(s) tends to exp(-t), not 0")
-    if profile.family == "custom":
-        window = system.window
-        record = check_admissible(profile, grid=(min(-20, window.lo), max(20, window.hi)))
-        failed = [name for name in ("monotone", "limits", "ratio") if not record[f"{name}_ok"]]
-        if failed:
-            raise ProfileError(
-                f"profile {profile.describe()} is not admissible (failed: {', '.join(failed)}); "
-                f"witnesses: {record['witnesses']!r}"
-            )
+    window = system.window
+    record = check_admissible(profile, grid=(min(-20, window.lo), max(20, window.hi)))
+    failed = [name for name in ("monotone", "limits", "ratio") if not record[f"{name}_ok"]]
+    if failed:
+        raise ProfileError(
+            f"profile {profile.describe()} is not admissible (failed: {', '.join(failed)}); "
+            f"witnesses: {record['witnesses']!r}"
+        )
     return DecayOperator(system, profile)
 
 

@@ -6,20 +6,21 @@ generates a family of strengthened Hilbert norms on its range,
 read as its log diagonal ``log_diag`` (a decay operator carries one),
 and vectors are rows of ``(rows, dim)`` coefficient arrays, which
 :func:`graded_norm_rows` norms at every grade.  Three canonical grade
-sets are materialized:
+sets are built:
 
   A: the single top grade 1 (one strengthened Hilbert norm),
   B: {0, 1/2, 2/3, ..., p/(p+1), ...} with supremum 1 not attained,
   C: {0, 1, 2, ...} unbounded.
 
 Grade-0 always recovers the ambient norm exactly.  All weighted norms
-and inner products are evaluated per coordinate in the log domain, and
-a cap (``LOG_WEIGHT_CAP``) on the per-coordinate log magnitude realizes
-the finite-truncation shadow of the unbounded inverse: past the cap a
-vector is reported as outside the materialized domain rather than
+are evaluated per coordinate in the log domain, and a cap
+(``LOG_WEIGHT_CAP``) on the per-coordinate log magnitude realizes the
+finite-truncation shadow of the unbounded inverse: past the cap a
+normed row is reported as outside the materialized domain rather than
 silently overflowing.  J is diagonal, so the tower's monotonicity and
-domain and the defining isometry hold for every vector exactly when
-they hold label by label: they are checked per label, on no sample.
+the defining isometry hold for every vector exactly when they hold
+label by label: they are checked per label, on no sample, and form no
+weight as a float.
 
 Separately, closed-form singular spectra (power and geometric families)
 are classified as compact / Hilbert-Schmidt / nuclear.  Verdicts are
@@ -40,7 +41,6 @@ import numpy as np
 from .hilbert import vector_norm
 
 __all__ = [
-    "NormDomainError",
     "LOG_WEIGHT_CAP",
     "graded_norm_rows",
     "build_tower",
@@ -60,10 +60,6 @@ MAX_POWER = 6
 # of six binades under the smallest subnormal 2**-1074 absorbs the
 # rounding of the cut and of pow itself
 UNDERFLOW_BITS = 1080.0
-
-
-class NormDomainError(ValueError):
-    """A weighted coordinate exceeds the materialized log range."""
 
 
 def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
@@ -114,30 +110,21 @@ def _tower_grades(tower_type: str, cutoff: int) -> tuple:
 
 
 def build_tower(j, tower_type: str, cutoff: int) -> dict:
-    """Materialize a norm tower, checked per label, as its report record.
+    """A norm tower of a decay operator, checked per label, as its report record.
 
     ``|v|_n^2 = sum_k v_k^2 exp(-2 n log d_k)`` is nondecreasing in the
     grade n for every v exactly when every log d_k <= 0, so that
     precondition is the monotonicity verdict; larger entries are
-    rejected.  The grade-n norm of the basis vector e_k is
-    exp(-n log d_k): the first grade, in grade order, whose largest
-    weight -n min(log d) passes ``LOG_WEIGHT_CAP`` raises
-    :class:`NormDomainError`.  The record holds the grades and the
-    supremum as fraction text and the deviation of the defining
-    isometry (:func:`isometry_check`).
+    rejected.  No weight is formed, so every grade is defined on every
+    window.  The record holds the grades and the supremum as fraction
+    text and the deviation of the defining isometry
+    (:func:`isometry_check`).
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
-    log_diag = j.log_diag
-    if np.any(log_diag > 0):
+    if np.any(j.log_diag > 0):
         raise ValueError("tower monotonicity needs diagonal entries <= 1")
     grades = _tower_grades(tower_type, cutoff)
-    floor = float(log_diag.min(initial=0.0))
-    for grade in grades:
-        peak = -float(grade) * floor
-        if peak > LOG_WEIGHT_CAP:
-            raise NormDomainError(
-                f"outside materialized domain: grade {grade} weights reach exp({peak:.1f})")
     return {
         "tower_type": tower_type,
         "grades": [str(g) for g in grades],
@@ -150,20 +137,22 @@ def build_tower(j, tower_type: str, cutoff: int) -> dict:
 def isometry_check(j) -> float:
     """Deviation of the defining isometry of the strengthened inner product.
 
-    The grade-1 pairing (Gram weights exp(-2 log d)) of J sigma with
-    J rho is diagonal, so it equals the ambient pairing of sigma with
-    rho for every pair exactly when it does on each basis pair
-    (e_k, e_k).  Each label's pairing of (d_k e_k, d_k e_k) is formed in
-    the log domain, exp(2 log|d_k| - 2 log d_k), from the materialized
-    d_k = exp(log d_k), and the largest deviation from 1 is returned.
-    It measures round-off, except at a label whose d_k underflows to
-    0.0: that pairing is 0, and the deviation 1.
+    J is a decay operator.  The grade-1 pairing of J sigma with J rho,
+    under the Gram weights lambda(age_k)^-2 read from ``j.profile``, is
+    diagonal, so it equals the ambient pairing of sigma with rho for
+    every pair exactly when it does on each basis pair (e_k, e_k).
+    Each label's pairing of (d_k e_k, d_k e_k) is
+    exp(2 (log d_k - log lambda(age_k))), kept in the log domain, and
+    the largest |expm1| of its exponent is returned: exactly 0.0 when
+    every ``log_diag`` entry is its age's profile value, whatever the
+    entry's size, and the relative error of the pairing at a label
+    whose weight is off it.
     """
-    log_diag = j.log_diag
-    with np.errstate(under="ignore", divide="ignore"):
-        logs = 2.0 * np.log(np.exp(log_diag))
-    logs -= 2.0 * log_diag
-    return float(np.abs(np.exp(logs) - 1.0).max(initial=0.0))
+    system = j.system
+    window = system.window
+    per_age = j.profile.log_value(np.arange(window.lo, window.hi + 1))
+    logs = 2.0 * (j.log_diag - per_age[system.ages - window.lo])
+    return float(np.abs(np.expm1(logs)).max(initial=0.0))
 
 
 # -- singular spectra ------------------------------------------------------

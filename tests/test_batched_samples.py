@@ -7,9 +7,10 @@ the covariance experiment checks every single-age projector transport
 in one pass.  The loops live here only, as the references: every float
 must be bitwise the loop's, every error the loop's first error, defects
 must still show, and at baker m = 6 the experiments must stay within a
-small memory budget.  A random-pair isometry is a second reference: it
-agrees with the per-label check within 1e-10 where no d_k underflows,
-and reads less than the per-label 1.0 where one does.
+small memory budget.  A random-pair isometry, formed from the
+materialized d_k, is a second reference: it agrees with the per-label
+check within 1e-10 where no d_k underflows, and reads more than the
+per-label 0.0 where one does.
 """
 
 import math
@@ -32,10 +33,9 @@ from timeop.cascade import (
 from timeop.config import parse_config
 from timeop.hilbert import HVector
 from timeop.markov import MarkovEvolution, lyapunov_trace, lyapunov_traces, markov_step
-from timeop.profiles import build_decay_operator, gumbel
+from timeop.profiles import DecayOperator, build_decay_operator, gumbel, profile_from_table
 from timeop.rigging import (
     LOG_WEIGHT_CAP,
-    NormDomainError,
     _tower_grades,
     build_tower,
     classify_spectrum,
@@ -44,7 +44,7 @@ from timeop.rigging import (
     kothe_nuclearity,
     power_spectrum,
 )
-from timeop.runner import _Context, _interior_band, _run_lyapunov, _run_tower
+from timeop.runner import _Context, _interior_band, _run_lyapunov, _run_tower, run_experiments
 
 T_VALUES = (0, 1, 2, 3)
 
@@ -75,10 +75,7 @@ def weighted_inner_loop(uc, vc, lw):
     logs = np.log(np.abs(uc[active])) + np.log(np.abs(vc[active])) + lw[active]
     signs = np.sign(uc[active]) * np.sign(vc[active])
     peak = float(logs.max())
-    if peak > LOG_WEIGHT_CAP:
-        raise NormDomainError(
-            f"outside materialized domain: term magnitude exp({peak:.1f}) exceeds the cap"
-        )
+    assert peak <= LOG_WEIGHT_CAP
     return float(np.exp(peak) * np.sum(signs * np.exp(logs - peak)))
 
 
@@ -99,53 +96,31 @@ def isometry_loop(j, samples, seed):
     return worst
 
 
-def graded_norm_loop(coeffs, n, log_diag, norm=norm_loop):
-    grade = float(Fraction(n))
-    if grade == 0:
-        return norm(coeffs)
-    active = coeffs != 0
-    if not np.any(active):
-        return 0.0
-    logs = np.log(np.abs(coeffs[active])) - grade * log_diag[active]
-    peak = float(logs.max())
-    if peak > LOG_WEIGHT_CAP:
-        raise NormDomainError(
-            f"outside materialized domain: grade {n} weights reach exp({peak:.1f})"
-        )
-    return float(np.exp(peak) * math.sqrt(np.sum(np.exp(2.0 * (logs - peak)))))
-
-
 def isometry_basis_loop(j):
-    """The grade-1 pairing of (d_k e_k, d_k e_k) against 1, one label at a time."""
-    log_diag = np.asarray(j.log_diag, dtype=float)
-    with np.errstate(under="ignore"):
-        diag = np.exp(log_diag)
+    """The grade-1 pairing of (d_k e_k, d_k e_k) against 1, one label at a time.
+
+    The Gram weight lambda(age_k)^-2 is read from the profile one scalar
+    age at a time, and the pairing is kept in the log domain.
+    """
     worst = 0.0
-    for k in range(log_diag.size):
-        e = np.zeros(log_diag.size)
-        e[k] = 1.0
-        pairing = weighted_inner_loop(diag * e, diag * e, -2.0 * log_diag)
-        worst = max(worst, abs(pairing - 1.0))
+    for k in range(j.log_diag.size):
+        log_lam = j.profile.log_value(int(j.system.ages[k]))
+        worst = max(worst, abs(float(np.expm1(2.0 * (float(j.log_diag[k]) - log_lam)))))
     return worst
 
 
 def tower_loop(j, grades):
-    """The per-label verdict: None, or the error the first grade past the cap raises.
+    """The per-label verdict: None, or the error of a basis norm that drops between grades.
 
-    Each basis vector is normed at every grade in order; a grade whose
-    largest basis norm passes the cap raises, and a basis norm that
-    drops between grades would break monotonicity.
+    The grade-n norm of each basis vector e_k, exp(-n log d_k), is
+    compared in the log domain grade after grade, from the ambient
+    norm 1 of grade 0.
     """
-    log_diag = np.asarray(j.log_diag, dtype=float)
-    previous = np.zeros(log_diag.size)
+    previous = [0.0] * j.log_diag.size
     for grade in grades:
-        peaks = [-float(grade) * float(d) for d in log_diag]
-        if max(peaks) > LOG_WEIGHT_CAP:
-            return NormDomainError, (
-                f"outside materialized domain: grade {grade} weights reach exp({max(peaks):.1f})")
-        current = np.array([graded_norm_loop(np.eye(log_diag.size)[k], grade, log_diag)
-                            for k in range(log_diag.size)])
-        assert np.all(current >= previous)
+        current = [-float(grade) * float(d) for d in j.log_diag]
+        if any(c < p for c, p in zip(current, previous)):
+            return ValueError, "tower monotonicity needs diagonal entries <= 1"
         previous = current
     return None
 
@@ -218,21 +193,33 @@ def decays():
     ]
 
 
-class Diagonal:
-    """A bare positive diagonal: log entries and a basis id."""
+def table_operator(lo, log_diag):
+    """A decay operator on shift [lo, lo + len - 1] whose table holds exp(log_diag).
 
-    def __init__(self, log_diag, basis_id="bare"):
-        self.log_diag = np.asarray(log_diag, dtype=float)
-        self.basis_id = basis_id
+    Built directly: a window-confined table is not admissible.
+    """
+    values = np.exp(np.asarray(log_diag, dtype=float))
+    table = profile_from_table((lo + k, v) for k, v in enumerate(values))
+    return DecayOperator(build_shift_cascade(AgeWindow(lo, lo + values.size - 1)), table)
 
 
-def subnormal_diagonal():
+def subnormal_operator():
     # exp(-744) is subnormal, so J sigma underflows to 0.0 at label 3 for
     # some samples and not others: the active labels of the grade-1
     # pairing differ from row to row
     log_diag = -np.linspace(0.0, 9.0, 12)
     log_diag[3] = -744.0
-    return Diagonal(log_diag)
+    return table_operator(-5, log_diag)
+
+
+def off_profile(op, seed):
+    """The operator with every log weight moved off its profile value by up to 1/8."""
+    rng = np.random.default_rng(seed)
+    log_diag = op.log_diag - rng.uniform(0.0, 0.125, op.log_diag.size)
+    log_diag.setflags(write=False)
+    moved = DecayOperator(op.system, op.profile)
+    moved.log_diag = log_diag
+    return moved
 
 
 ids = lambda op: op.basis_id  # noqa: E731
@@ -248,58 +235,79 @@ class TestIsometry:
     @pytest.mark.parametrize("seed", [0, 11])
     def test_bitwise_the_loop(self, op, seed):
         deviation = isometry_check(op)
-        assert bits(deviation) == bits(isometry_basis_loop(op))
+        assert bits(deviation) == bits(isometry_basis_loop(op)) == bits(0.0)
         # the random pairs agree where no d_k underflows; where one does,
-        # the per-label check reads 1.0 and the pairs see less of it
+        # they lose its label, and the per-label check reads 0.0
         pairs = isometry_loop(op, 50, seed)
         if underflows(op):
-            assert deviation == 1.0 and pairs < deviation
+            assert pairs > deviation
         else:
             assert abs(deviation - pairs) <= 1e-10
+
+    @pytest.mark.parametrize("op", decays(), ids=ids)
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_off_profile_weights_are_the_loop(self, op, seed):
+        moved = off_profile(op, seed)
+        deviation = isometry_check(moved)
+        assert bits(deviation) == bits(isometry_basis_loop(moved))
+        assert 1e-10 < deviation <= -math.expm1(-0.25)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_active_labels_differ_by_row(self, seed):
         # the random pairs lose the subnormal label in some rows and not
-        # in others; the per-label check reads its rounding in full
-        j = subnormal_diagonal()
+        # in others; the per-label check, on the table's own weights,
+        # reads none of that rounding
+        j = subnormal_operator()
         rng = np.random.default_rng(seed)
         pairs = rng.standard_normal((40, 2, j.log_diag.size))
-        underflow = np.exp(-744.0) * pairs[:, :, 3] == 0.0
+        underflow = np.exp(j.log_diag[3]) * pairs[:, :, 3] == 0.0
         assert underflow.any() and not underflow.all()
         deviation = isometry_check(j)
-        assert bits(deviation) == bits(isometry_basis_loop(j))
-        assert deviation > 1e-10 and isometry_loop(j, 40, seed) > 1e-10
+        assert bits(deviation) == bits(isometry_basis_loop(j)) == bits(0.0)
+        assert isometry_loop(j, 40, seed) > 1e-10
 
     def test_plain_rows_pair_by_the_dot_product(self):
         # log weights zero on every label: the loop's plain dot product
-        j = Diagonal(np.zeros(9))
+        j = table_operator(-4, np.zeros(9))
         assert bits(isometry_check(j)) == bits(isometry_basis_loop(j)) == bits(0.0)
         assert isometry_loop(j, 30, 2) == 0.0
+
+
+def tower_record(bounds, tower_type, cutoff):
+    text = (f"[system]\nkind = shift\nlo = {bounds[0]}\nhi = {bounds[1]}\n\n"
+            f"[profile]\nfamily = gumbel\na = 1.0\n\n"
+            f"[experiment tower]\ntower_type = {tower_type}\ncutoff = {cutoff}\n")
+    (record,) = run_experiments(parse_config(text)).records
+    return record
 
 
 class TestTower:
     @pytest.mark.parametrize("op", decays(), ids=ids)
     @pytest.mark.parametrize("tower_type,cutoff", [("A", 1), ("B", 4), ("C", 2), ("C", 3)])
     def test_verdict_is_the_loop(self, op, tower_type, cutoff):
-        # on the widest shift grade 1 already overflows: the loop's error
         grades = _tower_grades(tower_type, cutoff)
-        assert tower_verdict(op, tower_type, cutoff) == tower_loop(op, grades)
+        assert tower_verdict(op, tower_type, cutoff) == tower_loop(op, grades) is None
 
-    def test_shift_wide_grade_one_error(self):
-        op = build_decay_operator(gumbel(1.0), build_shift_cascade(AgeWindow(-10, 10)))
-        kind, message = tower_verdict(op, "C", 3)
-        assert kind is NormDomainError and "grade 1 weights" in message
+    def test_raised_weight_verdict_is_the_loop(self):
+        op = DecayOperator(build_shift_cascade(AgeWindow(-4, 4)), gumbel(1.0))
+        op.log_diag = np.where(op.system.ages == 4, 0.5, op.log_diag)
+        for tower_type, cutoff in (("A", 1), ("B", 4), ("C", 3)):
+            verdict = tower_verdict(op, tower_type, cutoff)
+            assert verdict == tower_loop(op, _tower_grades(tower_type, cutoff))
+            assert verdict == (ValueError, "tower monotonicity needs diagonal entries <= 1")
 
-    def test_first_domain_error_in_grade_order(self):
-        # the weight exp(-932.4) at label 2 keeps grade 3/4 at exp(699.3),
-        # inside the cap, and puts every grade from 4/5 on past it
-        j = Diagonal([0.0, -0.5, -932.4, -2.0, -3.0])
-        assert tower_verdict(j, "B", 3) is None
-        for cutoff in (4, 6):
-            verdict = tower_verdict(j, "B", cutoff)
-            assert verdict == tower_loop(j, _tower_grades("B", cutoff))
-            assert verdict == (NormDomainError,
-                               "outside materialized domain: grade 4/5 weights reach exp(745.9)")
+    def test_every_grade_on_wide_shift_windows(self):
+        # lambda underflows at the top ages and the grade weights pass any
+        # float range, yet the tower forms none of them: every grade passes
+        for bounds in ((-8, 8), (-10, 10)):
+            for tower_type in "ABC":
+                record = tower_record(bounds, tower_type, 3)
+                assert record["status"] == "pass", (bounds, tower_type, record)
+                assert record["details"]["isometry_deviation"] == 0.0
+        # lambda(7) = exp(-exp(7)) is 0.0 as a float, with grade 1/2 inside the cap
+        record = tower_record((-9, 7), "B", 1)
+        assert record["status"] == "pass"
+        assert record["details"]["isometry_deviation"] == 0.0
 
 
 def sample_block(system, horizon, rng, rows=12):

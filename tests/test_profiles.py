@@ -86,8 +86,10 @@ class TestAdmissibility:
         assert not record["limits_ok"]
 
     def test_grid_must_cover_the_reference_range(self):
-        with pytest.raises(ProfileError):
-            check_admissible(gumbel(1.0), grid=(-10, 20))
+        # the input checks come before the closed-form gumbel verdict
+        for kwargs in ({"grid": (-10, 20)}, {"t_set": (0,)}):
+            with pytest.raises(ProfileError):
+                check_admissible(gumbel(1.0), **kwargs)
 
     def test_verdicts_are_deterministic(self):
         a = check_admissible(logistic(), grid=(-20, 20), t_set=(1, 2))
@@ -114,15 +116,17 @@ class TestDecayOperator:
         # the family's, and the weights are the profile's
         op = build_decay_operator(gumbel(a), system)
         assert np.array_equal(op.log_diag, gumbel(a).log_value(system.ages))
-        assert check_admissible(gumbel(a), grid=(-20, 20))["limits_ok"] is False
+        record = check_admissible(gumbel(a), grid=(-20, 20))
+        assert (record["monotone_ok"], record["limits_ok"], record["ratio_ok"]) == (True,) * 3
 
     def test_inadmissible_profile_rejected(self):
         s = build_shift_cascade(AgeWindow(-2, 2))
         with pytest.raises(ProfileError) as refused:
             build_decay_operator(logistic(), s)
+        # the message of the sampled record: the ratio tends to exp(-t), not 0
         assert str(refused.value) == (
-            "profile logistic is not admissible (failed: ratio): "
-            "lambda(s+t)/lambda(s) tends to exp(-t), not 0")
+            "profile logistic is not admissible (failed: ratio); "
+            "witnesses: {'ratio': ((1, 20, 0.3678794416507515), (2, 20, 0.13533528347780785))}")
 
     def test_zero_in_window_fails_the_ratio_condition(self):
         # a profile that hits exact zero inside the window has undefined

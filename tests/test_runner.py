@@ -131,19 +131,16 @@ class TestBundle:
 
     @pytest.mark.parametrize("a", [0.01, 0.02])
     def test_shallow_gumbel_runs_the_demo_config(self, a):
-        # every gumbel steepness is admissible, so the decay readers pass;
-        # the admissibility experiment still samples [-20, 20], where
-        # lambda(-20) = exp(-exp(-20 a)) is below 1 - 1e-6
+        # every gumbel steepness is admissible, although lambda(-20) =
+        # exp(-exp(-20 a)) is below 1 - 1e-6: the admissibility record
+        # is the family's closed-form verdict, not a sample of [-20, 20]
         text = (ROOT / "demos" / "experiment.cfg").read_text().replace("a = 1.0", f"a = {a}")
         bundle = run_experiments(parse_config(text))
-        statuses = {r["name"]: r["status"] for r in bundle.records}
-        assert [statuses[name] for name in ("covariance", "lyapunov", "tower", "theorem")] == \
-            ["pass"] * 4
+        assert [r["status"] for r in bundle.records] == ["pass"] * len(bundle.records)
         record = next(r for r in bundle.records if r["name"] == "admissibility")
-        assert (record["gated"], record["status"]) == (True, "fail")
-        assert record["details"]["grid"] == (-20, 20)
-        assert not record["details"]["limits_ok"]
-        assert not bundle.all_gated_passed
+        assert record["gated"] and record["details"]["grid"] == (-20, 20)
+        assert record["details"]["witnesses"] == {}
+        assert bundle.all_gated_passed
 
     def test_kothe_power_spectrum_with_a_convergent_series_passes(self):
         text = SHIFT_CONFIG.format(a=1.0) + (

@@ -15,7 +15,7 @@ its failing sampled check, and one an operator whose ratio exceeds one
 only on labels no swept density steps, which must still be refused.
 The Lyapunov defects raise one label's W_2 log weight above its W_1
 weight, or lower every step image by one position, and the isometry's
-puts one log weight past the float underflow of exp.
+move one log weight off its age's profile value, by 1/4 or to -800.
 """
 
 import math
@@ -84,7 +84,7 @@ def rising_ratio(op):
 
 
 def underflowing(op):
-    """The operator with the log weight of its first top-age label at -800, past exp's underflow."""
+    """The operator with the log weight of its first top-age label at -800, off its profile value."""
     log_diag = np.array(op.log_diag)
     log_diag[int(np.argmax(op.system.ages))] = -800.0
     log_diag.setflags(write=False)
@@ -92,7 +92,6 @@ def underflowing(op):
     return op
 
 
-# grades 0 and 1/2 only, so the weight exp(-800) stays inside the domain
 TOWER = "[experiment tower]\ntower_type = B\ncutoff = 1"
 
 
@@ -173,6 +172,19 @@ def test_underflowing_weight_fails_isometry(system, monkeypatch):
     record = only_record(bundle)
     assert record["status"] == "fail"
     assert record["details"]["isometry_deviation"] > 1e-10
+    assert not bundle.all_gated_passed
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_perturbed_log_weight_fails_tower(system, monkeypatch):
+    # the grade-1 pairing of the lowered label is exp(-1/2), not 1
+    honest = runner.build_decay_operator
+    monkeypatch.setattr(runner, "build_decay_operator",
+                        lambda profile, sys_: perturbed(honest(profile, sys_)))
+    bundle = run_experiments(config(system, TOWER))
+    record = only_record(bundle)
+    assert record["status"] == "fail"
+    assert record["details"]["isometry_deviation"] == -math.expm1(-0.5) == 0.3934693402873666
     assert not bundle.all_gated_passed
 
 
