@@ -296,6 +296,24 @@ class TestTower:
             assert verdict == tower_loop(op, _tower_grades(tower_type, cutoff))
             assert verdict == (ValueError, "tower monotonicity needs diagonal entries <= 1")
 
+    def test_shift_wide_grade_one_error(self):
+        # grade 1 weights on shift [-10, 10] reach past any float range, yet
+        # the tower forms none of them: grade 1 and every later grade pass
+        op = build_decay_operator(gumbel(1.0), build_shift_cascade(AgeWindow(-10, 10)))
+        assert tower_verdict(op, "C", 3) == tower_loop(op, _tower_grades("C", 3)) is None
+        assert build_tower(op, "C", 3)["isometry_deviation"] == 0.0
+
+    def test_first_domain_error_in_grade_order(self):
+        # the weight exp(-932.4) at age 2 puts every grade from 4/5 on past
+        # any float range; no grade is formed, so each cutoff passes as in
+        # the loop, and the isometry reads the label off its profile value
+        op = DecayOperator(build_shift_cascade(AgeWindow(-4, 4)), gumbel(1.0))
+        op.log_diag = np.where(op.system.ages == 2, -932.4, op.log_diag)
+        for cutoff in (3, 4, 6):
+            grades = _tower_grades("B", cutoff)
+            assert tower_verdict(op, "B", cutoff) == tower_loop(op, grades) is None
+        assert build_tower(op, "B", 6)["isometry_deviation"] == isometry_basis_loop(op) == 1.0
+
     def test_every_grade_on_wide_shift_windows(self):
         # lambda underflows at the top ages and the grade weights pass any
         # float range, yet the tower forms none of them: every grade passes
