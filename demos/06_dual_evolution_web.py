@@ -42,15 +42,13 @@ print(" y reproduces w; z squares the contraction ratio)")
 
 print("\n=== verified relations ===")
 report = verify_web(web)
-print(f"v = x (antidual operator metric):     deviation {report.v_equals_x_deviation:.3e}")
-print(f"transported traces decay monotonically: {report.dual_markov_monotone}")
-print(f"  traces: {[f'{x:.6f}' for x in report.dual_markov_traces]}")
-print(f"v != u_ext witness {report.v_vs_u_witness.label}: "
-      f"difference {report.v_vs_u_witness.deviation:.6g}")
-print(f"y != plain step witness {report.y_vs_u_witness.label}: "
-      f"difference {report.y_vs_u_witness.deviation:.6g}")
-print(f"w != z witness {report.w_vs_z_witness.label}: "
-      f"difference {report.w_vs_z_witness.deviation:.6g}")
-print(f"z ~ u_ext: Jordan-type rank gap {report.z_spectrum_deviation:.3e}, "
-      f"closed-form weight deviation {report.z_conjugacy_deviation:.3e}")
-print("all relations verified:", report.all_passed)
+print(f"v = x (antidual operator metric):     deviation {report['v_equals_x_deviation']:.3e}")
+print(f"transported traces decay monotonically: {report['dual_markov_monotone']}")
+print(f"  traces: {[f'{x:.6f}' for x in report['dual_markov_traces']]}")
+for key, pair in (("v_vs_u_witness", "v != u_ext"), ("y_vs_u_witness", "y != plain step"),
+                  ("w_vs_z_witness", "w != z")):
+    witness = report[key]
+    print(f"{pair} witness {witness['label']}: difference {witness['deviation']:.6g}")
+print(f"z ~ u_ext: Jordan-type rank gap {report['z_spectrum_deviation']:.3e}, "
+      f"closed-form weight deviation {report['z_conjugacy_deviation']:.3e}")
+print("all relations verified:", report["all_passed"])

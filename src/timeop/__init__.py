@@ -57,6 +57,6 @@ from .markov import (
     markov_step,
     positivity_probe,
 )
-from .duals import OperatorWeb, WebReport, build_operator_web, riesz_map, verify_web
+from .duals import OperatorWeb, build_operator_web, riesz_map, verify_web
 from .config import ConfigError, DEMO_CONFIG, ExperimentConfig, parse_config
 from .runner import ReportBundle, emit_report, run_experiments

@@ -417,21 +417,22 @@ def _key_line(sections, title, key):
 def _horizon_errors(sections, values):
     """(line, message) of each horizon that the run cannot step on the window.
 
-    Read on a config that is otherwise valid.  The covariance t-margin,
-    the labels of age at most hi - t, must hold a label, the Lyapunov
-    margin band [lo + max_t, hi - max_t] too, and the positivity sweep's
-    density 1+chi({0}) sits at age 0 of the baker window [-m, m], so its
-    times must be at most m.
+    Read on a config that is otherwise valid.  The t-margin of each
+    covariance and theorem time, the labels of age at most hi - t, must
+    hold a label, the Lyapunov margin band [lo + max_t, hi - max_t] too,
+    and the positivity sweep's density 1+chi({0}) sits at age 0 of the
+    baker window [-m, m], so its times must be at most m.
     """
     system = values["system"]
     lo, hi = ((-system["m"], system["m"]) if system["kind"] == "baker"
               else (system["lo"], system["hi"]))
     errors = []
-    covariance = values.get("experiment covariance")
-    if covariance and max(covariance["t_values"]) > hi - lo:
-        errors.append((_key_line(sections, "experiment covariance", "t_values"),
-                       f"t_values must be at most hi - lo = {hi - lo}: "
-                       "past it the t-margin [lo, hi - t] is empty"))
+    for title in ("experiment covariance", "experiment theorem"):
+        experiment = values.get(title)
+        if experiment and max(experiment["t_values"]) > hi - lo:
+            errors.append((_key_line(sections, title, "t_values"),
+                           f"t_values must be at most hi - lo = {hi - lo}: "
+                           "past it the t-margin [lo, hi - t] is empty"))
     lyapunov = values.get("experiment lyapunov")
     if lyapunov and 2 * lyapunov["max_t"] > hi - lo:
         errors.append((_key_line(sections, "experiment lyapunov", "max_t"),

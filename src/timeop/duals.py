@@ -25,17 +25,17 @@ operators that the theory says coincide are measured in the antidual
 operator metric (relative weight deviation), where the conjugated
 families are uniformly bounded; witnesses for the asserted inequalities
 are reported in the plain coefficient norm.  The Riesz twist z is
-checked against the closed form 2 (L(a+t) - L(a)) of its weights and
-against the Jordan type of the step (the ranks of its powers), both
-read off the index map: the ranks of all powers follow one array of
-chain positions along it.  The dual-Markov traces of all blocks are one
-``(block, label)`` table, and the weights the three witnesses compare
-are exponentiated once.
+checked against the closed form 2 (L(a+t) - L(a)) of its weights, L
+read from the profile, and against the Jordan type of the step (the
+ranks of its powers), read off the index map: one array of chain
+positions follows it, and one label mask, reused for every power,
+counts the distinct endpoints.  The dual-Markov traces of all blocks
+are one ``(block, label)`` table, and the weights the three witnesses
+compare are exponentiated once.  :func:`verify_web` returns the
+``theorem`` report record for one time, a plain dict.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,13 @@ __all__ = [
     "riesz_map",
     "OperatorWeb",
     "build_operator_web",
-    "WitnessRecord",
-    "WebReport",
     "verify_web",
 ]
 
-# pass thresholds of a WebReport: the coinciding pairs (v and x, z and
-# its closed form) agree within IDENTITY_TOL, each separating witness
-# reaches WITNESS_FLOOR, and z's Jordan type is the step's within
-# SPECTRUM_TOL
+# pass thresholds of verify_web's record: the coinciding pairs (v and x,
+# z and its closed form) agree within IDENTITY_TOL, each separating
+# witness reaches WITNESS_FLOOR, and z's Jordan type is the step's
+# within SPECTRUM_TOL
 IDENTITY_TOL = 1e-10
 WITNESS_FLOOR = 1e-6
 SPECTRUM_TOL = 1e-8
@@ -155,55 +153,6 @@ def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
     return OperatorWeb(decay, t, safe, log_weights, targets)
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    """A concrete basis label certifying that two evolutions differ."""
-
-    label: str
-    deviation: float
-
-
-@dataclass(frozen=True)
-class WebReport:
-    """Mechanical verification record of the six-evolution relations.
-
-    Parts: (1) v and x coincide, measured in the antidual operator
-    metric; (2) the v-route traces, transported by the Riesz map, decay
-    monotonically at every band label (``dual_markov_traces`` is the
-    band indicator's trace); (3, 4, 5) witnesses separate v from u_ext,
-    y from the plain step, and w from z; (6) z is conjugate to u_ext,
-    checked by the Jordan type of the safe compression
-    (``z_spectrum_deviation``, the largest gap between the ranks of its
-    powers, counted along the index map, and those of the step) and by
-    the relative deviation of the composed z weights from the closed
-    form 2 (L(a+t) - L(a)) (``z_conjugacy_deviation``).  The pass
-    thresholds are the module constants ``IDENTITY_TOL``,
-    ``WITNESS_FLOOR`` and ``SPECTRUM_TOL``.
-    """
-
-    t: int
-    v_equals_x_deviation: float
-    dual_markov_monotone: bool
-    dual_markov_traces: tuple
-    v_vs_u_witness: WitnessRecord
-    y_vs_u_witness: WitnessRecord
-    w_vs_z_witness: WitnessRecord
-    z_spectrum_deviation: float
-    z_conjugacy_deviation: float
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.v_equals_x_deviation <= IDENTITY_TOL
-            and self.dual_markov_monotone
-            and self.v_vs_u_witness.deviation >= WITNESS_FLOOR
-            and self.y_vs_u_witness.deviation >= WITNESS_FLOOR
-            and self.w_vs_z_witness.deviation >= WITNESS_FLOOR
-            and self.z_spectrum_deviation <= SPECTRUM_TOL
-            and self.z_conjugacy_deviation <= IDENTITY_TOL
-        )
-
-
 def _jordan_type_gap(web: OperatorWeb) -> float:
     """Largest gap between the ranks of C^k and those of the step.
 
@@ -212,27 +161,51 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     distinct endpoints of the k-step chains that start at the safe
     labels and follow ``targets`` through finite z weights and safe
     images.  The compressed step has rank #{i : age_i + (k+1) t <= hi},
-    for k = 1 up to nilpotency.
+    for k = 1 up to nilpotency; the labels are age-major, so that count
+    is a search of the sorted ages.
     """
     system = web.system
     safe = web.safe_mask
+    hi = system.window.hi
     # z is NaN off the margin, so links start only at safe labels; a
-    # broken chain sits at -1, the appended last entry, which stays -1
+    # chain that breaks reads -1 and is dropped
     nxt = np.where(np.isfinite(web.log_weights["z"]), web.targets, -1)
-    nxt = np.append(np.where((nxt >= 0) & safe[nxt], nxt, -1), -1)
-    powers = np.arange(1, (system.window.hi - system.window.lo) // web.t + 2)
-    # row k - 1 marks the endpoints of the k-step chains, its last column the broken ones
-    ends = np.zeros((powers.size, system.dim + 1), dtype=bool)
+    nxt = np.where((nxt >= 0) & safe[nxt], nxt, -1)
+    powers = np.arange(1, (hi - system.window.lo) // web.t + 2)
+    # one mask, marked and cleared per power, counts the distinct
+    # endpoints of the unbroken k-step chains
+    ends = np.zeros(system.dim, dtype=bool)
+    ranks = np.empty(powers.size, dtype=int)
     pos = np.flatnonzero(safe)
-    for row in ends:
+    for k in range(powers.size):
         pos = nxt[pos]
-        row[pos] = True
-    expected = (system.ages + (powers[:, None] + 1) * web.t <= system.window.hi).sum(axis=1)
-    return float(np.abs(ends[:, :-1].sum(axis=1) - expected).max(initial=0))
+        pos = pos[pos >= 0]
+        ends[pos] = True
+        ranks[k] = np.count_nonzero(ends)
+        ends[pos] = False
+    expected = np.searchsorted(system.ages, hi - (powers + 1) * web.t, side="right")
+    return float(np.abs(ranks - expected).max(initial=0))
 
 
-def verify_web(web: OperatorWeb) -> WebReport:
-    """Verify the six relations of the conjugated evolution web.
+def verify_web(web: OperatorWeb) -> dict:
+    """Verify the six relations of the conjugated evolution web, as a report record.
+
+    The record holds the time ``t`` and the six parts: (1) v and x
+    coincide, measured in the antidual operator metric
+    (``v_equals_x_deviation``); (2) the v-route traces, transported by
+    the Riesz map, decay monotonically at every band label
+    (``dual_markov_monotone``; ``dual_markov_traces`` is the band
+    indicator's trace); (3, 4, 5) witnesses separate v from u_ext, y
+    from the plain step, and w from z (``v_vs_u_witness``,
+    ``y_vs_u_witness``, ``w_vs_z_witness``, each a ``{"label",
+    "deviation"}`` dict); (6) z is conjugate to u_ext, checked by the
+    Jordan type of the safe compression (``z_spectrum_deviation``, the
+    largest gap between the ranks of its powers, counted along the
+    index map, and those of the step) and by the relative deviation of
+    the composed z weights from the closed form 2 (L(a+t) - L(a)), L
+    read from the profile (``z_conjugacy_deviation``).  ``all_passed``
+    applies the module thresholds ``IDENTITY_TOL``, ``WITNESS_FLOOR``
+    and ``SPECTRUM_TOL``.
 
     The time must be positive: at t = 0 every evolution is the identity
     and the inequality parts are degenerate.
@@ -265,25 +238,23 @@ def verify_web(web: OperatorWeb) -> WebReport:
         weights = np.exp(np.array([web.log_weights[name]
                                    for name in ("v", "y", "w", "u_ext", "z")])[:, safe])
     dev = np.abs(weights[:3] - weights[[3, 3, 4]])
-    witnesses = [WitnessRecord(label=system.label_text(safe[i]), deviation=float(row[i]))
+    witnesses = [{"label": system.label_text(safe[i]), "deviation": float(row[i])}
                  for row, i in zip(dev, dev.argmax(axis=1))]
+    spectrum = _jordan_type_gap(web)
+    closed_form = 2.0 * (decay.profile.log_value(system.ages[safe] + web.t) - log_lam[safe])
+    conjugacy = float(np.abs(np.expm1(web.log_weights["z"][safe] - closed_form)).max())
 
-    report = WebReport(
-        t=web.t,
-        v_equals_x_deviation=v_equals_x,
-        dual_markov_monotone=monotone,
-        dual_markov_traces=tuple(traces),
-        v_vs_u_witness=witnesses[0],
-        y_vs_u_witness=witnesses[1],
-        w_vs_z_witness=witnesses[2],
-        z_spectrum_deviation=_jordan_type_gap(web),
-        z_conjugacy_deviation=float(
-            np.abs(
-                np.expm1(
-                    web.log_weights["z"][safe]
-                    - 2.0 * (decay.log_weight(system.ages[safe] + web.t) - decay.log_diag[safe])
-                )
-            ).max()
-        ),
-    )
-    return report
+    return {
+        "t": web.t,
+        "v_equals_x_deviation": v_equals_x,
+        "dual_markov_monotone": monotone,
+        "dual_markov_traces": tuple(traces),
+        "v_vs_u_witness": witnesses[0],
+        "y_vs_u_witness": witnesses[1],
+        "w_vs_z_witness": witnesses[2],
+        "z_spectrum_deviation": spectrum,
+        "z_conjugacy_deviation": conjugacy,
+        "all_passed": (v_equals_x <= IDENTITY_TOL and monotone
+                       and all(w["deviation"] >= WITNESS_FLOOR for w in witnesses)
+                       and spectrum <= SPECTRUM_TOL and conjugacy <= IDENTITY_TOL),
+    }

@@ -220,20 +220,20 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     oldest = np.where(big, system.ages, -np.inf).max(axis=1, initial=-np.inf)
     leaves = oldest[:, None] + times > system.window.hi
     stop = int(np.argmax(leaves.any(axis=0))) if leaves.any() else times.size
-    labels = np.arange(system.dim)
+    # both routes read the support columns only: a label no row holds
+    # lands nothing, and every alive label is a support column, in the
+    # same order, so each (row, t) sums the same terms
+    support = np.nonzero((coeffs != 0.0).any(axis=0))[0]
+    held = coeffs[:, support]
     norms = np.empty((rows, stop))
     for t in range(stop):
-        targets, moved = _landed(decay, coeffs, t, labels, inside[t])
+        targets, moved = _landed(decay, held, t, support, inside[t, support])
         evolved = np.zeros((rows, system.dim))
         evolved[:, targets] = moved
         norms[:, t] = [vector_norm(row) for row in evolved]
-    # the forms read the support columns only: every alive label is one
-    # of them, and in the same order, so each (row, t) sums the same terms
-    support = np.nonzero((coeffs != 0.0).any(axis=0))[0]
     images = np.array([system.step_indices(t)[support] for t in range(stop)], dtype=int)
     images = images.reshape(stop, support.size)
     table = decay.log_ratio(support, images)
-    held = coeffs[:, support]
     alive = (held != 0.0)[:, None, :] & inside[:stop, support] & (images >= 0)
     at_row, at_t, at_label = np.nonzero(alive)
     with np.errstate(under="ignore"):
@@ -425,7 +425,7 @@ def asymmetry_probe(ev: MarkovEvolution, rho: HVector, t: int) -> AsymmetryRepor
     ages = np.arange(window.lo + t, window.hi + 1)
     if ages.size == 0:
         raise ValueError("window too narrow for the requested backward time")
-    back_logs = ev.decay.log_weight(ages - t) - ev.decay.log_weight(ages)
+    back_logs = ev.decay.profile.log_value(ages - t) - ev.decay.profile.log_value(ages)
     i = int(np.argmax(back_logs))
     log_factor = float(back_logs[i])
     with np.errstate(over="ignore"):

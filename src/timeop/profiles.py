@@ -241,20 +241,12 @@ class DecayOperator:
         log_diag.setflags(write=False)
         self.log_diag = log_diag
 
-    @property
-    def basis_id(self) -> str:
-        return self.system.basis_id
-
     @cached_property
     def diag(self) -> np.ndarray:
         """Plain diagonal values; may underflow to 0.0 on wide windows."""
         d = np.exp(self.log_diag)
         d.setflags(write=False)
         return d
-
-    def log_weight(self, ages) -> np.ndarray:
-        """log lambda evaluated at arbitrary integer ages."""
-        return self.profile.log_value(np.asarray(ages))
 
     def log_ratio(self, sources, targets) -> np.ndarray:
         """The log weight of W_t on each label of ``sources``, moved onto ``targets``.
@@ -310,7 +302,7 @@ def verify_covariant_transform(op: DecayOperator, t: int) -> float:
     if t < 0:
         raise ValueError("covariant transform is checked for t >= 0")
     system = op.system
-    return system.pullback_deviation(t, op.log_diag, op.log_weight(system.ages + t),
+    return system.pullback_deviation(t, op.log_diag, op.profile.log_value(system.ages + t),
                                      system.interior_mask(t))
 
 

@@ -126,12 +126,12 @@ def test_05_evolution_web():
         ok = True
         for t in (1, 2):
             report = verify_web(build_operator_web(decay, t))
-            ok = ok and report.v_equals_x_deviation <= 1e-10
-            ok = ok and report.v_vs_u_witness.deviation >= 1e-3
-            ok = ok and report.y_vs_u_witness.deviation >= 1e-3
-            ok = ok and report.w_vs_z_witness.deviation >= 1e-3
-            ok = ok and report.z_spectrum_deviation <= 1e-8
-            ok = ok and report.dual_markov_monotone
+            ok = ok and report["v_equals_x_deviation"] <= 1e-10
+            ok = ok and report["v_vs_u_witness"]["deviation"] >= 1e-3
+            ok = ok and report["y_vs_u_witness"]["deviation"] >= 1e-3
+            ok = ok and report["w_vs_z_witness"]["deviation"] >= 1e-3
+            ok = ok and report["z_spectrum_deviation"] <= 1e-8
+            ok = ok and report["dual_markov_monotone"]
     _report(5, "evolution-web identities, separations, and spectral equivalence at t in {1,2}",
             ok and budget.elapsed < 2.0, f" ({budget.elapsed:.2f}s)")
 

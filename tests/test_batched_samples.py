@@ -222,7 +222,7 @@ def off_profile(op, seed):
     return moved
 
 
-ids = lambda op: op.basis_id  # noqa: E731
+ids = lambda op: op.system.basis_id  # noqa: E731
 
 
 def underflows(j):
@@ -410,7 +410,8 @@ class TestLyapunovTraces:
         assert str(batched.value) == str(loop.value)
 
     @pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-6, 6)),
-                                        build_baker_cascade(3)], ids=ids)
+                                        build_baker_cascade(3)],
+                             ids=lambda s: s.basis_id)
     def test_margin_error_comes_before_a_route_fault_at_its_t(self, system, monkeypatch):
         ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
         block = sample_block(system, 3, np.random.default_rng(6), rows=6)

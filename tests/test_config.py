@@ -303,8 +303,10 @@ class TestValidateCli:
          "t_values must be at most hi - lo = 6: past it the t-margin [lo, hi - t] is empty"),
         ("kind = baker\nm = 1", "[experiment covariance]", 8,
          "t_values must be at most hi - lo = 2: past it the t-margin [lo, hi - t] is empty"),
+        ("kind = shift\nlo = -3\nhi = 3", "[experiment theorem]\nt_values = 1 7", 10,
+         "t_values must be at most hi - lo = 6: past it the t-margin [lo, hi - t] is empty"),
     ], ids=["positivity-past-m", "lyapunov-shift", "lyapunov-baker", "lyapunov-default",
-            "covariance-shift", "covariance-far", "covariance-default"])
+            "covariance-shift", "covariance-far", "covariance-default", "theorem-shift"])
     def test_horizon_past_the_window(self, tmp_path, capsys, system, experiment, line, message):
         # run would record an error for each, or check no label at a
         # covariance time: validate refuses them, naming the key
@@ -319,8 +321,9 @@ class TestValidateCli:
         ("kind = baker\nm = 2", "[experiment lyapunov]\nmax_t = 2"),
         ("kind = shift\nlo = -3\nhi = 3", "[experiment covariance]\nt_values = 0 6"),
         ("kind = baker\nm = 1", "[experiment covariance]\nt_values = 2"),
+        ("kind = baker\nm = 1", "[experiment theorem]\nt_values = 2"),
     ], ids=["positivity-at-m", "lyapunov-shift", "lyapunov-baker", "covariance-shift",
-            "covariance-baker"])
+            "covariance-baker", "theorem-baker"])
     def test_horizon_at_the_window_edge(self, tmp_path, capsys, system, experiment):
         text = f"[system]\n{system}\n\n[profile]\nfamily = gumbel\n\n{experiment}\n"
         code, captured = self.validates(tmp_path, capsys, text)

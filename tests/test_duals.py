@@ -158,14 +158,14 @@ class TestVerifyWeb:
         for t in (1, 2):
             s, op = shift_decay(-4, 4)
             report = verify_web(build_operator_web(op, t))
-            assert report.v_equals_x_deviation <= 1e-10
+            assert report["v_equals_x_deviation"] <= 1e-10
 
     def test_witnesses_certify_the_inequalities(self):
         s, op = shift_decay(-4, 4)
         report = verify_web(build_operator_web(op, 1))
-        assert report.v_vs_u_witness.deviation >= 1e-3
-        assert report.y_vs_u_witness.deviation >= 1e-3
-        assert report.w_vs_z_witness.deviation >= 1e-3
+        assert report["v_vs_u_witness"]["deviation"] >= 1e-3
+        assert report["y_vs_u_witness"]["deviation"] >= 1e-3
+        assert report["w_vs_z_witness"]["deviation"] >= 1e-3
 
     def test_age_zero_separations_match_direct_evaluation(self):
         s, op = shift_decay(-4, 4)
@@ -182,17 +182,17 @@ class TestVerifyWeb:
     def test_spectrum_and_conjugacy_of_the_riesz_twist(self):
         s, op = shift_decay(-4, 4)
         report = verify_web(build_operator_web(op, 1))
-        assert report.z_spectrum_deviation <= 1e-8
-        assert report.z_conjugacy_deviation <= 1e-10
+        assert report["z_spectrum_deviation"] <= 1e-8
+        assert report["z_conjugacy_deviation"] <= 1e-10
 
     def test_transported_traces_decay(self):
         s, op = shift_decay(-6, 6)
         for t in (1, 2, 3):
             report = verify_web(build_operator_web(op, t))
-            assert report.dual_markov_monotone
-            assert len(report.dual_markov_traces) >= 2
-            assert report.dual_markov_traces[-1] < report.dual_markov_traces[0]
-            assert (report.dual_markov_monotone, report.dual_markov_traces) == \
+            assert report["dual_markov_monotone"]
+            assert len(report["dual_markov_traces"]) >= 2
+            assert report["dual_markov_traces"][-1] < report["dual_markov_traces"][0]
+            assert (report["dual_markov_monotone"], report["dual_markov_traces"]) == \
                 dual_trace_loop(op, t)
 
     def test_degenerate_time_rejected(self):
@@ -203,7 +203,15 @@ class TestVerifyWeb:
     def test_full_report_passes(self):
         s, op = shift_decay(-6, 6)
         for t in (1, 2):
-            assert verify_web(build_operator_web(op, t)).all_passed
+            assert verify_web(build_operator_web(op, t))["all_passed"]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "false fail: at the one safe label w and z differ by r - r^2 with r = w's weight "
+        "exp(-exp(3) + exp(-3)), about 2e-9, below WITNESS_FLOOR = 1e-6, though w != z for "
+        "every 0 < r < 1"))
+    def test_long_time_witness_on_a_correct_system(self):
+        s, op = shift_decay(-3, 3)
+        assert verify_web(build_operator_web(op, 6))["all_passed"]
 
 
 def off_by_one(system):
@@ -226,25 +234,25 @@ class TestWebDefects:
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
     def test_correct_web_passes_exactly(self, system):
         report = verify_web(build_operator_web(build_decay_operator(gumbel(1.0), system), 1))
-        assert report.z_spectrum_deviation == 0.0
-        assert report.z_conjugacy_deviation == 0.0
-        assert report.all_passed
+        assert report["z_spectrum_deviation"] == 0.0
+        assert report["z_conjugacy_deviation"] == 0.0
+        assert report["all_passed"]
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
     def test_off_by_one_step_map(self, system):
         op = build_decay_operator(gumbel(1.0), off_by_one(system))
         report = verify_web(build_operator_web(op, 1))
-        assert report.z_spectrum_deviation > 1e-8
-        assert report.z_conjugacy_deviation > 1e-10
-        assert not report.all_passed
+        assert report["z_spectrum_deviation"] > 1e-8
+        assert report["z_conjugacy_deviation"] > 1e-10
+        assert not report["all_passed"]
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
     def test_doubled_z_weights(self, system):
         web = build_operator_web(build_decay_operator(gumbel(1.0), system), 1)
         web.log_weights["z"] = web.log_weights["z"] + math.log(2.0)
         report = verify_web(web)
-        assert report.z_conjugacy_deviation > 1e-10
-        assert not report.all_passed
+        assert report["z_conjugacy_deviation"] > 1e-10
+        assert not report["all_passed"]
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
     def test_rising_log_weight_breaks_the_dual_traces(self, system):
@@ -255,8 +263,8 @@ class TestWebDefects:
         log_diag[int(np.nonzero(system.ages == 2)[0][0])] = -0.5
         op.log_diag = log_diag
         report = verify_web(build_operator_web(op, 1))
-        assert (report.dual_markov_monotone, dual_trace_loop(op, 1)[0]) == (False, False)
-        assert not report.all_passed
+        assert (report["dual_markov_monotone"], dual_trace_loop(op, 1)[0]) == (False, False)
+        assert not report["all_passed"]
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
     def test_one_vanishing_z_weight(self, system):
@@ -264,5 +272,5 @@ class TestWebDefects:
         web = build_operator_web(build_decay_operator(gumbel(1.0), system), 1)
         web.log_weights["z"][int(np.nonzero(system.ages == 0)[0][0])] = -np.inf
         report = verify_web(web)
-        assert report.z_spectrum_deviation > 1e-8
-        assert not report.all_passed
+        assert report["z_spectrum_deviation"] > 1e-8
+        assert not report["all_passed"]

@@ -2,19 +2,19 @@
 
 Each fixture is ``bundle.to_dict()`` for one config with
 ``manifest.versions`` removed, serialized exactly as ``report.json``
-is.  A refactor that keeps reports byte-identical passes untouched; a
-change that moves any reported float fails here and has to be recorded
-by regenerating the fixtures (``python tests/test_golden.py``) in the
-same change.
+is, by the same writer, so a non-finite float is pinned as the null it
+is emitted as.  A refactor that keeps reports byte-identical passes
+untouched; a change that moves any reported float fails here and has
+to be recorded by regenerating the fixtures
+(``python tests/test_golden.py``) in the same change.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from timeop.config import parse_config
-from timeop.runner import run_experiments
+from timeop.runner import _json_text, run_experiments
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -30,7 +30,7 @@ CONFIGS = {
 def _report_text(config_path: Path) -> str:
     doc = run_experiments(parse_config(config_path.read_text())).to_dict()
     del doc["manifest"]["versions"]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -57,7 +57,7 @@ def dense_covariant_transform(op, t):
     cols = system.interior_mask(t)
     if not np.any(cols):
         return 0.0
-    diff = ut.T @ np.diag(op.log_diag) @ ut - np.diag(op.log_weight(system.ages + t))
+    diff = ut.T @ np.diag(op.log_diag) @ ut - np.diag(op.profile.log_value(system.ages + t))
     return float(np.abs(diff[:, cols]).max())
 
 
@@ -152,7 +152,7 @@ def test_truncated_image_inside_the_margin(system):
     assert covariance[1] == 2.0  # the dense column value |age + t|
     assert verify_imprimitivity(bad, (1,), 1) == 1.0
     op = build_decay_operator(gumbel(1.0), bad)
-    assert verify_covariant_transform(op, 1) == float(-op.log_weight(system.ages + 1)[j])
+    assert verify_covariant_transform(op, 1) == float(-op.profile.log_value(system.ages + 1)[j])
     # the Markov step reads a truncated image as U e_k = 0: nothing lands
     # on index -1, the top label, and no weight exp(NaN) is formed; no
     # later label's image covers index -1 for the last label of the margin
@@ -233,12 +233,15 @@ def test_routines_allocate_no_dense_matrix():
     op = build_decay_operator(gumbel(1.0), system)
     op.diag  # noqa: B018 - cached before measuring
     dense_bytes = system.dim**2 * 8
+    # a long shift at t = 1: z's Jordan type has about dim powers
+    shallow = build_decay_operator(gumbel(0.005), build_shift_cascade(AgeWindow(-3, 2000)))
     calls = [
         lambda: verify_covariance(system, 1),
         lambda: verify_imprimitivity(system, (0,), 1),
         lambda: verify_covariant_transform(op, 1),
         lambda: build_operator_web(op, 1),
         lambda: verify_web(build_operator_web(op, 1)),
+        lambda: verify_web(build_operator_web(shallow, 1)),
     ]
     for call in calls:
         tracemalloc.start()

@@ -173,8 +173,8 @@ class TestPositivity:
             label = frozenset(j - m for j in range(2 * m + 1) if (k + 1) >> j & 1)
             shifted = frozenset(i + t for i in label)
             weight = math.exp(
-                float(decay.log_weight(system.ages[k] + t))
-                - float(decay.log_weight(system.ages[k]))
+                float(decay.profile.log_value(system.ages[k] + t))
+                - float(decay.profile.log_value(system.ages[k]))
             )
             coeffs[shifted] = coeffs.get(shifted, 0.0) + weight * c
         best = None

@@ -45,7 +45,7 @@ def test_markov_and_web_weights_are_the_closed_form_on_the_margin(case):
     decay, t = case
     system = decay.system
     margin = system.interior_mask(t)
-    expected = decay.log_weight(system.ages[margin] + t) - decay.log_diag[margin]
+    expected = decay.profile.log_value(system.ages[margin] + t) - decay.log_diag[margin]
     routes = {
         "markov": MarkovEvolution(decay, t).decay.step_log_ratio(t),
         "web": build_operator_web(decay, t).log_weights["w"],
