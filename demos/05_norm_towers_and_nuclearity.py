@@ -29,7 +29,7 @@ op = build_decay_operator(gumbel(1.0), shift)
 
 print("=== strengthened norms of the age-0 basis vector ===")
 grades = (0, Fraction(1, 2), 1, 2)
-# one row, every grade at once; the peaks stay far below the log cap here
+# one row, every grade at once; the peaks stay far inside the float range here
 norms, _ = graded_norm_rows(shift.basis_vector(0).coeffs[None], [float(n) for n in grades],
                             op.log_diag)
 for n, norm in zip(grades, norms[0]):

@@ -48,7 +48,7 @@ print(f"  traces: {[f'{x:.6f}' for x in report['dual_markov_traces']]}")
 for key, pair in (("v_vs_u_witness", "v != u_ext"), ("y_vs_u_witness", "y != plain step"),
                   ("w_vs_z_witness", "w != z")):
     witness = report[key]
-    print(f"{pair} witness {witness['label']}: difference {witness['deviation']:.6g}")
+    print(f"{pair} witness {witness['label']}: relative deviation {witness['deviation']:.6g}")
 print(f"z ~ u_ext: Jordan-type rank gap {report['z_spectrum_deviation']:.3e}, "
       f"closed-form weight deviation {report['z_conjugacy_deviation']:.3e}")
 print("all relations verified:", report["all_passed"])

@@ -19,19 +19,20 @@ step:
 Every evolution is a truncated weighted shift along the t-step index
 map, and its log weight at a margin-safe label is composed from the log
 decay diagonal and the Riesz diagonal read at the label and at its
-image; weights of v and x reach exp(exp(hi) - exp(lo + t)) and overflow
-guards reject windows past the representable range.  Deviations between
+image.  Weights are compared as log weights, never formed as floats, so
+v and x are checked however far past the float range they reach; only
+a window whose Riesz log weights leave it is refused.  Deviations between
 operators that the theory says coincide are measured in the antidual
 operator metric (relative weight deviation), where the conjugated
-families are uniformly bounded; witnesses for the asserted inequalities
-are reported in the plain coefficient norm.  The Riesz twist z is
-checked against the closed form 2 (L(a+t) - L(a)) of its weights, L
-read from the profile, and against the Jordan type of the step (the
-ranks of its powers), read off the index map: one array of chain
-positions follows it, and one label mask, reused for every power,
+families are uniformly bounded; each witness for an asserted inequality
+is the label with the largest log gap between its pair, reported as the
+relative deviation |a - b| / max(a, b) of the two weights.  The Riesz
+twist z is checked against the closed form 2 (L(a+t) - L(a)) of its
+weights, L read from the profile, and against the Jordan type of the
+step (the ranks of its powers), read off the index map: one array of
+chain positions follows it, and one label mask, reused for every power,
 counts the distinct endpoints.  The dual-Markov traces of all blocks
-are one ``(block, label)`` table, and the weights the three witnesses
-compare are exponentiated once.  :func:`verify_web` returns the
+are one ``(block, label)`` table.  :func:`verify_web` returns the
 ``theorem`` report record for one time, a plain dict.
 """
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from .cascade import CascadeSystem, MarginError
 from .profiles import DecayOperator
-from .rigging import LOG_WEIGHT_CAP
 
 __all__ = [
     "riesz_map",
@@ -68,9 +68,11 @@ def riesz_map(decay: DecayOperator) -> np.ndarray:
     itself, so the Riesz map (the decay map composed with the
     antitransposed map) is the squared diagonal; its inverse is the
     negated log diagonal.  Kept in log form, since the squared weights
-    underflow on wide windows.
+    underflow on wide windows.  A log weight past half the float range
+    doubles to -inf.
     """
-    log_riesz = 2.0 * decay.log_diag
+    with np.errstate(over="ignore"):
+        log_riesz = 2.0 * decay.log_diag
     log_riesz.setflags(write=False)
     return log_riesz
 
@@ -87,7 +89,7 @@ class OperatorWeb:
       u_ext : 0
       w     : L[k] - L[i]
       v     : L[i] - L[k]
-      x     : R[i] + w - R[k]     (Riesz conjugation of w)
+      x     : w + (R[i] - R[k])   (Riesz conjugation of w)
       y     : -L[i] + L[k]        (decay conjugation of u_ext)
       z     : R[k] - R[i]         (Riesz conjugation of u_ext)
     """
@@ -103,11 +105,15 @@ class OperatorWeb:
         self.targets = targets
 
     def weight(self, name: str, label) -> float:
-        """Weight carried by a safe label under the named evolution."""
+        """Weight carried by a safe label under the named evolution.
+
+        A weight past the float range reads inf.
+        """
         i = self.system.index_of(label)
         if not self.safe_mask[i]:
             raise MarginError(f"label {self.system.label_text(i)} is not t-margin safe")
-        return float(np.exp(self.log_weights[name][i]))
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_weights[name][i]))
 
 
 def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
@@ -116,9 +122,9 @@ def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
     ``w`` (and ``y``, the same floats) is ``decay.step_log_ratio(t)``;
     the Riesz conjugations read ``riesz_map`` at each safe label and at
     its image under ``system.step_indices(t)``.  A safe label whose
-    image is truncated carries NaN.  A conjugation whose weights exceed
-    ``LOG_WEIGHT_CAP`` in log magnitude is rejected by name rather than
-    carried as infinities.
+    image is truncated carries NaN.  R[i] - R[k] is exactly -2 w, so x
+    is v bit for bit.  A window whose Riesz log weights are not all
+    finite floats is refused, naming the first age past the range.
     """
     if t < 0:
         raise ValueError("the web is built for t >= 0")
@@ -128,6 +134,10 @@ def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
         raise MarginError(f"no labels admit a {t}-step margin on this window")
     targets = system.step_indices(t)
     log_riesz = riesz_map(decay)
+    past = np.flatnonzero(~np.isfinite(log_riesz))
+    if past.size:
+        raise MarginError(f"the Riesz log weight 2 log lambda at age {system.ages[past[0]]} "
+                          "is not a finite float on this window")
     riesz_image = np.where(safe & (targets >= 0), log_riesz[targets], np.nan)
 
     w = decay.step_log_ratio(t)
@@ -135,21 +145,10 @@ def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
         "u_ext": np.where(safe, 0.0, np.nan),
         "w": w,
         "v": -w,
-        "x": log_riesz + w - riesz_image,
+        "x": w + (log_riesz - riesz_image),
         "y": w,
         "z": riesz_image - log_riesz,
     }
-
-    conjugation_names = {
-        "v": "inverse conjugation by the antitransposed decay map (v)",
-        "x": "Riesz conjugation of the contraction semigroup (x)",
-    }
-    for name, label in conjugation_names.items():
-        peak = np.nanmax(log_weights[name])
-        if peak > LOG_WEIGHT_CAP:
-            raise MarginError(
-                f"{label} is not materializable on this window: weights reach exp({peak:.1f})"
-            )
     return OperatorWeb(decay, t, safe, log_weights, targets)
 
 
@@ -231,15 +230,16 @@ def verify_web(web: OperatorWeb) -> dict:
     logs = np.where(images >= 0, log_lam[band] + log_lam[images], -np.inf)
     monotone = bool(np.all(logs[1:] <= logs[:-1]))
     # the sum along the last axis of a C-contiguous block is each row's 1-D
-    # sum; a block gathered by a column index would be Fortran-ordered
-    with np.errstate(under="ignore"):
+    # sum; a block gathered by a column index would be Fortran-ordered.
+    # Near the float edge 2 logs may overflow to -inf, a weight of 0.0
+    with np.errstate(under="ignore", over="ignore"):
         traces = np.sqrt(np.sum(np.exp(2.0 * logs), axis=1)).tolist()
-        # each separating witness is the safe label where its pair differs most
-        weights = np.exp(np.array([web.log_weights[name]
-                                   for name in ("v", "y", "w", "u_ext", "z")])[:, safe])
-    dev = np.abs(weights[:3] - weights[[3, 3, 4]])
-    witnesses = [{"label": system.label_text(safe[i]), "deviation": float(row[i])}
-                 for row, i in zip(dev, dev.argmax(axis=1))]
+    # each separating witness is the safe label with the largest log gap
+    # between its pair; weights a, b differ there by |a - b| / max(a, b)
+    gaps = np.abs([web.log_weights[a][safe] - web.log_weights[b][safe]
+                   for a, b in (("v", "u_ext"), ("y", "u_ext"), ("w", "z"))])
+    witnesses = [{"label": system.label_text(safe[i]), "deviation": float(-np.expm1(-row[i]))}
+                 for row, i in zip(gaps, gaps.argmax(axis=1))]
     spectrum = _jordan_type_gap(web)
     closed_form = 2.0 * (decay.profile.log_value(system.ages[safe] + web.t) - log_lam[safe])
     conjugacy = float(np.abs(np.expm1(web.log_weights["z"][safe] - closed_form)).max())

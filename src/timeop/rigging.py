@@ -13,14 +13,11 @@ sets are built:
   C: {0, 1, 2, ...} unbounded.
 
 Grade-0 always recovers the ambient norm exactly.  All weighted norms
-are evaluated per coordinate in the log domain, and a cap
-(``LOG_WEIGHT_CAP``) on the per-coordinate log magnitude realizes the
-finite-truncation shadow of the unbounded inverse: past the cap a
-normed row is reported as outside the materialized domain rather than
-silently overflowing.  J is diagonal, so the tower's monotonicity and
-the defining isometry hold for every vector exactly when they hold
-label by label: they are checked per label, on no sample, and form no
-weight as a float.
+are evaluated per coordinate in the log domain, with their peak log
+magnitudes; a norm whose peak passes the float range reads inf.  J is
+diagonal, so the tower's monotonicity and the defining isometry hold
+for every vector exactly when they hold label by label: they are
+checked per label, on no sample, and form no weight as a float.
 
 Separately, closed-form singular spectra (power and geometric families)
 are classified as compact / Hilbert-Schmidt / nuclear.  Verdicts are
@@ -41,7 +38,6 @@ import numpy as np
 from .hilbert import vector_norm
 
 __all__ = [
-    "LOG_WEIGHT_CAP",
     "graded_norm_rows",
     "build_tower",
     "isometry_check",
@@ -52,7 +48,6 @@ __all__ = [
     "kothe_nuclearity",
 ]
 
-LOG_WEIGHT_CAP = 700.0
 # integer powers of an operator that classify_spectrum classifies
 MAX_POWER = 6
 
@@ -67,9 +62,8 @@ def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
 
     J is given by its log diagonal, and each grade n >= 0 is a float.
     Returns the ``(rows, grades)`` norms and the peak log magnitudes
-    log|v_k| - n log d_k behind them.  A norm is only meaningful where
-    its peak is within ``LOG_WEIGHT_CAP``: past it the row lies outside
-    the materialized domain of that grade.  Grade 0 is the ambient norm,
+    log|v_k| - n log d_k behind them.  A norm can be finite only while
+    exp(peak) is; past that it reads inf.  Grade 0 is the ambient norm,
     exactly :func:`~timeop.hilbert.vector_norm`, and has peak -inf.
     """
     grades = np.asarray(grades, dtype=float)
@@ -83,8 +77,8 @@ def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
     up = np.nonzero(grades > 0)[0]
     if up.size:
         live = coeffs != 0
-        # a row of zeros has peak -inf and norm 0; a peak past the cap
-        # may overflow, and its norm is never used
+        # a row of zeros has peak -inf and norm 0; a peak past the float
+        # range overflows to an inf norm
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             logs = np.log(np.abs(coeffs))[:, None, :] - (grades[up, None] * log_diag)
             logs = logs.reshape(-1, dim)  # row-major: (row, grade) pairs

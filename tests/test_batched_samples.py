@@ -35,7 +35,6 @@ from timeop.hilbert import HVector
 from timeop.markov import MarkovEvolution, lyapunov_trace, lyapunov_traces, markov_step
 from timeop.profiles import DecayOperator, build_decay_operator, gumbel, profile_from_table
 from timeop.rigging import (
-    LOG_WEIGHT_CAP,
     _tower_grades,
     build_tower,
     classify_spectrum,
@@ -75,7 +74,7 @@ def weighted_inner_loop(uc, vc, lw):
     logs = np.log(np.abs(uc[active])) + np.log(np.abs(vc[active])) + lw[active]
     signs = np.sign(uc[active]) * np.sign(vc[active])
     peak = float(logs.max())
-    assert peak <= LOG_WEIGHT_CAP
+    assert np.isfinite(np.exp(peak))
     return float(np.exp(peak) * np.sum(signs * np.exp(logs - peak)))
 
 
@@ -322,7 +321,7 @@ class TestTower:
                 record = tower_record(bounds, tower_type, 3)
                 assert record["status"] == "pass", (bounds, tower_type, record)
                 assert record["details"]["isometry_deviation"] == 0.0
-        # lambda(7) = exp(-exp(7)) is 0.0 as a float, with grade 1/2 inside the cap
+        # lambda(7) = exp(-exp(7)) is 0.0 as a float, with grade 1/2 inside the float range
         record = tower_record((-9, 7), "B", 1)
         assert record["status"] == "pass"
         assert record["details"]["isometry_deviation"] == 0.0

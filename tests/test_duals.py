@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import timeop.duals
 from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
@@ -10,7 +13,7 @@ from timeop.cascade import (
     build_baker_cascade,
     build_shift_cascade,
 )
-from timeop.duals import build_operator_web, riesz_map, verify_web
+from timeop.duals import IDENTITY_TOL, build_operator_web, riesz_map, verify_web
 from timeop.hilbert import vector_norm
 from timeop.profiles import build_decay_operator, gumbel
 
@@ -108,10 +111,26 @@ class TestWeb:
         web = build_operator_web(op, 1)
         assert np.array_equal(dense(web, "y"), dense(web, "w"))
 
-    def test_overflow_guard_names_the_conjugation(self):
-        s, op = shift_decay(-8, 8)
-        with pytest.raises(MarginError, match="not materializable"):
-            build_operator_web(op, 1)
+    @pytest.mark.parametrize("lo, hi, a", [
+        (-8, 8, 1.0), (-10, 10, 1.0), (-20, 20, 1.0), (-3, 40, 1.0),
+        # |R| reaches 2 e^13.4: x must not carry a rounding that grows with |R|
+        (-3, 13400, 0.001),
+    ])
+    def test_wide_window_passes_with_v_equal_to_x(self, lo, hi, a):
+        # v and x weigh up to exp(e^(a hi) - e^(a (hi - 1))), past the float
+        # range from [-8, 8] on; as log weights they agree bit for bit
+        s = build_shift_cascade(AgeWindow(lo, hi))
+        report = verify_web(build_operator_web(build_decay_operator(gumbel(a), s), 1))
+        assert report["all_passed"]
+        assert report["v_equals_x_deviation"] == 0.0
+
+    def test_float_edge_refusal_names_the_age(self):
+        # 2 log lambda(709) = -2 e^(709 a) leaves the float range just
+        # past a = 1, though the decay operator itself is built
+        s = build_shift_cascade(AgeWindow(-3, 709))
+        assert verify_web(build_operator_web(build_decay_operator(gumbel(1.0), s), 1))["all_passed"]
+        with pytest.raises(MarginError, match="at age 709 is not a finite float"):
+            build_operator_web(build_decay_operator(gumbel(1.0002), s), 1)
 
     def test_margin_guard(self):
         s, op = shift_decay(-3, 3)
@@ -205,13 +224,39 @@ class TestVerifyWeb:
         for t in (1, 2):
             assert verify_web(build_operator_web(op, t))["all_passed"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "false fail: at the one safe label w and z differ by r - r^2 with r = w's weight "
-        "exp(-exp(3) + exp(-3)), about 2e-9, below WITNESS_FLOOR = 1e-6, though w != z for "
-        "every 0 < r < 1"))
-    def test_long_time_witness_on_a_correct_system(self):
-        s, op = shift_decay(-3, 3)
-        assert verify_web(build_operator_web(op, 6))["all_passed"]
+    @pytest.mark.parametrize("system, t", [
+        (build_shift_cascade(AgeWindow(-3, 3)), 6),
+        (build_baker_cascade(3), 6),
+        (build_shift_cascade(AgeWindow(-6, 6)), 9),
+        (build_shift_cascade(AgeWindow(-6, 6)), 12),
+    ], ids=lambda p: p.basis_id if isinstance(p, CascadeSystem) else f"t={p}")
+    def test_long_time_witness_on_a_correct_system(self, system, t):
+        # w and z weigh r and r^2 with r = exp(-e^3 + e^-3) on shift
+        # [-3, 3] at t = 6: their absolute difference, about 2e-9, is
+        # below WITNESS_FLOOR, their relative deviation 1 - r is not
+        report = verify_web(build_operator_web(build_decay_operator(gumbel(1.0), system), t))
+        assert report["w_vs_z_witness"]["deviation"] == pytest.approx(1.0)
+        assert report["all_passed"]
+
+
+@st.composite
+def accepted_web(draw):
+    """A window, a gumbel steepness with a * hi <= 709, and a time, as drawn in a sweep."""
+    if draw(st.booleans()):
+        lo, hi = draw(st.integers(-15, -1)), draw(st.integers(1, 80))
+        system = build_shift_cascade(AgeWindow(lo, hi))
+    else:
+        system = build_baker_cascade(draw(st.integers(1, 6)))
+    lo, hi = system.window.lo, system.window.hi
+    a = draw(st.floats(0.005, min(3.0, 709.0 / hi)))
+    return build_decay_operator(gumbel(a), system), draw(st.integers(1, hi - lo))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(accepted_web())
+def test_every_accepted_web_passes(case):
+    decay, t = case
+    assert verify_web(build_operator_web(decay, t))["all_passed"]
 
 
 def off_by_one(system):
@@ -252,6 +297,26 @@ class TestWebDefects:
         web.log_weights["z"] = web.log_weights["z"] + math.log(2.0)
         report = verify_web(web)
         assert report["z_conjugacy_deviation"] > 1e-10
+        assert not report["all_passed"]
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_riesz_map_of_three_log_lambda_breaks_v_equals_x(self, system, monkeypatch):
+        monkeypatch.setattr(timeop.duals, "riesz_map", lambda decay: 3.0 * decay.log_diag)
+        report = verify_web(build_operator_web(build_decay_operator(gumbel(1.0), system), 1))
+        assert report["v_equals_x_deviation"] > IDENTITY_TOL
+        assert not report["all_passed"]
+
+    @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
+    def test_halved_age_one_log_weight(self, system):
+        # v and x both read the defect, so they still agree; the z closed
+        # form, read from the profile, does not
+        op = build_decay_operator(gumbel(1.0), system)
+        log_diag = np.array(op.log_diag)
+        log_diag[int(np.nonzero(system.ages == 1)[0][0])] *= 0.5
+        op.log_diag = log_diag
+        report = verify_web(build_operator_web(op, 1))
+        assert report["v_equals_x_deviation"] == 0.0
+        assert report["z_conjugacy_deviation"] > IDENTITY_TOL
         assert not report["all_passed"]
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)

@@ -29,7 +29,6 @@ def decay_and_time(draw):
         system = build_shift_cascade(AgeWindow(lo, draw(st.integers(max(1, lo + 2), 6))))
     else:
         system = build_baker_cascade(draw(st.integers(1, 4)))
-    # exp(a * hi) <= e^6 keeps every conjugation weight below the cap;
     # logistic fails the ratio condition, so only the operator takes it
     if draw(st.booleans()):
         decay = build_decay_operator(gumbel(draw(st.floats(0.005, 1.0))), system)

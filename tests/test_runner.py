@@ -142,6 +142,18 @@ class TestBundle:
         assert record["details"]["witnesses"] == {}
         assert bundle.all_gated_passed
 
+    @pytest.mark.parametrize("hi", [8, 10])
+    def test_wide_window_runs_the_demo_config(self, hi):
+        # the web's v and x weights pass the float range on these windows;
+        # the theorem compares them as log weights and passes
+        text = (ROOT / "demos" / "experiment.cfg").read_text()
+        text = text.replace("lo = -6\nhi = 6", f"lo = -{hi}\nhi = {hi}")
+        config = parse_config(text)
+        assert (config.system["lo"], config.system["hi"]) == (-hi, hi)
+        bundle = run_experiments(config)
+        assert [r["status"] for r in bundle.records] == ["pass"] * len(bundle.records)
+        assert bundle.all_gated_passed
+
     def test_kothe_power_spectrum_with_a_convergent_series_passes(self):
         text = SHIFT_CONFIG.format(a=1.0) + (
             "\n[experiment kothe]\nspectrum = power 1.79\nn1 = 1/4\nn2 = 3/4\n"
