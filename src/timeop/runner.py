@@ -11,12 +11,15 @@ bundle still emits, with that experiment marked errored.
 Emission writes ``manifest.json``, ``report.json`` and one CSV per
 trace-like experiment (``lyapunov.csv`` with columns t, norm,
 lyapunov_form and, when the baker probe is active, min_cell;
-``positivity_sweep.csv`` with columns a, t, density, min_cell).
+``positivity_sweep.csv`` with columns a, t, density, min_cell).  A
+rerun into the same directory overwrites each file in place and removes
+a trace CSV the bundle no longer produces.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -411,11 +414,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _overwrite(path: Path, text: str):
+    """Write ``text`` over ``path``, then cut it to length: truncating to 0 first is slower."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        f.truncate()
+
+
 def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _overwrite(path, "\n".join(lines) + "\n")
 
 
 def emit_report(bundle: ReportBundle, out_dir) -> list:
@@ -423,7 +433,9 @@ def emit_report(bundle: ReportBundle, out_dir) -> list:
 
     Writes ``manifest.json``, ``report.json`` and the trace CSVs.  Both
     JSON files are strict JSON, with non-finite floats written as null;
-    the manifest is rendered once and nested into the report.
+    the manifest is rendered once and nested into the report.  Each file
+    is overwritten in place, and a trace CSV this bundle does not write
+    is removed, so a rerun leaves exactly the files a fresh one would.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -432,7 +444,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list:
     report = _json_text({**bundle.to_dict(), "manifest": _Nested(manifest)})
     for name, text in (("manifest.json", manifest), ("report.json", report)):
         path = out / name
-        path.write_text(text)
+        _overwrite(path, text)
         written.append(path)
 
     by_name = {record["name"]: record for record in bundle.records}
@@ -462,6 +474,9 @@ def emit_report(bundle: ReportBundle, out_dir) -> list:
              for e in positivity["details"]["sweep"]],
         )
         written.append(path)
+    for name in ("lyapunov.csv", "positivity_sweep.csv"):
+        if out / name not in written:
+            (out / name).unlink(missing_ok=True)
     return written
 
 

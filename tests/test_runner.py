@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 
 from pathlib import Path
 
 import pytest
 
+from timeop import runner
 from timeop.cli import main
 from timeop.config import DEMO_CONFIG, parse_config
 from timeop.runner import emit_report, run_experiments
@@ -271,6 +273,38 @@ class TestEmission:
         written = report["experiments"][0]["details"]["witnesses"]["ratio"]
         assert [w[2] for w in written] == [None if math.isnan(w[2]) else w[2] for w in ratio]
 
+    @pytest.mark.parametrize("experiment", ["tower", "lyapunov"])
+    def test_rerun_writes_the_bytes_of_a_fresh_emission(self, tmp_path, experiment):
+        # the shift bundle shrinks report.json and the demo's lyapunov.csv, and
+        # produces no positivity_sweep.csv (nor, tower-only, lyapunov.csv)
+        demo = run_experiments(parse_config(DEMO_CONFIG))
+        shift = run_experiments(parse_config(f"{EMPTY_CONFIG}\n[experiment {experiment}]\n"))
+        used = tmp_path / "used"
+        for i, bundle in enumerate((demo, shift, demo)):
+            written = emit_report(bundle, used)
+            fresh = emit_report(bundle, tmp_path / f"fresh{i}")
+            assert [p.name for p in written] == [p.name for p in fresh]
+            assert sorted(used.iterdir()) == sorted(written)
+            for path, fresh_path in zip(written, fresh):
+                assert path.read_bytes() == fresh_path.read_bytes(), path.name
+
+    def test_files_are_overwritten_without_truncation(self, tmp_path, monkeypatch):
+        # opening an existing report with O_TRUNC makes each rewrite slower
+        bundle = run_experiments(parse_config(DEMO_CONFIG))
+        emit_report(bundle, tmp_path)
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((Path(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(runner.os, "open", recording_open)
+        written = emit_report(bundle, tmp_path)
+        monkeypatch.undo()
+        assert sorted(path for path, _ in opened) == sorted(written)
+        assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in opened)
+
 
 class TestCli:
     def test_demo_exits_zero(self, tmp_path, capsys):
@@ -319,3 +353,10 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"cannot write output directory {out}: Not a directory\n"
+
+    def test_report_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert main(["demo", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot write output directory {tmp_path}: Is a directory\n"
