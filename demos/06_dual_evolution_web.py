@@ -19,7 +19,6 @@ from timeop import (
     build_operator_web,
     build_shift_cascade,
     gumbel,
-    riesz_map,
     verify_web,
 )
 
@@ -27,7 +26,7 @@ shift = build_shift_cascade(AgeWindow(-5, 5))
 decay = build_decay_operator(gumbel(1.0), shift)
 
 print("=== the maps the rigging defines ===")
-log_riesz = riesz_map(decay)
+log_riesz = decay.log_diag + decay.log_diag
 print("Riesz diagonal = squared decay diagonal, kept as 2 log lambda; entries at ages -1, 0, 1:")
 for age in (-1, 0, 1):
     print(f"  age {age:+d}: {np.exp(log_riesz[shift.index_of(age)]):.9f}")

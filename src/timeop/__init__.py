@@ -18,6 +18,7 @@ from .cascade import (
     CascadeSystem,
     GridDensity,
     MarginError,
+    WeightedShift,
     build_baker_cascade,
     build_shift_cascade,
     grid_to_walsh,
@@ -57,6 +58,6 @@ from .markov import (
     markov_step,
     positivity_probe,
 )
-from .duals import OperatorWeb, build_operator_web, riesz_map, verify_web
+from .duals import OperatorWeb, build_operator_web, verify_web
 from .config import ConfigError, DEMO_CONFIG, ExperimentConfig, parse_config
 from .runner import ReportBundle, emit_report, run_experiments

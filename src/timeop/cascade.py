@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "MarginError",
     "AgeWindow",
     "GridDensity",
+    "WeightedShift",
     "CascadeSystem",
     "build_shift_cascade",
     "build_baker_cascade",
@@ -99,6 +101,51 @@ class GridDensity:
         return float(self.values.mean())
 
 
+class WeightedShift(NamedTuple):
+    """A truncated weighted shift: ``sources[j]`` moves onto ``targets[j]``, by ``log_weights[j]``.
+
+    A target of -1 is a truncated image, which receives nothing.
+    :meth:`CascadeSystem.step` gives U^t, and diagonal conjugations of it
+    give W_t and the evolutions of the web.  Log weights with leading
+    axes stack weightings of one index map, and :meth:`apply` moves the
+    block under each in turn.
+    """
+
+    sources: np.ndarray
+    targets: np.ndarray
+    log_weights: np.ndarray
+
+    def conjugate(self, left, right) -> WeightedShift:
+        """``diag(exp(left)) @ self @ diag(exp(right))``, from per-label log diagonals.
+
+        Each weight becomes ``w + (right[source] + left[target])``; at a
+        truncated image it is NaN, and nothing is read at index -1.
+        """
+        landed = self._landed()
+        weights = self.log_weights[landed] + (
+            right[self.sources[landed]] + left[self.targets[landed]])
+        if isinstance(landed, slice):
+            return type(self)(self.sources, self.targets, weights)
+        log_weights = np.full(self.targets.size, np.nan)
+        log_weights[landed] = weights
+        return type(self)(self.sources, self.targets, log_weights)
+
+    def apply(self, block) -> tuple:
+        """The landed targets, and each row of ``block`` (a column per source) moved onto them.
+
+        Each product gets +0.0 added, which changes only a -0.0 into the
+        +0.0 of a label that receives nothing.
+        """
+        landed = self._landed()
+        moved = block[:, landed] * np.exp(self.log_weights[..., None, landed])
+        moved += 0.0
+        return self.targets[landed], moved
+
+    def _landed(self):
+        """The index of the entries whose image lands: every entry, as a slice, when all do."""
+        return slice(None) if self.targets.min(initial=0) >= 0 else self.targets >= 0
+
+
 class CascadeSystem:
     """A finite-window realization of (U, {E_n}, T).
 
@@ -110,7 +157,7 @@ class CascadeSystem:
     ``index_of`` and ``label_text`` convert between the two by
     arithmetic.  The step index map and the label ages are the
     representation: every operator built here is a truncated weighted
-    shift, so ``U^t`` is ``step_indices(t)`` and ``T`` and ``E(delta)``
+    shift, so ``U^t`` is ``step(t)`` and ``T`` and ``E(delta)``
     are per-label weights, and every identity is checked on those
     arrays in O(dim).  The dense ``U`` matrix is built only on request,
     for small-dim cross-checks.  Instances are immutable after
@@ -192,15 +239,15 @@ class CascadeSystem:
                 self._steps[k] = idx
         return self._steps[t]
 
-    def step_pairs(self, t: int) -> tuple:
-        """The labels inside the t-margin whose t-step image lands, and those images.
+    def step(self, t: int, labels=None) -> WeightedShift:
+        """U^t, every log weight 0, on ``labels`` (inside the t-margin) or else on the t-margin.
 
-        The two index arrays of the labels U^t moves and carries a
-        weight for, the sources in index order.
+        The labels are age-major, so the t-margin is a prefix of the index
+        order.  A truncated image is -1.
         """
-        targets = self.step_indices(t)
-        sources = np.nonzero(self.interior_mask(t) & (targets >= 0))[0]
-        return sources, targets[sources]
+        if labels is None:
+            labels = np.arange(np.searchsorted(self.ages, self.window.hi - t, side="right"))
+        return WeightedShift(labels, self.step_indices(t)[labels], np.zeros(labels.size))
 
     def age_mask(self, delta) -> np.ndarray:
         """Boolean mask of the labels whose age lies in ``delta``."""

@@ -6,8 +6,8 @@ space, the ambient space, and the antidual survive as three Gram
 weightings of one coefficient space: exp(-2 log d), identity, and
 exp(+2 log d) over the decay diagonal d.  The antitransposed decay map
 is then the plain transpose (the decay diagonal itself), the Riesz map
-is its square, and six conjugated evolutions arise from one forward
-step:
+is its square, kept as the log diagonal R = L + L (L = log d), and six
+conjugated evolutions arise from one forward step:
 
   u_ext : the plain step, extended to functionals;
   w     : decay-conjugated step (the contraction semigroup);
@@ -16,12 +16,11 @@ step:
   y     : decay conjugation of u_ext (equal to w in this realization);
   z     : Riesz conjugation of u_ext.
 
-Every evolution is a truncated weighted shift along the t-step index
-map, and its log weight at a margin-safe label is composed from the log
-decay diagonal and the Riesz diagonal read at the label and at its
-image.  Weights are compared as log weights, never formed as floats, so
-v and x are checked however far past the float range they reach; only
-a window whose Riesz log weights leave it is refused.  Deviations between
+Every evolution is U^t on the margin-safe labels, a
+:class:`~timeop.cascade.WeightedShift`, or a diagonal conjugation of it.
+Weights are compared as log weights, never formed as floats, so v and x
+are checked however far past the float range they reach; only a window
+whose Riesz log weights leave it is refused.  Deviations between
 operators that the theory says coincide are measured in the antidual
 operator metric (relative weight deviation), where the conjugated
 families are uniformly bounded; each witness for an asserted inequality
@@ -32,7 +31,8 @@ weights, L read from the profile, and against the Jordan type of the
 step (the ranks of its powers), read off the index map: one array of
 chain positions follows it, and one label mask, reused for every power,
 counts the distinct endpoints.  The dual-Markov traces of all blocks
-are one ``(block, label)`` table.  :func:`verify_web` returns the
+are one ``(block, label)`` table, row k U^(kt) conjugated by the log
+decay diagonal on both sides.  :func:`verify_web` returns the
 ``theorem`` report record for one time, a plain dict.
 """
 
@@ -44,7 +44,6 @@ from .cascade import CascadeSystem, MarginError
 from .profiles import DecayOperator
 
 __all__ = [
-    "riesz_map",
     "OperatorWeb",
     "build_operator_web",
     "verify_web",
@@ -61,48 +60,30 @@ SPECTRUM_TOL = 1e-8
 DUAL_TRACE_STEPS = 3
 
 
-def riesz_map(decay: DecayOperator) -> np.ndarray:
-    """Read-only log diagonal ``2 log lambda`` of the Riesz map.
-
-    Over real scalars the antitransposed decay map is the decay diagonal
-    itself, so the Riesz map (the decay map composed with the
-    antitransposed map) is the squared diagonal; its inverse is the
-    negated log diagonal.  Kept in log form, since the squared weights
-    underflow on wide windows.  A log weight past half the float range
-    doubles to -inf.
-    """
-    with np.errstate(over="ignore"):
-        log_riesz = 2.0 * decay.log_diag
-    log_riesz.setflags(write=False)
-    return log_riesz
-
-
 class OperatorWeb:
     """Six conjugated evolutions at one time, on the margin-safe labels.
 
-    Each evolution is a truncated weighted shift: the safe label at
-    index i moves to ``k = targets[i]`` (the t-step index map) carrying
-    weight ``exp(log_weights[name][i])``; labels outside the margin
-    carry NaN.  Weights compose along the map (L = log lambda, the log
-    decay diagonal; R = 2 L, the log Riesz diagonal):
+    ``evolutions`` maps each name to a
+    :class:`~timeop.cascade.WeightedShift` whose sources are the safe
+    labels, a prefix of the index order.  With U = U^t, L the log decay
+    diagonal and R = L + L the log Riesz diagonal, the weight of label
+    i, moved onto k, is:
 
-      u_ext : 0
-      w     : L[k] - L[i]
-      v     : L[i] - L[k]
-      x     : w + (R[i] - R[k])   (Riesz conjugation of w)
-      y     : -L[i] + L[k]        (decay conjugation of u_ext)
-      z     : R[k] - R[i]         (Riesz conjugation of u_ext)
+      u_ext : U                    0
+      w     : U.conjugate(L, -L)   L[k] - L[i]
+      v     : U.conjugate(-L, L)   L[i] - L[k]
+      x     : w.conjugate(-R, R)   w + (R[i] - R[k])   (Riesz conjugation of w)
+      y     : w                                        (decay conjugation of u_ext)
+      z     : U.conjugate(R, -R)   R[k] - R[i]         (Riesz conjugation of u_ext)
     """
 
     NAMES = ("u_ext", "w", "v", "x", "y", "z")
 
-    def __init__(self, decay: DecayOperator, t: int, safe_mask, log_weights, targets):
+    def __init__(self, decay: DecayOperator, t: int, evolutions: dict):
         self.decay = decay
         self.system: CascadeSystem = decay.system
         self.t = int(t)
-        self.safe_mask = safe_mask
-        self.log_weights = log_weights
-        self.targets = targets
+        self.evolutions = evolutions
 
     def weight(self, name: str, label) -> float:
         """Weight carried by a safe label under the named evolution.
@@ -110,46 +91,44 @@ class OperatorWeb:
         A weight past the float range reads inf.
         """
         i = self.system.index_of(label)
-        if not self.safe_mask[i]:
+        log_weights = self.evolutions[name].log_weights
+        if i >= log_weights.size:
             raise MarginError(f"label {self.system.label_text(i)} is not t-margin safe")
         with np.errstate(over="ignore"):
-            return float(np.exp(self.log_weights[name][i]))
+            return float(np.exp(log_weights[i]))
 
 
 def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
-    """Build the six evolutions at time t as index map plus log weights.
+    """Build the six evolutions at time t from U^t on the safe labels.
 
-    ``w`` (and ``y``, the same floats) is ``decay.step_log_ratio(t)``;
-    the Riesz conjugations read ``riesz_map`` at each safe label and at
-    its image under ``system.step_indices(t)``.  A safe label whose
-    image is truncated carries NaN.  R[i] - R[k] is exactly -2 w, so x
-    is v bit for bit.  A window whose Riesz log weights are not all
-    finite floats is refused, naming the first age past the range.
+    A safe label whose image is truncated carries NaN in every evolution
+    but u_ext.  R[i] - R[k] is exactly -2 w, so x is v bit for bit.  A
+    window whose Riesz log weights are not all finite floats is refused,
+    naming the first age past the range.
     """
     if t < 0:
         raise ValueError("the web is built for t >= 0")
     system = decay.system
-    safe = system.interior_mask(t)
-    if not np.any(safe):
+    u = system.step(t)
+    if not u.sources.size:
         raise MarginError(f"no labels admit a {t}-step margin on this window")
-    targets = system.step_indices(t)
-    log_riesz = riesz_map(decay)
+    log_diag = decay.log_diag
+    with np.errstate(over="ignore"):  # a log weight past half the float range doubles to -inf
+        log_riesz = log_diag + log_diag
     past = np.flatnonzero(~np.isfinite(log_riesz))
     if past.size:
         raise MarginError(f"the Riesz log weight 2 log lambda at age {system.ages[past[0]]} "
                           "is not a finite float on this window")
-    riesz_image = np.where(safe & (targets >= 0), log_riesz[targets], np.nan)
-
-    w = decay.step_log_ratio(t)
-    log_weights = {
-        "u_ext": np.where(safe, 0.0, np.nan),
+    w = u.conjugate(log_diag, -log_diag)
+    evolutions = {
+        "u_ext": u,
         "w": w,
-        "v": -w,
-        "x": w + (log_riesz - riesz_image),
+        "v": u.conjugate(-log_diag, log_diag),
+        "x": w.conjugate(-log_riesz, log_riesz),
         "y": w,
-        "z": riesz_image - log_riesz,
+        "z": u.conjugate(log_riesz, -log_riesz),
     }
-    return OperatorWeb(decay, t, safe, log_weights, targets)
+    return OperatorWeb(decay, t, evolutions)
 
 
 def _jordan_type_gap(web: OperatorWeb) -> float:
@@ -158,24 +137,25 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     C is the compression of z to the safe labels.  Each column of C
     holds at most one entry, so the rank of C^k is the number of
     distinct endpoints of the k-step chains that start at the safe
-    labels and follow ``targets`` through finite z weights and safe
+    labels and follow z's targets through finite z weights and safe
     images.  The compressed step has rank #{i : age_i + (k+1) t <= hi},
     for k = 1 up to nilpotency; the labels are age-major, so that count
     is a search of the sorted ages.
     """
     system = web.system
-    safe = web.safe_mask
+    z = web.evolutions["z"]
     hi = system.window.hi
-    # z is NaN off the margin, so links start only at safe labels; a
-    # chain that breaks reads -1 and is dropped
-    nxt = np.where(np.isfinite(web.log_weights["z"]), web.targets, -1)
-    nxt = np.where((nxt >= 0) & safe[nxt], nxt, -1)
+    # z is NaN at a truncated image; a chain that breaks reads -1 and is dropped
+    linked = np.isfinite(z.log_weights)
+    linked[linked] = system.interior_mask(web.t)[z.targets[linked]]
+    nxt = np.full(system.dim, -1)
+    nxt[z.sources[linked]] = z.targets[linked]
     powers = np.arange(1, (hi - system.window.lo) // web.t + 2)
     # one mask, marked and cleared per power, counts the distinct
     # endpoints of the unbroken k-step chains
     ends = np.zeros(system.dim, dtype=bool)
     ranks = np.empty(powers.size, dtype=int)
-    pos = np.flatnonzero(safe)
+    pos = z.sources
     for k in range(powers.size):
         pos = nxt[pos]
         pos = pos[pos >= 0]
@@ -213,21 +193,22 @@ def verify_web(web: OperatorWeb) -> dict:
         raise ValueError("t = 0 is degenerate for the witness parts; build the web at t >= 1")
     system = web.system
     decay = web.decay
-    safe = np.nonzero(web.safe_mask)[0]
+    log_weights = {name: shift.log_weights for name, shift in web.evolutions.items()}
+    safe = web.evolutions["u_ext"].sources
 
-    diff = web.log_weights["x"][safe] - web.log_weights["v"][safe]
-    v_equals_x = float(np.abs(np.expm1(diff)).max())
+    v_equals_x = float(np.abs(np.expm1(log_weights["x"] - log_weights["v"])).max())
 
     # v-route traces, transported isometrically by the Riesz map: the
     # coefficient of label i after k blocks carries exp(L(i) + L(i_k)),
-    # L read at its image i_k under the step map (a truncated image
-    # carries nothing).  The trace of every f on the band decays exactly
-    # when each label's log weight does; the band indicator's is recorded.
+    # U^(kt) conjugated by L on both sides (-inf at a truncated image).
+    # The trace of every f on the band decays exactly when each label's
+    # log weight does; the band indicator's is recorded.
     steps = min(DUAL_TRACE_STEPS, max((system.window.hi - system.window.lo) // web.t, 1))
     band = np.nonzero(system.ages + steps * web.t <= system.window.hi)[0]
     log_lam = decay.log_diag
-    images = np.array([system.step_indices(k * web.t)[band] for k in range(steps + 1)])
-    logs = np.where(images >= 0, log_lam[band] + log_lam[images], -np.inf)
+    logs = np.array([system.step(k * web.t, band).conjugate(log_lam, log_lam).log_weights
+                     for k in range(steps + 1)])
+    logs[np.isnan(logs)] = -np.inf
     monotone = bool(np.all(logs[1:] <= logs[:-1]))
     # the sum along the last axis of a C-contiguous block is each row's 1-D
     # sum; a block gathered by a column index would be Fortran-ordered.
@@ -236,13 +217,13 @@ def verify_web(web: OperatorWeb) -> dict:
         traces = np.sqrt(np.sum(np.exp(2.0 * logs), axis=1)).tolist()
     # each separating witness is the safe label with the largest log gap
     # between its pair; weights a, b differ there by |a - b| / max(a, b)
-    gaps = np.abs([web.log_weights[a][safe] - web.log_weights[b][safe]
+    gaps = np.abs([log_weights[a] - log_weights[b]
                    for a, b in (("v", "u_ext"), ("y", "u_ext"), ("w", "z"))])
     witnesses = [{"label": system.label_text(safe[i]), "deviation": float(-np.expm1(-row[i]))}
                  for row, i in zip(gaps, gaps.argmax(axis=1))]
     spectrum = _jordan_type_gap(web)
     closed_form = 2.0 * (decay.profile.log_value(system.ages[safe] + web.t) - log_lam[safe])
-    conjugacy = float(np.abs(np.expm1(web.log_weights["z"][safe] - closed_form)).max())
+    conjugacy = float(np.abs(np.expm1(log_weights["z"] - closed_form)).max())
 
     return {
         "t": web.t,

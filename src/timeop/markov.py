@@ -3,14 +3,13 @@
 Conjugating the forward step by an admissible decay operator yields,
 for t >= 0, a strongly contracting evolution on the fluctuation space:
 the coefficient sitting at age n moves to age n + t with the weight
-lambda(n+t)/lambda(n) in (0, 1].  Every log ratio is read from
-:meth:`~timeop.profiles.DecayOperator.log_ratio` on the (label, image)
-pairs the step map lands, and the inverse weighting is never formed as
-a matrix: its entries reach exp(exp(hi)) on a window topping out at hi,
-so the ratio form is the only finitely representable realization.  An
-evolution and the positivity sweep check a weighting once, on the
-landed pairs of every time up to their horizon, and then read its log
-ratios only on the labels they step.  The Lyapunov traces decide the
+lambda(n+t)/lambda(n) in (0, 1].  Every step applies W_t, U^t
+conjugated by the log decay diagonal, and the inverse weighting is never
+formed as a matrix: its entries reach exp(exp(hi)) on a window topping
+out at hi, so the ratio form is the only finitely representable
+realization.  An evolution and the positivity sweep check a weighting
+once, on every t-margin label of every time up to their horizon, and
+then conjugate only the labels they step.  The Lyapunov traces decide the
 margin and the agreement of their two norm routes for all times of all
 rows at once, on the labels their rows support; the sweep takes one
 step and one Walsh transform per (density, t) for all its weightings.
@@ -26,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import GridDensity, MarginError, cells_to_walsh, grid_cells, walsh_to_cells
+from .cascade import (GridDensity, MarginError, WeightedShift, cells_to_walsh, grid_cells,
+                      walsh_to_cells)
 from .hilbert import NORM_RESCALE_BELOW, BasisMismatchError, HVector, vector_norm
 from .profiles import DecayOperator
 
@@ -54,8 +54,7 @@ class MarkovEvolution:
     """An induced contraction semigroup up to a horizon.
 
     Construction checks that no ratio exceeds one at any time up to the
-    horizon; the log ratios themselves are read from ``decay`` where a
-    step needs them.
+    horizon; a step conjugates U^t by the log diagonal of ``decay``.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -64,19 +63,24 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        _check_admissible(decay, _landed_pairs(self.system, self.max_t))
+        _check_admissible(decay, _margins(self.system, self.max_t))
 
 
-def _landed_pairs(system, horizon: int) -> tuple:
-    """The landed (source, target) pairs of W_1, ..., W_horizon, concatenated."""
-    # t = 0 is left out: its log ratios, log_diag[k] - log_diag[k], are zero
-    pairs = [system.step_pairs(t) for t in range(1, horizon + 1)]
-    return tuple(np.concatenate(side) for side in zip(*pairs)) if pairs else ([], [])
+def _margins(system, horizon: int) -> WeightedShift:
+    """U^1, ..., U^horizon on their t-margin labels, joined into one value (W_0's weights are 0)."""
+    return _joined(system.step(t) for t in range(1, horizon + 1))
 
 
-def _check_admissible(decay: DecayOperator, pairs):
-    """Raise unless no log ratio of ``decay`` on the (source, target) ``pairs`` exceeds zero."""
-    if np.any(decay.log_ratio(*pairs) > 0):
+def _joined(shifts) -> WeightedShift:
+    """The entries of several weighted shifts, concatenated into one value; of none, empty."""
+    parts = [np.concatenate(part) for part in zip(*shifts)]
+    return WeightedShift(*parts) if parts else WeightedShift(*np.zeros((3, 0), dtype=int))
+
+
+def _check_admissible(decay: DecayOperator, margins: WeightedShift):
+    """Raise unless no log weight of W_t on the ``margins`` entries exceeds zero."""
+    log_diag = decay.log_diag
+    if np.any(margins.conjugate(log_diag, -log_diag).log_weights > 0):
         raise ValueError(_NOT_ADMISSIBLE)
 
 
@@ -94,7 +98,9 @@ def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
         raise BasisMismatchError("vector does not belong to the evolved system")
     _check_time(t, ev.max_t)
     coeffs, labels = rho.coeffs[None], np.arange(system.dim)
-    targets, moved = _landed(ev.decay, coeffs, t, labels, _inside(system, coeffs, t, labels))
+    inside = _inside(system, coeffs, t, labels)
+    log_diag = ev.decay.log_diag
+    targets, moved = system.step(t).conjugate(log_diag, -log_diag).apply(coeffs[:, inside])
     out = np.zeros(system.dim)
     out[targets] = moved[0]
     return HVector(out, system.basis_id)
@@ -122,34 +128,6 @@ def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
         row = int(np.nonzero(far.any(axis=1))[0][0])
         raise _margin_error(system, t, np.sort(labels[~inside][far[row]]))
     return inside
-
-
-def _landed(decay: DecayOperator, coeffs: np.ndarray, t: int, labels, inside):
-    """The targets of the ``inside`` labels and what each row moves onto them at t.
-
-    ``coeffs`` and ``labels`` are as in :func:`_inside`, and ``inside``
-    masks the labels inside the t-margin.
-    """
-    targets, kept = _kept(decay.system, t, labels, inside)
-    return targets, _weigh(coeffs[:, kept], decay.log_ratio(labels[kept], targets))
-
-
-def _kept(system, t: int, labels, inside) -> tuple:
-    """The t-step targets of the ``inside`` labels that land, and the mask of those labels."""
-    # a label whose image is truncated carries nothing (U^t e_k = 0)
-    targets = system.step_indices(t)[labels]
-    kept = inside & (targets >= 0)
-    return targets[kept], kept
-
-
-def _weigh(moved: np.ndarray, log_ratios) -> np.ndarray:
-    """``moved`` times exp(``log_ratios``), in place, with a zero result landing as +0.0."""
-    # the weights are finite, in [0, 1], so a product is zero only for a
-    # zero coefficient (-0.0 included) or an underflow; x + 0.0 is x,
-    # except that -0.0 becomes +0.0, the value of a label that receives nothing
-    moved *= np.exp(log_ratios)
-    moved += 0.0
-    return moved
 
 
 def _margin_error(system, t: int, offending) -> MarginError:
@@ -226,15 +204,18 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     support = np.nonzero((coeffs != 0.0).any(axis=0))[0]
     held = coeffs[:, support]
     norms = np.empty((rows, stop))
+    # W_t's log weights on the support; NaN off the t-margin and at a truncated image
+    table = np.full((stop, support.size), np.nan)
+    log_diag, negated = decay.log_diag, -decay.log_diag
     for t in range(stop):
-        targets, moved = _landed(decay, held, t, support, inside[t, support])
+        cols = inside[t, support]
+        w_t = system.step(t, support[cols]).conjugate(log_diag, negated)
+        table[t, cols] = w_t.log_weights
+        targets, moved = w_t.apply(held[:, cols])
         evolved = np.zeros((rows, system.dim))
         evolved[:, targets] = moved
         norms[:, t] = [vector_norm(row) for row in evolved]
-    images = np.array([system.step_indices(t)[support] for t in range(stop)], dtype=int)
-    images = images.reshape(stop, support.size)
-    table = decay.log_ratio(support, images)
-    alive = (held != 0.0)[:, None, :] & inside[:stop, support] & (images >= 0)
+    alive = (held != 0.0)[:, None, :] & ~np.isnan(table)
     at_row, at_t, at_label = np.nonzero(alive)
     with np.errstate(under="ignore"):
         terms = np.exp(2.0 * table[at_t, at_label]) * held[at_row, at_label] ** 2
@@ -261,7 +242,9 @@ def _check_routes(norms, forms, table, coeffs, alive):
     ``norms`` and ``forms`` are ``(rows, t)`` grids; a pair below
     ``NORM_RESCALE_BELOW`` is compared in the log domain, recomputed
     from ``table`` (the log ratios) and ``coeffs`` on the ``alive``
-    labels, all three on the same columns.
+    labels, all three on the same columns.  A subnormal norm is exact
+    only to its own spacing, so the relative tolerance is
+    ``AGREEMENT_TOLERANCE`` or that spacing over the norm, the larger.
     """
     root = np.sqrt(forms)
     gap = np.zeros(norms.shape)
@@ -273,7 +256,8 @@ def _check_routes(norms, forms, table, coeffs, alive):
         peak = logs.max()
         log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
         gap[r, t] = abs(log_form - np.log(norms[r, t]))
-    bad = gap > AGREEMENT_TOLERANCE
+    with np.errstate(divide="ignore"):  # an unchecked zero norm reads an infinite tolerance
+        bad = gap > np.maximum(AGREEMENT_TOLERANCE, np.spacing(norms) / norms)
     if bad.any():
         t = int(np.argmax(bad.any(axis=0)))
         r = int(np.argmax(bad[:, t]))
@@ -350,46 +334,50 @@ def swept_minima(decays, blocks, times) -> list:
     ``(decays, rows)`` minima.  Each operator is first checked on every
     label, by the check of a :class:`MarkovEvolution` with the largest t
     for horizon: no log ratio of W_1, ..., W_t may exceed zero.  The
-    landed (source, target) pairs it reads are formed once per sweep,
-    since they depend on the system only.  The margin check and the
-    step targets do not depend on the weighting: each (t, block) runs
-    them once, and each operator adds its log ratios on the kept labels
-    only.  Each (t, block) then takes one weight product and one
-    :func:`~timeop.cascade.walsh_to_cells` transform for all rows: the
-    floats are the one-row step's, and the block over the union of the
-    rows' spans tiles each row's own, so the minima are too.  Raises
-    what a loop over operators, each checked, then times, then blocks
-    raises.
+    U^t it conjugates are formed once per sweep, since they depend on
+    the system only.  So do the margin check and U^t on a block's labels,
+    once per (t, block); each operator conjugates all of those, joined
+    into one value, into its W_t on the blocks' labels only.  Each
+    (t, block) then takes one ``apply`` of the W_t of every operator,
+    stacked, and one :func:`~timeop.cascade.walsh_to_cells` transform
+    for all their rows: the floats are the one-row step's, and the block
+    over the union of the rows' spans tiles each row's own, so the minima
+    are too.  Raises what a loop over operators, each checked, then
+    times, then blocks raises.
     """
-    steps, tables = None, []
+    steps, weights = None, []
     for decay in decays:
         if steps is None:
             system = decay.system
-            pairs = _landed_pairs(system, max(times, default=0))
-        _check_admissible(decay, pairs)
+            margins = _margins(system, max(times, default=0))
+        _check_admissible(decay, margins)
         if steps is None:
             steps = [_block_step(system, t, *block) for t in times for block in blocks]
-        tables.append([decay.log_ratio(kept, images) for _, _, kept, images in steps])
+            joined = _joined(u for _, _, u in steps)
+        weights.append(joined.conjugate(decay.log_diag, -decay.log_diag).log_weights)
         del decay  # not alive while the next one is built
     if steps is None:
         raise ValueError("the sweep needs at least one decay operator")
-    minima = [_block_minima(system, step, np.array(rows)) for step, rows in zip(steps, zip(*tables))]
+    weights = np.array(weights)
+    ends = np.cumsum([u.sources.size for _, _, u in steps]).tolist()
+    minima = [_block_minima(system, step, weights[:, a:b])
+              for step, a, b in zip(steps, [0] + ends, ends)]
     return [minima[i:i + len(blocks)] for i in range(0, len(minima), len(blocks))]
 
 
 def _block_step(system, t: int, equilibrium, coeffs, labels) -> tuple:
-    """A block's t-step, but for the weights: its kept coefficients, their labels and targets."""
+    """A block's t-step, but for the weights: its coefficients in the t-margin, and U^t there."""
     _check_time(t)
     labels = np.asarray(labels)
-    targets, kept = _kept(system, t, labels, _inside(system, coeffs, t, labels))
-    return equilibrium, coeffs[:, kept], labels[kept], targets
+    inside = _inside(system, coeffs, t, labels)
+    return equilibrium, coeffs[:, inside], system.step(t, labels[inside])
 
 
-def _block_minima(system, step, log_ratios) -> np.ndarray:
-    """The ``(decays, rows)`` minima of a block step weighted by each row of ``log_ratios``."""
-    equilibrium, coeffs, _, targets = step
-    n, rows = log_ratios.shape[0], coeffs.shape[0]
-    moved = _weigh(np.tile(coeffs, (n, 1, 1)), log_ratios[:, None, :])
+def _block_minima(system, step, log_weights) -> np.ndarray:
+    """The ``(decays, rows)`` minima of a block step under the W_t of each ``log_weights`` row."""
+    equilibrium, coeffs, u = step
+    n, rows = log_weights.shape[0], coeffs.shape[0]
+    targets, moved = u._replace(log_weights=log_weights).apply(coeffs)
     cells, _ = walsh_to_cells(system, np.tile(equilibrium, n),
                               moved.reshape(n * rows, targets.size), labels=targets)
     return cells.min(axis=1).reshape(n, rows)

@@ -248,26 +248,6 @@ class DecayOperator:
         d.setflags(write=False)
         return d
 
-    def log_ratio(self, sources, targets) -> np.ndarray:
-        """The log weight of W_t on each label of ``sources``, moved onto ``targets``.
-
-        ``log_diag`` at each target minus ``log_diag`` at its source:
-        every route to W_t's weights reads them here.
-        """
-        return self.log_diag[targets] - self.log_diag[sources]
-
-    def step_log_ratio(self, t: int) -> np.ndarray:
-        """Per-label log weight of W_t: ``log_diag`` at the t-step image minus ``log_diag``.
-
-        Read along ``system.step_pairs(t)``, so the weight is the one
-        the step map carries, defects included; NaN outside the t-margin
-        and where the image is truncated.
-        """
-        sources, targets = self.system.step_pairs(t)
-        log_ratio = np.full(self.system.dim, np.nan)
-        log_ratio[sources] = self.log_ratio(sources, targets)
-        return log_ratio
-
 
 def build_decay_operator(profile: DecayProfile, system: CascadeSystem) -> DecayOperator:
     """Weight the age basis by a profile, refusing one that is not admissible.

@@ -223,17 +223,17 @@ def _interior_band(system, max_t):
 def _run_lyapunov(ctx, params):
     """Norm decay of W_t on the margin band, decided per label; ignores ``n_random``.
 
-    W_t moves each label k onto its t-step image i_k(t) with the log
-    weight r_k(t) = ``decay.log_ratio(k, i_k(t))``, so ||W_t rho||^2 =
-    sum_k rho_k^2 exp(2 r_k(t)) decays for every rho on the band exactly
-    when each band label's r_k does, and its largest final ratio is
-    max_k exp(r_k(max_t)).  That reading holds only for a step that
-    raises ages by one: a band label whose t-step image, for some
-    t <= max_t, does not have its age + t offends too, so a step map
-    that turns labels into fixed points, whose constant ratio reads as
-    a contraction, cannot pass.  A fail names the first offending
-    label.  The canonical basis row and the band indicator take the
-    two-route trace.
+    W_t, U^t conjugated by the log decay diagonal L, moves each label k
+    onto its t-step image i_k(t) with the log weight r_k(t) = L(i_k(t)) -
+    L(k), so ||W_t rho||^2 = sum_k rho_k^2 exp(2 r_k(t)) decays for every
+    rho on the band exactly when each band label's r_k does, and its
+    largest final ratio is max_k exp(r_k(max_t)).  That reading holds
+    only for a step that raises ages by one: a band label whose t-step
+    image, for some t <= max_t, does not have its age + t offends too,
+    so a step map that turns labels into fixed points, whose constant
+    ratio reads as a contraction, cannot pass.  A fail names the first
+    offending label.  The canonical basis row and the band indicator
+    take the two-route trace.
     """
     max_t = params["max_t"]
     ev = MarkovEvolution(ctx.decay, max_t)
@@ -244,13 +244,14 @@ def _run_lyapunov(ctx, params):
     block[0, canonical_idx] = 1.0
     block[1, labels] = 1.0
     canonical = lyapunov_traces(ev, block)[0]
-    # the band stays inside the margin up to max_t: only a truncated image fails to land
-    images = np.array([system.step_indices(t)[labels] for t in range(max_t + 1)])
-    ratios = np.where(images >= 0, ctx.decay.log_ratio(labels, images), np.nan)
-    ages = system.ages[labels] + np.arange(max_t + 1)[:, None]
-    # NaN, a truncated image, counts as a rise
+    # the band stays inside the margin up to max_t: only a truncated
+    # image fails to land, and its NaN counts as a rise and a stray
+    steps = [system.step(t, labels) for t in range(max_t + 1)]
+    log_diag, ages = ctx.decay.log_diag, system.ages
+    ratios = np.array([u.conjugate(log_diag, -log_diag).log_weights for u in steps])
     rises = ~(ratios[1:] <= ratios[:-1])
-    strays = (images < 0) | (system.ages[images] != ages)
+    # e^T U^t e^-T weighs e^t on a label whose t-step image has its age + t
+    strays = np.array([u.conjugate(ages, -ages).log_weights != t for t, u in enumerate(steps)])
     offending = labels[rises.any(axis=0) | strays.any(axis=0)]
     worst = int(np.argmax(ratios[-1]))
     details = {

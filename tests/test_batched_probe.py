@@ -101,6 +101,14 @@ def dim_wide_walsh(system, cells, low):
     return coeffs[:, 0].copy(), fluct
 
 
+def w_log_weights(decay, t):
+    """W_t's log weight per label, from U^t and the log decay diagonal; NaN off the t-margin."""
+    w_t = decay.system.step(t).conjugate(decay.log_diag, -decay.log_diag)
+    out = np.full(decay.system.dim, np.nan)
+    out[w_t.sources] = w_t.log_weights
+    return out
+
+
 def dim_wide_step(ev, fluct, t):
     """The t-step of a ``(rows, dim)`` block: margin check on every label, then the move."""
     system = ev.system
@@ -112,7 +120,7 @@ def dim_wide_step(ev, fluct, t):
         offending = np.nonzero(~inside)[0][far[row]]
         names = ", ".join(system.label_text(i) for i in offending[:8])
         raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
-    moved = fluct[:, inside] * np.exp(ev.decay.step_log_ratio(t)[inside]) + 0.0
+    moved = fluct[:, inside] * np.exp(w_log_weights(ev.decay, t)[inside]) + 0.0
     return system.step_indices(t)[inside], moved
 
 
@@ -130,7 +138,7 @@ def reference_min_cell(ev, cells, t):
     fluct = coeffs[system._masks]
     alive = np.nonzero((system.ages + t <= system.window.hi) & (fluct != 0.0))[0]
     evolved = np.zeros(system.dim)
-    evolved[system.step_indices(t)[alive]] = np.exp(ev.decay.step_log_ratio(t)[alive]) * fluct[alive]
+    evolved[system.step_indices(t)[alive]] = np.exp(w_log_weights(ev.decay, t)[alive]) * fluct[alive]
     full = np.zeros(cells.size)
     full[0] = coeffs[0]
     full[system._masks] = evolved
@@ -365,7 +373,7 @@ def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
     # blocks of several rows under several decay operators, one of them
     # steep enough to underflow weights, against the dim-wide pipeline
     # of each one's evolution; the weights the sweep steps by are those
-    # of step_log_ratio on the kept labels, bit for bit
+    # of W_t on the kept labels, bit for bit
     system, live, rng = probe_case(m)
     pairs = [random_densities(system, rng, rows, live) for rows in (CHUNK, 3)]
     decays = [build_decay_operator(gumbel(a), system) for a in (0.5, 2.0, 20.0)]
@@ -373,7 +381,7 @@ def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
     block_minima = timeop.markov._block_minima
 
     def recorded(system, step, log_ratios):
-        weighed.append((step[2], log_ratios))
+        weighed.append((step[2].sources, log_ratios))
         return block_minima(system, step, log_ratios)
 
     monkeypatch.setattr(timeop.markov, "_block_minima", recorded)
@@ -387,7 +395,7 @@ def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
     assert len(weighed) == len(times) * len(pairs)
     for t, (kept, log_ratios) in zip(np.repeat(times, len(pairs)), weighed):
         assert kept.size > 0
-        want = [ev.decay.step_log_ratio(t)[kept] for ev in evolutions]
+        want = [w_log_weights(ev.decay, t)[kept] for ev in evolutions]
         assert np.array_equal(bits(log_ratios), bits(want))
     with pytest.raises(ValueError, match="at least one decay operator"):
         swept_minima(iter(()), [density_walsh(system, *pairs[0])], (1,))

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import timeop.markov
+from test_batched_probe import w_log_weights
 from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
@@ -138,7 +138,7 @@ def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
     norms, forms = [], []
     for t in range(horizon + 1):
         norm_direct = norm_loop(markov_step(ev, rho, t).coeffs)
-        log_ratio = ev.decay.step_log_ratio(t)
+        log_ratio = w_log_weights(ev.decay, t)
         alive = (rho.coeffs != 0.0) & ~np.isnan(log_ratio)
         with np.errstate(under="ignore"):
             form = float(np.sum(np.exp(2.0 * log_ratio[alive]) * rho.coeffs[alive] ** 2))
@@ -164,19 +164,27 @@ def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
 def corrupt_route(monkeypatch, marker, t_fault):
     """Scale by 1 + 1e-6, at ``t_fault``, what the rows whose label 0 holds ``marker`` move.
 
-    ``_landed`` is the step that ``lyapunov_traces`` takes at each t
-    and that ``markov_step``, and so ``trace_loop``, takes behind its
-    margin check; faults installed one after another all apply.
+    ``lyapunov_traces`` and ``markov_step``, and so ``trace_loop``,
+    apply W_t, U^t from ``CascadeSystem.step`` conjugated by the decay
+    diagonal, at each t; at ``t_fault`` that value's ``apply`` is off.
+    Faults installed one after another all apply.
     """
-    landed = timeop.markov._landed
+    step = CascadeSystem.step
 
-    def faulty(ev, coeffs, t, labels, inside):
-        targets, moved = landed(ev, coeffs, t, labels, inside)
-        if t == t_fault:
-            moved[coeffs[:, 0] == marker] *= 1.0 + 1e-6
-        return targets, moved
+    def faulty_step(system, t, labels=None):
+        shift = step(system, t, labels)
+        if t != t_fault:
+            return shift
 
-    monkeypatch.setattr(timeop.markov, "_landed", faulty)
+        class Faulty(type(shift)):
+            def apply(self, block):
+                targets, moved = super().apply(block)
+                moved[block[:, 0] == marker] *= 1.0 + 1e-6
+                return targets, moved
+
+        return Faulty(*shift)
+
+    monkeypatch.setattr(CascadeSystem, "step", faulty_step)
 
 
 # -- systems ----------------------------------------------------------------

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import timeop.duals
 from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
@@ -13,26 +12,22 @@ from timeop.cascade import (
     build_baker_cascade,
     build_shift_cascade,
 )
-from timeop.duals import IDENTITY_TOL, build_operator_web, riesz_map, verify_web
-from timeop.hilbert import vector_norm
+from timeop.config import parse_config
+from timeop.duals import IDENTITY_TOL, build_operator_web, verify_web
 from timeop.profiles import build_decay_operator, gumbel
+from timeop.runner import run_experiments
 
 
-def gram(u, v, log_weights):
-    """sum_k u_k v_k exp(log_weights[k]) over the last axis."""
-    return np.sum(u * v * np.exp(log_weights), axis=-1)
+def dense(shift, dim):
+    """Dense dim x dim array of a weighted shift.
 
-
-def dense(web, name):
-    """Dense dim x dim array of the named evolution of a web.
-
-    Columns outside the safe labels, and those of safe labels whose
+    Columns of labels that are not sources, and those of sources whose
     image is truncated, are zero.
     """
-    cols = np.nonzero(web.safe_mask & (web.targets >= 0))[0]
-    mat = np.zeros((web.system.dim, web.system.dim))
+    landed = shift.targets >= 0
+    mat = np.zeros((dim, dim))
     with np.errstate(under="ignore"):
-        mat[web.targets[cols], cols] = np.exp(web.log_weights[name][cols])
+        mat[shift.targets[landed], shift.sources[landed]] = np.exp(shift.log_weights[landed])
     return mat
 
 
@@ -41,47 +36,73 @@ def shift_decay(lo=-4, hi=4):
     return s, build_decay_operator(gumbel(1.0), s)
 
 
+def riesz_conjugations(web, log_riesz):
+    """The web with x and z conjugated by the log Riesz diagonal ``log_riesz``."""
+    u, w = web.evolutions["u_ext"], web.evolutions["w"]
+    web.evolutions["x"] = w.conjugate(-log_riesz, log_riesz)
+    web.evolutions["z"] = u.conjugate(log_riesz, -log_riesz)
+    return web
+
+
 class TestRieszMap:
     def test_square_of_the_decay_diagonal(self):
-        riesz = np.exp(riesz_map(shift_decay(-1, 1)[1]))
+        # the Riesz twist z carries the square of w's weight lambda(a+1)/lambda(a)
+        web = build_operator_web(shift_decay(-1, 1)[1], 1)
+        z = np.exp(web.evolutions["z"].log_weights)
         oracle = [
-            math.exp(-2.0 * math.exp(-1.0)),
-            math.exp(-2.0),
-            math.exp(-2.0 * math.e),
+            math.exp(2.0 * (math.exp(-1.0) - 1.0)),
+            math.exp(2.0 * (1.0 - math.e)),
         ]
-        assert np.allclose(riesz, oracle, rtol=1e-12)
-        assert riesz[0] == pytest.approx(0.4791417087880153, rel=1e-12)
-        assert riesz[1] == pytest.approx(0.1353352832366127, rel=1e-12)
-        assert riesz[2] == pytest.approx(0.004354420874722253, rel=1e-12)
+        assert np.allclose(z, oracle, rtol=1e-12)
+        assert np.allclose(z, np.exp(web.evolutions["w"].log_weights) ** 2, rtol=1e-12)
+        assert z[0] == pytest.approx(0.2824535638505403, rel=1e-12)
+        assert z[1] == pytest.approx(0.0321750601216774, rel=1e-12)
 
     def test_inverse_kept_in_log_form(self):
-        s, op = shift_decay()
-        log_riesz = riesz_map(op)
-        assert np.array_equal(log_riesz, 2.0 * op.log_diag)
-        with pytest.raises(ValueError):
-            log_riesz[0] = 0.0
+        # lambda^2 underflows past age 9 here, and its inverse overflows;
+        # x conjugates w by the log diagonal 2 log lambda and its negation
+        s, op = shift_decay(-10, 10)
+        web = build_operator_web(op, 1)
+        log_riesz = 2.0 * op.log_diag
+        w, x = web.evolutions["w"], web.evolutions["x"]
+        i, k = w.sources, w.targets
+        assert np.all(np.isfinite(x.log_weights))
+        assert np.array_equal(x.log_weights, w.log_weights + (log_riesz[i] - log_riesz[k]))
+        assert np.array_equal(x.log_weights, web.evolutions["v"].log_weights)
 
-    def test_quadratic_form_nonnegative(self):
-        s, op = shift_decay()
-        log_riesz = riesz_map(op)
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal((100, s.dim))
-        assert np.all(gram(v, v, log_riesz) >= 0.0)
 
-    def test_riesz_transport_is_isometric(self):
-        # pairing of transported functionals in the strengthened Gram
-        # equals their antidual pairing
-        s, op = shift_decay(-3, 3)
-        log_riesz = riesz_map(op)
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            f = rng.standard_normal(s.dim)
-            g = rng.standard_normal(s.dim)
-            rf, rg = np.exp(log_riesz) * f, np.exp(log_riesz) * g
-            lhs = gram(rf, rg, -2.0 * op.log_diag)
-            rhs = gram(f, g, 2.0 * op.log_diag)
-            scale = max(abs(rhs), vector_norm(f) * vector_norm(g))
-            assert abs(lhs - rhs) <= 1e-10 * scale
+@pytest.mark.parametrize("system", [build_shift_cascade(AgeWindow(-3, 3)), build_baker_cascade(1),
+                                    build_baker_cascade(2)], ids=lambda s: s.basis_id)
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_every_weighted_shift_is_its_dense_product(system, t):
+    # U^t, W_t, the six evolutions and the dual-trace transport, each the
+    # product of system.U and the decay diagonal on its margin columns
+    decay = build_decay_operator(gumbel(1.0), system)
+    lam, inv = np.diag(np.exp(decay.log_diag)), np.diag(np.exp(-decay.log_diag))
+    ut = np.linalg.matrix_power(system.U, t)
+    margin = np.diag(system.interior_mask(t).astype(float))
+    w = lam @ ut @ inv
+    products = {"u_ext": ut, "w": w, "v": inv @ ut @ lam, "x": inv @ inv @ w @ lam @ lam,
+                "y": w, "z": lam @ lam @ ut @ inv @ inv}
+    u = system.step(t)
+    assert np.array_equal(dense(u, system.dim), ut @ margin)
+    if not u.sources.size:
+        with pytest.raises(MarginError):
+            build_operator_web(decay, t)
+        return
+    web = build_operator_web(decay, t)
+    for name, product in products.items():
+        assert np.allclose(dense(web.evolutions[name], system.dim), product @ margin,
+                           rtol=1e-12, atol=0.0), name
+    if t == 0:
+        return
+    # the band indicator after k blocks of t steps, transported by lambda on both sides
+    report = verify_web(web)
+    steps = len(report["dual_markov_traces"]) - 1
+    band = (system.ages + steps * t <= system.window.hi).astype(float)
+    traces = [np.linalg.norm(lam @ np.linalg.matrix_power(system.U, k * t) @ lam @ band)
+              for k in range(steps + 1)]
+    assert np.allclose(report["dual_markov_traces"], traces, rtol=1e-12, atol=0.0)
 
 
 class TestWeb:
@@ -89,7 +110,7 @@ class TestWeb:
         s, op = shift_decay()
         web = build_operator_web(op, 0)
         for name in web.NAMES:
-            assert np.array_equal(dense(web, name), np.eye(s.dim))
+            assert np.array_equal(dense(web.evolutions[name], s.dim), np.eye(s.dim))
 
     def test_committed_weights_at_age_zero(self):
         s, op = shift_decay(-3, 3)
@@ -103,13 +124,13 @@ class TestWeb:
     def test_u_extension_acts_as_the_plain_step(self):
         s, op = shift_decay()
         web = build_operator_web(op, 1)
-        cols = web.safe_mask
-        assert np.array_equal(dense(web, "u_ext")[:, cols], s.U[:, cols])
+        cols = s.interior_mask(1)
+        assert np.array_equal(dense(web.evolutions["u_ext"], s.dim)[:, cols], s.U[:, cols])
 
     def test_y_equals_w_in_this_realization(self):
         s, op = shift_decay()
         web = build_operator_web(op, 1)
-        assert np.array_equal(dense(web, "y"), dense(web, "w"))
+        assert np.array_equal(dense(web.evolutions["y"], s.dim), dense(web.evolutions["w"], s.dim))
 
     @pytest.mark.parametrize("lo, hi, a", [
         (-8, 8, 1.0), (-10, 10, 1.0), (-20, 20, 1.0), (-3, 40, 1.0),
@@ -144,7 +165,8 @@ class TestWeb:
         step = np.array(s._step)
         step[s.index_of(1)] = -1
         bad = CascadeSystem(s.kind, s.window, step)
-        mat = dense(build_operator_web(build_decay_operator(gumbel(1.0), bad), 1), "u_ext")
+        web = build_operator_web(build_decay_operator(gumbel(1.0), bad), 1)
+        mat = dense(web.evolutions["u_ext"], s.dim)
         assert not mat[:, s.index_of(1)].any()
         assert np.array_equal(mat[-1], np.eye(s.dim)[s.index_of(3)])
 
@@ -259,6 +281,26 @@ def test_every_accepted_web_passes(case):
     assert verify_web(build_operator_web(decay, t))["all_passed"]
 
 
+@st.composite
+def accepted_lyapunov(draw):
+    """A shift window, a gumbel steepness with a * hi <= 709, and a horizon the config accepts."""
+    lo, hi = draw(st.integers(-15, -1)), draw(st.integers(1, 60))
+    a = draw(st.floats(0.005, min(3.0, 709.0 / hi)))
+    return lo, hi, a, draw(st.integers(1, (hi - lo) // 2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(accepted_lyapunov())
+@example((-10, 35, 0.3, 18))  # the band norm at t = 14, about 3.5e-315, is subnormal
+def test_every_accepted_lyapunov_row_passes(case):
+    lo, hi, a, max_t = case
+    config = parse_config(f"[system]\nkind = shift\nlo = {lo}\nhi = {hi}\n\n"
+                          f"[profile]\nfamily = gumbel\na = {a!r}\n\n"
+                          f"[experiment lyapunov]\nmax_t = {max_t}\n")
+    (record,) = run_experiments(config).records
+    assert record["status"] == "pass", record.get("error")
+
+
 def off_by_one(system):
     """The same labels and ages, every image one position lower.
 
@@ -294,15 +336,16 @@ class TestWebDefects:
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
     def test_doubled_z_weights(self, system):
         web = build_operator_web(build_decay_operator(gumbel(1.0), system), 1)
-        web.log_weights["z"] = web.log_weights["z"] + math.log(2.0)
+        z = web.evolutions["z"]
+        web.evolutions["z"] = z._replace(log_weights=z.log_weights + math.log(2.0))
         report = verify_web(web)
         assert report["z_conjugacy_deviation"] > 1e-10
         assert not report["all_passed"]
 
     @pytest.mark.parametrize("system", web_systems(), ids=lambda s: s.basis_id)
-    def test_riesz_map_of_three_log_lambda_breaks_v_equals_x(self, system, monkeypatch):
-        monkeypatch.setattr(timeop.duals, "riesz_map", lambda decay: 3.0 * decay.log_diag)
-        report = verify_web(build_operator_web(build_decay_operator(gumbel(1.0), system), 1))
+    def test_riesz_map_of_three_log_lambda_breaks_v_equals_x(self, system):
+        op = build_decay_operator(gumbel(1.0), system)
+        report = verify_web(riesz_conjugations(build_operator_web(op, 1), 3.0 * op.log_diag))
         assert report["v_equals_x_deviation"] > IDENTITY_TOL
         assert not report["all_passed"]
 
@@ -335,7 +378,10 @@ class TestWebDefects:
     def test_one_vanishing_z_weight(self, system):
         # a label of age 0, whose image at age 1 is itself margin-safe
         web = build_operator_web(build_decay_operator(gumbel(1.0), system), 1)
-        web.log_weights["z"][int(np.nonzero(system.ages == 0)[0][0])] = -np.inf
+        z = web.evolutions["z"]
+        log_weights = np.array(z.log_weights)
+        log_weights[int(np.nonzero(system.ages == 0)[0][0])] = -np.inf
+        web.evolutions["z"] = z._replace(log_weights=log_weights)
         report = verify_web(web)
         assert report["z_spectrum_deviation"] > 1e-8
         assert not report["all_passed"]

@@ -7,7 +7,10 @@ stale export.  No module imports another module's private
 (underscore) name: what one module needs of another is public.  Every
 module-level name, and every public method and property of a class, is
 read somewhere in the program, its demos or its benchmark, so a name
-with no caller is deleted rather than kept for its tests.
+with no caller is deleted rather than kept for its tests.  The
+hand-composed routes to W_t's weights that the weighted-shift value
+replaced stay deleted, and that value keeps only the two operations the
+run path calls.
 """
 
 import ast
@@ -119,3 +122,34 @@ def test_every_public_method_and_property_has_a_caller():
     uncalled = [f"{path.stem}.{qualified}" for path in SOURCES
                 for qualified, name in public_members(path) if name not in loaded]
     assert uncalled == []
+
+
+# the hand-composed routes to W_t's weights that one weighted-shift value
+# replaced, as (module, attribute path)
+REPLACED = [
+    ("cascade", "CascadeSystem.step_pairs"),
+    ("profiles", "DecayOperator.log_ratio"),
+    ("profiles", "DecayOperator.step_log_ratio"),
+    ("duals", "riesz_map"),
+    ("markov", "_landed_pairs"),
+    ("markov", "_kept"),
+    ("markov", "_weigh"),
+    ("markov", "_landed"),
+]
+
+
+@pytest.mark.parametrize("module,path", REPLACED)
+def test_replaced_weight_routes_are_gone(module, path):
+    owner = importlib.import_module(f"timeop.{module}")
+    *parents, name = path.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    assert not hasattr(owner, name)
+    assert name not in getattr(timeop, "__dict__")
+
+
+def test_the_weighted_shift_has_only_the_operations_the_run_path_calls():
+    methods = [name for qualified, name in public_members(PACKAGE / "cascade.py")
+               if qualified.startswith("WeightedShift.")]
+    assert methods == ["conjugate", "apply"]
+    assert timeop.WeightedShift is timeop.cascade.WeightedShift

@@ -186,8 +186,11 @@ def test_perturbed_decay_entry(system):
 def jordan_type_gap_loop(web):
     """The Jordan-type gap of the web's z, one dim-long mask of chain ends per power."""
     system = web.system
-    safe = web.safe_mask
-    nxt = np.where(np.isfinite(web.log_weights["z"]), web.targets, -1)
+    safe = system.interior_mask(web.t)
+    z = web.evolutions["z"]
+    log_weights = np.full(system.dim, np.nan)
+    log_weights[z.sources] = z.log_weights
+    nxt = np.where(np.isfinite(log_weights), system.step_indices(web.t), -1)
     nxt = np.where((nxt >= 0) & safe[nxt], nxt, -1)
     ends = safe
     gap = 0

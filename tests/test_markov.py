@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from timeop.cascade import (
     AgeWindow,
+    CascadeSystem,
     GridDensity,
     MarginError,
     build_baker_cascade,
@@ -65,15 +66,23 @@ class TestStep:
         assert out.coeffs[s.index_of(1)] != 0.0
 
     def test_agrees_with_dense_conjugation(self):
-        # the matrix route is evaluable without overflow on a narrow window
-        s, ev = evolution(-3, 3, 3)
-        lam = np.exp(ev.decay.log_diag)
+        # the matrix route is evaluable without overflow on narrow windows;
+        # W_t is also compared entrywise, on its margin columns
         rng = np.random.default_rng(8)
-        for t in (1, 2):
-            dense = np.diag(lam) @ np.linalg.matrix_power(s.U, t) @ np.diag(1.0 / lam)
-            v = np.where(s.ages <= 3 - t, rng.standard_normal(s.dim), 0.0)
-            direct = markov_step(ev, HVector(v, s.basis_id), t).coeffs
-            assert np.allclose(direct, dense @ v, rtol=1e-12, atol=1e-300)
+        for s in (build_shift_cascade(AgeWindow(-3, 3)), build_baker_cascade(1),
+                  build_baker_cascade(2)):
+            ev = MarkovEvolution(build_decay_operator(gumbel(1.0), s), 3)
+            lam = np.exp(ev.decay.log_diag)
+            for t in (0, 1, 2, 3):
+                dense = np.diag(lam) @ np.linalg.matrix_power(s.U, t) @ np.diag(1.0 / lam)
+                margin = s.interior_mask(t)
+                v = np.where(margin, rng.standard_normal(s.dim), 0.0)
+                direct = markov_step(ev, HVector(v, s.basis_id), t).coeffs
+                assert np.allclose(direct, dense @ v, rtol=1e-12, atol=1e-300)
+                w_t = s.step(t).conjugate(ev.decay.log_diag, -ev.decay.log_diag)
+                matrix = np.zeros((s.dim, s.dim))
+                matrix[w_t.targets, w_t.sources] = np.exp(w_t.log_weights)
+                assert np.allclose(matrix, dense * margin, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**16), st.integers(0, 2), st.integers(0, 2))
@@ -96,9 +105,10 @@ class TestStep:
         assert markov_step(ev, v, t).norm() <= v.norm()
 
     def test_weight_table_invariants(self):
-        _, ev = evolution()
+        s, ev = evolution()
+        log_diag = ev.decay.log_diag
         for t in range(ev.max_t + 1):
-            log_ratio = ev.decay.step_log_ratio(t)
+            log_ratio = s.step(t).conjugate(log_diag, -log_diag).log_weights
             valid = log_ratio[~np.isnan(log_ratio)]
             assert np.all(valid <= 0.0)
             if t == 0:
@@ -131,17 +141,23 @@ class TestLyapunovTrace:
         assert trace.norms[4] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_route_guard_fails_below_the_underflow_point(self, monkeypatch):
-        import timeop.markov as markov
-
         s, ev = evolution(-6, 6, 4)
-        honest = markov._landed
+        honest = CascadeSystem.step
 
-        def off_at_4(ev, coeffs, t, labels, inside):
-            targets, moved = honest(ev, coeffs, t, labels, inside)
-            return targets, moved * (1.0 + 1e-6 * (t == 4))
+        def off_at_4(system, t, labels=None):
+            shift = honest(system, t, labels)
+            if t != 4:
+                return shift
+
+            class Off(type(shift)):
+                def apply(self, block):
+                    targets, moved = super().apply(block)
+                    return targets, moved * (1.0 + 1e-6)
+
+            return Off(*shift)
 
         # only the underflowed step is off, so only the log-domain route can see it
-        monkeypatch.setattr(markov, "_landed", off_at_4)
+        monkeypatch.setattr(CascadeSystem, "step", off_at_4)
         with pytest.raises(AssertionError, match="t=4"):
             lyapunov_trace(ev, s.basis_vector(2))
 

@@ -1,20 +1,29 @@
-"""W_t's log weights have one route: the decay diagonal read along the step map.
+"""W_t's log weights have one route: U^t conjugated by the log decay diagonal.
 
-The weights a ``MarkovEvolution`` steps by and the operator web's ``w``
-are both ``DecayOperator.step_log_ratio``.  On a correct system they equal the
-closed form log lambda(a + t) - log lambda(a) bit for bit on the
-t-margin, and are NaN off it; on a system whose step map lowers an age
-the ratio passes one, and the Markov gate rejects it.
+The W_t that ``markov_step`` applies and the operator web's ``w`` are
+both ``system.step(t).conjugate(log_diag, -log_diag)``.  On a correct
+system they equal the closed form log lambda(a + t) - log lambda(a) bit
+for bit, on exactly the t-margin labels; on a system whose step map
+lowers an age the ratio passes one, and the Markov gate rejects it.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timeop.cascade import AgeWindow, CascadeSystem, build_baker_cascade, build_shift_cascade
+from timeop.cascade import (
+    AgeWindow,
+    CascadeSystem,
+    WeightedShift,
+    build_baker_cascade,
+    build_shift_cascade,
+)
 from timeop.duals import build_operator_web
-from timeop.markov import MarkovEvolution
+from timeop.hilbert import HVector
+from timeop.markov import MarkovEvolution, markov_step
 from timeop.profiles import DecayOperator, build_decay_operator, gumbel, logistic
 
 
@@ -38,6 +47,22 @@ def decay_and_time(draw):
     return decay, t
 
 
+def markov_route(decay, t):
+    """The W_t that ``markov_step`` applies to a vector of the system, recorded off ``apply``."""
+    applied = []
+    honest = WeightedShift.apply
+
+    def record(shift, block):
+        applied.append(shift)
+        return honest(shift, block)
+
+    system = decay.system
+    with mock.patch.object(WeightedShift, "apply", record):
+        markov_step(MarkovEvolution(decay, t), HVector(np.zeros(system.dim), system.basis_id), t)
+    (w_t,) = applied
+    return w_t
+
+
 @settings(max_examples=60, deadline=None)
 @given(decay_and_time())
 def test_markov_and_web_weights_are_the_closed_form_on_the_margin(case):
@@ -46,12 +71,12 @@ def test_markov_and_web_weights_are_the_closed_form_on_the_margin(case):
     margin = system.interior_mask(t)
     expected = decay.profile.log_value(system.ages[margin] + t) - decay.log_diag[margin]
     routes = {
-        "markov": MarkovEvolution(decay, t).decay.step_log_ratio(t),
-        "web": build_operator_web(decay, t).log_weights["w"],
+        "markov": markov_route(decay, t),
+        "web": build_operator_web(decay, t).evolutions["w"],
     }
     for route in routes.values():
-        assert np.array_equal(bits(route[margin]), bits(expected))
-        assert np.all(np.isnan(route[~margin]))
+        assert np.array_equal(route.sources, np.flatnonzero(margin))
+        assert np.array_equal(bits(route.log_weights), bits(expected))
 
 
 def test_a_step_that_lowers_an_age_fails_the_markov_gate():

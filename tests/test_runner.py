@@ -319,6 +319,15 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 0
         assert "config OK" in capsys.readouterr().out
 
+    def test_validate_subnormal_band_norm_exits_zero(self, tmp_path, capsys):
+        # the band indicator's norm at t = 14, about 3.5e-315, is exact
+        # only to its own spacing, about 1.4e-9 of it
+        path = tmp_path / "subnormal.cfg"
+        path.write_text("[system]\nkind = shift\nlo = -10\nhi = 35\n\n"
+                        "[profile]\nfamily = gumbel\na = 0.3\n\n[experiment lyapunov]\nmax_t = 18\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "config OK" in capsys.readouterr().out
+
     def test_validate_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[system]\nkind = baker\nm = 12\n")

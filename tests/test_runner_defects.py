@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 import timeop.runner as runner
-from timeop.cascade import CascadeSystem
+from test_batched_probe import w_log_weights
+from timeop.cascade import CascadeSystem, WeightedShift
 from timeop.config import parse_config
 from timeop.markov import MarkovEvolution
 from timeop.profiles import DecayOperator, check_admissible, gumbel, profile_from_table
@@ -62,24 +63,26 @@ def perturbed(op):
     return op
 
 
-def rising_ratio(op):
+def rising_ratio(op, monkeypatch):
     """The operator with the W_2 log weight of its first age-0 label raised above W_1's.
 
-    The (label, t = 2 image) pair weighs half of the W_1 log weight
-    there: still at most zero, so the semigroup is built, but the
-    label's ratio rises from t = 1 to 2.
+    Every conjugation by the operator's log diagonal gives the (label,
+    t = 2 image) entry half of the W_1 log weight there: still at most
+    zero, so the semigroup is built, but the label's ratio rises from
+    t = 1 to 2.
     """
     k = int(np.nonzero(op.system.ages == 0)[0][0])
     first, second = (int(op.system.step_indices(t)[k]) for t in (1, 2))
-    honest = op.log_ratio
+    honest = WeightedShift.conjugate
 
-    def log_ratio(sources, targets):
-        out = honest(sources, targets)
-        at = np.logical_and(np.equal(sources, k), np.equal(targets, second))
-        out[np.broadcast_to(at, out.shape)] = 0.5 * honest(k, first)
+    def conjugate(shift, left, right):
+        out = honest(shift, left, right)
+        if left is op.log_diag:
+            at = (shift.sources == k) & (shift.targets == second)
+            out.log_weights[at] = 0.5 * (op.log_diag[first] - op.log_diag[k])
         return out
 
-    op.log_ratio = log_ratio
+    monkeypatch.setattr(WeightedShift, "conjugate", conjugate)
     return op
 
 
@@ -136,7 +139,7 @@ def test_perturbed_log_weight_fails_theorem(system, monkeypatch):
 def test_rising_ratio_fails_lyapunov(system, monkeypatch):
     honest = runner.build_decay_operator
     monkeypatch.setattr(runner, "build_decay_operator",
-                        lambda profile, sys_: rising_ratio(honest(profile, sys_)))
+                        lambda profile, sys_: rising_ratio(honest(profile, sys_), monkeypatch))
     bundle = run_experiments(config(system, "[experiment lyapunov]"))
     record = only_record(bundle)
     assert record["status"] == "fail"
@@ -276,8 +279,8 @@ def test_ratio_above_one_off_the_swept_labels_errors_positivity(monkeypatch):
 
     system = runner.build_system(config("baker", ""))
     op = midway(runner.build_decay_operator(gumbel(), system), None, system)
-    assert np.all((op.step_log_ratio(1) > 0) == (system.ages == 2))
-    assert not np.any(op.step_log_ratio(2) > 0)
+    assert np.all((w_log_weights(op, 1) > 0) == (system.ages == 2))
+    assert not np.any(w_log_weights(op, 2) > 0)
     record = positivity_record(monkeypatch, "build_decay_operator", midway)
     assert record["status"] == "error"
     assert record["error"] == "ValueError: decay ratios exceed one; the profile is not admissible"
