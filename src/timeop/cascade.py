@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +44,9 @@ __all__ = [
     "build_shift_cascade",
     "build_baker_cascade",
     "verify_covariance",
+    "covariance_deviations",
     "verify_imprimitivity",
-    "verify_age_transport",
+    "age_transport_deviations",
     "walsh_to_grid",
     "grid_to_walsh",
     "walsh_to_cells",
@@ -105,15 +107,18 @@ class WeightedShift(NamedTuple):
     """A truncated weighted shift: ``sources[j]`` moves onto ``targets[j]``, by ``log_weights[j]``.
 
     A target of -1 is a truncated image, which receives nothing.
-    :meth:`CascadeSystem.step` gives U^t, and diagonal conjugations of it
-    give W_t and the evolutions of the web.  Log weights with leading
-    axes stack weightings of one index map, and :meth:`apply` moves the
-    block under each in turn.
+    :meth:`CascadeSystem.step` gives U^t for several t joined into one
+    value, time ``i`` on the entries from ``offsets[i]`` to
+    ``offsets[i + 1]``, and diagonal conjugations of it give W_t and the
+    evolutions of the web.  Log weights with leading axes stack
+    weightings of one index map, and :meth:`apply` moves the block under
+    each in turn.
     """
 
     sources: np.ndarray
     targets: np.ndarray
     log_weights: np.ndarray
+    offsets: np.ndarray = None
 
     def conjugate(self, left, right) -> WeightedShift:
         """``diag(exp(left)) @ self @ diag(exp(right))``, from per-label log diagonals.
@@ -125,10 +130,10 @@ class WeightedShift(NamedTuple):
         weights = self.log_weights[landed] + (
             right[self.sources[landed]] + left[self.targets[landed]])
         if isinstance(landed, slice):
-            return type(self)(self.sources, self.targets, weights)
+            return type(self)(self.sources, self.targets, weights, self.offsets)
         log_weights = np.full(self.targets.size, np.nan)
         log_weights[landed] = weights
-        return type(self)(self.sources, self.targets, log_weights)
+        return type(self)(self.sources, self.targets, log_weights, self.offsets)
 
     def apply(self, block) -> tuple:
         """The landed targets, and each row of ``block`` (a column per source) moved onto them.
@@ -140,6 +145,11 @@ class WeightedShift(NamedTuple):
         moved = block[:, landed] * np.exp(self.log_weights[..., None, landed])
         moved += 0.0
         return self.targets[landed], moved
+
+    def take(self, entries) -> WeightedShift:
+        """The ``entries`` alone, an index array or a slice such as one time's."""
+        return type(self)(self.sources[entries], self.targets[entries],
+                          self.log_weights[..., entries])
 
     def _landed(self):
         """The index of the entries whose image lands: every entry, as a slice, when all do."""
@@ -157,7 +167,7 @@ class CascadeSystem:
     ``index_of`` and ``label_text`` convert between the two by
     arithmetic.  The step index map and the label ages are the
     representation: every operator built here is a truncated weighted
-    shift, so ``U^t`` is ``step(t)`` and ``T`` and ``E(delta)``
+    shift, so ``U^t`` is ``step([t])`` and ``T`` and ``E(delta)``
     are per-label weights, and every identity is checked on those
     arrays in O(dim).  The dense ``U`` matrix is built only on request,
     for small-dim cross-checks.  Instances are immutable after
@@ -193,6 +203,9 @@ class CascadeSystem:
         identity = np.arange(ages.size, dtype=np.int64)
         identity.setflags(write=False)
         self._steps = {0: identity}  # t -> step_indices(t)
+        self._image_rows = {}  # times -> _images(times)
+        # per j, the labels of age below lo + j: the t-margin is the first j = hi - lo + 1 - t
+        self._below = np.searchsorted(ages, np.arange(window.lo, window.hi + 2)).tolist()
 
     # -- basic queries -------------------------------------------------
 
@@ -217,12 +230,6 @@ class CascadeSystem:
         c[self.index_of(label)] = 1.0
         return HVector(c, self.basis_id)
 
-    def interior_mask(self, t: int) -> np.ndarray:
-        """Boolean mask of labels whose t-step image stays inside the window."""
-        if t < 0:
-            raise ValueError("margins are defined for t >= 0")
-        return self.ages + t <= self.window.hi
-
     def step_indices(self, t: int) -> np.ndarray:
         """Read-only index map of U^t on labels; -1 where the image leaves the window.
 
@@ -239,15 +246,23 @@ class CascadeSystem:
                 self._steps[k] = idx
         return self._steps[t]
 
-    def step(self, t: int, labels=None) -> WeightedShift:
-        """U^t, every log weight 0, on ``labels`` (inside the t-margin) or else on the t-margin.
+    def margin(self, t: int) -> np.ndarray:
+        """The labels inside the t-margin: the labels are age-major, so a read-only prefix."""
+        return self._steps[0][:self._below[max(0, self.window.hi - self.window.lo + 1 - t)]]
 
-        The labels are age-major, so the t-margin is a prefix of the index
-        order.  A truncated image is -1.
+    def step(self, times, labels=None) -> WeightedShift:
+        """U^t for each t of ``times``, every log weight 0, joined in that order.
+
+        Time ``times[i]`` acts on ``labels[i]``, inside its t-margin, or
+        else on its t-margin.  A truncated image is -1.
         """
+        maps = [self.step_indices(t) for t in times]
         if labels is None:
-            labels = np.arange(np.searchsorted(self.ages, self.window.hi - t, side="right"))
-        return WeightedShift(labels, self.step_indices(t)[labels], np.zeros(labels.size))
+            labels = [self.margin(t) for t in times]
+        sources = np.concatenate([self._steps[0][:0], *labels])
+        targets = np.concatenate([sources[:0], *[idx[own] for idx, own in zip(maps, labels)]])
+        offsets = np.array([0, *accumulate(own.size for own in labels)])
+        return WeightedShift(sources, targets, np.zeros(sources.size), offsets)
 
     def age_mask(self, delta) -> np.ndarray:
         """Boolean mask of the labels whose age lies in ``delta``."""
@@ -259,28 +274,42 @@ class CascadeSystem:
                 raise ValueError(f"age {n} is outside the window [{self.window.lo}, {self.window.hi}]")
         return np.isin(self.ages, sorted(delta))
 
-    def pullback_deviation(self, t: int, weights, target, cols=None) -> float:
-        """Largest entry of ``|(U^t)' D U^t - diag(target)|`` over columns ``cols``.
+    def pullback_deviation(self, times, weights, target, cols=None) -> np.ndarray:
+        """Per t of ``times``, the largest entry of ``|(U^t)' D U^t - diag(target)|`` in ``cols``.
 
-        ``D`` is the diagonal of per-label ``weights`` and ``cols`` a
-        boolean column mask (all columns when None).  Only the step map
-        is read: ``(U^t)' D U^t`` holds ``weights[k]`` at every (i, j)
-        whose labels both step onto k, so column j differs from the
-        target by ``weights[k] - target[j]`` on the diagonal, by
-        ``weights[k]`` at any other label sharing the image k, and by
-        ``-target[j]`` when the image of j is truncated.  The result is
-        the float the dense product gives, defective maps included.
+        ``D`` is the diagonal of per-label ``weights``, and ``target`` and
+        ``cols``, a boolean column mask (all columns when None), hold a
+        row per t or one for all.  Only the step map is read:
+        ``(U^t)' D U^t`` holds ``weights[k]`` at every (i, j) whose labels
+        both step onto k, so column j differs from the target by
+        ``weights[k] - target[j]`` on the diagonal, by ``weights[k]`` at
+        any other label sharing the image k, and by ``-target[j]`` when
+        the image of j is truncated.  Each result is the float the dense
+        product gives, defective maps included.
         """
-        idx = self.step_indices(t)
-        alive = idx >= 0
-        image = np.where(alive, idx, 0)
+        alive, image, shared = self._images(times)
         pulled = np.where(alive, np.asarray(weights, dtype=float)[image], 0.0)
         dev = np.abs(pulled - target)
-        shared = alive & (np.bincount(idx[alive], minlength=self.dim)[image] > 1)
         dev = np.where(shared, np.maximum(dev, np.abs(pulled)), dev)
-        if cols is not None:
-            dev = dev[cols]
-        return float(dev.max(initial=0.0))
+        return dev.max(axis=1, initial=0.0, where=True if cols is None else cols)
+
+    def _images(self, times) -> tuple:
+        """A row per t of ``times``: if a label's image lands, that image (else 0), and if shared.
+
+        Each tuple of times is read once and kept, read-only, like the step maps.
+        """
+        key = tuple(times)
+        if key not in self._image_rows:
+            idx = np.array([self.step_indices(t) for t in key], dtype=np.int64)
+            idx = idx.reshape(-1, self.dim)
+            alive = idx >= 0
+            image = np.where(alive, idx, 0)
+            flat = image + self.dim * np.arange(idx.shape[0])[:, None]
+            shared = alive & (np.bincount(flat[alive], minlength=idx.size)[flat] > 1)
+            for rows in (alive, image, shared):
+                rows.setflags(write=False)
+            self._image_rows[key] = alive, image, shared
+        return self._image_rows[key]
 
     @property
     def U(self) -> np.ndarray:
@@ -339,18 +368,24 @@ def build_baker_cascade(m: int) -> CascadeSystem:
 
 
 def verify_covariance(system: CascadeSystem, t: int) -> float:
-    """Deviation of the internal-time covariance at time t.
+    """The one-time case of :func:`covariance_deviations`."""
+    return float(covariance_deviations(system, [t])[0])
 
-    Returns the maximum, over basis vectors inside the t-margin, of
+
+def covariance_deviations(system: CascadeSystem, times) -> np.ndarray:
+    """Deviation of the internal-time covariance at each t of ``times``.
+
+    At time t, the maximum, over basis vectors inside the t-margin, of
     ``|| (U^t)' T U^t e - (T + t) e ||``, read off the step index map:
     the image of a label must carry its age plus t, and no other label
     may share that image.  Ages and t are small integers, so a correct
-    construction returns exactly 0.0.
+    construction returns exactly 0.0.  All times take one pass of their
+    step maps.
     """
-    if t < 0:
-        raise ValueError("covariance is checked for t >= 0")
+    times = np.asarray(times, dtype=np.int64).reshape(-1, 1)
     ages = system.ages.astype(float)
-    return system.pullback_deviation(t, ages, ages + t, system.interior_mask(t))
+    shifted = ages + times
+    return system.pullback_deviation(times.ravel(), ages, shifted, shifted <= system.window.hi)
 
 
 def verify_imprimitivity(system: CascadeSystem, delta, t: int) -> float:
@@ -369,34 +404,31 @@ def verify_imprimitivity(system: CascadeSystem, delta, t: int) -> float:
         delta = (int(delta),)
     delta = [int(n) for n in delta]
     shifted = system.age_mask([n + t for n in delta]).astype(float)
-    return system.pullback_deviation(t, shifted, system.age_mask(delta).astype(float))
+    return float(system.pullback_deviation([t], shifted, system.age_mask(delta).astype(float))[0])
 
 
-def verify_age_transport(system: CascadeSystem, t: int) -> float:
-    """Largest :func:`verify_imprimitivity` deviation over the single ages at time t.
+def age_transport_deviations(system: CascadeSystem, times) -> np.ndarray:
+    """Largest :func:`verify_imprimitivity` deviation over the single ages, at each t of ``times``.
 
-    The maximum of ``verify_imprimitivity(system, (n,), t)`` over every
-    age n with n + t in the window, in one pass of the step index map.
-    For one age n, column j of ``(U^t)' E({n+t}) U^t - E({n})`` is off
-    by 1 where exactly one of "j has age n" and "the image of j has age
-    n + t" holds, and where the image of j has age n + t and is shared
-    with another label.  Every entry is 0 or 1, so the maximum is
-    exactly the float the per-age calls give, defective maps included.
+    At time t, the maximum of ``verify_imprimitivity(system, (n,), t)``
+    over every age n with n + t in the window, for all times in one pass
+    of their step index maps.  For one age n, column j of
+    ``(U^t)' E({n+t}) U^t - E({n})`` is off by 1 where exactly one of "j
+    has age n" and "the image of j has age n + t" holds, and where the
+    image of j has age n + t and is shared with another label.  Every
+    entry is 0 or 1, so each maximum is exactly the float the per-age
+    calls give, defective maps included.
     """
-    if t < 0:
-        raise ValueError("imprimitivity is checked for t >= 0")
-    lo, hi = system.window.lo, system.window.hi - t
-    idx = system.step_indices(t)
-    alive = idx >= 0
-    image = np.where(alive, idx, 0)
+    times = np.asarray(times, dtype=np.int64).reshape(-1, 1)
+    lo, hi = system.window.lo, system.window.hi - times
+    alive, image, shared = system._images(times.ravel())
     # the age n whose transport carries j: its image's age minus t, or
     # none (below the window) when the image is truncated
-    carried = np.where(alive, system.ages[image] - t, lo - 1)
-    shared = alive & (np.bincount(idx[alive], minlength=system.dim)[image] > 1)
+    carried = np.where(alive, system.ages[image] - times, lo - 1)
     own = system.ages
     off = ((carried >= lo) & (carried <= hi) & ((carried != own) | shared)) | (
         (own >= lo) & (own <= hi) & (carried != own))
-    return float(off.any())
+    return off.any(axis=1).astype(float)
 
 
 # -- Walsh / grid realization --------------------------------------------

@@ -28,12 +28,13 @@ is the label with the largest log gap between its pair, reported as the
 relative deviation |a - b| / max(a, b) of the two weights.  The Riesz
 twist z is checked against the closed form 2 (L(a+t) - L(a)) of its
 weights, L read from the profile, and against the Jordan type of the
-step (the ranks of its powers), read off the index map: one array of
-chain positions follows it, and one label mask, reused for every power,
-counts the distinct endpoints.  The dual-Markov traces of all blocks
-are one ``(block, label)`` table, row k U^(kt) conjugated by the log
-decay diagonal on both sides.  :func:`verify_web` returns the
-``theorem`` report record for one time, a plain dict.
+step (the ranks of its powers), read off the index map: one gather
+per power follows the chains, and a (power, label) mask of their ends
+counts the distinct endpoints.  The webs of several times take their
+evolutions from one joined U^t, and their dual-Markov traces, U^(kt)
+conjugated by the log decay diagonal on both sides, from another.
+:func:`verify_webs` returns each web's ``theorem`` report record, a
+plain dict.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from .profiles import DecayOperator
 __all__ = [
     "OperatorWeb",
     "build_operator_web",
+    "build_operator_webs",
     "verify_web",
+    "verify_webs",
 ]
 
 # pass thresholds of verify_web's record: the coinciding pairs (v and x,
@@ -58,6 +61,8 @@ WITNESS_FLOOR = 1e-6
 SPECTRUM_TOL = 1e-8
 # block steps of the dual-Markov traces, fewer where the window is narrow
 DUAL_TRACE_STEPS = 3
+# cells of the Jordan-type check's chain-end mask held at once
+CHAIN_MASK_CELLS = 1 << 16
 
 
 class OperatorWeb:
@@ -99,19 +104,28 @@ class OperatorWeb:
 
 
 def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
-    """Build the six evolutions at time t from U^t on the safe labels.
+    """The one-time case of :func:`build_operator_webs`."""
+    return build_operator_webs(decay, [t])[0]
 
-    A safe label whose image is truncated carries NaN in every evolution
-    but u_ext.  R[i] - R[k] is exactly -2 w, so x is v bit for bit.  A
-    window whose Riesz log weights are not all finite floats is refused,
-    naming the first age past the range.
+
+def build_operator_webs(decay: DecayOperator, times) -> list:
+    """Build the six evolutions at each t of ``times`` from U^t on the safe labels.
+
+    U^t on each t-margin, joined over the times, is conjugated once per
+    weighting, and each web takes its time's part of each.  A safe label
+    whose image is truncated carries NaN in every evolution but u_ext.
+    R[i] - R[k] is exactly -2 w, so x is v bit for bit.  A time without
+    safe labels is refused, then a window whose Riesz log weights are
+    not all finite floats, naming the first age past the range.
     """
-    if t < 0:
+    if min(times, default=0) < 0:
         raise ValueError("the web is built for t >= 0")
     system = decay.system
-    u = system.step(t)
-    if not u.sources.size:
-        raise MarginError(f"no labels admit a {t}-step margin on this window")
+    u = system.step(times)
+    offsets = u.offsets.tolist()
+    for t, a, b in zip(times, offsets, offsets[1:]):
+        if a == b:
+            raise MarginError(f"no labels admit a {t}-step margin on this window")
     log_diag = decay.log_diag
     with np.errstate(over="ignore"):  # a log weight past half the float range doubles to -inf
         log_riesz = log_diag + log_diag
@@ -120,15 +134,14 @@ def build_operator_web(decay: DecayOperator, t: int) -> OperatorWeb:
         raise MarginError(f"the Riesz log weight 2 log lambda at age {system.ages[past[0]]} "
                           "is not a finite float on this window")
     w = u.conjugate(log_diag, -log_diag)
-    evolutions = {
-        "u_ext": u,
-        "w": w,
-        "v": u.conjugate(-log_diag, log_diag),
-        "x": w.conjugate(-log_riesz, log_riesz),
-        "y": w,
-        "z": u.conjugate(log_riesz, -log_riesz),
-    }
-    return OperatorWeb(decay, t, evolutions)
+    joined = (u, w, u.conjugate(-log_diag, log_diag), w.conjugate(-log_riesz, log_riesz),
+              u.conjugate(log_riesz, -log_riesz))
+    webs = []
+    for t, a, b in zip(times, offsets, offsets[1:]):
+        u_ext, w_t, v, x, z = (shift.take(slice(a, b)) for shift in joined)
+        webs.append(OperatorWeb(decay, t, {"u_ext": u_ext, "w": w_t, "v": v, "x": x, "y": w_t,
+                                           "z": z}))
+    return webs
 
 
 def _jordan_type_gap(web: OperatorWeb) -> float:
@@ -144,38 +157,40 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     """
     system = web.system
     z = web.evolutions["z"]
-    hi = system.window.hi
-    # z is NaN at a truncated image; a chain that breaks reads -1 and is dropped
-    linked = np.isfinite(z.log_weights)
-    linked[linked] = system.interior_mask(web.t)[z.targets[linked]]
-    nxt = np.full(system.dim, -1)
-    nxt[z.sources[linked]] = z.targets[linked]
+    hi, safe = system.window.hi, z.sources.size
+    # the safe labels are a prefix; z is NaN at a truncated image, and a
+    # chain that breaks moves onto the extra label ``safe`` and stays
+    nxt = np.append(np.where(np.isfinite(z.log_weights) & (z.targets < safe), z.targets, safe),
+                    safe)
     powers = np.arange(1, (hi - system.window.lo) // web.t + 2)
-    # one mask, marked and cleared per power, counts the distinct
-    # endpoints of the unbroken k-step chains
-    ends = np.zeros(system.dim, dtype=bool)
-    ranks = np.empty(powers.size, dtype=int)
-    pos = z.sources
-    for k in range(powers.size):
-        pos = nxt[pos]
-        pos = pos[pos >= 0]
-        ends[pos] = True
-        ranks[k] = np.count_nonzero(ends)
-        ends[pos] = False
+    # a (power, label) mask of the chain ends, one gather per power, in
+    # blocks of powers that keep it within CHAIN_MASK_CELLS
+    ranks, pos, block = [], z.sources, max(1, CHAIN_MASK_CELLS // nxt.size)
+    for first in range(0, powers.size, block):
+        ends = np.zeros((min(powers.size - first, block), nxt.size), dtype=bool)
+        for row in ends:
+            pos = nxt[pos]
+            row[pos] = True
+        ranks += ends[:, :safe].sum(axis=1).tolist()
     expected = np.searchsorted(system.ages, hi - (powers + 1) * web.t, side="right")
-    return float(np.abs(ranks - expected).max(initial=0))
+    return float(np.abs(np.array(ranks) - expected).max(initial=0))
 
 
 def verify_web(web: OperatorWeb) -> dict:
-    """Verify the six relations of the conjugated evolution web, as a report record.
+    """The one-web case of :func:`verify_webs`."""
+    return verify_webs([web])[0]
 
-    The record holds the time ``t`` and the six parts: (1) v and x
-    coincide, measured in the antidual operator metric
-    (``v_equals_x_deviation``); (2) the v-route traces, transported by
-    the Riesz map, decay monotonically at every band label
-    (``dual_markov_monotone``; ``dual_markov_traces`` is the band
-    indicator's trace); (3, 4, 5) witnesses separate v from u_ext, y
-    from the plain step, and w from z (``v_vs_u_witness``,
+
+def verify_webs(webs) -> list:
+    """Verify the six relations of each conjugated evolution web, as a report record.
+
+    The webs are built from one decay operator.  Each record holds the
+    time ``t`` and the six parts: (1) v and x coincide, measured in the
+    antidual operator metric (``v_equals_x_deviation``); (2) the v-route
+    traces, transported by the Riesz map, decay monotonically at every
+    band label (``dual_markov_monotone``; ``dual_markov_traces`` is the
+    band indicator's trace); (3, 4, 5) witnesses separate v from u_ext,
+    y from the plain step, and w from z (``v_vs_u_witness``,
     ``y_vs_u_witness``, ``w_vs_z_witness``, each a ``{"label",
     "deviation"}`` dict); (6) z is conjugate to u_ext, checked by the
     Jordan type of the safe compression (``z_spectrum_deviation``, the
@@ -186,35 +201,50 @@ def verify_web(web: OperatorWeb) -> dict:
     applies the module thresholds ``IDENTITY_TOL``, ``WITNESS_FLOOR``
     and ``SPECTRUM_TOL``.
 
-    The time must be positive: at t = 0 every evolution is the identity
+    The times must be positive: at t = 0 every evolution is the identity
     and the inequality parts are degenerate.
     """
-    if web.t == 0:
+    if any(web.t == 0 for web in webs):
         raise ValueError("t = 0 is degenerate for the witness parts; build the web at t >= 1")
-    system = web.system
-    decay = web.decay
-    log_weights = {name: shift.log_weights for name, shift in web.evolutions.items()}
-    safe = web.evolutions["u_ext"].sources
-
-    v_equals_x = float(np.abs(np.expm1(log_weights["x"] - log_weights["v"])).max())
-
+    if any(web.decay is not webs[0].decay for web in webs):
+        raise ValueError("the webs must share one decay operator")
+    if not webs:
+        return []
     # v-route traces, transported isometrically by the Riesz map: the
     # coefficient of label i after k blocks carries exp(L(i) + L(i_k)),
     # U^(kt) conjugated by L on both sides (-inf at a truncated image).
     # The trace of every f on the band decays exactly when each label's
-    # log weight does; the band indicator's is recorded.
-    steps = min(DUAL_TRACE_STEPS, max((system.window.hi - system.window.lo) // web.t, 1))
-    band = np.nonzero(system.ages + steps * web.t <= system.window.hi)[0]
-    log_lam = decay.log_diag
-    logs = np.array([system.step(k * web.t, band).conjugate(log_lam, log_lam).log_weights
-                     for k in range(steps + 1)])
-    logs[np.isnan(logs)] = -np.inf
-    monotone = bool(np.all(logs[1:] <= logs[:-1]))
+    # log weight does; the band indicator's is recorded.  The U^(kt) of
+    # every web, on its band, are one joined value.
+    system, decay = webs[0].system, webs[0].decay
+    span = system.window.hi - system.window.lo
+    steps = [min(DUAL_TRACE_STEPS, max(span // web.t, 1)) for web in webs]
+    bands = [system.margin(n * web.t) for n, web in zip(steps, webs)]
+    dual = system.step([k * web.t for n, web in zip(steps, webs) for k in range(n + 1)],
+                       [band for n, band in zip(steps, bands) for _ in range(n + 1)])
+    all_logs = dual.conjugate(decay.log_diag, decay.log_diag).log_weights
+    all_logs[np.isnan(all_logs)] = -np.inf
+    records, end = [], 0
+    for web, n, band in zip(webs, steps, bands):
+        logs = all_logs[end:end + (n + 1) * band.size].reshape(n + 1, band.size)
+        end += logs.size
+        records.append(_web_record(web, logs))
+    return records
+
+
+def _web_record(web: OperatorWeb, logs) -> dict:
+    """The :func:`verify_webs` record of a web, ``logs`` its ``(block, band label)`` dual table."""
+    system, decay = web.system, web.decay
+    log_weights = {name: shift.log_weights for name, shift in web.evolutions.items()}
+    safe = web.evolutions["u_ext"].sources
+
+    v_equals_x = float(np.abs(np.expm1(log_weights["x"] - log_weights["v"])).max())
+    monotone = bool((logs[1:] <= logs[:-1]).all())
     # the sum along the last axis of a C-contiguous block is each row's 1-D
     # sum; a block gathered by a column index would be Fortran-ordered.
     # Near the float edge 2 logs may overflow to -inf, a weight of 0.0
     with np.errstate(under="ignore", over="ignore"):
-        traces = np.sqrt(np.sum(np.exp(2.0 * logs), axis=1)).tolist()
+        traces = np.sqrt(np.exp(2.0 * logs).sum(axis=1)).tolist()
     # each separating witness is the safe label with the largest log gap
     # between its pair; weights a, b differ there by |a - b| / max(a, b)
     gaps = np.abs([log_weights[a] - log_weights[b]
@@ -222,7 +252,7 @@ def verify_web(web: OperatorWeb) -> dict:
     witnesses = [{"label": system.label_text(safe[i]), "deviation": float(-np.expm1(-row[i]))}
                  for row, i in zip(gaps, gaps.argmax(axis=1))]
     spectrum = _jordan_type_gap(web)
-    closed_form = 2.0 * (decay.profile.log_value(system.ages[safe] + web.t) - log_lam[safe])
+    closed_form = 2.0 * (decay.profile.log_value(system.ages[safe] + web.t) - decay.log_diag[safe])
     conjugacy = float(np.abs(np.expm1(log_weights["z"] - closed_form)).max())
 
     return {

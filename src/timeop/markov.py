@@ -7,12 +7,14 @@ lambda(n+t)/lambda(n) in (0, 1].  Every step applies W_t, U^t
 conjugated by the log decay diagonal, and the inverse weighting is never
 formed as a matrix: its entries reach exp(exp(hi)) on a window topping
 out at hi, so the ratio form is the only finitely representable
-realization.  An evolution and the positivity sweep check a weighting
-once, on every t-margin label of every time up to their horizon, and
-then conjugate only the labels they step.  The Lyapunov traces decide the
-margin and the agreement of their two norm routes for all times of all
-rows at once, on the labels their rows support; the sweep takes one
-step and one Walsh transform per (density, t) for all its weightings.
+realization.  An evolution forms U^1, ..., U^horizon on their
+t-margins once, as one joined value, and conjugates it once into the
+W_t it checks and keeps: the Lyapunov traces read the W_t of all times
+of all rows from it, and decide the margin and the agreement of their
+two norm routes at once, on the labels their rows support.  The
+positivity sweep checks each weighting the same way, then conjugates
+only the labels it steps, and takes one Walsh transform per
+(density, t) for all its weightings.
 
 Negative times are rejected; the backward weights are unbounded as the
 window widens, which :func:`asymmetry_probe` demonstrates, so the
@@ -53,8 +55,10 @@ _NOT_ADMISSIBLE = "decay ratios exceed one; the profile is not admissible"
 class MarkovEvolution:
     """An induced contraction semigroup up to a horizon.
 
-    Construction checks that no ratio exceeds one at any time up to the
-    horizon; a step conjugates U^t by the log diagonal of ``decay``.
+    ``w`` joins W_1, ..., W_max_t on their t-margins into one value: U^t
+    joined over the times, conjugated once by the log diagonal of
+    ``decay``.  Construction checks that none of its log weights exceeds
+    zero.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -63,25 +67,27 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        _check_admissible(decay, _margins(self.system, self.max_t))
+        self.w = _admissible(decay, self.system.step(range(1, self.max_t + 1)))
+
+    def at(self, times, labels) -> WeightedShift:
+        """W_t at each pair ``(times[i], labels[i])``, the label inside its t-margin.
+
+        Read from ``w``; at t = 0, the identity, log weight 0.
+        """
+        later = times > 0
+        entries = self.w.offsets[times[later] - 1] + labels[later]
+        targets, log_weights = np.array(labels), np.zeros(labels.size)
+        targets[later] = self.w.targets[entries]
+        log_weights[later] = self.w.log_weights[entries]
+        return WeightedShift(labels, targets, log_weights)
 
 
-def _margins(system, horizon: int) -> WeightedShift:
-    """U^1, ..., U^horizon on their t-margin labels, joined into one value (W_0's weights are 0)."""
-    return _joined(system.step(t) for t in range(1, horizon + 1))
-
-
-def _joined(shifts) -> WeightedShift:
-    """The entries of several weighted shifts, concatenated into one value; of none, empty."""
-    parts = [np.concatenate(part) for part in zip(*shifts)]
-    return WeightedShift(*parts) if parts else WeightedShift(*np.zeros((3, 0), dtype=int))
-
-
-def _check_admissible(decay: DecayOperator, margins: WeightedShift):
-    """Raise unless no log weight of W_t on the ``margins`` entries exceeds zero."""
-    log_diag = decay.log_diag
-    if np.any(margins.conjugate(log_diag, -log_diag).log_weights > 0):
+def _admissible(decay: DecayOperator, u: WeightedShift) -> WeightedShift:
+    """W_t, ``u`` conjugated by the log decay diagonal, unless a log weight exceeds zero."""
+    w = u.conjugate(decay.log_diag, -decay.log_diag)
+    if (w.log_weights > 0).any():
         raise ValueError(_NOT_ADMISSIBLE)
+    return w
 
 
 def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
@@ -100,7 +106,7 @@ def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
     coeffs, labels = rho.coeffs[None], np.arange(system.dim)
     inside = _inside(system, coeffs, t, labels)
     log_diag = ev.decay.log_diag
-    targets, moved = system.step(t).conjugate(log_diag, -log_diag).apply(coeffs[:, inside])
+    targets, moved = system.step([t]).conjugate(log_diag, -log_diag).apply(coeffs[:, inside])
     out = np.zeros(system.dim)
     out[targets] = moved[0]
     return HVector(out, system.basis_id)
@@ -175,57 +181,60 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     Every float is the one the one-row trace gives: per row and t, the
     direct norm is :func:`~timeop.hilbert.vector_norm` of the full-dim
     evolved row, and the form the sum over the row's alive labels.  The
-    checks are decided for all times at once, on the ``(t, label)``
-    margins and images: the first t at which a row's support leaves
-    the window (:class:`MarginError`) or its two routes disagree
-    (``AssertionError``) raises, for the first such row; at a t with
-    both, the margin error.
+    W_t of every t is read off the evolution (:meth:`MarkovEvolution.at`)
+    and applied in one move.  The checks are decided for all times at
+    once, on the ``(t, label)`` margins and images: the first t at which
+    a row's support leaves the window (:class:`MarginError`) or its two
+    routes disagree (``AssertionError``) raises, for the first such row;
+    at a t with both, the margin error.
     """
     horizon = ev.max_t if max_t is None else int(max_t)
     _check_time(horizon, ev.max_t)
     times = np.arange(horizon + 1)
     coeffs = np.asarray(coeffs, dtype=float)
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise ValueError("entries must be finite")
-    system, decay = ev.system, ev.decay
+    system = ev.system
     rows = coeffs.shape[0]
-    inside = system.ages + times[:, None] <= system.window.hi
     size = np.abs(coeffs)
     big = size > SUPPORT_TOLERANCE * np.maximum(1.0, size.max(axis=1, initial=0.0, keepdims=True))
     del size
     # a row leaves the window once its oldest coefficient above the dust
     # does; the times before the first such t are decided
     oldest = np.where(big, system.ages, -np.inf).max(axis=1, initial=-np.inf)
-    leaves = oldest[:, None] + times > system.window.hi
-    stop = int(np.argmax(leaves.any(axis=0))) if leaves.any() else times.size
+    stop = int(min(times.size, system.window.hi + 1 - oldest.max(initial=-np.inf)))
     # both routes read the support columns only: a label no row holds
     # lands nothing, and every alive label is a support column, in the
     # same order, so each (row, t) sums the same terms
-    support = np.nonzero((coeffs != 0.0).any(axis=0))[0]
+    support = (coeffs != 0.0).any(axis=0).nonzero()[0]
     held = coeffs[:, support]
-    norms = np.empty((rows, stop))
-    # W_t's log weights on the support; NaN off the t-margin and at a truncated image
+    # W_t on the support inside each t-margin, every t at once, in t order;
+    # its log weights are a table, NaN off the t-margin and at a truncated image
+    at_t, at_col = (system.ages[support] + times[:stop, None] <= system.window.hi).nonzero()
+    w_t = ev.at(at_t, support[at_col])
     table = np.full((stop, support.size), np.nan)
-    log_diag, negated = decay.log_diag, -decay.log_diag
-    for t in range(stop):
-        cols = inside[t, support]
-        w_t = system.step(t, support[cols]).conjugate(log_diag, negated)
-        table[t, cols] = w_t.log_weights
-        targets, moved = w_t.apply(held[:, cols])
+    table[at_t, at_col] = w_t.log_weights
+    targets, moved = w_t.apply(held[:, at_col])
+    # the landed entries are in t order: each t moves its own onto one
+    # dim-long block of rows, as the one-row step does
+    ends = np.searchsorted(at_t[w_t.targets >= 0], np.arange(1, stop + 1)).tolist()
+    norms = np.empty((rows, stop))
+    for t, a, b in zip(range(stop), [0] + ends, ends):
         evolved = np.zeros((rows, system.dim))
-        evolved[:, targets] = moved
+        evolved[:, targets[a:b]] = moved[:, a:b]
         norms[:, t] = [vector_norm(row) for row in evolved]
     alive = (held != 0.0)[:, None, :] & ~np.isnan(table)
-    at_row, at_t, at_label = np.nonzero(alive)
+    at_row, at_t, at_label = alive.nonzero()
     with np.errstate(under="ignore"):
         terms = np.exp(2.0 * table[at_t, at_label]) * held[at_row, at_label] ** 2
     # one slice of ``terms`` per (row, t), in row-major order
-    ends = np.cumsum(alive.sum(axis=2).ravel()).tolist()
+    ends = alive.sum(axis=2).ravel().cumsum().tolist()
     forms = np.array([terms[a:b].sum() for a, b in zip([0] + ends, ends)]).reshape(rows, stop)
     _check_routes(norms, forms, table, held, alive)
     if stop < times.size:
-        row = int(np.argmax(leaves[:, stop]))
-        raise _margin_error(system, stop, np.nonzero(big[row] & ~inside[stop])[0])
+        row = int(np.argmax(oldest + stop > system.window.hi))
+        leaving = big[row] & (system.ages + stop > system.window.hi)
+        raise _margin_error(system, stop, leaving.nonzero()[0])
     t_values = tuple(times.tolist())
     traces = []
     for row_norms, row_forms in zip(norms.tolist(), forms.tolist()):
@@ -251,7 +260,7 @@ def _check_routes(norms, forms, table, coeffs, alive):
     checked = norms > 0.0
     plain = checked & (np.minimum(norms, root) >= NORM_RESCALE_BELOW)
     gap[plain] = np.abs(root[plain] - norms[plain]) / norms[plain]
-    for r, t in zip(*np.nonzero(checked & ~plain)):
+    for r, t in zip(*(checked & ~plain).nonzero()):
         logs = 2.0 * table[t][alive[r, t]] + 2.0 * np.log(np.abs(coeffs[r][alive[r, t]]))
         peak = logs.max()
         log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
@@ -335,49 +344,48 @@ def swept_minima(decays, blocks, times) -> list:
     label, by the check of a :class:`MarkovEvolution` with the largest t
     for horizon: no log ratio of W_1, ..., W_t may exceed zero.  The
     U^t it conjugates are formed once per sweep, since they depend on
-    the system only.  So do the margin check and U^t on a block's labels,
-    once per (t, block); each operator conjugates all of those, joined
-    into one value, into its W_t on the blocks' labels only.  Each
+    the system only.  So do the margin check, once per (t, block), and
+    U^t on the labels each (t, block) keeps, one joined value; each
+    operator conjugates it into its W_t on the blocks' labels only.  Each
     (t, block) then takes one ``apply`` of the W_t of every operator,
     stacked, and one :func:`~timeop.cascade.walsh_to_cells` transform
     for all their rows: the floats are the one-row step's, and the block
     over the union of the rows' spans tiles each row's own, so the minima
     are too.  Raises what a loop over operators, each checked, then
-    times, then blocks raises.
+    times, then blocks raises; with no block, one empty list per t.
     """
     steps, weights = None, []
     for decay in decays:
         if steps is None:
             system = decay.system
-            margins = _margins(system, max(times, default=0))
-        _check_admissible(decay, margins)
+            margins = system.step(range(1, max(times, default=0) + 1))
+        _admissible(decay, margins)
         if steps is None:
             steps = [_block_step(system, t, *block) for t in times for block in blocks]
-            joined = _joined(u for _, _, u in steps)
+            joined = system.step([t for t in times for _ in blocks],
+                                 [labels for _, _, labels in steps])
         weights.append(joined.conjugate(decay.log_diag, -decay.log_diag).log_weights)
         del decay  # not alive while the next one is built
     if steps is None:
         raise ValueError("the sweep needs at least one decay operator")
-    weights = np.array(weights)
-    ends = np.cumsum([u.sources.size for _, _, u in steps]).tolist()
-    minima = [_block_minima(system, step, weights[:, a:b])
-              for step, a, b in zip(steps, [0] + ends, ends)]
-    return [minima[i:i + len(blocks)] for i in range(0, len(minima), len(blocks))]
+    joined = joined._replace(log_weights=np.array(weights))
+    minima = [_block_minima(system, equilibrium, coeffs, joined.take(slice(a, b)))
+              for (equilibrium, coeffs, _), a, b in zip(steps, joined.offsets, joined.offsets[1:])]
+    return [minima[i * len(blocks):(i + 1) * len(blocks)] for i in range(len(times))]
 
 
 def _block_step(system, t: int, equilibrium, coeffs, labels) -> tuple:
-    """A block's t-step, but for the weights: its coefficients in the t-margin, and U^t there."""
+    """A block's t-step, but for U^t: its coefficients in the t-margin, and their labels."""
     _check_time(t)
     labels = np.asarray(labels)
     inside = _inside(system, coeffs, t, labels)
-    return equilibrium, coeffs[:, inside], system.step(t, labels[inside])
+    return equilibrium, coeffs[:, inside], labels[inside]
 
 
-def _block_minima(system, step, log_weights) -> np.ndarray:
-    """The ``(decays, rows)`` minima of a block step under the W_t of each ``log_weights`` row."""
-    equilibrium, coeffs, u = step
-    n, rows = log_weights.shape[0], coeffs.shape[0]
-    targets, moved = u._replace(log_weights=log_weights).apply(coeffs)
+def _block_minima(system, equilibrium, coeffs, w_t) -> np.ndarray:
+    """The ``(decays, rows)`` minima of a block step under ``w_t``, one W_t per decay, stacked."""
+    n, rows = w_t.log_weights.shape[0], coeffs.shape[0]
+    targets, moved = w_t.apply(coeffs)
     cells, _ = walsh_to_cells(system, np.tile(equilibrium, n),
                               moved.reshape(n * rows, targets.size), labels=targets)
     return cells.min(axis=1).reshape(n, rows)

@@ -37,6 +37,7 @@ __all__ = [
     "DecayOperator",
     "build_decay_operator",
     "verify_covariant_transform",
+    "covariant_transform_deviations",
     "log_condition_number",
 ]
 
@@ -93,7 +94,7 @@ class DecayProfile:
         elif self.family == "logistic":
             out = -np.logaddexp(0.0, s_arr)
         else:
-            flat = np.atleast_1d(s_arr)
+            flat = s_arr.ravel()
             vals = np.empty(flat.shape)
             for i, point in enumerate(flat):
                 key = int(point)
@@ -268,7 +269,12 @@ def build_decay_operator(profile: DecayProfile, system: CascadeSystem) -> DecayO
 
 
 def verify_covariant_transform(op: DecayOperator, t: int) -> float:
-    """Deviation of the weighted covariance at time t.
+    """The one-time case of :func:`covariant_transform_deviations`."""
+    return float(covariant_transform_deviations(op, [t])[0])
+
+
+def covariant_transform_deviations(op: DecayOperator, times) -> np.ndarray:
+    """Deviation of the weighted covariance at each t of ``times``.
 
     Checks ``(U^t)' L U^t = lambda(T + t)`` on basis vectors inside the
     t-margin, along the step index map, with both sides compared as log
@@ -277,13 +283,13 @@ def verify_covariant_transform(op: DecayOperator, t: int) -> float:
     reads 0 == 0 whatever the weights.  In log form the squared variant
     ``L^2`` is the doubled arrays, whose deviation is exactly twice this
     one, so it checks nothing more.  A correct construction returns
-    exactly 0.0.
+    exactly 0.0.  All times take one pass of their step maps.
     """
-    if t < 0:
-        raise ValueError("covariant transform is checked for t >= 0")
+    times = np.asarray(times, dtype=np.int64).reshape(-1, 1)
     system = op.system
-    return system.pullback_deviation(t, op.log_diag, op.profile.log_value(system.ages + t),
-                                     system.interior_mask(t))
+    shifted = system.ages + times
+    return system.pullback_deviation(times.ravel(), op.log_diag, op.profile.log_value(shifted),
+                                     shifted <= system.window.hi)
 
 
 def log_condition_number(op: DecayOperator) -> float:

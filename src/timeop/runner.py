@@ -31,13 +31,13 @@ import numpy as np
 from . import __version__
 from .cascade import (
     AgeWindow,
+    age_transport_deviations,
     build_baker_cascade,
     build_shift_cascade,
-    verify_age_transport,
-    verify_covariance,
+    covariance_deviations,
 )
 from .config import ExperimentConfig
-from .duals import build_operator_web, verify_web
+from .duals import build_operator_webs, verify_webs
 from .markov import (
     MarkovEvolution,
     density_walsh,
@@ -48,8 +48,8 @@ from .profiles import (
     DecayProfile,
     build_decay_operator,
     check_admissible,
+    covariant_transform_deviations,
     gumbel,
-    verify_covariant_transform,
 )
 from .rigging import (
     SingularSpectrum,
@@ -185,16 +185,14 @@ class _Context:
 
 
 def _run_covariance(ctx, params):
-    worst_t = 0.0
-    worst_transport = 0.0
-    worst_weighted = 0.0
-    for t in params["t_values"]:
-        worst_t = max(worst_t, verify_covariance(ctx.system, t))
-        worst_weighted = max(worst_weighted, verify_covariant_transform(ctx.decay, t))
-        if t >= 1:
-            worst_transport = max(worst_transport, verify_age_transport(ctx.system, t))
+    times = params["t_values"]
+    worst_t, worst_weighted, worst_transport = (
+        max([0.0, *deviations.tolist()]) for deviations in (
+            covariance_deviations(ctx.system, times),
+            covariant_transform_deviations(ctx.decay, times),
+            age_transport_deviations(ctx.system, times)))
     details = {
-        "t_values": list(params["t_values"]),
+        "t_values": list(times),
         "time_covariance_deviation": worst_t,
         "projector_transport_deviation": worst_transport,
         "weighted_covariance_deviation": worst_weighted,
@@ -215,7 +213,7 @@ def _interior_band(system, max_t):
     lo = system.window.lo + max_t
     hi = system.window.hi - max_t
     mask = (system.ages >= lo) & (system.ages <= hi)
-    if not np.any(mask):
+    if not mask.any():
         raise ValueError(f"no labels inside the symmetric margin band for max_t={max_t}")
     return mask
 
@@ -233,27 +231,30 @@ def _run_lyapunov(ctx, params):
     so a step map that turns labels into fixed points, whose constant
     ratio reads as a contraction, cannot pass.  A fail names the first
     offending label.  The canonical basis row and the band indicator
-    take the two-route trace.
+    take the two-route trace.  The traces and the ratio and stray tables
+    all read their band entries off the evolution's one joined W_t.
     """
     max_t = params["max_t"]
     ev = MarkovEvolution(ctx.decay, max_t)
     system = ctx.system
-    labels = np.nonzero(_interior_band(system, max_t))[0]
-    canonical_idx = int(labels[np.argmax(system.ages[labels])])
+    labels = _interior_band(system, max_t).nonzero()[0]
+    canonical_idx = int(labels[system.ages[labels].argmax()])
     block = np.zeros((2, system.dim))
     block[0, canonical_idx] = 1.0
     block[1, labels] = 1.0
     canonical = lyapunov_traces(ev, block)[0]
     # the band stays inside the margin up to max_t: only a truncated
     # image fails to land, and its NaN counts as a rise and a stray
-    steps = [system.step(t, labels) for t in range(max_t + 1)]
-    log_diag, ages = ctx.decay.log_diag, system.ages
-    ratios = np.array([u.conjugate(log_diag, -log_diag).log_weights for u in steps])
+    times = np.arange(max_t + 1)
+    w_t = ev.at(times.repeat(labels.size), labels[None].repeat(max_t + 1, axis=0).ravel())
+    ratios = w_t.log_weights.reshape(max_t + 1, -1)
     rises = ~(ratios[1:] <= ratios[:-1])
     # e^T U^t e^-T weighs e^t on a label whose t-step image has its age + t
-    strays = np.array([u.conjugate(ages, -ages).log_weights != t for t, u in enumerate(steps)])
+    u_t = w_t._replace(log_weights=np.zeros(w_t.sources.size))
+    by_age = u_t.conjugate(system.ages, -system.ages).log_weights
+    strays = by_age.reshape(max_t + 1, -1) != times[:, None]
     offending = labels[rises.any(axis=0) | strays.any(axis=0)]
-    worst = int(np.argmax(ratios[-1]))
+    worst = int(ratios[-1].argmax())
     details = {
         "max_t": max_t,
         "canonical_label": system.label_text(canonical_idx),
@@ -354,7 +355,7 @@ def _run_kothe(ctx, params):
 
 
 def _run_theorem(ctx, params):
-    parts = [verify_web(build_operator_web(ctx.decay, t)) for t in params["t_values"]]
+    parts = verify_webs(build_operator_webs(ctx.decay, params["t_values"]))
     return all(part["all_passed"] for part in parts), {"parts": parts}
 
 

@@ -103,7 +103,7 @@ def dim_wide_walsh(system, cells, low):
 
 def w_log_weights(decay, t):
     """W_t's log weight per label, from U^t and the log decay diagonal; NaN off the t-margin."""
-    w_t = decay.system.step(t).conjugate(decay.log_diag, -decay.log_diag)
+    w_t = decay.system.step([t]).conjugate(decay.log_diag, -decay.log_diag)
     out = np.full(decay.system.dim, np.nan)
     out[w_t.sources] = w_t.log_weights
     return out
@@ -112,7 +112,7 @@ def w_log_weights(decay, t):
 def dim_wide_step(ev, fluct, t):
     """The t-step of a ``(rows, dim)`` block: margin check on every label, then the move."""
     system = ev.system
-    inside = system.interior_mask(t)
+    inside = system.ages + t <= system.window.hi
     size = np.abs(fluct)
     far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, size.max(axis=1, keepdims=True))
     if far.any():
@@ -203,7 +203,7 @@ class TestBatchedTransform:
 
 def probe_case(m, seed=3, t_max=2):
     system = build_baker_cascade(m)
-    live = np.nonzero(system.interior_mask(t_max))[0]
+    live = np.nonzero(system.ages + t_max <= system.window.hi)[0]
     return system, live, np.random.default_rng(seed)
 
 
@@ -292,7 +292,7 @@ class TestDimWideReference:
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_sweep_minima(self, m, t_max):
         system = build_baker_cascade(m)
-        live = np.nonzero(system.interior_mask(t_max))[0]
+        live = np.nonzero(system.ages + t_max <= system.window.hi)[0]
         assert np.array_equal(live, np.arange(live.size))  # age-major: a prefix
         rng = np.random.default_rng([m, t_max])
         for a in (0.3, 1.0, 3.0):
@@ -380,9 +380,9 @@ def test_swept_blocks_are_the_dim_wide_minima_of_each_evolution(m, monkeypatch):
     weighed = []
     block_minima = timeop.markov._block_minima
 
-    def recorded(system, step, log_ratios):
-        weighed.append((step[2].sources, log_ratios))
-        return block_minima(system, step, log_ratios)
+    def recorded(system, equilibrium, coeffs, w_t):
+        weighed.append((w_t.sources, w_t.log_weights))
+        return block_minima(system, equilibrium, coeffs, w_t)
 
     monkeypatch.setattr(timeop.markov, "_block_minima", recorded)
     times = (0, 1, 2)

@@ -25,9 +25,10 @@ from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
     MarginError,
+    WeightedShift,
+    age_transport_deviations,
     build_baker_cascade,
     build_shift_cascade,
-    verify_age_transport,
     verify_imprimitivity,
 )
 from timeop.config import parse_config
@@ -133,7 +134,12 @@ def tower_verdict(j, tower_type, cutoff):
 
 
 def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
-    """(norms, forms) of one row, stepped one vector at a time."""
+    """(norms, forms) of one row, stepped one vector at a time.
+
+    A subnormal norm is exact only to its own spacing, so the routes
+    must agree within ``agreement_tol`` or that spacing over the norm,
+    the larger.
+    """
     rho = HVector(coeffs, ev.system.basis_id)
     norms, forms = [], []
     for t in range(horizon + 1):
@@ -151,7 +157,7 @@ def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
                 peak = logs.max()
                 log_form = 0.5 * (peak + np.log(np.sum(np.exp(logs - peak))))
                 rel_gap = abs(log_form - np.log(norm_direct))
-            if rel_gap > agreement_tol:
+            if rel_gap > max(agreement_tol, np.spacing(norm_direct) / norm_direct):
                 raise AssertionError(
                     f"norm routes disagree at t={t}: direct {norm_direct!r} vs form {root!r} "
                     f"(relative gap {rel_gap:.3g})"
@@ -161,30 +167,25 @@ def trace_loop(ev, coeffs, horizon, agreement_tol=1e-10):
     return norms, forms
 
 
-def corrupt_route(monkeypatch, marker, t_fault):
-    """Scale by 1 + 1e-6, at ``t_fault``, what the rows whose label 0 holds ``marker`` move.
+def corrupt_route(monkeypatch, system, marker, t_fault):
+    """Scale by 1 + 1e-6 what W_t moves at ``t_fault``, in the rows whose label 0 holds ``marker``.
 
-    ``lyapunov_traces`` and ``markov_step``, and so ``trace_loop``,
-    apply W_t, U^t from ``CascadeSystem.step`` conjugated by the decay
-    diagonal, at each t; at ``t_fault`` that value's ``apply`` is off.
+    ``lyapunov_traces`` applies the W_t of every t as one joined value,
+    read off the evolution, and ``markov_step``, and so ``trace_loop``,
+    one W_t at a time; each ``apply`` is off on the entries that move
+    ``t_fault`` ages up, which on a correct system are W_{t_fault}'s.
     Faults installed one after another all apply.
     """
-    step = CascadeSystem.step
+    apply = WeightedShift.apply
 
-    def faulty_step(system, t, labels=None):
-        shift = step(system, t, labels)
-        if t != t_fault:
-            return shift
+    def faulty_apply(shift, block):
+        targets, moved = apply(shift, block)
+        sources = shift.sources[shift.targets >= 0]
+        at = system.ages[targets] - system.ages[sources] == t_fault
+        moved[np.ix_(block[:, 0] == marker, at)] *= 1.0 + 1e-6
+        return targets, moved
 
-        class Faulty(type(shift)):
-            def apply(self, block):
-                targets, moved = super().apply(block)
-                moved[block[:, 0] == marker] *= 1.0 + 1e-6
-                return targets, moved
-
-        return Faulty(*shift)
-
-    monkeypatch.setattr(CascadeSystem, "step", faulty_step)
+    monkeypatch.setattr(WeightedShift, "apply", faulty_apply)
 
 
 # -- systems ----------------------------------------------------------------
@@ -365,12 +366,26 @@ class TestLyapunovTraces:
             one = lyapunov_trace(ev, HVector(row, system.basis_id))
             assert one == trace
 
+    def test_subnormal_norms_are_the_loop(self):
+        # the band of max_t = 18 on shift [-10, 35] under gumbel(0.3): at
+        # t = 14 its indicator's norm is 3.46e-315, exact only to its spacing
+        system = build_shift_cascade(AgeWindow(-10, 35))
+        ev = MarkovEvolution(build_decay_operator(gumbel(0.3), system), 14)
+        block = sample_block(system, 14, np.random.default_rng(3), rows=6)
+        block[5] = ((system.ages >= 8) & (system.ages <= 17)).astype(float)
+        traces = lyapunov_traces(ev, block)
+        assert 0.0 < traces[5].norms[14] < np.finfo(float).tiny
+        for row, trace in zip(block, traces):
+            norms, forms = trace_loop(ev, row, 14)
+            assert np.array_equal(bits(trace.norms), bits(norms))
+            assert np.array_equal(bits(trace.forms), bits(forms))
+
     def test_route_disagreement_of_one_corrupted_row(self, monkeypatch):
         system = build_shift_cascade(AgeWindow(-6, 6))
         ev = MarkovEvolution(build_decay_operator(gumbel(1.0), system), 3)
         block = sample_block(system, 3, np.random.default_rng(2), rows=9)
         block[6, 0] = 0.125  # the marker of the corrupted row
-        corrupt_route(monkeypatch, 0.125, 2)
+        corrupt_route(monkeypatch, system, 0.125, 2)
         with pytest.raises(AssertionError, match="t=2") as batched:
             lyapunov_traces(ev, block)
         with pytest.raises(AssertionError) as one:
@@ -403,8 +418,8 @@ class TestLyapunovTraces:
         block = sample_block(system, 3, np.random.default_rng(5), rows=8)
         block[1, 0] = 0.25
         block[[4, 7], 0] = 0.125
-        corrupt_route(monkeypatch, 0.25, 2)
-        corrupt_route(monkeypatch, 0.125, 0)
+        corrupt_route(monkeypatch, system, 0.25, 2)
+        corrupt_route(monkeypatch, system, 0.125, 0)
         with pytest.raises(AssertionError, match="t=0") as batched:
             lyapunov_traces(ev, block)
         with pytest.raises(AssertionError) as loop:
@@ -425,7 +440,7 @@ class TestLyapunovTraces:
         block[0, 0] = 0.125  # off at t = 2, in the first row
         k = int(np.nonzero(system.ages == system.window.hi - 1)[0][0])
         block[4, k] = 0.5  # leaves the window at t = 2
-        corrupt_route(monkeypatch, 0.125, 2)
+        corrupt_route(monkeypatch, system, 0.125, 2)
         with pytest.raises(MarginError) as batched:
             lyapunov_traces(ev, block)
         with pytest.raises(MarginError) as loop:
@@ -433,7 +448,7 @@ class TestLyapunovTraces:
         assert str(batched.value) == str(loop.value)
         assert str(batched.value).endswith(f"within 2 steps at labels: {system.label_text(k)}")
         # a route fault one step earlier comes first
-        corrupt_route(monkeypatch, 0.125, 1)
+        corrupt_route(monkeypatch, system, 0.125, 1)
         with pytest.raises(AssertionError, match="t=1") as batched:
             lyapunov_traces(ev, block)
         with pytest.raises(AssertionError) as loop:
@@ -552,17 +567,19 @@ class TestAgeTransport:
         build_baker_cascade(3),
     ], ids=lambda s: s.basis_id)
     def test_one_pass_is_the_per_age_maximum(self, system):
-        for t in (*T_VALUES, system.window.hi - system.window.lo + 1):
-            assert bits(verify_age_transport(system, t)) == bits(transport_loop(system, t))
-            assert verify_age_transport(system, t) == 0.0
+        times = (*T_VALUES, system.window.hi - system.window.lo + 1)
+        deviations = age_transport_deviations(system, times)
+        assert np.array_equal(bits(deviations), bits([transport_loop(system, t) for t in times]))
+        assert not deviations.any()
         for name, bad in defective(system).items():
-            for t in T_VALUES:
-                assert bits(verify_age_transport(bad, t)) == bits(transport_loop(bad, t)), name
-            assert verify_age_transport(bad, 1) == 1.0, name
+            deviations = age_transport_deviations(bad, T_VALUES)
+            loop = [transport_loop(bad, t) for t in T_VALUES]
+            assert np.array_equal(bits(deviations), bits(loop)), name
+            assert deviations[T_VALUES.index(1)] == 1.0, name
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
-            verify_age_transport(build_shift_cascade(AgeWindow(-4, 4)), -1)
+            age_transport_deviations(build_shift_cascade(AgeWindow(-4, 4)), [-1])
 
 
 def test_step_map_is_composed_once_and_read_only():

@@ -177,7 +177,7 @@ class TestCoarseCellsToWalsh:
 def test_evolved_minima_are_the_loop_reference(m):
     system = build_baker_cascade(m)
     t_max = 3
-    live = np.nonzero(system.interior_mask(t_max))[0]
+    live = np.nonzero(system.ages + t_max <= system.window.hi)[0]
     coarse, low = random_densities(system, np.random.default_rng(m), 6, live)
     assert coarse.shape[1] == 1 << (2 * m + 1 - t_max) and low == 0
     full = tiled(coarse, 1 << (2 * m + 1))

@@ -80,11 +80,11 @@ def test_every_weighted_shift_is_its_dense_product(system, t):
     decay = build_decay_operator(gumbel(1.0), system)
     lam, inv = np.diag(np.exp(decay.log_diag)), np.diag(np.exp(-decay.log_diag))
     ut = np.linalg.matrix_power(system.U, t)
-    margin = np.diag(system.interior_mask(t).astype(float))
+    margin = np.diag((system.ages + t <= system.window.hi).astype(float))
     w = lam @ ut @ inv
     products = {"u_ext": ut, "w": w, "v": inv @ ut @ lam, "x": inv @ inv @ w @ lam @ lam,
                 "y": w, "z": lam @ lam @ ut @ inv @ inv}
-    u = system.step(t)
+    u = system.step([t])
     assert np.array_equal(dense(u, system.dim), ut @ margin)
     if not u.sources.size:
         with pytest.raises(MarginError):
@@ -124,7 +124,7 @@ class TestWeb:
     def test_u_extension_acts_as_the_plain_step(self):
         s, op = shift_decay()
         web = build_operator_web(op, 1)
-        cols = s.interior_mask(1)
+        cols = s.ages + 1 <= s.window.hi
         assert np.array_equal(dense(web.evolutions["u_ext"], s.dim)[:, cols], s.U[:, cols])
 
     def test_y_equals_w_in_this_realization(self):

@@ -151,5 +151,5 @@ def test_replaced_weight_routes_are_gone(module, path):
 def test_the_weighted_shift_has_only_the_operations_the_run_path_calls():
     methods = [name for qualified, name in public_members(PACKAGE / "cascade.py")
                if qualified.startswith("WeightedShift.")]
-    assert methods == ["conjugate", "apply"]
+    assert methods == ["conjugate", "apply", "take"]
     assert timeop.WeightedShift is timeop.cascade.WeightedShift

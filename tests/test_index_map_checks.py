@@ -1,13 +1,13 @@
 """The O(dim) verification routines against the dense matrix formulas.
 
 ``verify_covariance``, ``verify_imprimitivity`` and
-``verify_covariant_transform`` read the step index map instead of
-forming (U^t)' D U^t.  The dense formulas live here only, as the
-reference: the index-map routines must return the very same float, on
-correct systems and on systems with an injected defect, and every
-defect must show as a nonzero deviation.  These routines and the
-operator web with its verification must also allocate far less than
-one dense matrix.
+``verify_covariant_transform``, and the time-axis forms of the first
+and last, read the step index map instead of forming (U^t)' D U^t.
+The dense formulas live here only, as the reference: the index-map
+routines must return the very same float, on correct systems and on
+systems with an injected defect, and every defect must show as a
+nonzero deviation.  These routines and the operator web with its
+verification must also allocate far less than one dense matrix.
 """
 
 import tracemalloc
@@ -20,13 +20,19 @@ from timeop.cascade import (
     CascadeSystem,
     build_baker_cascade,
     build_shift_cascade,
+    covariance_deviations,
     verify_covariance,
     verify_imprimitivity,
 )
 from timeop.duals import _jordan_type_gap, build_operator_web, verify_web
 from timeop.hilbert import HVector
 from timeop.markov import MarkovEvolution, evolved_minima, lyapunov_traces, markov_step
-from timeop.profiles import build_decay_operator, gumbel, verify_covariant_transform
+from timeop.profiles import (
+    build_decay_operator,
+    covariant_transform_deviations,
+    gumbel,
+    verify_covariant_transform,
+)
 
 T_VALUES = (0, 1, 2, 3)
 
@@ -39,7 +45,7 @@ def dense_covariance(system, t):
     ut = np.linalg.matrix_power(system.U, t)
     time_op = np.diag(system.ages.astype(float))
     diff = ut.T @ time_op @ ut - (time_op + t * np.eye(system.dim))
-    cols = system.interior_mask(t)
+    cols = system.ages + t <= system.window.hi
     return float(np.abs(diff[:, cols]).max()) if np.any(cols) else 0.0
 
 
@@ -54,7 +60,7 @@ def dense_covariant_transform(op, t):
     # deviation is exactly twice this one
     system = op.system
     ut = np.linalg.matrix_power(system.U, t)
-    cols = system.interior_mask(t)
+    cols = system.ages + t <= system.window.hi
     if not np.any(cols):
         return 0.0
     diff = ut.T @ np.diag(op.log_diag) @ ut - np.diag(op.profile.log_value(system.ages + t))
@@ -86,6 +92,10 @@ def assert_matches_dense(system, t_values=T_VALUES):
         for delta in deltas(system, t):
             assert verify_imprimitivity(system, delta, t) == dense_imprimitivity(system, delta, t)
         assert verify_covariant_transform(op, t) == dense_covariant_transform(op, t)
+    # the time-axis forms, all times in one pass
+    assert covariance_deviations(system, t_values).tolist() == [out[t] for t in t_values]
+    assert (covariant_transform_deviations(op, t_values).tolist()
+            == [dense_covariant_transform(op, t) for t in t_values])
     return out
 
 
@@ -156,7 +166,7 @@ def test_truncated_image_inside_the_margin(system):
     # the Markov step reads a truncated image as U e_k = 0: nothing lands
     # on index -1, the top label, and no weight exp(NaN) is formed; no
     # later label's image covers index -1 for the last label of the margin
-    last = int(np.nonzero(system.interior_mask(1))[0][-1])
+    last = int(np.nonzero(system.ages + 1 <= system.window.hi)[0][-1])
     for k in (j, last):
         step = np.array(system._step)
         step[k] = -1
@@ -186,7 +196,7 @@ def test_perturbed_decay_entry(system):
 def jordan_type_gap_loop(web):
     """The Jordan-type gap of the web's z, one dim-long mask of chain ends per power."""
     system = web.system
-    safe = system.interior_mask(web.t)
+    safe = system.ages + web.t <= system.window.hi
     z = web.evolutions["z"]
     log_weights = np.full(system.dim, np.nan)
     log_weights[z.sources] = z.log_weights

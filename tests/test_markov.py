@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from timeop.cascade import (
     AgeWindow,
-    CascadeSystem,
     GridDensity,
     MarginError,
+    WeightedShift,
     build_baker_cascade,
     build_shift_cascade,
     walsh_to_grid,
@@ -75,11 +75,11 @@ class TestStep:
             lam = np.exp(ev.decay.log_diag)
             for t in (0, 1, 2, 3):
                 dense = np.diag(lam) @ np.linalg.matrix_power(s.U, t) @ np.diag(1.0 / lam)
-                margin = s.interior_mask(t)
+                margin = s.ages + t <= s.window.hi
                 v = np.where(margin, rng.standard_normal(s.dim), 0.0)
                 direct = markov_step(ev, HVector(v, s.basis_id), t).coeffs
                 assert np.allclose(direct, dense @ v, rtol=1e-12, atol=1e-300)
-                w_t = s.step(t).conjugate(ev.decay.log_diag, -ev.decay.log_diag)
+                w_t = s.step([t]).conjugate(ev.decay.log_diag, -ev.decay.log_diag)
                 matrix = np.zeros((s.dim, s.dim))
                 matrix[w_t.targets, w_t.sources] = np.exp(w_t.log_weights)
                 assert np.allclose(matrix, dense * margin, rtol=1e-12, atol=0.0)
@@ -108,7 +108,7 @@ class TestStep:
         s, ev = evolution()
         log_diag = ev.decay.log_diag
         for t in range(ev.max_t + 1):
-            log_ratio = s.step(t).conjugate(log_diag, -log_diag).log_weights
+            log_ratio = s.step([t]).conjugate(log_diag, -log_diag).log_weights
             valid = log_ratio[~np.isnan(log_ratio)]
             assert np.all(valid <= 0.0)
             if t == 0:
@@ -142,22 +142,17 @@ class TestLyapunovTrace:
 
     def test_route_guard_fails_below_the_underflow_point(self, monkeypatch):
         s, ev = evolution(-6, 6, 4)
-        honest = CascadeSystem.step
+        apply = WeightedShift.apply
 
-        def off_at_4(system, t, labels=None):
-            shift = honest(system, t, labels)
-            if t != 4:
-                return shift
-
-            class Off(type(shift)):
-                def apply(self, block):
-                    targets, moved = super().apply(block)
-                    return targets, moved * (1.0 + 1e-6)
-
-            return Off(*shift)
+        def off_at_4(shift, block):
+            # the entries that move four ages up are W_4's
+            targets, moved = apply(shift, block)
+            sources = shift.sources[shift.targets >= 0]
+            moved[:, s.ages[targets] - s.ages[sources] == 4] *= 1.0 + 1e-6
+            return targets, moved
 
         # only the underflowed step is off, so only the log-domain route can see it
-        monkeypatch.setattr(CascadeSystem, "step", off_at_4)
+        monkeypatch.setattr(WeightedShift, "apply", off_at_4)
         with pytest.raises(AssertionError, match="t=4"):
             lyapunov_trace(ev, s.basis_vector(2))
 

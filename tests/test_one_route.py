@@ -1,7 +1,7 @@
 """W_t's log weights have one route: U^t conjugated by the log decay diagonal.
 
 The W_t that ``markov_step`` applies and the operator web's ``w`` are
-both ``system.step(t).conjugate(log_diag, -log_diag)``.  On a correct
+both ``system.step([t]).conjugate(log_diag, -log_diag)``.  On a correct
 system they equal the closed form log lambda(a + t) - log lambda(a) bit
 for bit, on exactly the t-margin labels; on a system whose step map
 lowers an age the ratio passes one, and the Markov gate rejects it.
@@ -68,7 +68,7 @@ def markov_route(decay, t):
 def test_markov_and_web_weights_are_the_closed_form_on_the_margin(case):
     decay, t = case
     system = decay.system
-    margin = system.interior_mask(t)
+    margin = system.ages + t <= system.window.hi
     expected = decay.profile.log_value(system.ages[margin] + t) - decay.log_diag[margin]
     routes = {
         "markov": markov_route(decay, t),

@@ -69,7 +69,8 @@ def rising_ratio(op, monkeypatch):
     Every conjugation by the operator's log diagonal gives the (label,
     t = 2 image) entry half of the W_1 log weight there: still at most
     zero, so the semigroup is built, but the label's ratio rises from
-    t = 1 to 2.
+    t = 1 to 2.  The evolution conjugates U^1 ... U^max_t joined into one
+    value, where that entry is the label's one entry of time 2.
     """
     k = int(np.nonzero(op.system.ages == 0)[0][0])
     first, second = (int(op.system.step_indices(t)[k]) for t in (1, 2))
