@@ -29,8 +29,8 @@ relative deviation |a - b| / max(a, b) of the two weights.  The Riesz
 twist z is checked against the closed form 2 (L(a+t) - L(a)) of its
 weights, L read from the profile, and against the Jordan type of the
 step (the ranks of its powers), read off the index map: one gather
-per power follows the chains, and a (power, label) mask of their ends
-counts the distinct endpoints.  The webs of several times take their
+per power follows the chains, and one label mask of their ends, reset
+per power, counts the distinct endpoints.  The webs of several times take their
 evolutions from one joined U^t, and their dual-Markov traces, U^(kt)
 conjugated by the log decay diagonal on both sides, from another.
 :func:`verify_webs` returns each web's ``theorem`` report record, a
@@ -61,8 +61,6 @@ WITNESS_FLOOR = 1e-6
 SPECTRUM_TOL = 1e-8
 # block steps of the dual-Markov traces, fewer where the window is narrow
 DUAL_TRACE_STEPS = 3
-# cells of the Jordan-type check's chain-end mask held at once
-CHAIN_MASK_CELLS = 1 << 16
 
 
 class OperatorWeb:
@@ -151,9 +149,10 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     holds at most one entry, so the rank of C^k is the number of
     distinct endpoints of the k-step chains that start at the safe
     labels and follow z's targets through finite z weights and safe
-    images.  The compressed step has rank #{i : age_i + (k+1) t <= hi},
-    for k = 1 up to nilpotency; the labels are age-major, so that count
-    is a search of the sorted ages.
+    images, marked per power on one reused label mask.  The compressed
+    step has rank #{i : age_i + (k+1) t <= hi}, for k = 1 up to
+    nilpotency; the labels are age-major, so that count is a search of
+    the sorted ages.
     """
     system = web.system
     z = web.evolutions["z"]
@@ -163,15 +162,13 @@ def _jordan_type_gap(web: OperatorWeb) -> float:
     nxt = np.append(np.where(np.isfinite(z.log_weights) & (z.targets < safe), z.targets, safe),
                     safe)
     powers = np.arange(1, (hi - system.window.lo) // web.t + 2)
-    # a (power, label) mask of the chain ends, one gather per power, in
-    # blocks of powers that keep it within CHAIN_MASK_CELLS
-    ranks, pos, block = [], z.sources, max(1, CHAIN_MASK_CELLS // nxt.size)
-    for first in range(0, powers.size, block):
-        ends = np.zeros((min(powers.size - first, block), nxt.size), dtype=bool)
-        for row in ends:
-            pos = nxt[pos]
-            row[pos] = True
-        ranks += ends[:, :safe].sum(axis=1).tolist()
+    # one gather per power moves the chain ends, and one mask counts them
+    ranks, pos, ends = [], z.sources, np.zeros(nxt.size, dtype=bool)
+    for _ in powers:
+        pos = nxt[pos]
+        ends[:] = False
+        ends[pos] = True
+        ranks.append(np.count_nonzero(ends[:safe]))
     expected = np.searchsorted(system.ages, hi - (powers + 1) * web.t, side="right")
     return float(np.abs(np.array(ranks) - expected).max(initial=0))
 
@@ -240,11 +237,6 @@ def _web_record(web: OperatorWeb, logs) -> dict:
 
     v_equals_x = float(np.abs(np.expm1(log_weights["x"] - log_weights["v"])).max())
     monotone = bool((logs[1:] <= logs[:-1]).all())
-    # the sum along the last axis of a C-contiguous block is each row's 1-D
-    # sum; a block gathered by a column index would be Fortran-ordered.
-    # Near the float edge 2 logs may overflow to -inf, a weight of 0.0
-    with np.errstate(under="ignore", over="ignore"):
-        traces = np.sqrt(np.exp(2.0 * logs).sum(axis=1)).tolist()
     # each separating witness is the safe label with the largest log gap
     # between its pair; weights a, b differ there by |a - b| / max(a, b)
     gaps = np.abs([log_weights[a] - log_weights[b]
@@ -253,7 +245,14 @@ def _web_record(web: OperatorWeb, logs) -> dict:
                  for row, i in zip(gaps, gaps.argmax(axis=1))]
     spectrum = _jordan_type_gap(web)
     closed_form = 2.0 * (decay.profile.log_value(system.ages[safe] + web.t) - decay.log_diag[safe])
-    conjugacy = float(np.abs(np.expm1(log_weights["z"] - closed_form)).max())
+    # the sum along the last axis of a C-contiguous block is each row's 1-D
+    # sum; a block gathered by a column index would be Fortran-ordered.
+    # Near the float edge 2 logs may overflow to -inf, a weight of 0.0; on
+    # a defective map z may leave its closed form past the float range, a
+    # conjugacy deviation of inf
+    with np.errstate(under="ignore", over="ignore"):
+        traces = np.sqrt(np.exp(2.0 * logs).sum(axis=1)).tolist()
+        conjugacy = float(np.abs(np.expm1(log_weights["z"] - closed_form)).max())
 
     return {
         "t": web.t,

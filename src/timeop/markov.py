@@ -9,11 +9,11 @@ formed as a matrix: its entries reach exp(exp(hi)) on a window topping
 out at hi, so the ratio form is the only finitely representable
 realization.  An evolution forms U^1, ..., U^horizon on their
 t-margins once, as one joined value, and conjugates it once into the
-W_t it checks and keeps: the Lyapunov traces read the W_t of all times
-of all rows from it, and decide the margin and the agreement of their
-two norm routes at once, on the labels their rows support.  The
-positivity sweep checks each weighting the same way, then conjugates
-only the labels it steps, and takes one Walsh transform per
+W_t it checks, keeping none of it.  The Lyapunov traces form the W_t of
+all their times on the labels their rows support, one joined value,
+and decide the margin and the agreement of their two norm routes at
+once.  The positivity sweep checks each weighting the same way, then
+conjugates only the labels it steps, and takes one Walsh transform per
 (density, t) for all its weightings.
 
 Negative times are rejected; the backward weights are unbounded as the
@@ -55,10 +55,10 @@ _NOT_ADMISSIBLE = "decay ratios exceed one; the profile is not admissible"
 class MarkovEvolution:
     """An induced contraction semigroup up to a horizon.
 
-    ``w`` joins W_1, ..., W_max_t on their t-margins into one value: U^t
-    joined over the times, conjugated once by the log diagonal of
-    ``decay``.  Construction checks that none of its log weights exceeds
-    zero.
+    Construction forms W_1, ..., W_max_t on their t-margins, U^t joined
+    over the times and conjugated once by the log diagonal of ``decay``,
+    and checks that none of its log weights exceeds zero.  It keeps
+    none of them: each caller forms the W_t it applies.
     """
 
     def __init__(self, decay: DecayOperator, max_t: int):
@@ -67,27 +67,13 @@ class MarkovEvolution:
         self.decay = decay
         self.system = decay.system
         self.max_t = int(max_t)
-        self.w = _admissible(decay, self.system.step(range(1, self.max_t + 1)))
-
-    def at(self, times, labels) -> WeightedShift:
-        """W_t at each pair ``(times[i], labels[i])``, the label inside its t-margin.
-
-        Read from ``w``; at t = 0, the identity, log weight 0.
-        """
-        later = times > 0
-        entries = self.w.offsets[times[later] - 1] + labels[later]
-        targets, log_weights = np.array(labels), np.zeros(labels.size)
-        targets[later] = self.w.targets[entries]
-        log_weights[later] = self.w.log_weights[entries]
-        return WeightedShift(labels, targets, log_weights)
+        _admissible(decay, self.system.step(range(1, self.max_t + 1)))
 
 
-def _admissible(decay: DecayOperator, u: WeightedShift) -> WeightedShift:
-    """W_t, ``u`` conjugated by the log decay diagonal, unless a log weight exceeds zero."""
-    w = u.conjugate(decay.log_diag, -decay.log_diag)
-    if (w.log_weights > 0).any():
+def _admissible(decay: DecayOperator, u: WeightedShift):
+    """Raise if a log weight of W_t, ``u`` conjugated by the log decay diagonal, exceeds zero."""
+    if (u.conjugate(decay.log_diag, -decay.log_diag).log_weights > 0).any():
         raise ValueError(_NOT_ADMISSIBLE)
-    return w
 
 
 def markov_step(ev: MarkovEvolution, rho: HVector, t: int) -> HVector:
@@ -123,8 +109,8 @@ def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
     """The mask of the ``labels`` inside the t-margin, after the margin check.
 
     Row r of ``coeffs`` holds the coefficients of the label indices
-    ``labels``.  The check runs row by row and names the labels of the
-    first offending row, in index order.
+    ``labels``.  The check runs row by row and names the first eight
+    labels of the first offending row, in index order.
     """
     inside = system.ages[labels] + t <= system.window.hi
     size = np.abs(coeffs)
@@ -132,14 +118,10 @@ def _inside(system, coeffs: np.ndarray, t: int, labels) -> np.ndarray:
     far = size[:, ~inside] > SUPPORT_TOLERANCE * np.maximum(1.0, peak)
     if far.any():
         row = int(np.nonzero(far.any(axis=1))[0][0])
-        raise _margin_error(system, t, np.sort(labels[~inside][far[row]]))
+        offending = np.sort(labels[~inside][far[row]])[:8]
+        names = ", ".join(system.label_text(i) for i in offending)
+        raise MarginError(f"support leaves the window within {t} steps at labels: {names}")
     return inside
-
-
-def _margin_error(system, t: int, offending) -> MarginError:
-    """The error naming the first eight ``offending`` labels, which leave within t steps."""
-    names = ", ".join(system.label_text(i) for i in offending[:8])
-    return MarginError(f"support leaves the window within {t} steps at labels: {names}")
 
 
 @dataclass(frozen=True)
@@ -181,9 +163,10 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     Every float is the one the one-row trace gives: per row and t, the
     direct norm is :func:`~timeop.hilbert.vector_norm` of the full-dim
     evolved row, and the form the sum over the row's alive labels.  The
-    W_t of every t is read off the evolution (:meth:`MarkovEvolution.at`)
-    and applied in one move.  The checks are decided for all times at
-    once, on the ``(t, label)`` margins and images: the first t at which
+    W_t of every t before the first margin error, on the support labels
+    inside its t-margin, are formed as one joined value and applied in
+    one move.  The checks are decided for all times at once, on the
+    ``(t, label)`` margins and images: the first t at which
     a row's support leaves the window (:class:`MarginError`) or its two
     routes disagree (``AssertionError``) raises, for the first such row;
     at a t with both, the margin error.
@@ -210,8 +193,10 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     held = coeffs[:, support]
     # W_t on the support inside each t-margin, every t at once, in t order;
     # its log weights are a table, NaN off the t-margin and at a truncated image
-    at_t, at_col = (system.ages[support] + times[:stop, None] <= system.window.hi).nonzero()
-    w_t = ev.at(at_t, support[at_col])
+    inside = system.ages[support] + times[:stop, None] <= system.window.hi
+    at_t, at_col = inside.nonzero()
+    log_diag = ev.decay.log_diag
+    w_t = system.step(range(stop), [support[row] for row in inside]).conjugate(log_diag, -log_diag)
     table = np.full((stop, support.size), np.nan)
     table[at_t, at_col] = w_t.log_weights
     targets, moved = w_t.apply(held[:, at_col])
@@ -231,10 +216,8 @@ def lyapunov_traces(ev: MarkovEvolution, coeffs, max_t: int | None = None) -> li
     ends = alive.sum(axis=2).ravel().cumsum().tolist()
     forms = np.array([terms[a:b].sum() for a, b in zip([0] + ends, ends)]).reshape(rows, stop)
     _check_routes(norms, forms, table, held, alive)
-    if stop < times.size:
-        row = int(np.argmax(oldest + stop > system.window.hi))
-        leaving = big[row] & (system.ages + stop > system.window.hi)
-        raise _margin_error(system, stop, leaving.nonzero()[0])
+    if stop < times.size:  # a row's support leaves the window at stop
+        _inside(system, coeffs, stop, np.arange(system.dim))
     t_values = tuple(times.tolist())
     traces = []
     for row_norms, row_forms in zip(norms.tolist(), forms.tolist()):

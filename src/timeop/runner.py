@@ -231,8 +231,9 @@ def _run_lyapunov(ctx, params):
     so a step map that turns labels into fixed points, whose constant
     ratio reads as a contraction, cannot pass.  A fail names the first
     offending label.  The canonical basis row and the band indicator
-    take the two-route trace.  The traces and the ratio and stray tables
-    all read their band entries off the evolution's one joined W_t.
+    take the two-route trace.  The band's U^t of every t <= max_t is
+    formed once, as one joined value: conjugated by L it gives the ratio
+    table, and by the ages the stray table.
     """
     max_t = params["max_t"]
     ev = MarkovEvolution(ctx.decay, max_t)
@@ -246,11 +247,11 @@ def _run_lyapunov(ctx, params):
     # the band stays inside the margin up to max_t: only a truncated
     # image fails to land, and its NaN counts as a rise and a stray
     times = np.arange(max_t + 1)
-    w_t = ev.at(times.repeat(labels.size), labels[None].repeat(max_t + 1, axis=0).ravel())
-    ratios = w_t.log_weights.reshape(max_t + 1, -1)
+    u_t = system.step(times, [labels] * (max_t + 1))
+    log_diag = ctx.decay.log_diag
+    ratios = u_t.conjugate(log_diag, -log_diag).log_weights.reshape(max_t + 1, -1)
     rises = ~(ratios[1:] <= ratios[:-1])
     # e^T U^t e^-T weighs e^t on a label whose t-step image has its age + t
-    u_t = w_t._replace(log_weights=np.zeros(w_t.sources.size))
     by_age = u_t.conjugate(system.ages, -system.ages).log_weights
     strays = by_age.reshape(max_t + 1, -1) != times[:, None]
     offending = labels[rises.any(axis=0) | strays.any(axis=0)]

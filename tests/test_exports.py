@@ -135,6 +135,7 @@ REPLACED = [
     ("markov", "_kept"),
     ("markov", "_weigh"),
     ("markov", "_landed"),
+    ("markov", "MarkovEvolution.at"),
 ]
 
 
