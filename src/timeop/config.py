@@ -289,8 +289,8 @@ def _spectrum(key, text):
     return (parts[0], param)
 
 
-# spectra materialize a few float arrays of this length, so a larger
-# truncation is rejected at parse time rather than allocated by run
+# the largest spectrum window a config may ask for; its sums are closed
+# forms, so the cap bounds no allocation
 TRUNCATION_CAP = 1_000_000
 
 # section -> key -> (parser, default); "" is the top level

@@ -21,8 +21,9 @@ checked per label, on no sample, and form no weight as a float.
 
 Separately, closed-form singular spectra (power and geometric families)
 are classified as compact / Hilbert-Schmidt / nuclear.  Verdicts are
-decided analytically, and partial sums are bracketed with integral tail
-bounds.  :func:`build_tower`, :func:`classify_spectrum` and
+decided analytically, and partial sums, formed in closed form with no
+spectrum array, are bracketed with integral tail bounds.
+:func:`build_tower`, :func:`classify_spectrum` and
 :func:`kothe_nuclearity` return their verdicts as the plain dicts a
 report records, fractions written as text.
 """
@@ -51,10 +52,10 @@ __all__ = [
 # integer powers of an operator that classify_spectrum classifies
 MAX_POWER = 6
 
-# spectrum terms below 2**-UNDERFLOW_BITS are +0.0 as floats: the margin
-# of six binades under the smallest subnormal 2**-1074 absorbs the
-# rounding of the cut and of pow itself
-UNDERFLOW_BITS = 1080.0
+# the power family's window sums add this many leading terms one by one
+# and the rest by Euler-Maclaurin with the coefficients B_2j / (2j)!
+HEAD_TERMS = 16
+BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 
 
 def graded_norm_rows(coeffs: np.ndarray, grades, log_diag: np.ndarray):
@@ -158,9 +159,7 @@ class SingularSpectrum:
 
     Closed forms: ``power(alpha)`` has values (k+1)**(-alpha) and
     ``geometric(q)`` has values q**k.  ``truncation`` is the number of
-    terms materialized for partial sums.  :meth:`values` calls ``pow``
-    only on the terms that can be nonzero and writes +0.0 for the rest,
-    so every value is bitwise the closed form's.
+    terms K in the window sums, which are formed in closed form.
     """
 
     family: str
@@ -172,6 +171,10 @@ class SingularSpectrum:
         if self.family == "power":
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError("power spectrum needs alpha > 0")
+            if 1.0 / self.alpha == math.inf:
+                # min_nuclear_power reads floor(1 / alpha)
+                raise ValueError(
+                    f"power spectrum needs a finite 1/alpha, got alpha = {self.alpha!r}")
         elif self.family == "geometric":
             if self.q is None or not (0 < self.q < 1):
                 raise ValueError("geometric spectrum needs 0 < q < 1")
@@ -179,22 +182,6 @@ class SingularSpectrum:
             raise ValueError(f"unknown spectrum family {self.family!r}")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
-
-    def values(self) -> np.ndarray:
-        # pow runs only on the terms of at least 2**-UNDERFLOW_BITS, a
-        # prefix since the terms fall as k grows; every other term
-        # rounds to the +0.0 already in place
-        out = np.zeros(self.truncation)
-        if self.family == "power":
-            with np.errstate(over="ignore"):
-                top = np.exp2(UNDERFLOW_BITS / self.alpha)  # the largest live base k + 1
-            live = max(0, math.floor(min(top, self.truncation + 1.0)) - 1)
-            np.power(np.arange(2.0, live + 2.0), -self.alpha, out=out[:live])
-        else:
-            top = UNDERFLOW_BITS / -math.log2(self.q)  # the largest live k
-            live = math.floor(min(top, self.truncation))
-            np.power(self.q, np.arange(1.0, live + 1.0), out=out[:live])
-        return out
 
     def describe(self) -> str:
         if self.family == "power":
@@ -210,26 +197,38 @@ def geometric_spectrum(q: float, truncation: int = 100_000) -> SingularSpectrum:
     return SingularSpectrum("geometric", q=float(q), truncation=truncation)
 
 
-def _partial_sum(values: np.ndarray, exponent: float) -> float:
-    """``np.sum(values ** exponent)``, bitwise."""
-    with np.errstate(under="ignore"):
-        return float(np.sum(_powers(values, exponent)))
+def _window_sum(spectrum: SingularSpectrum, exponent: float) -> float:
+    """``sum_{k=1}^{K} lambda_k**exponent`` in closed form, K the truncation.
 
-
-def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
-    """``values ** exponent``, with ``pow`` called only where it can be nonzero.
-
-    Entries below 2**(-UNDERFLOW_BITS / exponent) have powers below
-    2**-UNDERFLOW_BITS, which round to +0.0 and are left as the zeros
-    of a full-length array, so a sum over it takes the same pairwise
-    tree as over ``values ** exponent``.  numpy serves exponents 1, 2
-    and 1/2 without the general ``pow`` (a copy, a square, a square
-    root), so they get the plain formula.
+    Geometric: r (r**K - 1) / (r - 1) with r = q**exponent, written with
+    expm1 so that it stays accurate as r nears one.  Power, with
+    s = alpha * exponent: the first ``HEAD_TERMS`` terms are added as
+    ((k+1)**-alpha)**exponent, and the sum of n**-s over n = a..K+1,
+    a = HEAD_TERMS + 2, by Euler-Maclaurin: the integral, half the two
+    end terms and the Bernoulli corrections.  A tail whose first term
+    a**-s is +0.0 is +0.0 whole, and is skipped, so s may be inf.
     """
-    if exponent in (0.5, 1.0, 2.0):
-        return values ** exponent
-    floor = 2.0 ** (-UNDERFLOW_BITS / exponent)  # +0.0 for exponents near 1 and below
-    return np.power(values, exponent, out=np.zeros(values.size), where=values >= floor)
+    big_k = spectrum.truncation
+    if spectrum.family == "geometric":
+        log_r = exponent * math.log(spectrum.q)
+        return spectrum.q ** exponent * math.expm1(big_k * log_r) / math.expm1(log_r)
+    alpha = spectrum.alpha
+    head = [(n ** -alpha) ** exponent for n in range(2, min(big_k, HEAD_TERMS) + 2)]
+    a, b = HEAD_TERMS + 2.0, big_k + 1.0
+    s = alpha * exponent
+    if b < a or a ** -s == 0.0:
+        return math.fsum(head)
+    log_ratio = math.log1p((b - a) / a)
+    u = (1.0 - s) * log_ratio
+    # the integral of x**-s over [a, b]; log(b / a) exactly at s = 1
+    integral = a ** (1.0 - s) * (math.expm1(u) / (1.0 - s) if u else log_ratio)
+    tail = [integral, (a ** -s + b ** -s) / 2.0]
+    rising = s  # s (s+1) ... (s+2j-2), the size of the (2j-1)-th derivative
+    for j, coefficient in enumerate(BERNOULLI):
+        power = -s - 2 * j - 1
+        tail.append(coefficient * rising * (a ** power - b ** power))
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+    return math.fsum(head + tail)
 
 
 def _tail_bounds(spectrum: SingularSpectrum, exponent: float):
@@ -284,10 +283,9 @@ def classify_spectrum(spectrum: SingularSpectrum) -> dict:
     if min_nuclear is None and spectrum.family == "power":
         min_nuclear = math.floor(1.0 / spectrum.alpha) + 1
 
-    values = spectrum.values()
     evidence = []
     for exponent in (1.0, 2.0, 4.0):
-        partial = _partial_sum(values, exponent)
+        partial = _window_sum(spectrum, exponent)
         bounds = _tail_bounds(spectrum, exponent)
         entry = {
             "exponent": exponent,
@@ -338,7 +336,7 @@ def kothe_nuclearity(spectrum: SingularSpectrum, n1, n2) -> dict:
         "exponent": exponent,
         "ratio_limsup": ratio_limsup,
         "criterion_met": ratio_limsup < 1.0,
-        "partial_sum": _partial_sum(spectrum.values(), exponent),
+        "partial_sum": _window_sum(spectrum, exponent),
         "sum_converges": _converges(spectrum, exponent),
         "closed_form_sum": _closed_form_sum(spectrum, exponent),
         "method": "analytic-tail-bound",

@@ -2,10 +2,11 @@
 
 ``lyapunov_traces`` decides all times of its rows in one pass; ``build_tower``,
 ``isometry_check`` and the ``lyapunov`` experiment decide their verdicts
-per basis label; ``classify_spectrum`` forms its spectrum values once;
-the covariance experiment checks every single-age projector transport
-in one pass.  The loops live here only, as the references: every float
-must be bitwise the loop's, every error the loop's first error, defects
+per basis label; ``classify_spectrum`` and ``kothe_nuclearity`` form
+their sums in closed form; the covariance experiment checks every
+single-age projector transport in one pass.  The loops live here only,
+as the references: every float must be bitwise the loop's (the closed
+form sums within 1e-14), every error the loop's first error, defects
 must still show, and at baker m = 6 the experiments must stay within a
 small memory budget.  A random-pair isometry, formed from the
 materialized d_k, is a second reference: it agrees with the per-label
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from test_batched_probe import w_log_weights
+from test_spectrum_bits import assert_close, plain_sum, plain_values
 from timeop.cascade import (
     AgeWindow,
     CascadeSystem,
@@ -517,15 +519,12 @@ class TestSpectrumSums:
         geometric_spectrum(0.95, truncation=50000),
     ], ids=lambda s: s.describe())
     def test_partial_sums_are_the_per_exponent_loop(self, spectrum):
-        def loop(exponent):
-            with np.errstate(under="ignore"):
-                return float(np.sum(spectrum.values() ** exponent))
-
+        values = plain_values(spectrum, spectrum.truncation)
         report = classify_spectrum(spectrum)
         for item in report["evidence"]:
-            assert bits(item["partial_sum"]) == bits(loop(item["exponent"]))
+            assert_close(item["partial_sum"], plain_sum(values, item["exponent"]))
         kothe = kothe_nuclearity(spectrum, Fraction(1, 3), Fraction(3, 4))
-        assert bits(kothe["partial_sum"]) == bits(loop(kothe["exponent"]))
+        assert_close(kothe["partial_sum"], plain_sum(values, kothe["exponent"]))
 
 
 def with_step(system, step):

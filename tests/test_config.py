@@ -385,7 +385,7 @@ def test_validate_is_a_run_that_writes_nothing(tmp_path, capsys, text):
 
 
 class TestTruncationCap:
-    """A spectrum truncation past the cap is refused before run allocates it.
+    """A spectrum truncation past the cap is refused at parse time.
 
     Only parsed: the oversized values are never run.
     """
@@ -411,6 +411,15 @@ class TestTruncationCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"line {line}: truncation must be at most 1000000\n"
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-310"])
+def test_power_alpha_whose_reciprocal_overflows_is_a_line_numbered_error(alpha):
+    # min_nuclear_power reads floor(1 / alpha), which such an alpha overflows
+    text = MINIMAL + f"\n[experiment classify]\nspectrum = power {alpha}\n"
+    line = text.splitlines().index(f"spectrum = power {alpha}") + 1
+    message = f"power spectrum needs a finite 1/alpha, got alpha = {float(alpha)!r}"
+    assert errors_of(text) == ((line, message),)
 
 
 def _readme_config_table():

@@ -196,6 +196,20 @@ class TestClassification:
         assert item["partial_sum"] + item["tail_hi"] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPowerReciprocal:
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    def test_alpha_whose_reciprocal_overflows_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="finite 1/alpha"):
+            power_spectrum(alpha)
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (0.1, 11), (0.5, 3), (1e-308, math.floor(1.0 / 1e-308) + 1),
+    ])
+    def test_min_nuclear_power_is_the_reciprocal_floor_plus_one(self, alpha, expected):
+        report = classify_spectrum(power_spectrum(alpha, truncation=100))
+        assert report["min_nuclear_power"] == expected
+
+
 class TestKothe:
     def test_geometric_criterion(self):
         report = kothe_nuclearity(geometric_spectrum(0.5, truncation=10_000), 0, Fraction(1, 2))

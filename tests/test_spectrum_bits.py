@@ -1,25 +1,32 @@
-"""Spectrum values and partial sums are bitwise the plain closed forms.
+"""Spectrum window sums are the plain materialized formulas to 1e-14.
 
-``SingularSpectrum.values`` and the partial sums behind ``classify`` and
-``kothe`` skip ``pow`` on terms that round to +0.0.  The plain formulas
-are kept here as references, and every float is compared by its bit
-pattern over spectra that underflow early, late and never.
+``classify`` and ``kothe`` report the window sums sum_{k<=K} lambda_k**p
+in closed form and never form the spectrum.  The plain formula, the
+array of K values raised to p and summed, is kept here as the
+reference; each sum must lie within 1e-14 of it relative, and be
+exactly 0.0 where the reference is, over spectra that underflow early,
+late and never.  Exact rational sums give a reference that follows
+neither float route.
 """
 
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
 
-from timeop import rigging
+from timeop.config import parse_config
 from timeop.rigging import (
+    SingularSpectrum,
     classify_spectrum,
     geometric_spectrum,
     kothe_nuclearity,
     power_spectrum,
 )
+from timeop.runner import run_experiments
 
 QS = [n / 100 for n in range(1, 100)] + [1e-3, 0.999, 1.0 - 2.0**-52]
 ALPHAS = [0.1, 0.5, 2.5, 100.0]
@@ -29,11 +36,7 @@ TRUNCATIONS = [1, 7, 1_000, 10_000, 50_000, 100_000]
 GRADES = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
           Fraction(3, 4)]
 KOTHE_EXPONENTS = sorted({float(2 * (n2 - n1)) for n1, n2 in combinations(GRADES, 2)})
-
-
-def bits(values):
-    """Float bit patterns, so that -0.0 and +0.0 differ."""
-    return np.asarray(values, dtype=float).view(np.int64)
+RELATIVE = 1e-14
 
 
 def plain_values(spectrum, count):
@@ -48,23 +51,39 @@ def plain_sum(values, exponent):
         return float(np.sum(values ** exponent))
 
 
+def assert_close(got, reference):
+    """Within RELATIVE of the reference, and exactly 0.0 where it is."""
+    if reference == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - reference) <= RELATIVE * reference, (got, reference)
+
+
+def kothe_sum(spectrum, exponent):
+    """The Köthe partial sum at ``exponent``, from grades 0 and exponent / 2."""
+    return kothe_nuclearity(spectrum, 0, Fraction(exponent / 2))["partial_sum"]
+
+
+def with_truncation(spectrum, truncation):
+    return SingularSpectrum(spectrum.family, spectrum.alpha, spectrum.q, truncation)
+
+
+def assert_sums_match(spectrum, reference):
+    """classify's and kothe's sums of ``spectrum`` against a reference value array."""
+    for item in classify_spectrum(spectrum)["evidence"]:
+        assert_close(item["partial_sum"], plain_sum(reference, item["exponent"]))
+    for exponent in KOTHE_EXPONENTS:
+        assert_close(kothe_sum(spectrum, exponent), plain_sum(reference, exponent))
+
+
 SPECTRA = [geometric_spectrum(q) for q in QS] + [power_spectrum(a) for a in ALPHAS]
 
 
 @pytest.mark.parametrize("base", SPECTRA, ids=lambda s: f"{s.family}({s.q or s.alpha!r})")
 def test_values_and_partial_sums_are_the_plain_formulas(base):
     for truncation in TRUNCATIONS:
-        spectrum = rigging.SingularSpectrum(base.family, base.alpha, base.q, truncation)
-        reference = plain_values(spectrum, truncation)
-        values = spectrum.values()
-        assert np.array_equal(bits(values), bits(reference))
-        for item in classify_spectrum(spectrum)["evidence"]:
-            assert bits(item["partial_sum"]) == bits(plain_sum(reference, item["exponent"]))
-        # kothe_nuclearity's partial sum is this call (checked end to end
-        # below); its closed form divides by zero where q**exponent is 1.0
-        for exponent in KOTHE_EXPONENTS:
-            partial = rigging._partial_sum(values, exponent)
-            assert bits(partial) == bits(plain_sum(reference, exponent))
+        spectrum = with_truncation(base, truncation)
+        assert_sums_match(spectrum, plain_values(spectrum, truncation))
 
 
 @pytest.mark.parametrize("spectrum", [
@@ -76,37 +95,43 @@ def test_kothe_partial_sums_are_the_plain_formula(spectrum):
     reference = plain_values(spectrum, spectrum.truncation)
     for n1, n2 in combinations(GRADES, 2):
         report = kothe_nuclearity(spectrum, n1, n2)
-        assert bits(report["partial_sum"]) == bits(plain_sum(reference, report["exponent"]))
+        assert_close(report["partial_sum"], plain_sum(reference, report["exponent"]))
 
 
 def test_grid_reaches_the_skipped_tails():
-    """The grid holds spectra with terms skipped, in values and in sums."""
-    assert geometric_spectrum(0.5, truncation=10_000).values()[-1] == 0.0
-    assert power_spectrum(100.0, truncation=10_000).values()[-1] == 0.0
-    assert geometric_spectrum(0.999).values()[-1] > 0.0
-    assert power_spectrum(2.5).values()[-1] > 0.0
-    # a spectrum whose own values never underflow still has a skipped
-    # tail in its fourth powers
-    values = geometric_spectrum(0.99, truncation=50_000).values()
+    """The grid holds references whose terms round to +0.0, in values and in powers."""
+    assert plain_values(geometric_spectrum(0.5), 10_000)[-1] == 0.0
+    assert plain_values(power_spectrum(100.0), 10_000)[-1] == 0.0
+    assert plain_values(geometric_spectrum(0.999), 100_000)[-1] > 0.0
+    assert plain_values(power_spectrum(2.5), 100_000)[-1] > 0.0
+    # a spectrum whose own values never underflow still has a +0.0 tail
+    # in its fourth powers
+    values = plain_values(geometric_spectrum(0.99), 50_000)
     assert values[-1] > 0.0
     assert values[-1] ** 4.0 == 0.0
 
 
 def test_values_of_a_shorter_count():
-    spectrum = geometric_spectrum(0.25, truncation=600)
-    assert np.array_equal(bits(spectrum.values()), bits(plain_values(spectrum, 600)))
+    # every count up to 40 crosses the power family's split between the
+    # terms added one by one and the Euler-Maclaurin tail
+    for base in (power_spectrum(0.5), power_spectrum(1.5), power_spectrum(1.0 / 3.0),
+                 geometric_spectrum(0.25)):
+        for count in range(1, 41):
+            spectrum = with_truncation(base, count)
+            assert_sums_match(spectrum, plain_values(spectrum, count))
 
 
 def masked_values(spectrum):
-    """The values as a mask over every term and a masked ``pow`` computed them."""
+    """The values as the reports formed them before: ``pow`` only on terms of at
+    least 2**-1080, a mask over every term, and +0.0 for the rest."""
     k = np.arange(1, spectrum.truncation + 1, dtype=float)
     if spectrum.family == "power":
         base, exponent = k + 1.0, -spectrum.alpha
         with np.errstate(over="ignore"):
-            live = base <= np.exp2(rigging.UNDERFLOW_BITS / spectrum.alpha)
+            live = base <= np.exp2(1080.0 / spectrum.alpha)
     else:
         base, exponent = spectrum.q, k
-        live = k <= rigging.UNDERFLOW_BITS / -math.log2(spectrum.q)
+        live = k <= 1080.0 / -math.log2(spectrum.q)
     return np.power(base, exponent, out=np.zeros(k.size), where=live)
 
 
@@ -116,26 +141,105 @@ def masked_values(spectrum):
     (geometric_spectrum, 0.05), (geometric_spectrum, 0.5), (geometric_spectrum, 0.95),
 ])
 def test_live_prefix_values_are_the_masked_ones(build, value, truncation):
-    # pow on the live prefix alone gives every bit the masked pow gave
+    # the closed form keeps the sums the masked route reported, also
+    # where that route skipped the terms below the float range
     spectrum = build(value, truncation=truncation)
-    assert np.array_equal(bits(spectrum.values()), bits(masked_values(spectrum)))
-
-
-def test_tail_that_is_not_non_increasing_takes_the_plain_formula():
-    # a live entry after the first skipped ones: the mask is per entry,
-    # so the 0.5 at index 500 is still raised to the power
-    values = np.zeros(1_010)
-    values[:10] = 1.0
-    values[500] = 0.5
-    assert rigging._partial_sum(values, 4.0) == 10.0 + 0.5**4
-    assert np.array_equal(bits(rigging._powers(values, 4.0)), bits(values ** 4.0))
+    assert_sums_match(spectrum, masked_values(spectrum))
 
 
 def test_subnormal_values_stay_live_for_exponents_near_one():
-    # (2**-1074)**(4/3) is below 2**-1080 and is skipped, while
-    # (2**-1074)**(5/6), about 2**-895, is a normal float and must be kept
-    values = np.array([1.0, 0.5, 2.0**-1000, 2.0**-1074, 2.0**-1074, 0.0, 0.0])
-    for exponent in (1.0 / 6.0, 5.0 / 6.0, 4.0 / 3.0, 1.5, 4.0):
-        assert bits(rigging._partial_sum(values, exponent)) == bits(plain_sum(values, exponent))
-        assert np.array_equal(bits(rigging._powers(values, exponent)), bits(values ** exponent))
-    assert rigging._powers(values, 5.0 / 6.0)[4] > 2.0**-900
+    # a value of 2**-1074 raised to 5/6 is about 2**-895, a normal float
+    # that must be kept, while raised to 4/3 it is +0.0
+    for spectrum in (geometric_spectrum(2.0**-1074), geometric_spectrum(2.0**-1000),
+                     power_spectrum(1074.0), power_spectrum(1000.0)):
+        assert_sums_match(spectrum, plain_values(spectrum, spectrum.truncation))
+    assert kothe_sum(geometric_spectrum(2.0**-1074), 5.0 / 6.0) > 2.0**-900
+    assert kothe_sum(geometric_spectrum(2.0**-1074), 4.0 / 3.0) == 0.0
+
+
+def exact_power_sums(s, count):
+    """Exact sum_{n=2}^{K+1} n**-s for K = 1 .. count, s a positive integer."""
+    return list(accumulate(Fraction(1, n**s) for n in range(2, count + 2)))
+
+
+def exact_geometric_sums(q, p, count):
+    """Exact sum_{k=1}^{K} q**(k p) for K = 1 .. count."""
+    return list(accumulate(q ** (k * p) for k in range(1, count + 1)))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+def test_power_sums_match_exact_rational_sums(alpha):
+    # s = alpha * exponent is an integer, so each window sum is a rational
+    # number: s = 1 is the harmonic sum the integral's log form covers
+    exponents = [p for p in (1, 2, 4) if (alpha * p).denominator == 1]
+    exact = {p: exact_power_sums(int(alpha * p), 200) for p in exponents}
+    for count in range(1, 201):
+        report = classify_spectrum(power_spectrum(float(alpha), truncation=count))
+        for item in report["evidence"]:
+            if int(item["exponent"]) in exact:
+                assert_close(item["partial_sum"], float(exact[int(item["exponent"])][count - 1]))
+
+
+def test_geometric_sums_match_exact_rational_sums():
+    exact = {p: exact_geometric_sums(Fraction(1, 2), p, 200) for p in (1, 2, 4)}
+    for count in range(1, 201):
+        report = classify_spectrum(geometric_spectrum(0.5, truncation=count))
+        for item in report["evidence"]:
+            assert_close(item["partial_sum"], float(exact[int(item["exponent"])][count - 1]))
+
+
+EXTREMES = ["power 1e308", "power 400", "power 1e-300", "geometric 1e-300",
+            "geometric 0.9999999999999999"]
+EXTREME_CONFIG = """
+[system]
+kind = shift
+lo = -2
+hi = 2
+
+[profile]
+family = gumbel
+
+[experiment classify]
+spectrum = {spectrum}
+
+[experiment kothe]
+spectrum = {spectrum}
+"""
+
+
+def finite_floats(value):
+    if isinstance(value, dict):
+        return all(finite_floats(v) for v in value.values())
+    if isinstance(value, list):
+        return all(finite_floats(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize("spectrum", EXTREMES)
+def test_extreme_spectra_run_finite_and_pass(spectrum):
+    config = parse_config(EXTREME_CONFIG.format(spectrum=spectrum))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = {r["name"]: r for r in run_experiments(config).records}
+    family, value = spectrum.split()
+    build = power_spectrum if family == "power" else geometric_spectrum
+    for request in config.experiments:
+        record = records[request.name]
+        assert record["status"] == "pass"
+        assert finite_floats(record["details"])
+        sums = record["details"].get("evidence", [record["details"]])
+        reference = plain_values(build(float(value)), request.params["truncation"])
+        for item in sums:
+            assert_close(item["partial_sum"], plain_sum(reference, item["exponent"]))
+
+
+def test_sums_form_no_spectrum_array():
+    tracemalloc.start()
+    try:
+        classify_spectrum(power_spectrum(0.5, truncation=10**6))
+        kothe_nuclearity(geometric_spectrum(0.5, truncation=10**6), 0, Fraction(1, 2))
+        kothe_nuclearity(power_spectrum(0.5, truncation=10**6), 0, Fraction(1, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
